@@ -46,7 +46,7 @@ task = EstimationTask(
     seed=2024,
 )
 treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
-sample = build_sample(task, treated_rows, control_rows, calendar)
+sample = build_sample(task, treated_rows, control_rows)
 print(f"sample cells (D,T) = (1,1),(1,0),(0,1),(0,0): {sample.cell_counts()}")
 
 # Point estimates: with season fixed effects in the propensity model the IPW

@@ -11,7 +11,6 @@ generator with a known injected effect closes the loop for validation.
 
 from .calendar import MonthDay, ProtectionCalendar, ProtectionWindow
 from .did import (
-    BiweekBasis,
     BootstrapResult,
     CovariateSpec,
     DidSample,

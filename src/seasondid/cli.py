@@ -34,7 +34,7 @@ from .diagnostics import (
     heterogeneity_regression,
     pretrend_placebo,
 )
-from .did import EstimationTask, two_sided_normal_p
+from .did import METHODS, EstimationTask, two_sided_normal_p
 from .errors import (
     CalendarError,
     CalendarMissError,
@@ -52,7 +52,7 @@ from .ingest import (
 )
 from .panel import Outcome, Quality, apply_boundary_exclusion, label_panel
 from .pipeline import prepare_outcome_rows, run_task, task_seed
-from .simgen import build_calendar, generate_panel, true_effect
+from .simgen import generate_panel, true_effect
 from .transforms import compute_volatility, standardize_prices
 
 EXIT_OK = 0
@@ -149,76 +149,125 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _execute_task(payload: tuple) -> tuple[str, str, str, list[tuple]]:
-    """Run one task; returns (key, status, detail, effects rows).
+def _effect_rows(
+    task: EstimationTask, store: PanelStore, calendar: ProtectionCalendar, config: RunConfig
+) -> list[tuple]:
+    """``effects.csv`` rows of one task: one per requested method."""
+    if task.bootstrap_reps > 0:
+        task = dataclasses.replace(task, seed=task_seed(config.seed or 0, task.key()))
+    result = run_task(task, store, calendar, methods=config.methods)
+    return [
+        (
+            task.treated.product,
+            task.treated.quality.value,
+            task.control.country,
+            task.outcome.value,
+            estimate.method,
+            estimate.atet,
+            estimate.se,
+            estimate.p_value,
+            *estimate.n_by_cell,
+            estimate.n_trimmed,
+            estimate.bootstrap_reps or 0,
+            estimate.seed if estimate.seed is not None else (task.seed or 0),
+        )
+        for estimate in result.estimates
+    ]
+
+
+def _placebo_rows(
+    task: EstimationTask, store: PanelStore, calendar: ProtectionCalendar, config: RunConfig
+) -> list[tuple]:
+    """The ``pretrends.csv`` row of one task."""
+    seed = task_seed(config.seed or 0, task.key() + "|pretrend")
+    treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
+    result = pretrend_placebo(task, treated_rows, control_rows, calendar, config.reps, seed)
+    estimate = result.estimate
+    return [
+        (
+            task.treated.product,
+            task.treated.quality.value,
+            task.control.country,
+            task.outcome.value,
+            estimate.atet,
+            estimate.se,
+            estimate.p_value,
+            *estimate.n_by_cell,
+            result.seasons_used,
+            estimate.bootstrap_reps,
+            seed,
+        )
+    ]
+
+
+# (job, store, calendar, config) of the batch this process runs; set once
+# per pool worker by its initializer, so tasks travel to workers alone.
+_batch: tuple = ()
+
+
+def _start_batch(*state) -> None:
+    global _batch
+    _batch = state
+
+
+def _run_one(task: EstimationTask) -> tuple[str, str, list[tuple]]:
+    """Run the batch's job on one task; returns (key, status, table rows).
 
     Top-level function so process pools can pickle it.
     """
-    task, store, calendar, methods, master_seed = payload
-    if task.bootstrap_reps > 0:
-        task = dataclasses.replace(task, seed=task_seed(master_seed, task.key()))
+    job, store, calendar, config = _batch
     try:
-        result = run_task(task, store, calendar, methods=methods)
+        rows = job(task, store, calendar, config)
     except InfeasibleSampleError as exc:
-        return task.key(), "infeasible", exc.reason, []
+        return task.key(), f"infeasible: {exc.reason}", []
     except SeasonDidError as exc:
-        return task.key(), "failed", f"{type(exc).__name__}: {exc}", []
-    rows = []
-    for estimate in result.estimates:
-        rows.append(
-            (
-                task.treated.product,
-                task.treated.quality.value,
-                task.control.country,
-                task.outcome.value,
-                estimate.method,
-                estimate.atet,
-                estimate.se,
-                estimate.p_value,
-                *estimate.n_by_cell,
-                estimate.n_trimmed,
-                estimate.bootstrap_reps or 0,
-                estimate.seed if estimate.seed is not None else (task.seed or 0),
-            )
-        )
-    return task.key(), "ok", "", rows
+        return task.key(), f"failed: {type(exc).__name__}: {exc}", []
+    return task.key(), "ok", rows
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig.from_file(args.config).override(
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig.from_file(args.config).override(
         seed=args.seed,
         trim=args.trim,
         reps=args.reps,
         workers=args.workers,
         skip_bad_rows=args.skip_bad_rows or None,
     )
+
+
+def _run_batch(
+    config: RunConfig,
+    command: str,
+    job,
+    columns: tuple[str, ...],
+    table_name: str,
+    manifest_name: str,
+) -> int:
+    """Run ``job`` on every task in key order, on ``config.workers``
+    processes; write its rows to ``table_name`` and each task's status to
+    ``manifest_name``."""
     store, calendar = _load_inputs(config)
-    tasks = expand_tasks(config, store=store)
-    tasks = sorted(tasks, key=lambda t: t.key())
-    master_seed = config.seed if config.seed is not None else 0
-    payloads = [(task, store, calendar, config.methods, master_seed) for task in tasks]
+    tasks = sorted(expand_tasks(config, store=store), key=lambda t: t.key())
+    state = (job, store, calendar, config)
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_execute_task, payloads))
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=_start_batch, initargs=state
+        ) as pool:
+            outcomes = list(pool.map(_run_one, tasks))
     else:
-        outcomes = [_execute_task(payload) for payload in payloads]
+        _start_batch(*state)
+        outcomes = [_run_one(task) for task in tasks]
 
-    effect_rows: list[tuple] = []
-    statuses = []
-    for key, status, detail, rows in outcomes:
-        effect_rows.extend(rows)
-        statuses.append(
-            {"task": key, "status": status if not detail else f"{status}: {detail}"}
-        )
-
+    rows = [row for _, _, task_rows in outcomes for row in task_rows]
+    statuses = [{"task": key, "status": status} for key, status, _ in outcomes]
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "effects.csv", EFFECTS_COLUMNS, effect_rows)
+    _write_csv(out_dir / table_name, columns, rows)
     _write_manifest(
-        out_dir / "manifest.json",
+        out_dir / manifest_name,
         {
             "version": __version__,
-            "command": "run",
+            "command": command,
             "seed": config.seed,
             "config": config.manifest_dict(),
             "tasks": statuses,
@@ -230,74 +279,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{len(statuses)} tasks: {len(statuses) - n_failed - n_infeasible} ok, "
         f"{n_infeasible} infeasible, {n_failed} failed"
     )
-    print(f"wrote {out_dir / 'effects.csv'}")
+    print(f"wrote {out_dir / table_name} ({len(rows)} rows)")
     return EXIT_TASK_FAILURE if n_failed else EXIT_OK
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _run_config(args)
+    return _run_batch(
+        config, "run", _effect_rows, EFFECTS_COLUMNS, "effects.csv", "manifest.json"
+    )
 
 
 def _cmd_pretrend(args: argparse.Namespace) -> int:
-    config = RunConfig.from_file(args.config).override(
-        seed=args.seed,
-        trim=args.trim,
-        reps=args.reps,
-        workers=args.workers,
-        skip_bad_rows=args.skip_bad_rows or None,
-    )
+    config = _run_config(args)
     if config.reps < 2:
         raise ConfigError("pretrend needs reps >= 2 for bootstrap inference")
-    store, calendar = _load_inputs(config)
-    tasks = sorted(expand_tasks(config, store=store), key=lambda t: t.key())
-    master_seed = config.seed if config.seed is not None else 0
-    rows: list[tuple] = []
-    statuses = []
-    n_failed = 0
-    for task in tasks:
-        seed = task_seed(master_seed, task.key() + "|pretrend")
-        try:
-            treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
-            result = pretrend_placebo(
-                task, treated_rows, control_rows, calendar, config.reps, seed
-            )
-        except InfeasibleSampleError as exc:
-            statuses.append({"task": task.key(), "status": f"infeasible: {exc.reason}"})
-            continue
-        except SeasonDidError as exc:
-            statuses.append(
-                {"task": task.key(), "status": f"failed: {type(exc).__name__}: {exc}"}
-            )
-            n_failed += 1
-            continue
-        estimate = result.estimate
-        rows.append(
-            (
-                task.treated.product,
-                task.treated.quality.value,
-                task.control.country,
-                task.outcome.value,
-                estimate.atet,
-                estimate.se,
-                estimate.p_value,
-                *estimate.n_by_cell,
-                result.seasons_used,
-                estimate.bootstrap_reps,
-                seed,
-            )
-        )
-        statuses.append({"task": task.key(), "status": "ok"})
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "pretrends.csv", PRETREND_COLUMNS, rows)
-    _write_manifest(
-        out_dir / "pretrend_manifest.json",
-        {
-            "version": __version__,
-            "command": "pretrend",
-            "seed": config.seed,
-            "config": config.manifest_dict(),
-            "tasks": statuses,
-        },
+    return _run_batch(
+        config, "pretrend", _placebo_rows, PRETREND_COLUMNS, "pretrends.csv",
+        "pretrend_manifest.json",
     )
-    print(f"wrote {out_dir / 'pretrends.csv'} ({len(rows)} rows)")
-    return EXIT_TASK_FAILURE if n_failed else EXIT_OK
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
@@ -409,15 +409,19 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="key=value configuration file")
+    parser.add_argument(
+        "--skip-bad-rows", action="store_true", help="drop invalid price rows instead of failing"
+    )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    _add_input_flags(parser)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--trim", type=float, default=None, help="override the trim threshold")
     parser.add_argument("--reps", type=int, default=None, help="override bootstrap replicates")
     parser.add_argument("--workers", type=int, default=None, help="parallel task workers")
-    parser.add_argument(
-        "--skip-bad-rows", action="store_true", help="drop invalid price rows instead of failing"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     pretrend.set_defaults(func=_cmd_pretrend)
 
     describe = commands.add_parser("describe", help="phase-level outcome summaries")
-    _add_run_flags(describe)
+    _add_input_flags(describe)
     describe.set_defaults(func=_cmd_describe)
 
     heterogeneity = commands.add_parser(
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     heterogeneity.add_argument("--effects", required=True, help="effects.csv from a run")
     heterogeneity.add_argument("--attributes", required=True, help="product attribute file")
     heterogeneity.add_argument("--out", required=True, help="output directory")
-    heterogeneity.add_argument("--method", default="ipw", choices=("ipw", "ols"))
+    heterogeneity.add_argument("--method", default="ipw", choices=METHODS)
     heterogeneity.set_defaults(func=_cmd_heterogeneity)
 
     return parser

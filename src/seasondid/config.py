@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .did import BiweekBasis, CovariateSpec, EstimationTask, SeriesSpec
+from .did import METHODS, CovariateSpec, EstimationTask, SeriesSpec
 from .errors import ConfigError
 from .panel import Outcome, Quality
 from .simgen import SimConfig
@@ -107,7 +107,6 @@ _RUN_KEYS = {
     "outcomes",
     "methods",
     "covariates",
-    "biweek_basis",
     "trim",
     "trim_treated",
     "reps",
@@ -132,7 +131,6 @@ class RunConfig:
     outcomes: tuple[Outcome, ...]
     methods: tuple[str, ...]
     covariates: CovariateSpec
-    biweek_basis: BiweekBasis
     trim: float
     trim_treated: bool
     reps: int
@@ -180,11 +178,6 @@ class RunConfig:
                 f"invalid covariates {covariates_text!r}; expected one of "
                 f"{[c.value for c in CovariateSpec]}"
             ) from None
-        basis_text = _single(values, "biweek_basis", BiweekBasis.SEASON.value)
-        try:
-            biweek_basis = BiweekBasis(basis_text)
-        except ValueError:
-            raise ConfigError(f"invalid biweek_basis {basis_text!r}") from None
 
         seed_text = _single(values, "seed", None)
         tasks_mode = _single(values, "tasks", None)
@@ -208,7 +201,6 @@ class RunConfig:
             outcomes=outcomes,
             methods=methods,
             covariates=covariates,
-            biweek_basis=biweek_basis,
             trim=_parse_float(_single(values, "trim", "0.95"), "trim"),
             trim_treated=_parse_bool(_single(values, "trim_treated", "false"), "trim_treated"),
             reps=_parse_int(_single(values, "reps", "200"), "reps"),
@@ -237,9 +229,11 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.min_cell < 1:
             raise ConfigError(f"min_cell must be >= 1, got {self.min_cell}")
-        unknown = [m for m in self.methods if m not in ("ipw", "ols")]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown or not self.methods:
-            raise ConfigError(f"methods must be a subset of ipw,ols; got {self.methods!r}")
+            raise ConfigError(
+                f"methods must be a subset of {','.join(METHODS)}; got {self.methods!r}"
+            )
 
     def override(
         self,
@@ -292,7 +286,6 @@ class RunConfig:
             "outcomes": [o.value for o in self.outcomes],
             "methods": list(self.methods),
             "covariates": self.covariates.value,
-            "biweek_basis": self.biweek_basis.value,
             "trim": self.trim,
             "trim_treated": self.trim_treated,
             "reps": self.reps,
@@ -413,7 +406,6 @@ def expand_tasks(config: RunConfig, store=None) -> list[EstimationTask]:
                 bootstrap_reps=config.reps,
                 seed=None,  # filled per task from the master seed
                 min_cell=config.min_cell,
-                biweek_basis=config.biweek_basis,
                 trim_treated=config.trim_treated,
             )
             tasks.append(task)

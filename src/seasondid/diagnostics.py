@@ -115,25 +115,53 @@ def _rows_by_week(rows: list[OutcomeObservation]) -> dict[IsoWeek, list[OutcomeO
     return index
 
 
-def _placebo_sample(
+def _pool_seasons(
     treated_index: dict[IsoWeek, list[OutcomeObservation]],
     control_index: dict[IsoWeek, list[OutcomeObservation]],
-    post_weeks: list[IsoWeek],
-    pre_weeks: list[IsoWeek],
-) -> tuple[list[float], list[int], list[int]]:
-    """Collect (value, d, pseudo_t) triples for one season."""
-    values, d, t = [], [], []
-    for weeks, pseudo in ((post_weeks, 1), (pre_weeks, 0)):
-        for week in weeks:
-            for row in treated_index[week]:
-                values.append(row.value)
-                d.append(1)
-                t.append(pseudo)
-            for row in control_index[week]:
-                values.append(row.value)
-                d.append(0)
-                t.append(pseudo)
-    return values, d, t
+    contrasts: list[tuple[list[IsoWeek], list[IsoWeek]]],
+) -> tuple[DidSample, int]:
+    """Pool (post weeks, pre weeks) contrasts, one per season, into a 2x2
+    sample with no covariates. A season enters only if both series are
+    observed at every one of its weeks. Returns the sample and the number of
+    seasons used."""
+    values: list[float] = []
+    d: list[int] = []
+    t: list[int] = []
+    seasons_used = 0
+    for post_weeks, pre_weeks in contrasts:
+        if not all(
+            w in treated_index and w in control_index for w in post_weeks + pre_weeks
+        ):
+            continue
+        for weeks, pseudo in ((post_weeks, 1), (pre_weeks, 0)):
+            for week in weeks:
+                for side, index in ((1, treated_index), (0, control_index)):
+                    for row in index[week]:
+                        values.append(row.value)
+                        d.append(side)
+                        t.append(pseudo)
+        seasons_used += 1
+    sample = DidSample(
+        y=np.array(values),
+        d=np.array(d, dtype=np.int8),
+        t=np.array(t, dtype=np.int8),
+        x=DesignMatrix(np.empty((len(values), 0)), ()),
+    )
+    return sample, seasons_used
+
+
+def _means_estimate(sample: DidSample, reps: int, seed: int) -> EffectEstimate:
+    """Cell-means DiD of ``sample`` with stratified bootstrap inference."""
+    point = cell_means_did(sample)
+    boot = bootstrap_se(sample, cell_means_did, reps, seed)
+    estimate = EffectEstimate(
+        method="means",
+        atet=point,
+        se=float("nan"),
+        p_value=float("nan"),
+        n_by_cell=sample.cell_counts(),
+    )
+    return with_inference(estimate, boot, seed)
 
 
 def pretrend_placebo(
@@ -159,44 +187,18 @@ def pretrend_placebo(
         {row.season.index for row in treated_rows}
         | {row.season.index for row in control_rows}
     )
-    values: list[float] = []
-    d: list[int] = []
-    t: list[int] = []
-    seasons_used = 0
+    contrasts = []
     for year in years:
         offsets = offset_weeks(window, year, 4)
-        if len(offsets) < 4:
-            continue
-        if not all(w in treated_index and w in control_index for w in offsets):
-            continue
-        season_values, season_d, season_t = _placebo_sample(
-            treated_index, control_index, offsets[:2], offsets[2:]
-        )
-        values += season_values
-        d += season_d
-        t += season_t
-        seasons_used += 1
+        if len(offsets) == 4:
+            contrasts.append((offsets[:2], offsets[2:]))
+    sample, seasons_used = _pool_seasons(treated_index, control_index, contrasts)
     if seasons_used == 0:
         raise InfeasibleSampleError(
             "pretrend_no_complete_season",
             "no season has both series observed at all four pre-protection offsets",
         )
-    sample = DidSample(
-        y=np.array(values),
-        d=np.array(d, dtype=np.int8),
-        t=np.array(t, dtype=np.int8),
-        x=DesignMatrix(np.empty((len(values), 0)), ()),
-    )
-    point = cell_means_did(sample)
-    boot = bootstrap_se(sample, cell_means_did, reps, seed)
-    estimate = EffectEstimate(
-        method="means",
-        atet=point,
-        se=float("nan"),
-        p_value=float("nan"),
-        n_by_cell=sample.cell_counts(),
-    )
-    return PlaceboResult(estimate=with_inference(estimate, boot, seed), seasons_used=seasons_used)
+    return PlaceboResult(estimate=_means_estimate(sample, reps, seed), seasons_used=seasons_used)
 
 
 def _protected_weeks(window: ProtectionWindow, year: int) -> list[IsoWeek]:
@@ -252,23 +254,12 @@ def rolling_biweekly_effects(
 
     results: list[BiweekEffect] = []
     for b in range(1, n_biweeks + 1):
-        values: list[float] = []
-        d: list[int] = []
-        t: list[int] = []
-        seasons_used = 0
-        for year, chunks in season_biweeks.items():
-            if len(chunks) < b:
-                continue
-            needed = chunks[b - 1] + season_pre[year]
-            if not all(w in treated_index and w in control_index for w in needed):
-                continue
-            season_values, season_d, season_t = _placebo_sample(
-                treated_index, control_index, chunks[b - 1], season_pre[year]
-            )
-            values += season_values
-            d += season_d
-            t += season_t
-            seasons_used += 1
+        contrasts = [
+            (chunks[b - 1], season_pre[year])
+            for year, chunks in season_biweeks.items()
+            if len(chunks) >= b
+        ]
+        sample, seasons_used = _pool_seasons(treated_index, control_index, contrasts)
         if seasons_used == 0:
             results.append(
                 BiweekEffect(
@@ -280,27 +271,12 @@ def rolling_biweekly_effects(
                 )
             )
             continue
-        sample = DidSample(
-            y=np.array(values),
-            d=np.array(d, dtype=np.int8),
-            t=np.array(t, dtype=np.int8),
-            x=DesignMatrix(np.empty((len(values), 0)), ()),
-        )
-        point = cell_means_did(sample)
-        boot = bootstrap_se(sample, cell_means_did, reps, seed + b)
-        estimate = EffectEstimate(
-            method="means",
-            atet=point,
-            se=float("nan"),
-            p_value=float("nan"),
-            n_by_cell=sample.cell_counts(),
-        )
         results.append(
             BiweekEffect(
                 biweek=b,
                 status="ok",
                 reason=None,
-                estimate=with_inference(estimate, boot, seed + b),
+                estimate=_means_estimate(sample, reps, seed + b),
                 seasons_used=seasons_used,
             )
         )

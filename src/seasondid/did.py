@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calendar import ProtectionCalendar
 from .errors import (
     ConfigError,
     GlmError,
@@ -35,26 +34,20 @@ from .errors import (
     TrimExhaustionError,
 )
 from .glm import INTERCEPT_NAME, DesignMatrix, fit_logistic, fit_ols
-from .panel import Outcome, Quality, season_start_week
+from .panel import Outcome, Quality
 from .transforms import OutcomeObservation
-from .weeks import weeks_between
 
 # z such that the standard normal leaves 2.5% in each tail
 Z_975 = 1.959963984540054
 
 CELL_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
 COMPARISON_CELLS = ((1, 0), (0, 1), (0, 0))
+METHODS = ("ipw", "ols")
 
 
 class CovariateSpec(str, enum.Enum):
     NONE = "none"
     SEASONAL = "seasonal_fe"
-    SEASONAL_BIWEEKLY = "seasonal_plus_biweekly_fe"
-
-
-class BiweekBasis(str, enum.Enum):
-    SEASON = "season"    # biweek index counted from the season start week
-    CALENDAR = "calendar"  # biweek index from the ISO week number
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,6 @@ class EstimationTask:
     bootstrap_reps: int = 200
     seed: int | None = None
     min_cell: int = 4
-    biweek_basis: BiweekBasis = BiweekBasis.SEASON
     trim_treated: bool = False
 
     def __post_init__(self):
@@ -211,11 +203,13 @@ class BootstrapResult:
 class PropensityReport:
     """Propensity diagnostics for one comparison cell: the absolute row
     indices of that cell's observations and their fitted probability of
-    belonging to the treated-protected cell."""
+    belonging to the treated-protected cell, plus the same fit's probability
+    for each treated-protected observation."""
 
     cell: tuple[int, int]
     rows: np.ndarray
     rho: np.ndarray
+    treated_rho: np.ndarray
 
     def trim_mask(self, threshold: float) -> np.ndarray:
         """True where the observation would be trimmed at ``threshold``."""
@@ -261,6 +255,7 @@ def propensity_report(sample: DidSample) -> dict[tuple[int, int], PropensityRepo
             cell=(d, t),
             rows=comparison_rows,
             rho=fit.fitted[treated_rows.size:],
+            treated_rho=fit.fitted[: treated_rows.size],
         )
     return reports
 
@@ -290,6 +285,7 @@ def estimate_ipw_did(
         report = reports[cell]
         if trim_treated:
             keep = np.ones(report.rho.size, dtype=bool)
+            treated_drop |= report.treated_rho > trim_threshold
         else:
             keep = ~report.trim_mask(trim_threshold)
             trimmed[cell] = int(report.rho.size - keep.sum())
@@ -304,9 +300,6 @@ def estimate_ipw_did(
         weighted_means[cell] = float(weights @ sample.y[report.rows[keep]])
 
     if trim_treated:
-        for cell in COMPARISON_CELLS:
-            fit = _treated_rho(sample, cell, treated_rows)
-            treated_drop |= fit > trim_threshold
         trimmed[(1, 1)] = int(treated_drop.sum())
         if treated_drop.all():
             raise TrimExhaustionError(
@@ -328,19 +321,6 @@ def estimate_ipw_did(
         n_by_cell=sample.cell_counts(),
         n_trimmed_by_cell=tuple(trimmed[cell] for cell in CELL_ORDER),
     )
-
-
-def _treated_rho(
-    sample: DidSample, cell: tuple[int, int], treated_rows: np.ndarray
-) -> np.ndarray:
-    """Fitted (1,1)-membership probability of the treated rows in the
-    pairwise fit against ``cell``."""
-    comparison_rows = np.flatnonzero(sample.cell_mask(*cell))
-    pooled = np.concatenate([treated_rows, comparison_rows])
-    membership = np.concatenate([np.ones(treated_rows.size), np.zeros(comparison_rows.size)])
-    columns = np.hstack([np.ones((pooled.size, 1)), sample.x.values[pooled]])
-    design = DesignMatrix(columns, (INTERCEPT_NAME, *sample.x.names))
-    return fit_logistic(design, membership).fitted[: treated_rows.size]
 
 
 def estimate_ols_did(sample: DidSample) -> EffectEstimate:
@@ -435,7 +415,6 @@ def build_sample(
     task: EstimationTask,
     treated_rows: list[OutcomeObservation],
     control_rows: list[OutcomeObservation],
-    calendar: ProtectionCalendar,
 ) -> DidSample:
     """Assemble the estimation sample for one task.
 
@@ -452,25 +431,13 @@ def build_sample(
     t = np.array([1 if row.phase.value == "protected" else 0 for row in rows], dtype=np.int8)
 
     columns: list[tuple[str, np.ndarray]] = []
-    if task.covariates in (CovariateSpec.SEASONAL, CovariateSpec.SEASONAL_BIWEEKLY):
+    if task.covariates is CovariateSpec.SEASONAL:
         seasons = sorted({row.season.index for row in rows})
         for season in seasons[1:]:  # first season is the reference
             indicator = np.array(
                 [1.0 if row.season.index == season else 0.0 for row in rows]
             )
             columns.append((f"season_{season}", indicator))
-    if task.covariates is CovariateSpec.SEASONAL_BIWEEKLY:
-        window = calendar.window_for(task.treated.product)
-        if task.biweek_basis is BiweekBasis.SEASON:
-            biweeks = [
-                weeks_between(season_start_week(window, row.season.index), row.week) // 2 + 1
-                for row in rows
-            ]
-        else:
-            biweeks = [(row.week.week - 1) // 2 + 1 for row in rows]
-        for biweek in sorted(set(biweeks))[1:]:  # first biweek is the reference
-            indicator = np.array([1.0 if b == biweek else 0.0 for b in biweeks])
-            columns.append((f"biweek_{biweek}", indicator))
 
     if columns:
         x = DesignMatrix.from_columns(columns)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .calendar import ProtectionCalendar
 from .did import (
+    METHODS,
     EffectEstimate,
     EstimationTask,
     bootstrap_se,
@@ -29,8 +30,6 @@ from .transforms import (
     restrict_to_production_weeks,
     standardize_prices,
 )
-
-METHODS = ("ipw", "ols")
 
 
 def task_seed(master_seed: int, key: str) -> int:
@@ -105,7 +104,7 @@ def run_task(
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; expected subset of {METHODS}")
     treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
-    sample = build_sample(task, treated_rows, control_rows, calendar)
+    sample = build_sample(task, treated_rows, control_rows)
     estimates = []
     for method in methods:
         if method == "ipw":

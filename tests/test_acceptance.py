@@ -79,7 +79,7 @@ def _pipeline_sample(cfg: SimConfig, covariates: CovariateSpec) -> DidSample:
     task = basic_task(product=cfg.product, control_country=cfg.control_country,
                       covariates=covariates)
     treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
-    return build_sample(task, treated_rows, control_rows, calendar)
+    return build_sample(task, treated_rows, control_rows)
 
 
 def test_01_no_covariate_estimator_equivalence(report):

@@ -115,14 +115,17 @@ class TestRun:
         assert manifest["seed"] == 9
         assert [s["status"] for s in manifest["tasks"]] == ["ok", "ok"]
 
-    def test_reruns_and_worker_counts_are_byte_identical(self, workspace):
+    @pytest.mark.parametrize(
+        "command,table", [("run", "effects.csv"), ("pretrend", "pretrends.csv")]
+    )
+    def test_reruns_and_worker_counts_are_byte_identical(self, workspace, command, table):
         _, _, run_cfg, out = workspace
-        assert main(["run", "--config", str(run_cfg)]) == EXIT_OK
-        first = (out / "effects.csv").read_bytes()
-        assert main(["run", "--config", str(run_cfg)]) == EXIT_OK
-        assert (out / "effects.csv").read_bytes() == first
-        assert main(["run", "--config", str(run_cfg), "--workers", "2"]) == EXIT_OK
-        assert (out / "effects.csv").read_bytes() == first
+        assert main([command, "--config", str(run_cfg)]) == EXIT_OK
+        first = (out / table).read_bytes()
+        assert main([command, "--config", str(run_cfg)]) == EXIT_OK
+        assert (out / table).read_bytes() == first
+        assert main([command, "--config", str(run_cfg), "--workers", "2"]) == EXIT_OK
+        assert (out / table).read_bytes() == first
 
     def test_seed_override_changes_the_bootstrap(self, workspace):
         _, _, run_cfg, out = workspace
@@ -211,6 +214,13 @@ class TestDescribe:
         assert treated_gap > 10.0
         assert abs(control_gap) < 3.0
         assert all(int(r[7]) == 3 for r in rows)  # one unit per season
+
+    def test_estimation_flags_are_rejected(self, workspace, capsys):
+        _, _, run_cfg, _ = workspace
+        with pytest.raises(SystemExit) as excinfo:
+            main(["describe", "--config", str(run_cfg), "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestHeterogeneity:

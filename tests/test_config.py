@@ -10,7 +10,7 @@ from seasondid.config import (
     parse_config_text,
     sim_config_from_file,
 )
-from seasondid.did import BiweekBasis, CovariateSpec
+from seasondid.did import CovariateSpec
 from seasondid.errors import ConfigError
 
 from conftest import price_row, week
@@ -55,7 +55,6 @@ class TestRunConfig:
         assert config.outcomes == (Outcome.LEVEL, Outcome.VOLATILITY)
         assert config.methods == ("ipw",)
         assert config.covariates is CovariateSpec.SEASONAL
-        assert config.biweek_basis is BiweekBasis.SEASON
         assert config.trim == 0.95
         assert config.trim_treated is False
         assert config.reps == 200
@@ -75,8 +74,7 @@ class TestRunConfig:
             "treated_country = AT\n"
             "outcomes = volatility\n"
             "methods = ipw, ols\n"
-            "covariates = seasonal_plus_biweekly_fe\n"
-            "biweek_basis = calendar\n"
+            "covariates = none\n"
             "trim = 0.99\n"
             "trim_treated = yes\n"
             "reps = 0\n"
@@ -89,8 +87,7 @@ class TestRunConfig:
         )
         assert config.outcomes == (Outcome.VOLATILITY,)
         assert config.methods == ("ipw", "ols")
-        assert config.covariates is CovariateSpec.SEASONAL_BIWEEKLY
-        assert config.biweek_basis is BiweekBasis.CALENDAR
+        assert config.covariates is CovariateSpec.NONE
         assert config.trim == 0.99
         assert config.trim_treated is True
         assert config.reps == 0
@@ -111,7 +108,7 @@ class TestRunConfig:
             (MINIMAL + "outcomes = ,\n", "empty"),
             (MINIMAL + "methods = gmm\n", "subset of ipw,ols"),
             (MINIMAL + "covariates = none_at_all\n", "invalid covariates"),
-            (MINIMAL + "biweek_basis = weekly\n", "invalid biweek_basis"),
+            (MINIMAL + "covariates = seasonal_plus_biweekly_fe\n", "invalid covariates"),
             (MINIMAL + "trim = 0\n", "trim must be in"),
             (MINIMAL + "trim = nope\n", "expects a number"),
             (MINIMAL + "reps = -1\n", "reps must be"),
@@ -158,7 +155,7 @@ class TestRunConfig:
         assert manifest["tasks"] == ["tomato:organic:DE:tomato"]
         assert set(manifest) == {
             "prices", "calendar", "attributes", "treated_country", "outcomes",
-            "methods", "covariates", "biweek_basis", "trim", "trim_treated",
+            "methods", "covariates", "trim", "trim_treated",
             "reps", "seed", "min_cell", "workers", "output_dir", "tasks",
             "skip_bad_rows",
         }

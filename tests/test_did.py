@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seasondid import (
-    BiweekBasis,
     CovariateSpec,
     DidSample,
     EstimationTask,
@@ -25,6 +24,7 @@ from seasondid import (
     standardize_prices,
     with_inference,
 )
+from seasondid import did
 from seasondid.did import Z_975, two_sided_normal_p
 from seasondid.errors import (
     BootstrapDegenerateError,
@@ -32,7 +32,7 @@ from seasondid.errors import (
     InfeasibleSampleError,
     TrimExhaustionError,
 )
-from seasondid.glm import DesignMatrix
+from seasondid.glm import DesignMatrix, fit_logistic
 
 from conftest import (
     basic_task,
@@ -175,11 +175,19 @@ class TestTrimming:
         with pytest.raises(TrimExhaustionError):
             estimate_ipw_did(one_stratum, trim_threshold=0.9)
 
-    def test_trim_treated_flag_trims_the_other_side(self):
+    def test_trim_treated_flag_trims_the_other_side(self, monkeypatch):
+        calls = []
+
+        def counted_fit(*args, **kwargs):
+            calls.append(1)
+            return fit_logistic(*args, **kwargs)
+
+        monkeypatch.setattr(did, "fit_logistic", counted_fit)
         sample = self.build_imbalanced()
         estimate = estimate_ipw_did(sample, trim_threshold=0.95, trim_treated=True)
         assert estimate.n_trimmed_by_cell[0] > 0
         assert estimate.n_trimmed_by_cell[1:] == (0, 0, 0)
+        assert len(calls) == 3  # one fit per comparison cell serves both sides
 
     def test_threshold_must_be_a_probability(self, rng):
         sample = random_cell_sample(rng)
@@ -321,7 +329,7 @@ class TestBuildSample:
         treated = self.outcome_rows(calendar, "CH", self.weekly_prices(rng))
         control = self.outcome_rows(calendar, "DE", self.weekly_prices(rng))
         task = basic_task(product="tomato")
-        sample = build_sample(task, treated, control, calendar)
+        sample = build_sample(task, treated, control)
         # 2015 is the reference season; only one dummy for 2016 remains
         assert sample.x.names == ("season_2016",)
         assert sample.n_obs == len(treated) + len(control)
@@ -331,7 +339,7 @@ class TestBuildSample:
         treated = self.outcome_rows(calendar, "CH", self.weekly_prices(rng))
         control = self.outcome_rows(calendar, "DE", self.weekly_prices(rng))
         task = basic_task(product="tomato", covariates=CovariateSpec.NONE)
-        sample = build_sample(task, treated, control, calendar)
+        sample = build_sample(task, treated, control)
         assert sample.x.names == ()
         assert sample.x.values.shape == (sample.n_obs, 0)
 
@@ -341,30 +349,15 @@ class TestBuildSample:
         boundary_rows = standardize_prices(labeled)
         task = basic_task(product="tomato")
         with pytest.raises(ValueError):
-            build_sample(task, boundary_rows, [], calendar)
+            build_sample(task, boundary_rows, [])
 
     def test_min_cell_enforced(self, rng, calendar):
         treated = self.outcome_rows(calendar, "CH", self.weekly_prices(rng))
         control = self.outcome_rows(calendar, "DE", self.weekly_prices(rng))
         task = basic_task(product="tomato", min_cell=10_000)
         with pytest.raises(InfeasibleSampleError) as excinfo:
-            build_sample(task, treated, control, calendar)
+            build_sample(task, treated, control)
         assert excinfo.value.reason.startswith("small_cell")
-
-    def test_biweek_dummies_by_calendar_basis(self, rng, calendar):
-        treated = self.outcome_rows(calendar, "CH", self.weekly_prices(rng))
-        control = self.outcome_rows(calendar, "DE", self.weekly_prices(rng))
-        task = basic_task(
-            product="tomato",
-            covariates=CovariateSpec.SEASONAL_BIWEEKLY,
-            biweek_basis=BiweekBasis.CALENDAR,
-        )
-        sample = build_sample(task, treated, control, calendar)
-        biweek_names = [n for n in sample.x.names if n.startswith("biweek_")]
-        assert biweek_names
-        # calendar basis: biweek of ISO week number, identical across seasons
-        weeks_seen = sorted({(r.week.week - 1) // 2 + 1 for r in treated + control})
-        assert len(biweek_names) == len(weeks_seen) - 1
 
     def test_task_construction_rejects_bad_settings(self):
         with pytest.raises(ConfigError):

@@ -36,7 +36,7 @@ def pipeline_estimate(cfg, covariates=CovariateSpec.SEASONAL):
         covariates=covariates,
     )
     treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
-    sample = build_sample(task, treated_rows, control_rows, calendar)
+    sample = build_sample(task, treated_rows, control_rows)
     return estimate_ipw_did(sample).atet
 
 

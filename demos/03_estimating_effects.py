@@ -5,7 +5,8 @@ IPW difference-in-differences with trimming and bootstrap
 The treated group is the protected phase of the treated country's series;
 the control group is the same product in a country without protection. The
 ATET comes from inverse-probability weighting, with propensities from three
-pairwise logistic fits, extreme weights trimmed, and a stratified bootstrap
+pairwise comparisons (closed-form season shares, which is what a logit on
+season dummies fits), extreme weights trimmed, and a stratified bootstrap
 for the standard error.
 """
 

@@ -8,15 +8,18 @@ country task, run the placebo diagnostic, and regress the estimated effects
 on product attributes. This script drives the same entry point in-process.
 """
 
+import atexit
 import csv
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
 from seasondid.cli import main
 
 root = Path(tempfile.mkdtemp(prefix="seasondid-demo-"))
-print(f"working in {root}\n")
+atexit.register(shutil.rmtree, root, ignore_errors=True)
+print(f"working in {root} (removed on exit)\n")
 
 # 1. Simulate: a 4-season panel with a true effect of 16 index points.
 (root / "sim.cfg").write_text(

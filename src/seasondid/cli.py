@@ -309,9 +309,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     volatility_rows = []
     for key in store.series():
         labeled = label_panel(store.rows_for(key), calendar)
-        level_rows.extend(
-            apply_boundary_exclusion(standardize_prices(labeled), Outcome.LEVEL)
-        )
+        level_rows.extend(apply_boundary_exclusion(standardize_prices(labeled)))
         volatility_rows.extend(compute_volatility(labeled))
     rows: list[tuple] = []
     for outcome, outcome_rows in (

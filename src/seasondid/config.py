@@ -102,7 +102,6 @@ class TaskSpec:
 _RUN_KEYS = {
     "prices",
     "calendar",
-    "attributes",
     "treated_country",
     "outcomes",
     "methods",
@@ -126,7 +125,6 @@ class RunConfig:
 
     prices: Path
     calendar: Path
-    attributes: Path | None
     treated_country: str
     outcomes: tuple[Outcome, ...]
     methods: tuple[str, ...]
@@ -153,7 +151,6 @@ class RunConfig:
         calendar = _single(values, "calendar", None)
         if not prices or not calendar:
             raise ConfigError("config must set both 'prices' and 'calendar'")
-        attributes = _single(values, "attributes", None)
 
         outcome_text = _single(values, "outcomes", "level,volatility")
         try:
@@ -196,7 +193,6 @@ class RunConfig:
         config = cls(
             prices=Path(prices),
             calendar=Path(calendar),
-            attributes=Path(attributes) if attributes else None,
             treated_country=_single(values, "treated_country", "CH"),
             outcomes=outcomes,
             methods=methods,
@@ -281,7 +277,6 @@ class RunConfig:
         return {
             "prices": str(self.prices),
             "calendar": str(self.calendar),
-            "attributes": str(self.attributes) if self.attributes else None,
             "treated_country": self.treated_country,
             "outcomes": [o.value for o in self.outcomes],
             "methods": list(self.methods),

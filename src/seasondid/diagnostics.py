@@ -145,7 +145,7 @@ def _pool_seasons(
         y=np.array(values),
         d=np.array(d, dtype=np.int8),
         t=np.array(t, dtype=np.int8),
-        x=DesignMatrix(np.empty((len(values), 0)), ()),
+        stratum=np.zeros(len(values), dtype=np.intp),
     )
     return sample, seasons_used
 

@@ -7,12 +7,15 @@ average treatment effect on the treated cell (D=1, T=1).
 Two estimators share one sample type:
 
 * ``estimate_ipw_did``: inverse-probability weighting with three pairwise
-  logistic propensities of (1,1) membership against each comparison cell
-  (1,0), (0,1), (0,0) on the covariates. Comparison observations are
-  weighted by odds rho/(1 - rho), normalized within their cell; those with
-  rho above the trim threshold are dropped before normalization.
+  propensities of (1,1) membership against each comparison cell (1,0),
+  (0,1), (0,0). With one categorical stratum (the season, or none) each
+  pairwise logit is saturated, so rho in stratum s is the closed-form share
+  n11_s / (n11_s + n_g_s) (the four-group propensity DiD of Stuart et al.,
+  2014). Comparison observations are weighted by odds rho/(1 - rho),
+  normalized within their cell; those with rho above the trim threshold are
+  dropped before normalization.
 * ``estimate_ols_did``: the interaction coefficient from
-  ``y ~ const + D + T + D:T + covariates`` with classical standard errors.
+  ``y ~ const + D + T + D:T + stratum dummies``, classical standard errors.
 
 Inference for the IPW estimator comes from a nonparametric bootstrap that
 resamples observations independently within each of the four cells.
@@ -31,8 +34,10 @@ from .errors import (
     GlmError,
     BootstrapDegenerateError,
     InfeasibleSampleError,
+    SeparationError,
     TrimExhaustionError,
 )
+# fit_logistic is not called here; perfbench/spans.py traces did.fit_logistic.
 from .glm import INTERCEPT_NAME, DesignMatrix, fit_logistic, fit_ols
 from .panel import Outcome, Quality
 from .transforms import OutcomeObservation
@@ -111,27 +116,32 @@ class EstimationTask:
 class DidSample:
     """Estimation-ready outcome panel for one task.
 
-    ``x`` holds covariate columns only (no intercept, no D/T terms);
-    estimators add what they need.
+    ``stratum`` is each row's code of the one categorical covariate: 0 is
+    the reference season, and every row is 0 without covariates.
+    Estimators build what they need from it.
     """
 
     y: np.ndarray
     d: np.ndarray
     t: np.ndarray
-    x: DesignMatrix
+    stratum: np.ndarray
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         d = np.asarray(self.d, dtype=np.int8)
         t = np.asarray(self.t, dtype=np.int8)
+        stratum = np.asarray(self.stratum, dtype=np.intp)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "stratum", stratum)
         n = y.shape[0]
-        if d.shape[0] != n or t.shape[0] != n or self.x.values.shape[0] != n:
-            raise ValueError("y, d, t and x must have the same number of rows")
+        if d.shape[0] != n or t.shape[0] != n or stratum.shape[0] != n:
+            raise ValueError("y, d, t and stratum must have the same number of rows")
         if not np.isin(d, (0, 1)).all() or not np.isin(t, (0, 1)).all():
             raise ValueError("d and t must be 0/1 indicators")
+        if n and stratum.min() < 0:
+            raise ValueError("stratum codes must be non-negative")
 
     @property
     def n_obs(self) -> int:
@@ -160,7 +170,7 @@ class DidSample:
                     )
 
     def take(self, rows: np.ndarray) -> "DidSample":
-        return DidSample(self.y[rows], self.d[rows], self.t[rows], self.x.take(rows))
+        return DidSample(self.y[rows], self.d[rows], self.t[rows], self.stratum[rows])
 
 
 @dataclass(frozen=True)
@@ -231,31 +241,36 @@ def cell_means_did(sample: DidSample) -> float:
 
 
 def propensity_report(sample: DidSample) -> dict[tuple[int, int], PropensityReport]:
-    """Fit the three pairwise propensities and report rho per comparison row.
+    """The three pairwise propensities, rho per comparison row.
 
-    Each comparison cell g gets its own logistic fit of (1,1)-membership on
-    the pooled (1,1) and g observations, using an intercept plus the sample
-    covariates.
+    Comparison cell g is paired with the (1,1) cell. A logit of
+    (1,1)-membership on stratum dummies is saturated, so its fitted
+    probability in stratum s is n11_s / (n11_s + n_g_s), read from counts.
+    A stratum with rows on only one side of a pair has no finite fit and
+    raises :class:`SeparationError`.
     """
     sample.validate_cells()
+    treated = sample.cell_mask(1, 1)
+    n_strata = int(sample.stratum.max()) + 1
+    n11 = np.bincount(sample.stratum[treated], minlength=n_strata)
     reports = {}
-    treated_rows = np.flatnonzero(sample.cell_mask(1, 1))
     for d, t in COMPARISON_CELLS:
-        comparison_rows = np.flatnonzero(sample.cell_mask(d, t))
-        pooled = np.concatenate([treated_rows, comparison_rows])
-        membership = np.concatenate(
-            [np.ones(treated_rows.size), np.zeros(comparison_rows.size)]
-        )
-        columns = np.hstack(
-            [np.ones((pooled.size, 1)), sample.x.values[pooled]]
-        )
-        design = DesignMatrix(columns, (INTERCEPT_NAME, *sample.x.names))
-        fit = fit_logistic(design, membership)
+        rows = np.flatnonzero(sample.cell_mask(d, t))
+        n_g = np.bincount(sample.stratum[rows], minlength=n_strata)
+        one_sided = np.flatnonzero((n11 == 0) != (n_g == 0))
+        if one_sided.size:
+            raise SeparationError(
+                f"strata {one_sided.tolist()} have rows on only one side of the "
+                f"(1,1) vs (D={d},T={t}) propensity fit",
+                columns=tuple(f"stratum_{s}" for s in one_sided),
+            )
+        # absent strata (0 / 0) are never looked up
+        share = n11 / np.maximum(n11 + n_g, 1)
         reports[(d, t)] = PropensityReport(
             cell=(d, t),
-            rows=comparison_rows,
-            rho=fit.fitted[treated_rows.size:],
-            treated_rho=fit.fitted[: treated_rows.size],
+            rows=rows,
+            rho=share[sample.stratum[rows]],
+            treated_rho=share[sample.stratum[treated]],
         )
     return reports
 
@@ -332,7 +347,10 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
         ("t", sample.t.astype(float)),
         ("d_t", (sample.d * sample.t).astype(float)),
     ]
-    columns += [(name, sample.x.values[:, j]) for j, name in enumerate(sample.x.names)]
+    columns += [
+        (f"stratum_{s}", (sample.stratum == s).astype(float))
+        for s in range(1, int(sample.stratum.max()) + 1)
+    ]
     fit = fit_ols(DesignMatrix.from_columns(columns), sample.y)
     atet = fit.coefficient("d_t")
     se = fit.standard_error("d_t")
@@ -420,8 +438,10 @@ def build_sample(
 
     Expects fully transformed rows (standardized or volatility, Boundary
     weeks excluded, control restricted to treated production weeks). Builds
-    D/T indicators and the requested fixed-effect dummies, validates that
-    all four cells meet ``task.min_cell``, and returns the sample.
+    D/T indicators and the stratum codes of the requested covariates (with
+    season fixed effects, seasons in order with the earliest as code 0),
+    validates that all four cells meet ``task.min_cell``, and returns the
+    sample.
     """
     rows = list(treated_rows) + list(control_rows)
     if any(row.phase.value == "boundary" for row in rows):
@@ -429,20 +449,11 @@ def build_sample(
     y = np.array([row.value for row in rows])
     d = np.array([1] * len(treated_rows) + [0] * len(control_rows), dtype=np.int8)
     t = np.array([1 if row.phase.value == "protected" else 0 for row in rows], dtype=np.int8)
-
-    columns: list[tuple[str, np.ndarray]] = []
     if task.covariates is CovariateSpec.SEASONAL:
-        seasons = sorted({row.season.index for row in rows})
-        for season in seasons[1:]:  # first season is the reference
-            indicator = np.array(
-                [1.0 if row.season.index == season else 0.0 for row in rows]
-            )
-            columns.append((f"season_{season}", indicator))
-
-    if columns:
-        x = DesignMatrix.from_columns(columns)
+        seasons = np.array([row.season.index for row in rows], dtype=np.intp)
+        stratum = np.unique(seasons, return_inverse=True)[1]
     else:
-        x = DesignMatrix(np.empty((len(rows), 0)), ())
-    sample = DidSample(y=y, d=d, t=t, x=x)
+        stratum = np.zeros(len(rows), dtype=np.intp)
+    sample = DidSample(y=y, d=d, t=t, stratum=stratum)
     sample.validate_cells(task.min_cell)
     return sample

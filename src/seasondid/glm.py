@@ -66,9 +66,6 @@ class DesignMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    def take(self, rows: np.ndarray) -> "DesignMatrix":
-        return DesignMatrix(self.values[rows], self.names)
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -184,7 +184,7 @@ def label_panel(
     return labeled
 
 
-def apply_boundary_exclusion(panel: list, outcome: Outcome = Outcome.LEVEL) -> list:
+def apply_boundary_exclusion(panel: list) -> list:
     """Drop Boundary-week rows from a labeled or transformed panel.
 
     For level outcomes this is the whole exclusion. For volatility the

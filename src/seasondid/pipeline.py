@@ -65,12 +65,8 @@ def prepare_outcome_rows(
     control_labeled = label_panel(control_raw, calendar, window_product=window_product)
 
     if task.outcome is Outcome.LEVEL:
-        treated_rows = apply_boundary_exclusion(
-            standardize_prices(treated_labeled), task.outcome
-        )
-        control_rows = apply_boundary_exclusion(
-            standardize_prices(control_labeled), task.outcome
-        )
+        treated_rows = apply_boundary_exclusion(standardize_prices(treated_labeled))
+        control_rows = apply_boundary_exclusion(standardize_prices(control_labeled))
     else:
         treated_rows = compute_volatility(treated_labeled)
         control_rows = compute_volatility(control_labeled)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from seasondid import (
-    DesignMatrix,
     DidSample,
     EstimationTask,
     IsoWeek,
@@ -47,13 +46,13 @@ def price_row(
 
 
 def no_covariate_sample(y, d, t) -> DidSample:
-    """A DidSample with an empty covariate block."""
+    """A DidSample with a single stratum (no covariates)."""
     y = np.asarray(y, dtype=float)
     return DidSample(
         y=y,
         d=np.asarray(d, dtype=np.int8),
         t=np.asarray(t, dtype=np.int8),
-        x=DesignMatrix(np.empty((y.shape[0], 0)), ()),
+        stratum=np.zeros(y.shape[0], dtype=np.intp),
     )
 
 
@@ -72,7 +71,7 @@ def random_cell_sample(rng: np.random.Generator, lo: int = 3, hi: int = 12) -> D
 def stratified_sample(
     rng: np.random.Generator, n_strata: int, lo: int = 3, hi: int = 12
 ) -> tuple[DidSample, np.ndarray]:
-    """Random sample with stratum dummies as covariates; every (stratum,
+    """Random sample with stratum codes 0 .. n_strata - 1; every (stratum,
     cell) combination is populated. Returns the sample and the stratum id
     per row."""
     y, d, t, strata = [], [], [], []
@@ -84,18 +83,11 @@ def stratified_sample(
             t.extend([tt] * size)
             strata.extend([s] * size)
     strata = np.array(strata)
-    columns = [
-        (f"stratum_{s}", (strata == s).astype(float)) for s in range(1, n_strata)
-    ]
-    if columns:
-        x = DesignMatrix.from_columns(columns)
-    else:
-        x = DesignMatrix(np.empty((len(y), 0)), ())
     sample = DidSample(
         y=np.asarray(y, dtype=float),
         d=np.asarray(d, dtype=np.int8),
         t=np.asarray(t, dtype=np.int8),
-        x=x,
+        stratum=strata,
     )
     return sample, strata
 

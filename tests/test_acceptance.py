@@ -271,14 +271,8 @@ def _imbalanced_sample(rng: np.random.Generator) -> DidSample:
             d.extend([dd] * size)
             t.extend([tt] * size)
             strata.extend([s] * size)
-    strata = np.array(strata)
-    columns = [
-        (f"stratum_{s}", (strata == s).astype(float)) for s in range(1, n_strata)
-    ]
-    x = DesignMatrix.from_columns(columns) if columns else DesignMatrix(
-        np.empty((len(y), 0)), ())
     return DidSample(y=np.asarray(y, dtype=float), d=np.asarray(d, dtype=np.int8),
-                     t=np.asarray(t, dtype=np.int8), x=x)
+                     t=np.asarray(t, dtype=np.int8), stratum=np.array(strata))
 
 
 def _retained_rows(sample: DidSample, threshold: float) -> set:

@@ -50,7 +50,6 @@ class TestRunConfig:
         config = config_from(tmp_path, MINIMAL)
         assert config.prices.name == "p.csv"
         assert config.calendar.name == "c.csv"
-        assert config.attributes is None
         assert config.treated_country == "CH"
         assert config.outcomes == (Outcome.LEVEL, Outcome.VOLATILITY)
         assert config.methods == ("ipw",)
@@ -70,7 +69,6 @@ class TestRunConfig:
             tmp_path,
             "prices = data/p.csv\n"
             "calendar = data/c.csv\n"
-            "attributes = data/a.csv\n"
             "treated_country = AT\n"
             "outcomes = volatility\n"
             "methods = ipw, ols\n"
@@ -104,6 +102,7 @@ class TestRunConfig:
         [
             ("calendar = c.csv\nseed = 1\n", "both 'prices' and 'calendar'"),
             (MINIMAL + "mystery = 1\n", "mystery"),
+            (MINIMAL + "attributes = a.csv\n", r"unknown config keys: \['attributes'\]"),
             (MINIMAL + "outcomes = levels\n", "invalid outcomes"),
             (MINIMAL + "outcomes = ,\n", "empty"),
             (MINIMAL + "methods = gmm\n", "subset of ipw,ols"),
@@ -154,7 +153,7 @@ class TestRunConfig:
         assert manifest["seed"] == 7
         assert manifest["tasks"] == ["tomato:organic:DE:tomato"]
         assert set(manifest) == {
-            "prices", "calendar", "attributes", "treated_country", "outcomes",
+            "prices", "calendar", "treated_country", "outcomes",
             "methods", "covariates", "trim", "trim_treated",
             "reps", "seed", "min_cell", "workers", "output_dir", "tasks",
             "skip_bad_rows",

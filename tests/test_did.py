@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from seasondid import (
     CovariateSpec,
@@ -25,14 +27,24 @@ from seasondid import (
     with_inference,
 )
 from seasondid import did
-from seasondid.did import Z_975, two_sided_normal_p
+from seasondid.did import (
+    CELL_ORDER,
+    COMPARISON_CELLS,
+    Z_975,
+    PropensityReport,
+    two_sided_normal_p,
+)
 from seasondid.errors import (
     BootstrapDegenerateError,
     ConfigError,
+    GlmError,
     InfeasibleSampleError,
+    RankError,
+    SeasonDidError,
+    SeparationError,
     TrimExhaustionError,
 )
-from seasondid.glm import DesignMatrix, fit_logistic
+from seasondid.glm import INTERCEPT_NAME, DesignMatrix, fit_logistic
 
 from conftest import (
     basic_task,
@@ -98,9 +110,9 @@ class TestEstimatorAgreement:
     def test_location_shift_equivariance(self, rng):
         sample, _ = stratified_sample(rng, 3)
         base = estimate_ipw_did(sample).atet
-        shifted = DidSample(sample.y + 37.5, sample.d, sample.t, sample.x)
+        shifted = DidSample(sample.y + 37.5, sample.d, sample.t, sample.stratum)
         assert_allclose(estimate_ipw_did(shifted).atet, base, atol=1e-9)
-        scaled = DidSample(sample.y * -2.0, sample.d, sample.t, sample.x)
+        scaled = DidSample(sample.y * -2.0, sample.d, sample.t, sample.stratum)
         assert_allclose(estimate_ipw_did(scaled).atet, -2.0 * base, atol=1e-9)
 
     def test_ols_with_saturated_strata_matches_stratified_structure(self, rng):
@@ -124,8 +136,7 @@ class TestTrimming:
                 d.extend([dd] * size)
                 t.extend([tt] * size)
                 strata.extend([s] * size)
-        x = DesignMatrix.from_columns([("stratum_1", np.array(strata, dtype=float))])
-        return DidSample(np.array(y), np.array(d, np.int8), np.array(t, np.int8), x)
+        return DidSample(np.array(y), np.array(d, np.int8), np.array(t, np.int8), np.array(strata))
 
     def test_high_propensity_rows_are_trimmed_and_counted(self):
         sample = self.build_imbalanced()
@@ -154,7 +165,7 @@ class TestTrimming:
         assert trimmed != pytest.approx(untrimmed)
         # with the imbalanced stratum dropped, only stratum 0 contributes to
         # the weighted comparison means
-        stratum0 = sample.take(np.flatnonzero(sample.x.values[:, 0] == 0.0))
+        stratum0 = sample.take(np.flatnonzero(sample.stratum == 0))
         treated_mean = float(sample.y[sample.cell_mask(1, 1)].mean())
         comparison = [
             float(stratum0.y[stratum0.cell_mask(d, t)].mean())
@@ -165,12 +176,9 @@ class TestTrimming:
     def test_trim_exhaustion_raises(self):
         # one stratum only, utterly imbalanced: every comparison row trims
         sample = self.build_imbalanced(heavy=120, light=3)
-        rows = np.flatnonzero(sample.x.values[:, 0] == 1.0)
+        rows = np.flatnonzero(sample.stratum == 1)
         one_stratum = DidSample(
-            sample.y[rows],
-            sample.d[rows],
-            sample.t[rows],
-            DesignMatrix(np.empty((rows.size, 0)), ()),
+            sample.y[rows], sample.d[rows], sample.t[rows], np.zeros(rows.size, np.intp)
         )
         with pytest.raises(TrimExhaustionError):
             estimate_ipw_did(one_stratum, trim_threshold=0.9)
@@ -187,7 +195,7 @@ class TestTrimming:
         estimate = estimate_ipw_did(sample, trim_threshold=0.95, trim_treated=True)
         assert estimate.n_trimmed_by_cell[0] > 0
         assert estimate.n_trimmed_by_cell[1:] == (0, 0, 0)
-        assert len(calls) == 3  # one fit per comparison cell serves both sides
+        assert len(calls) == 0  # propensities are closed-form stratum shares
 
     def test_threshold_must_be_a_probability(self, rng):
         sample = random_cell_sample(rng)
@@ -195,6 +203,113 @@ class TestTrimming:
             estimate_ipw_did(sample, trim_threshold=0.0)
         with pytest.raises(ConfigError):
             estimate_ipw_did(sample, trim_threshold=1.5)
+
+
+def irls_propensity_report(sample: DidSample) -> dict:
+    """Row-level reference for ``propensity_report``: one IRLS logit per
+    pair on an intercept plus one dummy per stratum after the smallest code
+    present (the season dummies that sample construction used to build)."""
+    sample.validate_cells()
+    codes = np.unique(sample.stratum)
+    names = tuple(f"stratum_{s}" for s in codes[1:])
+    dummies = (sample.stratum[:, None] == codes[None, 1:]).astype(float)
+    reports = {}
+    treated_rows = np.flatnonzero(sample.cell_mask(1, 1))
+    for d, t in COMPARISON_CELLS:
+        comparison_rows = np.flatnonzero(sample.cell_mask(d, t))
+        pooled = np.concatenate([treated_rows, comparison_rows])
+        membership = np.concatenate(
+            [np.ones(treated_rows.size), np.zeros(comparison_rows.size)]
+        )
+        columns = np.hstack([np.ones((pooled.size, 1)), dummies[pooled]])
+        fit = fit_logistic(DesignMatrix(columns, (INTERCEPT_NAME, *names)), membership)
+        reports[(d, t)] = PropensityReport(
+            cell=(d, t),
+            rows=comparison_rows,
+            rho=fit.fitted[treated_rows.size:],
+            treated_rho=fit.fitted[: treated_rows.size],
+        )
+    return reports
+
+
+def sample_from_sizes(sizes) -> DidSample:
+    """Rows of stratum s in cell CELL_ORDER[k]: ``sizes[s][k]`` of them."""
+    d, t, stratum = [], [], []
+    for s, per_cell in enumerate(sizes):
+        for (dd, tt), size in zip(CELL_ORDER, per_cell):
+            d += [dd] * size
+            t += [tt] * size
+            stratum += [s] * size
+    y = np.arange(len(d), dtype=float)
+    return DidSample(y, np.array(d, np.int8), np.array(t, np.int8), np.array(stratum))
+
+
+def outcome_of(report_fn, sample):
+    try:
+        return report_fn(sample)
+    except SeasonDidError as exc:
+        return exc
+
+
+@st.composite
+def stratum_sizes(draw):
+    """Counts per (stratum, cell) for up to four strata. Zeros make
+    one-sided and absent strata; one stratum fills every cell, so that most
+    samples get past the empty-cell check."""
+    count = st.just(0) | st.integers(1, 30)
+    cell_sizes = st.lists(count, min_size=4, max_size=4)
+    sizes = draw(st.lists(cell_sizes, max_size=3))
+    full = draw(st.lists(st.integers(1, 30), min_size=4, max_size=4))
+    sizes.insert(draw(st.integers(0, len(sizes))), full)
+    return sizes
+
+
+class TestClosedFormPropensity:
+    @settings(max_examples=300, deadline=None)
+    @given(stratum_sizes())
+    def test_matches_the_row_level_irls_fits(self, sizes):
+        sample = sample_from_sizes(sizes)
+        closed = outcome_of(propensity_report, sample)
+        reference = outcome_of(irls_propensity_report, sample)
+        event(f"reference: {type(reference).__name__}")
+        if isinstance(reference, RankError):
+            # the reference season has no (1,1) rows, so its dummy coding
+            # leaves the intercept collinear; the closed form names the
+            # one-sided stratum instead
+            assert isinstance(closed, SeparationError)
+            assert not np.any(sample.cell_mask(1, 1) & (sample.stratum == sample.stratum.min()))
+        elif isinstance(reference, Exception):
+            assert type(closed) is type(reference), (closed, reference)
+        else:
+            assert not isinstance(closed, Exception), closed
+            for cell in COMPARISON_CELLS:
+                assert_array_equal(closed[cell].rows, reference[cell].rows)
+                assert_allclose(closed[cell].rho, reference[cell].rho, rtol=0, atol=1e-12)
+                assert_allclose(
+                    closed[cell].treated_rho, reference[cell].treated_rho, rtol=0, atol=1e-12
+                )
+
+    def test_reference_season_only_in_a_comparison_cell_is_separation(self):
+        # season 0 has rows only in (0,0); seasons 1 and 2 fill every cell
+        sample = sample_from_sizes([[0, 0, 0, 3], [4, 3, 3, 3], [5, 2, 4, 3]])
+        with pytest.raises(RankError):  # the row-level fit it replaced
+            irls_propensity_report(sample)
+        with pytest.raises(SeparationError) as excinfo:
+            propensity_report(sample)
+        assert excinfo.value.columns == ("stratum_0",)
+        # both are GlmError, so a bootstrap replicate fails either way
+        assert issubclass(SeparationError, GlmError) and issubclass(RankError, GlmError)
+
+    def test_absent_stratum_is_ignored(self):
+        # A bootstrap replicate can lose a whole season, the reference one
+        # included. Season dummies fixed on the full sample then left the
+        # intercept collinear (RankError); the shares of the seasons left
+        # are the fit of the same saturated model.
+        full = sample_from_sizes([[2, 3, 4, 5], [6, 2, 3, 1]])
+        gap = sample_from_sizes([[0, 0, 0, 0], [2, 3, 4, 5], [0, 0, 0, 0], [6, 2, 3, 1]])
+        for cell in COMPARISON_CELLS:
+            assert_array_equal(propensity_report(gap)[cell].rho, propensity_report(full)[cell].rho)
+        assert_allclose(propensity_report(full)[(1, 0)].rho, [2 / 5] * 3 + [6 / 8] * 2)
 
 
 class TestBootstrap:
@@ -325,23 +440,23 @@ class TestBuildSample:
                 prices[week(year, number)] = float(rng.uniform(100, 200))
         return prices
 
-    def test_dummy_layout_and_reference_season(self, rng, calendar):
+    def test_stratum_codes_and_reference_season(self, rng, calendar):
         treated = self.outcome_rows(calendar, "CH", self.weekly_prices(rng))
         control = self.outcome_rows(calendar, "DE", self.weekly_prices(rng))
         task = basic_task(product="tomato")
         sample = build_sample(task, treated, control)
-        # 2015 is the reference season; only one dummy for 2016 remains
-        assert sample.x.names == ("season_2016",)
+        seasons = np.array([row.season.index for row in treated + control])
+        assert sorted(set(seasons)) == [2015, 2016]
         assert sample.n_obs == len(treated) + len(control)
-        assert set(np.unique(sample.x.values)) <= {0.0, 1.0}
+        # 2015 is the reference season (code 0), 2016 is code 1
+        assert_array_equal(sample.stratum, (seasons == 2016).astype(int))
 
-    def test_no_covariates_gives_an_empty_block(self, rng, calendar):
+    def test_no_covariates_gives_one_stratum(self, rng, calendar):
         treated = self.outcome_rows(calendar, "CH", self.weekly_prices(rng))
         control = self.outcome_rows(calendar, "DE", self.weekly_prices(rng))
         task = basic_task(product="tomato", covariates=CovariateSpec.NONE)
         sample = build_sample(task, treated, control)
-        assert sample.x.names == ()
-        assert sample.x.values.shape == (sample.n_obs, 0)
+        assert_array_equal(sample.stratum, np.zeros(sample.n_obs, dtype=int))
 
     def test_boundary_rows_are_refused(self, rng, calendar):
         rows = [price_row("tomato", "CH", week(2016, 19), 150.0)]

@@ -99,26 +99,6 @@ class TaskSpec:
         )
 
 
-_RUN_KEYS = {
-    "prices",
-    "calendar",
-    "treated_country",
-    "outcomes",
-    "methods",
-    "covariates",
-    "trim",
-    "trim_treated",
-    "reps",
-    "seed",
-    "min_cell",
-    "workers",
-    "output_dir",
-    "tasks",
-    "task",
-    "skip_bad_rows",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a batch run needs; every field is echoed to the manifest."""
@@ -293,62 +273,40 @@ class RunConfig:
         }
 
 
-_SIM_BOOL_FIELDS = {
-    "shared_season_shocks",
-    "midweek_boundaries",
-    "truncate_nonpositive",
+_RUN_KEYS = {f.name for f in fields(RunConfig)} | {"task"}
+
+
+def _parse_numbers(text: str, key: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ConfigError(f"{key} expects comma-separated numbers") from None
+
+
+# A generator setting is parsed by the type of its SimConfig default.
+_SIM_PARSERS = {
+    bool: _parse_bool,
+    int: _parse_int,
+    float: _parse_float,
+    str: lambda text, key: text,
+    Quality: lambda text, key: Quality.parse(text),
+    tuple: _parse_numbers,
 }
-_SIM_INT_FIELDS = {
-    "n_seasons",
-    "weeks_per_season",
-    "protected_start",
-    "protected_end",
-    "seed",
-    "first_year",
-    "season_start_week",
-}
-_SIM_FLOAT_FIELDS = {
-    "base_price_treated",
-    "base_price_control",
-    "season_shock_sd",
-    "noise_sd",
-    "true_atet",
-    "missing_week_prob",
-    "trend_divergence_per_week",
-}
-_SIM_STR_FIELDS = {"product", "treated_country", "control_country"}
 
 
 def sim_config_from_file(path: str | Path, seed_override: int | None = None) -> SimConfig:
     """Build a :class:`SimConfig` from a key=value file."""
     path = Path(path)
     values = parse_config_text(path.read_text(), source=path.name)
-    known = {f.name for f in fields(SimConfig)}
-    unknown = sorted(set(values) - known)
+    defaults = {f.name: f.default for f in fields(SimConfig)}
+    unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown generator config keys: {unknown}")
     kwargs: dict = {}
     for key, entries in values.items():
         if len(entries) > 1:
             raise ConfigError(f"config key {key!r} given {len(entries)} times")
-        text = entries[0]
-        if key in _SIM_BOOL_FIELDS:
-            kwargs[key] = _parse_bool(text, key)
-        elif key in _SIM_INT_FIELDS:
-            kwargs[key] = _parse_int(text, key)
-        elif key in _SIM_FLOAT_FIELDS:
-            kwargs[key] = _parse_float(text, key)
-        elif key in _SIM_STR_FIELDS:
-            kwargs[key] = text
-        elif key == "quality":
-            kwargs[key] = Quality.parse(text)
-        elif key == "common_trend":
-            try:
-                kwargs[key] = tuple(float(p) for p in text.split(",") if p.strip())
-            except ValueError:
-                raise ConfigError(f"common_trend expects comma-separated numbers") from None
-        else:  # pragma: no cover
-            raise ConfigError(f"unhandled generator config key {key!r}")
+        kwargs[key] = _SIM_PARSERS[type(defaults[key])](entries[0], key)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return SimConfig(**kwargs)

@@ -152,11 +152,10 @@ def _pool_seasons(
 
 def _means_estimate(sample: DidSample, reps: int, seed: int) -> EffectEstimate:
     """Cell-means DiD of ``sample`` with stratified bootstrap inference."""
-    point = cell_means_did(sample)
     boot = bootstrap_se(sample, cell_means_did, reps, seed)
     estimate = EffectEstimate(
         method="means",
-        atet=point,
+        atet=boot.point,
         se=float("nan"),
         p_value=float("nan"),
         n_by_cell=sample.cell_counts(),

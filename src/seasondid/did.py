@@ -10,10 +10,11 @@ Two estimators share one sample type:
   propensities of (1,1) membership against each comparison cell (1,0),
   (0,1), (0,0). With one categorical stratum (the season, or none) each
   pairwise logit is saturated, so rho in stratum s is the closed-form share
-  n11_s / (n11_s + n_g_s) (the four-group propensity DiD of Stuart et al.,
-  2014). Comparison observations are weighted by odds rho/(1 - rho),
-  normalized within their cell; those with rho above the trim threshold are
-  dropped before normalization.
+  n11_s / (n11_s + n_g_s) and the odds rho/(1 - rho) are n11_s / n_g_s.
+  Each comparison mean is therefore the mean of its stratum means weighted
+  by the treated count n11_s (the four-group propensity DiD of Stuart et
+  al., 2014), computed from one table of counts and sums per (cell,
+  stratum). Strata with rho above the trim threshold get weight 0.
 * ``estimate_ols_did``: the interaction coefficient from
   ``y ~ const + D + T + D:T + stratum dummies``, classical standard errors.
 
@@ -128,20 +129,22 @@ class DidSample:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        d = np.asarray(self.d, dtype=np.int8)
-        t = np.asarray(self.t, dtype=np.int8)
-        stratum = np.asarray(self.stratum, dtype=np.intp)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "stratum", stratum)
+        d, t, stratum = np.asarray(self.d), np.asarray(self.t), np.asarray(self.stratum)
         n = y.shape[0]
         if d.shape[0] != n or t.shape[0] != n or stratum.shape[0] != n:
             raise ValueError("y, d, t and stratum must have the same number of rows")
-        if not np.isin(d, (0, 1)).all() or not np.isin(t, (0, 1)).all():
+        # checked on the raw values: the casts below would hide 256 or 0.7
+        if ((d != 0) & (d != 1)).any() or ((t != 0) & (t != 1)).any():
             raise ValueError("d and t must be 0/1 indicators")
-        if n and stratum.min() < 0:
+        codes = stratum.astype(np.intp, copy=False)
+        if (codes != stratum).any():
+            raise ValueError("stratum codes must be integers")
+        if n and codes.min() < 0:
             raise ValueError("stratum codes must be non-negative")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "d", d.astype(np.int8, copy=False))
+        object.__setattr__(self, "t", t.astype(np.int8, copy=False))
+        object.__setattr__(self, "stratum", codes)
 
     @property
     def n_obs(self) -> int:
@@ -150,24 +153,22 @@ class DidSample:
     def cell_mask(self, d: int, t: int) -> np.ndarray:
         return (self.d == d) & (self.t == t)
 
+    def cell_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row counts and outcome sums per (cell, stratum), each of shape
+        (4, strata) with cells in ``CELL_ORDER``."""
+        strata = int(self.stratum.max(initial=0)) + 1
+        # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell code 3 - 2d - t
+        code = (3 - 2 * self.d.astype(np.intp) - self.t) * strata + self.stratum
+        counts = np.bincount(code, minlength=4 * strata).reshape(4, strata)
+        sums = np.bincount(code, weights=self.y, minlength=4 * strata).reshape(4, strata)
+        return counts, sums
+
     def cell_counts(self) -> tuple[int, int, int, int]:
         """Observation counts in cell order (1,1), (1,0), (0,1), (0,0)."""
-        return tuple(int(self.cell_mask(d, t).sum()) for d, t in CELL_ORDER)
+        return _totals(self.cell_table()[0])
 
     def validate_cells(self, min_cell: int = 1) -> None:
-        for (d, t), count in zip(CELL_ORDER, self.cell_counts()):
-            if count == 0:
-                raise InfeasibleSampleError(
-                    f"empty_cell(D={d},T={t})",
-                    "no observations in this (series, phase) cell",
-                )
-        if min_cell > 1:
-            for (d, t), count in zip(CELL_ORDER, self.cell_counts()):
-                if count < min_cell:
-                    raise InfeasibleSampleError(
-                        f"small_cell(D={d},T={t})",
-                        f"cell has {count} observations, need at least {min_cell}",
-                    )
+        _validate_cells(self.cell_counts(), min_cell)
 
     def take(self, rows: np.ndarray) -> "DidSample":
         return DidSample(self.y[rows], self.d[rows], self.t[rows], self.stratum[rows])
@@ -201,6 +202,7 @@ class EffectEstimate:
 
 @dataclass(frozen=True)
 class BootstrapResult:
+    point: float
     se: float
     p_value: float
     ci_normal: tuple[float, float]
@@ -209,21 +211,24 @@ class BootstrapResult:
     failures: int
 
 
-@dataclass(frozen=True)
-class PropensityReport:
-    """Propensity diagnostics for one comparison cell: the absolute row
-    indices of that cell's observations and their fitted probability of
-    belonging to the treated-protected cell, plus the same fit's probability
-    for each treated-protected observation."""
+def _totals(table: np.ndarray) -> tuple[int, int, int, int]:
+    return tuple(int(n) for n in table.sum(axis=1))
 
-    cell: tuple[int, int]
-    rows: np.ndarray
-    rho: np.ndarray
-    treated_rho: np.ndarray
 
-    def trim_mask(self, threshold: float) -> np.ndarray:
-        """True where the observation would be trimmed at ``threshold``."""
-        return self.rho > threshold
+def _validate_cells(n_by_cell: tuple[int, int, int, int], min_cell: int = 1) -> None:
+    for (d, t), count in zip(CELL_ORDER, n_by_cell):
+        if count == 0:
+            raise InfeasibleSampleError(
+                f"empty_cell(D={d},T={t})",
+                "no observations in this (series, phase) cell",
+            )
+    if min_cell > 1:
+        for (d, t), count in zip(CELL_ORDER, n_by_cell):
+            if count < min_cell:
+                raise InfeasibleSampleError(
+                    f"small_cell(D={d},T={t})",
+                    f"cell has {count} observations, need at least {min_cell}",
+                )
 
 
 def two_sided_normal_p(estimate: float, se: float) -> float:
@@ -240,23 +245,25 @@ def cell_means_did(sample: DidSample) -> float:
     return means[0] - means[1] - (means[2] - means[3])
 
 
-def propensity_report(sample: DidSample) -> dict[tuple[int, int], PropensityReport]:
-    """The three pairwise propensities, rho per comparison row.
+def propensity_report(sample: DidSample) -> dict[tuple[int, int], np.ndarray]:
+    """The three pairwise propensities, rho per stratum.
 
     Comparison cell g is paired with the (1,1) cell. A logit of
     (1,1)-membership on stratum dummies is saturated, so its fitted
-    probability in stratum s is n11_s / (n11_s + n_g_s), read from counts.
-    A stratum with rows on only one side of a pair has no finite fit and
-    raises :class:`SeparationError`.
+    probability in stratum s is n11_s / (n11_s + n_g_s), read from the
+    counts (0 for a stratum with no rows in either cell). A stratum with
+    rows on only one side of a pair has no finite fit and raises
+    :class:`SeparationError`.
     """
-    sample.validate_cells()
-    treated = sample.cell_mask(1, 1)
-    n_strata = int(sample.stratum.max()) + 1
-    n11 = np.bincount(sample.stratum[treated], minlength=n_strata)
-    reports = {}
-    for d, t in COMPARISON_CELLS:
-        rows = np.flatnonzero(sample.cell_mask(d, t))
-        n_g = np.bincount(sample.stratum[rows], minlength=n_strata)
+    return _stratum_rho(sample.cell_table()[0])
+
+
+def _stratum_rho(counts: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """``propensity_report`` from the counts of ``DidSample.cell_table``."""
+    _validate_cells(_totals(counts))
+    n11 = counts[0]
+    rho = {}
+    for (d, t), n_g in zip(COMPARISON_CELLS, counts[1:]):
         one_sided = np.flatnonzero((n11 == 0) != (n_g == 0))
         if one_sided.size:
             raise SeparationError(
@@ -264,15 +271,8 @@ def propensity_report(sample: DidSample) -> dict[tuple[int, int], PropensityRepo
                 f"(1,1) vs (D={d},T={t}) propensity fit",
                 columns=tuple(f"stratum_{s}" for s in one_sided),
             )
-        # absent strata (0 / 0) are never looked up
-        share = n11 / np.maximum(n11 + n_g, 1)
-        reports[(d, t)] = PropensityReport(
-            cell=(d, t),
-            rows=rows,
-            rho=share[sample.stratum[rows]],
-            treated_rho=share[sample.stratum[treated]],
-        )
-    return reports
+        rho[(d, t)] = n11 / np.maximum(n11 + n_g, 1)
+    return rho
 
 
 def estimate_ipw_did(
@@ -282,59 +282,55 @@ def estimate_ipw_did(
 ) -> EffectEstimate:
     """IPW DiD point estimate; standard errors come from ``bootstrap_se``.
 
-    Comparison observations with rho above ``trim_threshold`` are dropped
-    before weights are normalized. With ``trim_treated`` the trimming is
-    applied on the treated-protected side instead: (1,1) observations whose
-    rho exceeds the threshold in any pairwise fit are dropped from the
-    treated mean, and comparison cells stay intact.
+    Comparison cell g's mean is the mean of its stratum means weighted by
+    n11_s, with weight 0 for the strata whose rho exceeds ``trim_threshold``
+    (their rows count as trimmed). With ``trim_treated`` the trimming is
+    applied on the treated-protected side instead: (1,1) strata whose rho
+    exceeds the threshold in any pairwise fit are dropped from the treated
+    mean, and comparison cells stay intact.
     """
     if not 0.0 < trim_threshold <= 1.0:
         raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
-    reports = propensity_report(sample)
-    treated_rows = np.flatnonzero(sample.cell_mask(1, 1))
+    counts, sums = sample.cell_table()
+    rho = _stratum_rho(counts)
+    n_by_cell = _totals(counts)
+    stratum_means = sums / np.maximum(counts, 1)
+    n11 = counts[0]
 
-    trimmed = {cell: 0 for cell in CELL_ORDER}
-    weighted_means = {}
-    treated_drop = np.zeros(treated_rows.size, dtype=bool)
-    for cell in COMPARISON_CELLS:
-        report = reports[cell]
+    trimmed = [0, 0, 0, 0]
+    treated_kept = np.ones(n11.size, dtype=bool)
+    means = []
+    for k, (d, t) in enumerate(COMPARISON_CELLS, start=1):
+        above = rho[(d, t)] > trim_threshold
         if trim_treated:
-            keep = np.ones(report.rho.size, dtype=bool)
-            treated_drop |= report.treated_rho > trim_threshold
+            treated_kept &= ~above
+            weights = n11
         else:
-            keep = ~report.trim_mask(trim_threshold)
-            trimmed[cell] = int(report.rho.size - keep.sum())
-            if not keep.any():
+            trimmed[k] = int(counts[k, above].sum())
+            if trimmed[k] == n_by_cell[k]:
                 raise TrimExhaustionError(
-                    f"all {report.rho.size} observations of cell (D={cell[0]},T={cell[1]}) "
+                    f"all {n_by_cell[k]} observations of cell (D={d},T={t}) "
                     f"exceeded the trim threshold {trim_threshold}"
                 )
-        rho = report.rho[keep]
-        weights = rho / (1.0 - rho)
-        weights = weights / weights.sum()
-        weighted_means[cell] = float(weights @ sample.y[report.rows[keep]])
+            weights = np.where(above, 0, n11)
+        means.append(float(weights @ stratum_means[k]) / int(weights.sum()))
 
     if trim_treated:
-        trimmed[(1, 1)] = int(treated_drop.sum())
-        if treated_drop.all():
+        trimmed[0] = int(n11[~treated_kept].sum())
+        if trimmed[0] == n_by_cell[0]:
             raise TrimExhaustionError(
-                f"all {treated_rows.size} treated-protected observations exceeded "
+                f"all {n_by_cell[0]} treated-protected observations exceeded "
                 f"the trim threshold {trim_threshold}"
             )
-    treated_mean = float(sample.y[treated_rows[~treated_drop]].mean())
+    treated_mean = float(sums[0, treated_kept].sum()) / int(n11[treated_kept].sum())
 
-    atet = (
-        treated_mean
-        - weighted_means[(1, 0)]
-        - (weighted_means[(0, 1)] - weighted_means[(0, 0)])
-    )
     return EffectEstimate(
         method="ipw",
-        atet=atet,
+        atet=treated_mean - means[0] - (means[1] - means[2]),
         se=math.nan,
         p_value=math.nan,
-        n_by_cell=sample.cell_counts(),
-        n_trimmed_by_cell=tuple(trimmed[cell] for cell in CELL_ORDER),
+        n_by_cell=n_by_cell,
+        n_trimmed_by_cell=tuple(trimmed),
     )
 
 
@@ -379,9 +375,9 @@ def bootstrap_se(
     from ``SeedSequence((seed, r))``, so results do not depend on scheduling
     or on other tasks.
 
-    Returns the replicate standard deviation (ddof=1), the two-sided normal
-    p-value of the full-sample estimate, and both normal and percentile 95%
-    confidence intervals.
+    Returns the full-sample estimate, the replicate standard deviation
+    (ddof=1), the two-sided normal p-value of the full-sample estimate, and
+    both normal and percentile 95% confidence intervals.
     """
     if reps < 2:
         raise ConfigError(f"bootstrap needs at least 2 replicates, got {reps}")
@@ -406,6 +402,7 @@ def bootstrap_se(
     draws = np.asarray(estimates)
     se = float(draws.std(ddof=1))
     return BootstrapResult(
+        point=point,
         se=se,
         p_value=two_sided_normal_p(point, se),
         ci_normal=(point - Z_975 * se, point + Z_975 * se),

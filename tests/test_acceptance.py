@@ -277,8 +277,9 @@ def _imbalanced_sample(rng: np.random.Generator) -> DidSample:
 
 def _retained_rows(sample: DidSample, threshold: float) -> set:
     kept = set(range(sample.n_obs))
-    for report in propensity_report(sample).values():
-        kept -= set(np.asarray(report.rows)[report.trim_mask(threshold)].tolist())
+    for cell, rho in propensity_report(sample).items():
+        rows = np.flatnonzero(sample.cell_mask(*cell))
+        kept -= set(rows[rho[sample.stratum[rows]] > threshold].tolist())
     return kept
 
 

@@ -1,6 +1,7 @@
 """IPW and OLS difference-in-differences estimators."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,13 +28,7 @@ from seasondid import (
     with_inference,
 )
 from seasondid import did
-from seasondid.did import (
-    CELL_ORDER,
-    COMPARISON_CELLS,
-    Z_975,
-    PropensityReport,
-    two_sided_normal_p,
-)
+from seasondid.did import CELL_ORDER, COMPARISON_CELLS, Z_975, two_sided_normal_p
 from seasondid.errors import (
     BootstrapDegenerateError,
     ConfigError,
@@ -140,23 +135,22 @@ class TestTrimming:
 
     def test_high_propensity_rows_are_trimmed_and_counted(self):
         sample = self.build_imbalanced()
-        report = propensity_report(sample)
+        rho = propensity_report(sample)
+        counts, _ = sample.cell_table()
         estimate = estimate_ipw_did(sample, trim_threshold=0.95)
         for cell in ((1, 0), (0, 1), (0, 0)):
-            expected = int(report[cell].trim_mask(0.95).sum())
+            index = CELL_ORDER.index(cell)
+            expected = int(counts[index, rho[cell] > 0.95].sum())
             assert expected == 2  # both stratum-1 comparison rows: rho = 60/62
-            index = ((1, 1), (1, 0), (0, 1), (0, 0)).index(cell)
             assert estimate.n_trimmed_by_cell[index] == expected
         assert estimate.n_trimmed_by_cell[0] == 0
 
     def test_retained_sets_grow_with_the_threshold(self, rng):
         for _ in range(20):
             sample, _ = stratified_sample(rng, int(rng.integers(2, 5)), lo=2, hi=25)
-            report = propensity_report(sample)
-            for cell_report in report.values():
-                keep_95 = ~cell_report.trim_mask(0.95)
-                keep_99 = ~cell_report.trim_mask(0.99)
-                assert np.all(keep_99 >= keep_95)  # 0.95-survivors survive 0.99
+            for rho in propensity_report(sample).values():
+                # strata kept at 0.95 are kept at 0.99
+                assert np.all((rho <= 0.99) >= (rho <= 0.95))
 
     def test_trimming_changes_the_estimate_toward_the_balanced_stratum(self):
         sample = self.build_imbalanced()
@@ -205,6 +199,15 @@ class TestTrimming:
             estimate_ipw_did(sample, trim_threshold=1.5)
 
 
+class RowRho(NamedTuple):
+    """One pairwise propensity at row level: the comparison cell's row
+    indices, their rho, and the same fit's rho for each (1,1) row."""
+
+    rows: np.ndarray
+    rho: np.ndarray
+    treated_rho: np.ndarray
+
+
 def irls_propensity_report(sample: DidSample) -> dict:
     """Row-level reference for ``propensity_report``: one IRLS logit per
     pair on an intercept plus one dummy per stratum after the smallest code
@@ -223,13 +226,82 @@ def irls_propensity_report(sample: DidSample) -> dict:
         )
         columns = np.hstack([np.ones((pooled.size, 1)), dummies[pooled]])
         fit = fit_logistic(DesignMatrix(columns, (INTERCEPT_NAME, *names)), membership)
-        reports[(d, t)] = PropensityReport(
-            cell=(d, t),
+        reports[(d, t)] = RowRho(
             rows=comparison_rows,
             rho=fit.fitted[treated_rows.size:],
             treated_rho=fit.fitted[: treated_rows.size],
         )
     return reports
+
+
+def row_level_propensity_report(sample: DidSample) -> dict:
+    """Row-level reference for the closed-form propensities: each pair's
+    stratum shares looked up for every comparison row and every (1,1) row."""
+    sample.validate_cells()
+    treated = sample.cell_mask(1, 1)
+    n_strata = int(sample.stratum.max()) + 1
+    n11 = np.bincount(sample.stratum[treated], minlength=n_strata)
+    reports = {}
+    for d, t in COMPARISON_CELLS:
+        rows = np.flatnonzero(sample.cell_mask(d, t))
+        n_g = np.bincount(sample.stratum[rows], minlength=n_strata)
+        one_sided = np.flatnonzero((n11 == 0) != (n_g == 0))
+        if one_sided.size:
+            raise SeparationError(
+                f"strata {one_sided.tolist()} have rows on only one side of the "
+                f"(1,1) vs (D={d},T={t}) propensity fit",
+                columns=tuple(f"stratum_{s}" for s in one_sided),
+            )
+        share = n11 / np.maximum(n11 + n_g, 1)
+        reports[(d, t)] = RowRho(
+            rows=rows,
+            rho=share[sample.stratum[rows]],
+            treated_rho=share[sample.stratum[treated]],
+        )
+    return reports
+
+
+def row_level_ipw_did(sample: DidSample, trim_threshold: float, trim_treated: bool) -> tuple:
+    """Reference for ``estimate_ipw_did``: per-row odds rho / (1 - rho),
+    normalized within each comparison cell, with per-row trimming. Returns
+    (atet, n_by_cell, n_trimmed_by_cell)."""
+    reports = row_level_propensity_report(sample)
+    treated_rows = np.flatnonzero(sample.cell_mask(1, 1))
+    trimmed = {cell: 0 for cell in CELL_ORDER}
+    weighted_means = {}
+    treated_drop = np.zeros(treated_rows.size, dtype=bool)
+    for cell in COMPARISON_CELLS:
+        report = reports[cell]
+        if trim_treated:
+            keep = np.ones(report.rho.size, dtype=bool)
+            treated_drop |= report.treated_rho > trim_threshold
+        else:
+            keep = report.rho <= trim_threshold
+            trimmed[cell] = int(report.rho.size - keep.sum())
+            if not keep.any():
+                raise TrimExhaustionError(
+                    f"all {report.rho.size} observations of cell (D={cell[0]},T={cell[1]}) "
+                    f"exceeded the trim threshold {trim_threshold}"
+                )
+        rho = report.rho[keep]
+        weights = rho / (1.0 - rho)
+        weights = weights / weights.sum()
+        weighted_means[cell] = float(weights @ sample.y[report.rows[keep]])
+    if trim_treated:
+        trimmed[(1, 1)] = int(treated_drop.sum())
+        if treated_drop.all():
+            raise TrimExhaustionError(
+                f"all {treated_rows.size} treated-protected observations exceeded "
+                f"the trim threshold {trim_threshold}"
+            )
+    treated_mean = float(sample.y[treated_rows[~treated_drop]].mean())
+    atet = (
+        treated_mean
+        - weighted_means[(1, 0)]
+        - (weighted_means[(0, 1)] - weighted_means[(0, 0)])
+    )
+    n_by_cell = tuple(int(sample.cell_mask(d, t).sum()) for d, t in CELL_ORDER)
+    return atet, n_by_cell, tuple(trimmed[cell] for cell in CELL_ORDER)
 
 
 def sample_from_sizes(sizes) -> DidSample:
@@ -244,24 +316,30 @@ def sample_from_sizes(sizes) -> DidSample:
     return DidSample(y, np.array(d, np.int8), np.array(t, np.int8), np.array(stratum))
 
 
-def outcome_of(report_fn, sample):
+def outcome_of(report_fn, sample, *args):
     try:
-        return report_fn(sample)
+        return report_fn(sample, *args)
     except SeasonDidError as exc:
         return exc
 
 
 @st.composite
-def stratum_sizes(draw):
-    """Counts per (stratum, cell) for up to four strata. Zeros make
-    one-sided and absent strata; one stratum fills every cell, so that most
-    samples get past the empty-cell check."""
-    count = st.just(0) | st.integers(1, 30)
-    cell_sizes = st.lists(count, min_size=4, max_size=4)
-    sizes = draw(st.lists(cell_sizes, max_size=3))
-    full = draw(st.lists(st.integers(1, 30), min_size=4, max_size=4))
-    sizes.insert(draw(st.integers(0, len(sizes))), full)
-    return sizes
+def stratum_sizes(draw, treated_max=30):
+    """Counts per (stratum, cell) for up to four strata, at most
+    ``treated_max`` in the (1,1) cell and 30 in the others. Zeros make
+    one-sided and absent strata. One to three strata fill every cell, so
+    that most samples get past the empty-cell check and trimming can drop
+    some strata while keeping others."""
+    def cells(lo):
+        treated = st.integers(lo, treated_max)
+        count = st.integers(lo, 30)
+        if lo == 0:
+            treated, count = st.just(0) | treated, st.just(0) | count
+        return st.tuples(treated, count, count, count).map(list)
+
+    full = draw(st.lists(cells(1), min_size=1, max_size=3))
+    partial = draw(st.lists(cells(0), max_size=4 - len(full)))
+    return draw(st.permutations(full + partial))
 
 
 class TestClosedFormPropensity:
@@ -282,11 +360,13 @@ class TestClosedFormPropensity:
             assert type(closed) is type(reference), (closed, reference)
         else:
             assert not isinstance(closed, Exception), closed
+            treated_strata = sample.stratum[sample.cell_mask(1, 1)]
             for cell in COMPARISON_CELLS:
-                assert_array_equal(closed[cell].rows, reference[cell].rows)
-                assert_allclose(closed[cell].rho, reference[cell].rho, rtol=0, atol=1e-12)
+                rho = closed[cell]
+                row_rho = rho[sample.stratum[reference[cell].rows]]
+                assert_allclose(row_rho, reference[cell].rho, rtol=0, atol=1e-12)
                 assert_allclose(
-                    closed[cell].treated_rho, reference[cell].treated_rho, rtol=0, atol=1e-12
+                    rho[treated_strata], reference[cell].treated_rho, rtol=0, atol=1e-12
                 )
 
     def test_reference_season_only_in_a_comparison_cell_is_separation(self):
@@ -308,8 +388,63 @@ class TestClosedFormPropensity:
         full = sample_from_sizes([[2, 3, 4, 5], [6, 2, 3, 1]])
         gap = sample_from_sizes([[0, 0, 0, 0], [2, 3, 4, 5], [0, 0, 0, 0], [6, 2, 3, 1]])
         for cell in COMPARISON_CELLS:
-            assert_array_equal(propensity_report(gap)[cell].rho, propensity_report(full)[cell].rho)
-        assert_allclose(propensity_report(full)[(1, 0)].rho, [2 / 5] * 3 + [6 / 8] * 2)
+            gap_rho = propensity_report(gap)[cell]
+            assert_array_equal(gap_rho[[1, 3]], propensity_report(full)[cell])
+            assert_array_equal(gap_rho[[0, 2]], [0.0, 0.0])
+        assert_allclose(propensity_report(full)[(1, 0)], [2 / 5, 6 / 8])
+
+
+class TestStratumTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stratum_sizes(treated_max=120),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 1.0),
+        st.booleans(),
+    )
+    def test_ipw_matches_the_row_level_weights(self, sizes, seed, threshold, trim_treated):
+        cells = sample_from_sizes(sizes)
+        y = np.random.default_rng(seed).normal(100.0, 10.0, cells.n_obs)
+        sample = DidSample(y, cells.d, cells.t, cells.stratum)
+        table = outcome_of(estimate_ipw_did, sample, threshold, trim_treated)
+        reference = outcome_of(row_level_ipw_did, sample, threshold, trim_treated)
+        event(f"reference: {type(reference).__name__}")
+        if isinstance(reference, Exception):
+            assert type(table) is type(reference), (table, reference)
+            assert str(table) == str(reference)
+            return
+        assert not isinstance(table, Exception), table
+        atet, n_by_cell, n_trimmed_by_cell = reference
+        event(f"trimmed: {sum(n_trimmed_by_cell) > 0}")
+        assert table.n_by_cell == n_by_cell
+        assert table.n_trimmed_by_cell == n_trimmed_by_cell
+        assert abs(table.atet - atet) <= 1e-12 * max(1.0, float(np.abs(sample.y).max()))
+
+    def test_counts_and_sums_per_cell_and_stratum(self):
+        sample = DidSample(
+            y=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+            d=[1, 1, 0, 1, 0, 0],
+            t=[1, 1, 0, 0, 1, 0],
+            stratum=[0, 2, 2, 0, 2, 2],
+        )
+        counts, sums = sample.cell_table()
+        assert_array_equal(counts, [[1, 0, 1], [1, 0, 0], [0, 0, 1], [0, 0, 2]])
+        assert_array_equal(sums, [[1, 0, 2], [8, 0, 0], [0, 0, 16], [0, 0, 36]])
+        assert sample.cell_counts() == (2, 1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "d,t,stratum,message",
+        [
+            ([256, 1], [1, 0], [0, 0], "0/1 indicators"),
+            ([1, 1], [1, 0.7], [0, 0], "0/1 indicators"),
+            ([1, 1], [1, 0], [0, 0.5], "integers"),
+            ([1, 1], [1, 0], [0, -1], "non-negative"),
+        ],
+    )
+    def test_indicators_and_codes_are_checked_before_the_cast(self, d, t, stratum, message):
+        # as arrays, int8 and intp casts would turn 256 into 0, 0.7 and 0.5 into 0
+        with pytest.raises(ValueError, match=message):
+            DidSample(y=[1.0, 2.0], d=np.array(d), t=np.array(t), stratum=np.array(stratum))
 
 
 class TestBootstrap:

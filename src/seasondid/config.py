@@ -1,7 +1,7 @@
 """Plain-text configuration: ``key = value`` lines, ``#`` comments.
 
-Repeated ``task`` keys accumulate. Unknown keys are rejected so typos fail
-loudly. The same format configures batch runs and the synthetic generator.
+Repeated ``task`` keys accumulate, but a task, outcome or method named twice
+is rejected. Unknown keys are rejected so typos fail loudly. The same format configures batch runs and the synthetic generator.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ def _single(values: dict[str, list[str]], key: str, default: str | None) -> str 
     if len(entries) > 1:
         raise ConfigError(f"config key {key!r} given {len(entries)} times")
     return entries[0]
+
+
+def _reject_repeats(items: tuple, key: str) -> None:
+    """A repeated entry would repeat both the work and the output rows."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ConfigError(f"config key {key!r} lists {str(item)!r} more than once")
+        seen.add(item)
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -98,6 +107,13 @@ class TaskSpec:
             control_region=control_region,
         )
 
+    def __str__(self) -> str:
+        parts = (
+            self.product, self.quality.value, self.control_country, self.control_product,
+            self.control_region,
+        )
+        return ":".join(filter(None, parts))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -141,12 +157,14 @@ class RunConfig:
             raise ConfigError(f"invalid outcomes {outcome_text!r}") from None
         if not outcomes:
             raise ConfigError("config key 'outcomes' is empty")
+        _reject_repeats(outcomes, "outcomes")
 
         methods = tuple(
             part.strip().lower()
             for part in _single(values, "methods", "ipw").split(",")
             if part.strip()
         )
+        _reject_repeats(methods, "methods")
         covariates_text = _single(values, "covariates", CovariateSpec.SEASONAL.value)
         try:
             covariates = CovariateSpec(covariates_text)
@@ -167,6 +185,7 @@ class RunConfig:
             tasks: str | tuple[TaskSpec, ...] = "all"
         elif task_lines:
             tasks = tuple(TaskSpec.parse(line) for line in task_lines)
+            _reject_repeats(tasks, "task")
         else:
             tasks = "all"
 
@@ -235,25 +254,7 @@ class RunConfig:
 
     def manifest_dict(self) -> dict:
         """Every effective setting, defaults included, as JSON-ready values."""
-        task_value: str | list[str]
-        if self.tasks == "all":
-            task_value = "all"
-        else:
-            task_value = [
-                ":".join(
-                    filter(
-                        None,
-                        (
-                            spec.product,
-                            spec.quality.value,
-                            spec.control_country,
-                            spec.control_product,
-                            spec.control_region or "",
-                        ),
-                    )
-                )
-                for spec in self.tasks
-            ]
+        task_value = "all" if self.tasks == "all" else [str(spec) for spec in self.tasks]
         return {
             "prices": str(self.prices),
             "calendar": str(self.calendar),

@@ -14,6 +14,7 @@ positive decimal using ``.`` as the separator. Validation failures carry
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +48,8 @@ class IngestReport:
 
 
 class PanelStore:
-    """Price observations grouped by series."""
+    """Price observations grouped by series, indexed by (product, quality,
+    country) market."""
 
     def __init__(self, observations: list[PriceObservation]):
         self._by_series: dict[SeriesKey, list[PriceObservation]] = {}
@@ -55,15 +57,19 @@ class PanelStore:
             self._by_series.setdefault(obs.series, []).append(obs)
         for rows in self._by_series.values():
             rows.sort(key=lambda o: o.week)
+        self._series = sorted(
+            self._by_series,
+            key=lambda k: (k.product, k.quality.value, k.country, k.region or ""),
+        )
+        self._by_market: dict[tuple[str, Quality, str], list[SeriesKey]] = {}
+        for key in self._series:
+            self._by_market.setdefault((key.product, key.quality, key.country), []).append(key)
 
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._by_series.values())
 
     def series(self) -> list[SeriesKey]:
-        return sorted(
-            self._by_series,
-            key=lambda k: (k.product, k.quality.value, k.country, k.region or ""),
-        )
+        return list(self._series)
 
     def rows_for(self, key: SeriesKey) -> list[PriceObservation]:
         return list(self._by_series.get(key, []))
@@ -75,15 +81,12 @@ class PanelStore:
         country: str,
         region: str | None = None,
     ) -> list[PriceObservation]:
-        """All observations of a (product, quality, country) triple;
-        ``region=None`` pools every region."""
+        """All observations of a (product, quality, country) triple, series
+        in ``series()`` order; ``region=None`` pools every region."""
         rows: list[PriceObservation] = []
-        for key in self.series():
-            if key.product != product or key.quality is not quality or key.country != country:
-                continue
-            if region is not None and key.region != region:
-                continue
-            rows.extend(self._by_series[key])
+        for key in self._by_market.get((product, quality, country), ()):
+            if region is None or key.region == region:
+                rows.extend(self._by_series[key])
         return rows
 
     def countries(self) -> list[str]:
@@ -165,10 +168,16 @@ def _parse_price_row(
         week = IsoWeek(int(year_text), int(week_text))
     except ConfigError as exc:
         return f"{filename}:{lineno}: {exc}"
-    if not _PRICE_PATTERN.match(price_text) or float(price_text) <= 0:
+    price = float(price_text) if _PRICE_PATTERN.match(price_text) else math.nan
+    if not price > 0:
         return (
             f"{filename}:{lineno}: price must be a positive decimal "
             f"with '.' separator, got {price_text!r}"
+        )
+    if math.isinf(price):
+        return (
+            f"{filename}:{lineno}: price {price_text[:20]}... "
+            f"({len(price_text)} characters) overflows a float"
         )
     key = (country, product, quality, region or None, week)
     if key in seen:
@@ -185,7 +194,7 @@ def _parse_price_row(
             country=country,
             region=region or None,
             week=week,
-            price=float(price_text),
+            price=price,
         )
     )
     return None

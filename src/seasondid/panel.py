@@ -168,19 +168,22 @@ def label_panel(
     ``window_product`` labels every observation against that product's window
     regardless of the observation's own product. This is how control-country
     series are placed on the treated product's protection timeline; the
-    resulting SeasonId also carries ``window_product``.
+    resulting SeasonId also carries ``window_product``. Phase and season are
+    worked out once per distinct (window product, week) in the call.
     """
+    labels: dict[tuple[str, IsoWeek], tuple[PhaseLabel, SeasonId]] = {}
     labeled = []
     for obs in observations:
         product = window_product if window_product is not None else obs.product
-        window = calendar.window_for(product)
-        labeled.append(
-            LabeledObservation(
-                obs=obs,
-                phase=label_week(window, obs.week),
-                season=SeasonId(product, assign_season_week(window, obs.week)),
+        label = labels.get((product, obs.week))
+        if label is None:
+            window = calendar.window_for(product)
+            label = (
+                label_week(window, obs.week),
+                SeasonId(product, assign_season_week(window, obs.week)),
             )
-        )
+            labels[product, obs.week] = label
+        labeled.append(LabeledObservation(obs=obs, phase=label[0], season=label[1]))
     return labeled
 
 

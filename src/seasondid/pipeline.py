@@ -3,10 +3,18 @@
 Control observations are placed on the treated product's protection
 timeline: their phase labels and seasons come from the treated product's
 window, since the policy whose effect is estimated is the treated market's.
+
+A batch is many tasks over few series. ``prepare_outcome_rows`` takes a
+series' labelled and outcome rows from two memos keyed by store, calendar,
+series spec and window product (and outcome), each bounded at ``_MEMO_SIZE``
+entries and returning tuples no task can change; a call that raises leaves
+nothing behind. Tasks run in key order, so the ones sharing a series are
+neighbours and each series is labelled and transformed once per worker.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -15,6 +23,7 @@ from .did import (
     METHODS,
     EffectEstimate,
     EstimationTask,
+    SeriesSpec,
     bootstrap_se,
     build_sample,
     estimate_ipw_did,
@@ -23,7 +32,7 @@ from .did import (
 )
 from .errors import ConfigError
 from .ingest import PanelStore
-from .panel import Outcome, apply_boundary_exclusion, label_panel
+from .panel import LabeledObservation, Outcome, apply_boundary_exclusion, label_panel
 from .transforms import (
     OutcomeObservation,
     compute_volatility,
@@ -31,11 +40,39 @@ from .transforms import (
     standardize_prices,
 )
 
+# Holds the rows of one (product, quality)'s treated series and its control
+# series across the tasks that share them. Unbounded, a batch keeps every
+# series' rows to its end: peak RSS of a 54,000-row, 320-task run went from
+# 71 to 102 MiB.
+_MEMO_SIZE = 8
+
 
 def task_seed(master_seed: int, key: str) -> int:
     """Stable per-task seed: independent of task order and worker count."""
     digest = hashlib.sha256(f"{master_seed}:{key}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1  # keep it positive
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _labeled_rows(
+    store: PanelStore, calendar: ProtectionCalendar, spec: SeriesSpec, window_product: str
+) -> tuple[LabeledObservation, ...]:
+    raw = store.rows_matching(spec.product, spec.quality, spec.country, spec.region)
+    return tuple(label_panel(raw, calendar, window_product=window_product))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _outcome_rows(
+    store: PanelStore,
+    calendar: ProtectionCalendar,
+    spec: SeriesSpec,
+    window_product: str,
+    outcome: Outcome,
+) -> tuple[OutcomeObservation, ...]:
+    labeled = _labeled_rows(store, calendar, spec, window_product)
+    if outcome is Outcome.LEVEL:
+        return tuple(apply_boundary_exclusion(standardize_prices(labeled)))
+    return tuple(compute_volatility(labeled))
 
 
 def prepare_outcome_rows(
@@ -48,35 +85,21 @@ def prepare_outcome_rows(
     Pipeline order: label phases/seasons, transform to the outcome scale,
     drop Boundary weeks, then restrict control rows to treated production
     weeks. Standardization therefore sees every observed week of a season.
+    Both series must have price data before either is labelled.
     """
-    treated_raw = store.rows_matching(
-        task.treated.product, task.treated.quality, task.treated.country, task.treated.region
-    )
-    control_raw = store.rows_matching(
-        task.control.product, task.control.quality, task.control.country, task.control.region
-    )
-    if not treated_raw:
-        raise ConfigError(f"no price data for treated series {task.treated}")
-    if not control_raw:
-        raise ConfigError(f"no price data for control series {task.control}")
+    for side, spec in (("treated", task.treated), ("control", task.control)):
+        if not store.rows_matching(spec.product, spec.quality, spec.country, spec.region):
+            raise ConfigError(f"no price data for {side} series {spec}")
 
     window_product = task.treated.product
-    treated_labeled = label_panel(treated_raw, calendar, window_product=window_product)
-    control_labeled = label_panel(control_raw, calendar, window_product=window_product)
-
-    if task.outcome is Outcome.LEVEL:
-        treated_rows = apply_boundary_exclusion(standardize_prices(treated_labeled))
-        control_rows = apply_boundary_exclusion(standardize_prices(control_labeled))
-    else:
-        treated_rows = compute_volatility(treated_labeled)
-        control_rows = compute_volatility(control_labeled)
-
+    treated_rows = _outcome_rows(store, calendar, task.treated, window_product, task.outcome)
+    control_rows = _outcome_rows(store, calendar, task.control, window_product, task.outcome)
     control_rows = restrict_to_production_weeks(
         control_rows,
         treated_rows,
         product_map={task.control.product: task.treated.product},
     )
-    return treated_rows, control_rows
+    return list(treated_rows), control_rows
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,13 @@ class TestRunConfig:
             (MINIMAL + "trim = 0.9\ntrim = 0.95\n", "given 2 times"),
             (MINIMAL + "tasks = all\ntask = a:organic:DE\n", "not both"),
             (MINIMAL + "tasks = some\n", "must be 'all'"),
+            (MINIMAL + "outcomes = level,level\n", "'outcomes' lists 'level' more than once"),
+            (MINIMAL + "outcomes = volatility, VOLATILITY\n", "'outcomes' lists 'volatility'"),
+            (MINIMAL + "methods = ols,ipw,ols\n", "'methods' lists 'ols' more than once"),
+            (
+                MINIMAL + "task = tomato:organic:DE\ntask = tomato : organic : DE : tomato\n",
+                "'task' lists 'tomato:organic:DE:tomato' more than once",
+            ),
             ("prices = p.csv\ncalendar = c.csv\n", "seed is mandatory"),
         ],
     )

@@ -85,6 +85,7 @@ class TestReadPrices:
             ("CH,tomato,conventional,,2016,20,1e3", "positive decimal"),
             ("CH,tomato,conventional,,2016,20,.5", "positive decimal"),
             ("CH,tomato,conventional,,2016,20,", "positive decimal"),
+            ("CH,tomato,conventional,,2016,20," + "9" * 400, "overflows a float"),
         ],
     )
     def test_bad_rows_are_rejected_with_positions(self, tmp_path, row, needle):
@@ -129,6 +130,16 @@ class TestReadPrices:
         assert report.rows_skipped == 2
         assert len(report.problems) == 2
         assert report.kept_by_country == {"CH": 1, "DE": 1}
+
+    def test_skip_bad_rows_counts_an_overflowing_price(self, tmp_path):
+        path = price_file(tmp_path, [
+            "CH,tomato,conventional,,2016,20,5.0",
+            "CH,tomato,conventional,,2016,21," + "9" * 400,
+        ])
+        store, report = read_prices(path, skip_bad_rows=True)
+        assert (report.rows_kept, report.rows_skipped) == (1, 1)
+        assert report.problems[0].startswith("prices.csv:3: price 99999")
+        assert len(store) == 1
 
     def test_error_listing_is_truncated(self, tmp_path):
         bad = [f"CH,tomato,conventional,,2016,20,bad{i}" for i in range(60)]

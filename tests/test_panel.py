@@ -125,6 +125,23 @@ class TestLabelPanel:
         with pytest.raises(CalendarMissError):
             label_panel(control, tomato_calendar)  # own product has no window
 
+    def test_rows_sharing_a_week_use_their_own_products_window(self):
+        calendar = ProtectionCalendar(
+            {"tomato": window("05-10", "08-31"), "leek": window("09-05", "11-30")}
+        )
+        rows = [
+            price_row("tomato", "CH", week(2016, 25), 240.0),
+            price_row("leek", "CH", week(2016, 25), 90.0),
+            price_row("tomato", "DE", week(2016, 25), 150.0),
+        ]
+        labeled = label_panel(rows, calendar)
+        assert [r.phase for r in labeled] == [
+            PhaseLabel.PROTECTED,
+            PhaseLabel.UNPROTECTED,
+            PhaseLabel.PROTECTED,
+        ]
+        assert [r.season.product for r in labeled] == ["tomato", "leek", "tomato"]
+
     def test_boundary_exclusion_drops_only_boundary_rows(self, tomato_calendar):
         rows = [
             price_row("tomato", "CH", week(2016, 19), 230.0),  # boundary

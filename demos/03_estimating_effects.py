@@ -17,6 +17,7 @@ from seasondid import (
     PanelStore,
     SeriesSpec,
     SimConfig,
+    bootstrap_se,
     build_sample,
     cell_means_did,
     estimate_ipw_did,
@@ -48,19 +49,30 @@ task = EstimationTask(
 )
 treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
 sample = build_sample(task, treated_rows, control_rows)
-print(f"sample cells (D,T) = (1,1),(1,0),(0,1),(0,0): {sample.cell_counts()}")
+
+# IPW and the cell-means DiD read only the row counts and outcome sums per
+# (cell, season); OLS works on the rows.
+table = sample.cell_table()
+print(f"sample cells (D,T) = (1,1),(1,0),(0,1),(0,0): {table.n_by_cell}")
+print(f"treated-post rows per season: {table.counts[0].tolist()}")
 
 # Point estimates: with season fixed effects in the propensity model the IPW
 # estimate reweights seasons by their treated-post share; OLS with the same
 # dummies and the raw 2x2 cell means are shown for comparison.
-ipw = estimate_ipw_did(sample, trim_threshold=task.trim_threshold)
+ipw = estimate_ipw_did(table, trim_threshold=task.trim_threshold)
 ols = estimate_ols_did(sample)
 print(f"IPW ATET        {ipw.atet:8.3f}   (trimmed rows: {ipw.n_trimmed})")
 print(f"OLS ATET        {ols.atet:8.3f}   (se {ols.se:.3f})")
-print(f"cell-means DiD  {cell_means_did(sample):8.3f}")
+print(f"cell-means DiD  {cell_means_did(table).atet:8.3f}")
+
+# The stratified bootstrap takes the sample and a table estimator, and
+# returns the full-sample estimate with its inference filled in.
+means = bootstrap_se(sample, cell_means_did, reps=200, seed=task.seed)
+print(f"cell-means bootstrap se {means.se:.3f} "
+      f"({means.bootstrap_failures} failed of {means.bootstrap_reps})")
 
 # Full inference in one call: run_task wires the stratified bootstrap to the
-# point estimate and returns normal and percentile intervals.
+# IPW estimator and returns normal and percentile intervals.
 estimate = run_task(task, store, calendar).estimates[0]
 lo, hi = estimate.ci_normal
 print(f"bootstrap se {estimate.se:.3f}, p = {estimate.p_value:.4f}, "

@@ -11,7 +11,7 @@ generator with a known injected effect closes the loop for validation.
 
 from .calendar import MonthDay, ProtectionCalendar, ProtectionWindow
 from .did import (
-    BootstrapResult,
+    CellTable,
     CovariateSpec,
     DidSample,
     EffectEstimate,
@@ -24,7 +24,6 @@ from .did import (
     estimate_ols_did,
     propensity_report,
     two_sided_normal_p,
-    with_inference,
 )
 from .diagnostics import (
     BiweekEffect,
@@ -73,10 +72,8 @@ from .panel import (
     SeasonId,
     SeriesKey,
     apply_boundary_exclusion,
-    assign_season,
     assign_season_week,
     label_panel,
-    label_phase,
     label_week,
     season_start_week,
 )

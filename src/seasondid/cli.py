@@ -169,7 +169,7 @@ def _effect_rows(
             *estimate.n_by_cell,
             estimate.n_trimmed,
             estimate.bootstrap_reps or 0,
-            estimate.seed if estimate.seed is not None else (task.seed or 0),
+            estimate.seed or 0,
         )
         for estimate in result.estimates
     ]

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calendar import ProtectionCalendar, ProtectionWindow
-from .did import (
-    DidSample,
-    EffectEstimate,
-    EstimationTask,
-    bootstrap_se,
-    cell_means_did,
-    with_inference,
-)
+from .did import DidSample, EffectEstimate, EstimationTask, bootstrap_se, cell_means_did
 from .errors import InfeasibleSampleError
 from .glm import DesignMatrix, FitResult, fit_ols
 from .panel import Outcome, PhaseLabel, label_week
@@ -150,19 +143,6 @@ def _pool_seasons(
     return sample, seasons_used
 
 
-def _means_estimate(sample: DidSample, reps: int, seed: int) -> EffectEstimate:
-    """Cell-means DiD of ``sample`` with stratified bootstrap inference."""
-    boot = bootstrap_se(sample, cell_means_did, reps, seed)
-    estimate = EffectEstimate(
-        method="means",
-        atet=boot.point,
-        se=float("nan"),
-        p_value=float("nan"),
-        n_by_cell=sample.cell_counts(),
-    )
-    return with_inference(estimate, boot, seed)
-
-
 def pretrend_placebo(
     task: EstimationTask,
     treated_rows: list[OutcomeObservation],
@@ -197,7 +177,9 @@ def pretrend_placebo(
             "pretrend_no_complete_season",
             "no season has both series observed at all four pre-protection offsets",
         )
-    return PlaceboResult(estimate=_means_estimate(sample, reps, seed), seasons_used=seasons_used)
+    return PlaceboResult(
+        estimate=bootstrap_se(sample, cell_means_did, reps, seed), seasons_used=seasons_used
+    )
 
 
 def _protected_weeks(window: ProtectionWindow, year: int) -> list[IsoWeek]:
@@ -275,7 +257,7 @@ def rolling_biweekly_effects(
                 biweek=b,
                 status="ok",
                 reason=None,
-                estimate=_means_estimate(sample, reps, seed + b),
+                estimate=bootstrap_se(sample, cell_means_did, reps, seed + b),
                 seasons_used=seasons_used,
             )
         )

@@ -4,22 +4,27 @@
 marks Protected weeks (1) versus Unprotected weeks (0). The target is the
 average treatment effect on the treated cell (D=1, T=1).
 
-Two estimators share one sample type:
+A ``DidSample`` holds the rows; ``DidSample.cell_table`` reduces them to a
+``CellTable`` of counts and outcome sums per (cell, stratum). Three
+estimators return an ``EffectEstimate``:
 
-* ``estimate_ipw_did``: inverse-probability weighting with three pairwise
-  propensities of (1,1) membership against each comparison cell (1,0),
-  (0,1), (0,0). With one categorical stratum (the season, or none) each
-  pairwise logit is saturated, so rho in stratum s is the closed-form share
-  n11_s / (n11_s + n_g_s) and the odds rho/(1 - rho) are n11_s / n_g_s.
-  Each comparison mean is therefore the mean of its stratum means weighted
-  by the treated count n11_s (the four-group propensity DiD of Stuart et
-  al., 2014), computed from one table of counts and sums per (cell,
-  stratum). Strata with rho above the trim threshold get weight 0.
-* ``estimate_ols_did``: the interaction coefficient from
+* ``estimate_ipw_did`` (on the table): inverse-probability weighting with
+  three pairwise propensities of (1,1) membership against each comparison
+  cell (1,0), (0,1), (0,0). With one categorical stratum (the season, or
+  none) each pairwise logit is saturated, so rho in stratum s is the
+  closed-form share n11_s / (n11_s + n_g_s) and the odds rho/(1 - rho) are
+  n11_s / n_g_s. Each comparison mean is therefore the mean of its stratum
+  means weighted by the treated count n11_s (the four-group propensity DiD
+  of Stuart et al., 2014). Strata with rho above the trim threshold get
+  weight 0.
+* ``cell_means_did`` (on the table): the plain 2x2 cell-means DiD.
+* ``estimate_ols_did`` (on the rows): the interaction coefficient from
   ``y ~ const + D + T + D:T + stratum dummies``, classical standard errors.
 
-Inference for the IPW estimator comes from a nonparametric bootstrap that
-resamples observations independently within each of the four cells.
+``bootstrap_se`` gives a table estimator its inference: it estimates the
+full sample once, then resamples observations independently within each of
+the four cells and re-estimates each replicate's table, counted from the
+drawn rows.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,7 +125,6 @@ class DidSample:
 
     ``stratum`` is each row's code of the one categorical covariate: 0 is
     the reference season, and every row is 0 without covariates.
-    Estimators build what they need from it.
     """
 
     y: np.ndarray
@@ -153,25 +158,54 @@ class DidSample:
     def cell_mask(self, d: int, t: int) -> np.ndarray:
         return (self.d == d) & (self.t == t)
 
-    def cell_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row counts and outcome sums per (cell, stratum), each of shape
-        (4, strata) with cells in ``CELL_ORDER``."""
-        strata = int(self.stratum.max(initial=0)) + 1
-        # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell code 3 - 2d - t
-        code = (3 - 2 * self.d.astype(np.intp) - self.t) * strata + self.stratum
-        counts = np.bincount(code, minlength=4 * strata).reshape(4, strata)
-        sums = np.bincount(code, weights=self.y, minlength=4 * strata).reshape(4, strata)
-        return counts, sums
+    def cell_table(self) -> CellTable:
+        """Row counts and outcome sums per (cell, stratum)."""
+        code, strata = _cell_code(self)
+        return _table(code, self.y, strata)
 
-    def cell_counts(self) -> tuple[int, int, int, int]:
-        """Observation counts in cell order (1,1), (1,0), (0,1), (0,0)."""
-        return _totals(self.cell_table()[0])
 
-    def validate_cells(self, min_cell: int = 1) -> None:
-        _validate_cells(self.cell_counts(), min_cell)
+class CellTable(NamedTuple):
+    """Row counts and outcome sums per (cell, stratum), each of shape
+    (4, strata) with cells in ``CELL_ORDER``: all that the IPW and
+    cell-means estimators read of a sample."""
 
-    def take(self, rows: np.ndarray) -> "DidSample":
-        return DidSample(self.y[rows], self.d[rows], self.t[rows], self.stratum[rows])
+    counts: np.ndarray
+    sums: np.ndarray
+
+    @property
+    def n_by_cell(self) -> tuple[int, int, int, int]:
+        return tuple(int(n) for n in self.counts.sum(axis=1))
+
+    def validate(self, min_cell: int = 1) -> None:
+        """Raise :class:`InfeasibleSampleError` for an empty cell first,
+        then for a cell with fewer than ``min_cell`` rows."""
+        n_by_cell = self.n_by_cell
+        for (d, t), count in zip(CELL_ORDER, n_by_cell):
+            if count == 0:
+                raise InfeasibleSampleError(
+                    f"empty_cell(D={d},T={t})",
+                    "no observations in this (series, phase) cell",
+                )
+        for (d, t), count in zip(CELL_ORDER, n_by_cell):
+            if count < min_cell:
+                raise InfeasibleSampleError(
+                    f"small_cell(D={d},T={t})",
+                    f"cell has {count} observations, need at least {min_cell}",
+                )
+
+
+def _cell_code(sample: DidSample) -> tuple[np.ndarray, int]:
+    """Each row's (cell, stratum) code, cell-major in ``CELL_ORDER``, and
+    the number of strata."""
+    strata = int(sample.stratum.max(initial=0)) + 1
+    # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell code 3 - 2d - t
+    return (3 - 2 * sample.d.astype(np.intp) - sample.t) * strata + sample.stratum, strata
+
+
+def _table(code: np.ndarray, y: np.ndarray, strata: int) -> CellTable:
+    counts = np.bincount(code, minlength=4 * strata).reshape(4, strata)
+    sums = np.bincount(code, weights=y, minlength=4 * strata).reshape(4, strata)
+    return CellTable(counts, sums)
 
 
 @dataclass(frozen=True)
@@ -200,37 +234,6 @@ class EffectEstimate:
         return sum(self.n_trimmed_by_cell)
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    point: float
-    se: float
-    p_value: float
-    ci_normal: tuple[float, float]
-    ci_percentile: tuple[float, float]
-    replicates: int
-    failures: int
-
-
-def _totals(table: np.ndarray) -> tuple[int, int, int, int]:
-    return tuple(int(n) for n in table.sum(axis=1))
-
-
-def _validate_cells(n_by_cell: tuple[int, int, int, int], min_cell: int = 1) -> None:
-    for (d, t), count in zip(CELL_ORDER, n_by_cell):
-        if count == 0:
-            raise InfeasibleSampleError(
-                f"empty_cell(D={d},T={t})",
-                "no observations in this (series, phase) cell",
-            )
-    if min_cell > 1:
-        for (d, t), count in zip(CELL_ORDER, n_by_cell):
-            if count < min_cell:
-                raise InfeasibleSampleError(
-                    f"small_cell(D={d},T={t})",
-                    f"cell has {count} observations, need at least {min_cell}",
-                )
-
-
 def two_sided_normal_p(estimate: float, se: float) -> float:
     """p-value of ``estimate / se`` against a two-sided standard normal."""
     if se == 0.0 or not math.isfinite(se):
@@ -238,14 +241,20 @@ def two_sided_normal_p(estimate: float, se: float) -> float:
     return math.erfc(abs(estimate / se) / math.sqrt(2.0))
 
 
-def cell_means_did(sample: DidSample) -> float:
-    """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00)."""
-    sample.validate_cells()
-    means = [float(sample.y[sample.cell_mask(d, t)].mean()) for d, t in CELL_ORDER]
-    return means[0] - means[1] - (means[2] - means[3])
+def cell_means_did(table: CellTable) -> EffectEstimate:
+    """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00), pooling strata."""
+    table.validate()
+    means = table.sums.sum(axis=1) / table.counts.sum(axis=1)
+    return EffectEstimate(
+        method="means",
+        atet=float(means[0] - means[1] - (means[2] - means[3])),
+        se=math.nan,
+        p_value=math.nan,
+        n_by_cell=table.n_by_cell,
+    )
 
 
-def propensity_report(sample: DidSample) -> dict[tuple[int, int], np.ndarray]:
+def propensity_report(table: CellTable) -> dict[tuple[int, int], np.ndarray]:
     """The three pairwise propensities, rho per stratum.
 
     Comparison cell g is paired with the (1,1) cell. A logit of
@@ -255,15 +264,10 @@ def propensity_report(sample: DidSample) -> dict[tuple[int, int], np.ndarray]:
     rows on only one side of a pair has no finite fit and raises
     :class:`SeparationError`.
     """
-    return _stratum_rho(sample.cell_table()[0])
-
-
-def _stratum_rho(counts: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """``propensity_report`` from the counts of ``DidSample.cell_table``."""
-    _validate_cells(_totals(counts))
-    n11 = counts[0]
+    table.validate()
+    n11 = table.counts[0]
     rho = {}
-    for (d, t), n_g in zip(COMPARISON_CELLS, counts[1:]):
+    for (d, t), n_g in zip(COMPARISON_CELLS, table.counts[1:]):
         one_sided = np.flatnonzero((n11 == 0) != (n_g == 0))
         if one_sided.size:
             raise SeparationError(
@@ -276,7 +280,7 @@ def _stratum_rho(counts: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
 
 
 def estimate_ipw_did(
-    sample: DidSample,
+    table: CellTable,
     trim_threshold: float = 0.95,
     trim_treated: bool = False,
 ) -> EffectEstimate:
@@ -291,9 +295,9 @@ def estimate_ipw_did(
     """
     if not 0.0 < trim_threshold <= 1.0:
         raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
-    counts, sums = sample.cell_table()
-    rho = _stratum_rho(counts)
-    n_by_cell = _totals(counts)
+    rho = propensity_report(table)
+    counts, sums = table
+    n_by_cell = table.n_by_cell
     stratum_means = sums / np.maximum(counts, 1)
     n11 = counts[0]
 
@@ -336,7 +340,8 @@ def estimate_ipw_did(
 
 def estimate_ols_did(sample: DidSample) -> EffectEstimate:
     """DiD as the D:T interaction in an OLS regression with covariates."""
-    sample.validate_cells()
+    table = sample.cell_table()
+    table.validate()
     columns = [
         (INTERCEPT_NAME, np.ones(sample.n_obs)),
         ("d", sample.d.astype(float)),
@@ -355,33 +360,37 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
         atet=atet,
         se=se,
         p_value=two_sided_normal_p(atet, se),
-        n_by_cell=sample.cell_counts(),
+        n_by_cell=table.n_by_cell,
     )
 
 
 def bootstrap_se(
     sample: DidSample,
-    estimator,
+    estimator: Callable[[CellTable], EffectEstimate],
     reps: int,
     seed: int,
-) -> BootstrapResult:
-    """Stratified nonparametric bootstrap of a DiD estimator.
+) -> EffectEstimate:
+    """Stratified nonparametric bootstrap of a table estimator.
 
-    Observations are resampled with replacement independently within each of
-    the four (D,T) cells, so no replicate loses a cell. Replicates where the
-    estimator fails (separation, trim exhaustion, degenerate samples) are
-    skipped and counted; more than 10% failures raises
+    ``estimator`` runs once on the full sample's table, and its errors
+    propagate. Observations are then resampled with replacement
+    independently within each of the four (D,T) cells, so no replicate
+    loses a cell, and each replicate's table is counted from the drawn rows
+    at the full sample's width. Replicates where the estimator fails
+    (separation, trim exhaustion, degenerate samples) are skipped and
+    counted; more than 10% failures raises
     :class:`BootstrapDegenerateError`. Replicate ``r`` draws its randomness
     from ``SeedSequence((seed, r))``, so results do not depend on scheduling
     or on other tasks.
 
-    Returns the full-sample estimate, the replicate standard deviation
-    (ddof=1), the two-sided normal p-value of the full-sample estimate, and
-    both normal and percentile 95% confidence intervals.
+    Returns the full-sample estimate with the replicate standard deviation
+    (ddof=1) as its se, the two-sided normal p-value, both normal and
+    percentile 95% confidence intervals, and the replicate bookkeeping.
     """
     if reps < 2:
         raise ConfigError(f"bootstrap needs at least 2 replicates, got {reps}")
-    point = float(estimator(sample))
+    estimate = estimator(sample.cell_table())
+    code, strata = _cell_code(sample)
     cells = [np.flatnonzero(sample.cell_mask(d, t)) for d, t in CELL_ORDER]
     estimates = []
     failures = 0
@@ -391,7 +400,7 @@ def bootstrap_se(
             [cell[rng.integers(0, cell.size, cell.size)] for cell in cells]
         )
         try:
-            estimates.append(float(estimator(sample.take(rows))))
+            estimates.append(estimator(_table(code[rows], sample.y[rows], strata)).atet)
         except (GlmError, TrimExhaustionError, InfeasibleSampleError):
             failures += 1
     if failures > 0.1 * reps:
@@ -401,27 +410,15 @@ def bootstrap_se(
         )
     draws = np.asarray(estimates)
     se = float(draws.std(ddof=1))
-    return BootstrapResult(
-        point=point,
+    point = estimate.atet
+    return replace(
+        estimate,
         se=se,
         p_value=two_sided_normal_p(point, se),
         ci_normal=(point - Z_975 * se, point + Z_975 * se),
         ci_percentile=(float(np.quantile(draws, 0.025)), float(np.quantile(draws, 0.975))),
-        replicates=reps,
-        failures=failures,
-    )
-
-
-def with_inference(estimate: EffectEstimate, boot: BootstrapResult, seed: int) -> EffectEstimate:
-    """Merge bootstrap inference into a point estimate."""
-    return replace(
-        estimate,
-        se=boot.se,
-        p_value=boot.p_value,
-        ci_normal=boot.ci_normal,
-        ci_percentile=boot.ci_percentile,
-        bootstrap_reps=boot.replicates,
-        bootstrap_failures=boot.failures,
+        bootstrap_reps=reps,
+        bootstrap_failures=failures,
         seed=seed,
     )
 
@@ -452,5 +449,5 @@ def build_sample(
     else:
         stratum = np.zeros(len(rows), dtype=np.intp)
     sample = DidSample(y=y, d=d, t=t, stratum=stratum)
-    sample.validate_cells(task.min_cell)
+    sample.cell_table().validate(task.min_cell)
     return sample

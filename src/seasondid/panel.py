@@ -147,17 +147,6 @@ def assign_season_week(window: ProtectionWindow, week: IsoWeek) -> int:
     raise AssertionError(f"no season found for {week}")  # pragma: no cover
 
 
-def label_phase(obs: PriceObservation, calendar: ProtectionCalendar) -> PhaseLabel:
-    """Phase label of one observation under its own product's window."""
-    return label_week(calendar.window_for(obs.product), obs.week)
-
-
-def assign_season(obs: PriceObservation, calendar: ProtectionCalendar) -> SeasonId:
-    """Season of one observation under its own product's window."""
-    window = calendar.window_for(obs.product)
-    return SeasonId(obs.product, assign_season_week(window, obs.week))
-
-
 def label_panel(
     observations: list[PriceObservation],
     calendar: ProtectionCalendar,

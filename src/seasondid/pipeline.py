@@ -28,7 +28,6 @@ from .did import (
     build_sample,
     estimate_ipw_did,
     estimate_ols_did,
-    with_inference,
 )
 from .errors import ConfigError
 from .ingest import PanelStore
@@ -122,26 +121,19 @@ def run_task(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; expected subset of {METHODS}")
+    if "ipw" in methods and task.bootstrap_reps > 0 and task.seed is None:
+        raise ConfigError("a seed is required for bootstrap inference")
     treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
     sample = build_sample(task, treated_rows, control_rows)
+    ipw = functools.partial(
+        estimate_ipw_did, trim_threshold=task.trim_threshold, trim_treated=task.trim_treated
+    )
     estimates = []
     for method in methods:
-        if method == "ipw":
-            point = estimate_ipw_did(sample, task.trim_threshold, task.trim_treated)
-            if task.bootstrap_reps > 0:
-                if task.seed is None:
-                    raise ConfigError("a seed is required for bootstrap inference")
-                boot = bootstrap_se(
-                    sample,
-                    lambda s: estimate_ipw_did(
-                        s, task.trim_threshold, task.trim_treated
-                    ).atet,
-                    task.bootstrap_reps,
-                    task.seed,
-                )
-                point = with_inference(point, boot, task.seed)
-            estimates.append(point)
+        if method == "ols":
+            estimates.append(estimate_ols_did(sample))
+        elif task.bootstrap_reps > 0:
+            estimates.append(bootstrap_se(sample, ipw, task.bootstrap_reps, task.seed))
         else:
-            ols = estimate_ols_did(sample)
-            estimates.append(ols)
+            estimates.append(ipw(sample.cell_table()))
     return TaskResult(task=task, estimates=tuple(estimates))

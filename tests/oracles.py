@@ -3,12 +3,23 @@
 Everything here is written in the most transparent way available — explicit
 enumeration, grid/golden-section searches, textbook matrix formulas — and
 shares no code with the package under test. Slow is fine; obviously correct
-is the point.
+is the point. The one exception is ``row_level_bootstrap``, which reuses the
+package's sample type, estimators and errors: what it checks is the
+resampling, not the estimators.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from seasondid.errors import (
+    BootstrapDegenerateError,
+    GlmError,
+    InfeasibleSampleError,
+    TrimExhaustionError,
+)
 
 
 def did_from_cell_means(y, d, t) -> float:
@@ -128,3 +139,52 @@ def midpoint_week_by_enumeration(gap_weeks: list) -> object:
     the earlier period."""
     assert gap_weeks, "enumeration oracle needs a non-empty gap"
     return gap_weeks[(len(gap_weeks) - 1) // 2]
+
+
+def row_level_bootstrap(sample, estimator, reps: int, seed: int) -> tuple:
+    """Reference for ``did.bootstrap_se``: the stratified bootstrap that
+    builds each replicate's sample from its drawn rows and tables it on its
+    own, so a replicate's table is only as wide as its largest stratum.
+
+    Replicate r draws ``integers`` once per cell in the order (1,1), (1,0),
+    (0,1), (0,0) from ``SeedSequence((seed, r))``. Returns (atet, se, p,
+    ci_normal, ci_percentile, failures); raises what the full-sample
+    estimate raises, or ``BootstrapDegenerateError`` past 10% failures.
+    """
+    point = estimator(sample.cell_table()).atet
+    cells = [
+        np.flatnonzero((sample.d == d) & (sample.t == t))
+        for d, t in ((1, 1), (1, 0), (0, 1), (0, 0))
+    ]
+    estimates = []
+    failures = 0
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
+        rows = np.concatenate([cell[rng.integers(0, cell.size, cell.size)] for cell in cells])
+        replicate = type(sample)(
+            sample.y[rows], sample.d[rows], sample.t[rows], sample.stratum[rows]
+        )
+        try:
+            estimates.append(estimator(replicate.cell_table()).atet)
+        except (GlmError, TrimExhaustionError, InfeasibleSampleError):
+            failures += 1
+    if failures > 0.1 * reps:
+        raise BootstrapDegenerateError(
+            f"{failures} of {reps} bootstrap replicates failed; "
+            "the sample cannot support this estimator"
+        )
+    draws = np.asarray(estimates)
+    se = float(draws.std(ddof=1))
+    if se == 0.0 or not math.isfinite(se):
+        p = 1.0 if point == 0.0 else 0.0
+    else:
+        p = math.erfc(abs(point / se) / math.sqrt(2.0))
+    z = 1.959963984540054
+    return (
+        point,
+        se,
+        p,
+        (point - z * se, point + z * se),
+        (float(np.quantile(draws, 0.025)), float(np.quantile(draws, 0.975))),
+        failures,
+    )

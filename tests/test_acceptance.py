@@ -90,10 +90,10 @@ def test_01_no_covariate_estimator_equivalence(report):
     worst = 0.0
     for _ in range(100):
         sample = random_cell_sample(rng)
-        reference = cell_means_did(sample)
+        reference = cell_means_did(sample.cell_table()).atet
         worst = max(
             worst,
-            abs(estimate_ipw_did(sample).atet - reference),
+            abs(estimate_ipw_did(sample.cell_table()).atet - reference),
             abs(estimate_ols_did(sample).atet - reference),
         )
     elapsed = time.perf_counter() - start
@@ -113,7 +113,7 @@ def test_02_saturated_design_matches_stratified_oracle(report):
     for _ in range(50):
         sample, strata = stratified_sample(rng, int(rng.integers(1, 7)))
         oracle = stratified_did(sample.y, sample.d, sample.t, strata)
-        worst = max(worst, abs(estimate_ipw_did(sample).atet - oracle))
+        worst = max(worst, abs(estimate_ipw_did(sample.cell_table()).atet - oracle))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
     report(2, "saturated-design IPW matches stratified oracle",
@@ -134,13 +134,13 @@ def test_03_recovers_the_injected_effect(report):
     start = time.perf_counter()
     estimates = [
         estimate_ipw_did(
-            _pipeline_sample(_recovery_config(5000 + r, 5.0), CovariateSpec.SEASONAL)
+            _pipeline_sample(_recovery_config(5000 + r, 5.0), CovariateSpec.SEASONAL).cell_table()
         ).atet
         for r in range(200)
     ]
     mean = float(np.mean(estimates))
     exact = estimate_ipw_did(
-        _pipeline_sample(_recovery_config(1, 0.0), CovariateSpec.SEASONAL)
+        _pipeline_sample(_recovery_config(1, 0.0), CovariateSpec.SEASONAL).cell_table()
     ).atet
     elapsed = time.perf_counter() - start
     ok = abs(mean - 20.0) < 0.5 and abs(exact - 20.0) < 1e-9 and elapsed < 120.0
@@ -277,7 +277,7 @@ def _imbalanced_sample(rng: np.random.Generator) -> DidSample:
 
 def _retained_rows(sample: DidSample, threshold: float) -> set:
     kept = set(range(sample.n_obs))
-    for cell, rho in propensity_report(sample).items():
+    for cell, rho in propensity_report(sample.cell_table()).items():
         rows = np.flatnonzero(sample.cell_mask(*cell))
         kept -= set(rows[rho[sample.stratum[rows]] > threshold].tolist())
     return kept

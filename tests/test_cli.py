@@ -15,6 +15,7 @@ from seasondid.cli import (
     PRETREND_COLUMNS,
     main,
 )
+from seasondid.pipeline import task_seed
 
 SIM_CFG = """\
 n_seasons = 3
@@ -135,6 +136,17 @@ class TestRun:
         other_rows = read_csv(out / "effects.csv")[1]
         assert [r[5] for r in base_rows] == [r[5] for r in other_rows]  # same points
         assert [r[6] for r in base_rows] != [r[6] for r in other_rows]  # new draws
+
+    def test_only_bootstrapped_rows_carry_a_seed(self, workspace):
+        cfg, out = write_run_cfg(workspace, extra="methods = ipw,ols\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        _, rows = read_csv(out / "effects.csv")
+        keys = [s["task"] for s in json.loads((out / "manifest.json").read_text())["tasks"]]
+        assert [(r[3], r[4]) for r in rows] == [
+            ("level", "ipw"), ("level", "ols"), ("volatility", "ipw"), ("volatility", "ols"),
+        ]
+        assert [r[14] for r in rows[0::2]] == [str(task_seed(9, key)) for key in keys]
+        assert [(r[13], r[14]) for r in rows[1::2]] == [("0", "0"), ("0", "0")]
 
     def test_infeasible_tasks_are_reported_not_failed(self, workspace):
         cfg, out = write_run_cfg(workspace, extra="min_cell = 500\n")

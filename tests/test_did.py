@@ -1,5 +1,6 @@
 """IPW and OLS difference-in-differences estimators."""
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -25,7 +26,6 @@ from seasondid import (
     label_panel,
     propensity_report,
     standardize_prices,
-    with_inference,
 )
 from seasondid import did
 from seasondid.did import CELL_ORDER, COMPARISON_CELLS, Z_975, two_sided_normal_p
@@ -50,7 +50,7 @@ from conftest import (
     week,
     window,
 )
-from oracles import did_from_cell_means, stratified_did
+from oracles import did_from_cell_means, row_level_bootstrap, stratified_did
 
 
 class TestCellMeans:
@@ -61,13 +61,13 @@ class TestCellMeans:
             t=[1, 1, 0, 0, 1, 1, 0, 0],
         )
         # (11 - 6) - (5 - 4) = 4
-        assert_allclose(cell_means_did(sample), 4.0, atol=1e-12)
+        assert_allclose(cell_means_did(sample.cell_table()).atet, 4.0, atol=1e-12)
 
     def test_matches_the_mask_oracle(self, rng):
         for _ in range(30):
             sample = random_cell_sample(rng)
             assert_allclose(
-                cell_means_did(sample),
+                cell_means_did(sample.cell_table()).atet,
                 did_from_cell_means(sample.y, sample.d, sample.t),
                 atol=1e-12,
             )
@@ -75,7 +75,7 @@ class TestCellMeans:
     def test_empty_cell_is_infeasible_with_a_stable_tag(self):
         sample = no_covariate_sample(y=[1.0, 2.0, 3.0], d=[1, 1, 0], t=[1, 0, 0])
         with pytest.raises(InfeasibleSampleError) as excinfo:
-            cell_means_did(sample)
+            cell_means_did(sample.cell_table())
         assert excinfo.value.reason == "empty_cell(D=0,T=1)"
 
     def test_min_cell_violation_names_the_cell(self):
@@ -83,7 +83,7 @@ class TestCellMeans:
             y=[1.0, 2.0, 3.0, 4.0, 5.0], d=[1, 1, 1, 0, 0], t=[1, 0, 0, 1, 0]
         )
         with pytest.raises(InfeasibleSampleError) as excinfo:
-            sample.validate_cells(min_cell=2)
+            sample.cell_table().validate(min_cell=2)
         assert excinfo.value.reason == "small_cell(D=1,T=1)"
 
 
@@ -91,8 +91,8 @@ class TestEstimatorAgreement:
     def test_no_covariates_ipw_equals_ols_equals_cell_means(self, rng):
         for _ in range(25):
             sample = random_cell_sample(rng)
-            direct = cell_means_did(sample)
-            assert_allclose(estimate_ipw_did(sample).atet, direct, atol=1e-10)
+            direct = cell_means_did(sample.cell_table()).atet
+            assert_allclose(estimate_ipw_did(sample.cell_table()).atet, direct, atol=1e-10)
             assert_allclose(estimate_ols_did(sample).atet, direct, atol=1e-10)
 
     def test_saturated_strata_ipw_matches_the_stratified_oracle(self, rng):
@@ -100,15 +100,15 @@ class TestEstimatorAgreement:
             n_strata = int(rng.integers(2, 7))
             sample, strata = stratified_sample(rng, n_strata)
             expected = stratified_did(sample.y, sample.d, sample.t, strata)
-            assert_allclose(estimate_ipw_did(sample).atet, expected, atol=1e-8)
+            assert_allclose(estimate_ipw_did(sample.cell_table()).atet, expected, atol=1e-8)
 
     def test_location_shift_equivariance(self, rng):
         sample, _ = stratified_sample(rng, 3)
-        base = estimate_ipw_did(sample).atet
+        base = estimate_ipw_did(sample.cell_table()).atet
         shifted = DidSample(sample.y + 37.5, sample.d, sample.t, sample.stratum)
-        assert_allclose(estimate_ipw_did(shifted).atet, base, atol=1e-9)
+        assert_allclose(estimate_ipw_did(shifted.cell_table()).atet, base, atol=1e-9)
         scaled = DidSample(sample.y * -2.0, sample.d, sample.t, sample.stratum)
-        assert_allclose(estimate_ipw_did(scaled).atet, -2.0 * base, atol=1e-9)
+        assert_allclose(estimate_ipw_did(scaled.cell_table()).atet, -2.0 * base, atol=1e-9)
 
     def test_ols_with_saturated_strata_matches_stratified_structure(self, rng):
         # same design, no claim of equality with IPW; just that it runs and
@@ -135,9 +135,9 @@ class TestTrimming:
 
     def test_high_propensity_rows_are_trimmed_and_counted(self):
         sample = self.build_imbalanced()
-        rho = propensity_report(sample)
+        rho = propensity_report(sample.cell_table())
         counts, _ = sample.cell_table()
-        estimate = estimate_ipw_did(sample, trim_threshold=0.95)
+        estimate = estimate_ipw_did(sample.cell_table(), trim_threshold=0.95)
         for cell in ((1, 0), (0, 1), (0, 0)):
             index = CELL_ORDER.index(cell)
             expected = int(counts[index, rho[cell] > 0.95].sum())
@@ -148,18 +148,19 @@ class TestTrimming:
     def test_retained_sets_grow_with_the_threshold(self, rng):
         for _ in range(20):
             sample, _ = stratified_sample(rng, int(rng.integers(2, 5)), lo=2, hi=25)
-            for rho in propensity_report(sample).values():
+            for rho in propensity_report(sample.cell_table()).values():
                 # strata kept at 0.95 are kept at 0.99
                 assert np.all((rho <= 0.99) >= (rho <= 0.95))
 
     def test_trimming_changes_the_estimate_toward_the_balanced_stratum(self):
         sample = self.build_imbalanced()
-        trimmed = estimate_ipw_did(sample, trim_threshold=0.95).atet
-        untrimmed = estimate_ipw_did(sample, trim_threshold=1.0).atet
+        trimmed = estimate_ipw_did(sample.cell_table(), trim_threshold=0.95).atet
+        untrimmed = estimate_ipw_did(sample.cell_table(), trim_threshold=1.0).atet
         assert trimmed != pytest.approx(untrimmed)
         # with the imbalanced stratum dropped, only stratum 0 contributes to
         # the weighted comparison means
-        stratum0 = sample.take(np.flatnonzero(sample.stratum == 0))
+        rows = np.flatnonzero(sample.stratum == 0)
+        stratum0 = DidSample(sample.y[rows], sample.d[rows], sample.t[rows], sample.stratum[rows])
         treated_mean = float(sample.y[sample.cell_mask(1, 1)].mean())
         comparison = [
             float(stratum0.y[stratum0.cell_mask(d, t)].mean())
@@ -175,7 +176,7 @@ class TestTrimming:
             sample.y[rows], sample.d[rows], sample.t[rows], np.zeros(rows.size, np.intp)
         )
         with pytest.raises(TrimExhaustionError):
-            estimate_ipw_did(one_stratum, trim_threshold=0.9)
+            estimate_ipw_did(one_stratum.cell_table(), trim_threshold=0.9)
 
     def test_trim_treated_flag_trims_the_other_side(self, monkeypatch):
         calls = []
@@ -186,7 +187,7 @@ class TestTrimming:
 
         monkeypatch.setattr(did, "fit_logistic", counted_fit)
         sample = self.build_imbalanced()
-        estimate = estimate_ipw_did(sample, trim_threshold=0.95, trim_treated=True)
+        estimate = estimate_ipw_did(sample.cell_table(), trim_threshold=0.95, trim_treated=True)
         assert estimate.n_trimmed_by_cell[0] > 0
         assert estimate.n_trimmed_by_cell[1:] == (0, 0, 0)
         assert len(calls) == 0  # propensities are closed-form stratum shares
@@ -194,9 +195,9 @@ class TestTrimming:
     def test_threshold_must_be_a_probability(self, rng):
         sample = random_cell_sample(rng)
         with pytest.raises(ConfigError):
-            estimate_ipw_did(sample, trim_threshold=0.0)
+            estimate_ipw_did(sample.cell_table(), trim_threshold=0.0)
         with pytest.raises(ConfigError):
-            estimate_ipw_did(sample, trim_threshold=1.5)
+            estimate_ipw_did(sample.cell_table(), trim_threshold=1.5)
 
 
 class RowRho(NamedTuple):
@@ -212,7 +213,7 @@ def irls_propensity_report(sample: DidSample) -> dict:
     """Row-level reference for ``propensity_report``: one IRLS logit per
     pair on an intercept plus one dummy per stratum after the smallest code
     present (the season dummies that sample construction used to build)."""
-    sample.validate_cells()
+    sample.cell_table().validate()
     codes = np.unique(sample.stratum)
     names = tuple(f"stratum_{s}" for s in codes[1:])
     dummies = (sample.stratum[:, None] == codes[None, 1:]).astype(float)
@@ -237,7 +238,7 @@ def irls_propensity_report(sample: DidSample) -> dict:
 def row_level_propensity_report(sample: DidSample) -> dict:
     """Row-level reference for the closed-form propensities: each pair's
     stratum shares looked up for every comparison row and every (1,1) row."""
-    sample.validate_cells()
+    sample.cell_table().validate()
     treated = sample.cell_mask(1, 1)
     n_strata = int(sample.stratum.max()) + 1
     n11 = np.bincount(sample.stratum[treated], minlength=n_strata)
@@ -316,23 +317,23 @@ def sample_from_sizes(sizes) -> DidSample:
     return DidSample(y, np.array(d, np.int8), np.array(t, np.int8), np.array(stratum))
 
 
-def outcome_of(report_fn, sample, *args):
+def outcome_of(report_fn, *args):
     try:
-        return report_fn(sample, *args)
+        return report_fn(*args)
     except SeasonDidError as exc:
         return exc
 
 
 @st.composite
-def stratum_sizes(draw, treated_max=30):
+def stratum_sizes(draw, treated_max=30, count_max=30):
     """Counts per (stratum, cell) for up to four strata, at most
-    ``treated_max`` in the (1,1) cell and 30 in the others. Zeros make
-    one-sided and absent strata. One to three strata fill every cell, so
-    that most samples get past the empty-cell check and trimming can drop
+    ``treated_max`` in the (1,1) cell and ``count_max`` in the others. Zeros
+    make one-sided and absent strata. One to three strata fill every cell,
+    so that most samples get past the empty-cell check and trimming can drop
     some strata while keeping others."""
     def cells(lo):
         treated = st.integers(lo, treated_max)
-        count = st.integers(lo, 30)
+        count = st.integers(lo, count_max)
         if lo == 0:
             treated, count = st.just(0) | treated, st.just(0) | count
         return st.tuples(treated, count, count, count).map(list)
@@ -347,7 +348,7 @@ class TestClosedFormPropensity:
     @given(stratum_sizes())
     def test_matches_the_row_level_irls_fits(self, sizes):
         sample = sample_from_sizes(sizes)
-        closed = outcome_of(propensity_report, sample)
+        closed = outcome_of(propensity_report, sample.cell_table())
         reference = outcome_of(irls_propensity_report, sample)
         event(f"reference: {type(reference).__name__}")
         if isinstance(reference, RankError):
@@ -375,7 +376,7 @@ class TestClosedFormPropensity:
         with pytest.raises(RankError):  # the row-level fit it replaced
             irls_propensity_report(sample)
         with pytest.raises(SeparationError) as excinfo:
-            propensity_report(sample)
+            propensity_report(sample.cell_table())
         assert excinfo.value.columns == ("stratum_0",)
         # both are GlmError, so a bootstrap replicate fails either way
         assert issubclass(SeparationError, GlmError) and issubclass(RankError, GlmError)
@@ -388,10 +389,10 @@ class TestClosedFormPropensity:
         full = sample_from_sizes([[2, 3, 4, 5], [6, 2, 3, 1]])
         gap = sample_from_sizes([[0, 0, 0, 0], [2, 3, 4, 5], [0, 0, 0, 0], [6, 2, 3, 1]])
         for cell in COMPARISON_CELLS:
-            gap_rho = propensity_report(gap)[cell]
-            assert_array_equal(gap_rho[[1, 3]], propensity_report(full)[cell])
+            gap_rho = propensity_report(gap.cell_table())[cell]
+            assert_array_equal(gap_rho[[1, 3]], propensity_report(full.cell_table())[cell])
             assert_array_equal(gap_rho[[0, 2]], [0.0, 0.0])
-        assert_allclose(propensity_report(full)[(1, 0)], [2 / 5, 6 / 8])
+        assert_allclose(propensity_report(full.cell_table())[(1, 0)], [2 / 5, 6 / 8])
 
 
 class TestStratumTable:
@@ -406,7 +407,7 @@ class TestStratumTable:
         cells = sample_from_sizes(sizes)
         y = np.random.default_rng(seed).normal(100.0, 10.0, cells.n_obs)
         sample = DidSample(y, cells.d, cells.t, cells.stratum)
-        table = outcome_of(estimate_ipw_did, sample, threshold, trim_treated)
+        table = outcome_of(estimate_ipw_did, sample.cell_table(), threshold, trim_treated)
         reference = outcome_of(row_level_ipw_did, sample, threshold, trim_treated)
         event(f"reference: {type(reference).__name__}")
         if isinstance(reference, Exception):
@@ -430,7 +431,7 @@ class TestStratumTable:
         counts, sums = sample.cell_table()
         assert_array_equal(counts, [[1, 0, 1], [1, 0, 0], [0, 0, 1], [0, 0, 2]])
         assert_array_equal(sums, [[1, 0, 2], [8, 0, 0], [0, 0, 16], [0, 0, 36]])
-        assert sample.cell_counts() == (2, 1, 1, 2)
+        assert sample.cell_table().n_by_cell == (2, 1, 1, 2)
 
     @pytest.mark.parametrize(
         "d,t,stratum,message",
@@ -462,7 +463,7 @@ class TestBootstrap:
         )
         boot = bootstrap_se(sample, cell_means_did, reps=30, seed=3)
         assert boot.se == 0.0
-        assert boot.failures == 0
+        assert boot.bootstrap_failures == 0
 
     def test_replicates_resample_within_cells_only(self, rng):
         # cells have disjoint value ranges; a cross-cell leak would show up
@@ -488,7 +489,7 @@ class TestBootstrap:
             )
 
         boot = bootstrap_se(draw_sample(0), cell_means_did, reps=400, seed=9)
-        estimates = [cell_means_did(draw_sample(k)) for k in range(1, 401)]
+        estimates = [cell_means_did(draw_sample(k).cell_table()).atet for k in range(1, 401)]
         mc_sd = float(np.std(estimates, ddof=1))
         assert 0.7 * mc_sd < boot.se < 1.4 * mc_sd
 
@@ -504,8 +505,8 @@ class TestBootstrap:
             return cell_means_did(resampled)
 
         boot = bootstrap_se(sample, flaky, reps=50, seed=2)
-        assert boot.failures == 2
-        assert boot.replicates == 50
+        assert boot.bootstrap_failures == 2
+        assert boot.bootstrap_reps == 50
 
         state = {"first_call": True}
 
@@ -523,23 +524,130 @@ class TestBootstrap:
             bootstrap_se(random_cell_sample(rng), cell_means_did, reps=1, seed=0)
 
     def test_with_inference_merges_the_bootstrap_fields(self, rng):
+        # bootstrap_se returns the full-sample estimate with its inference
         sample = random_cell_sample(rng, lo=6, hi=10)
-        point = estimate_ipw_did(sample)
-        boot = bootstrap_se(sample, cell_means_did, reps=80, seed=4)
-        merged = with_inference(point, boot, seed=4)
+        point = estimate_ipw_did(sample.cell_table())
+        merged = bootstrap_se(sample, estimate_ipw_did, reps=80, seed=4)
+        assert merged.method == "ipw"
         assert merged.atet == point.atet
-        assert merged.se == boot.se
-        assert merged.ci_normal == boot.ci_normal
+        assert merged.n_by_cell == point.n_by_cell
+        assert merged.n_trimmed_by_cell == point.n_trimmed_by_cell
+        assert math.isfinite(merged.se) and merged.se > 0.0
         assert_allclose(
             merged.ci_normal,
-            (point.atet - Z_975 * boot.se, point.atet + Z_975 * boot.se),
+            (point.atet - Z_975 * merged.se, point.atet + Z_975 * merged.se),
             atol=1e-10,
         )
-        assert merged.ci_percentile == boot.ci_percentile
+        assert merged.ci_percentile[0] < merged.ci_percentile[1]
         assert merged.bootstrap_reps == 80
         assert merged.bootstrap_failures == 0
         assert merged.seed == 4
-        assert merged.p_value == boot.p_value
+        assert merged.p_value == two_sided_normal_p(point.atet, merged.se)
+
+
+class TestBootstrapOracle:
+    """``bootstrap_se`` tables each replicate at the full sample's width
+    from a code computed once; the oracle builds each replicate's sample
+    from its rows. Small cells make replicates lose strata, separate and
+    exhaust the trim."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stratum_sizes(treated_max=8, count_max=5),
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.just(cell_means_did),
+            st.builds(
+                lambda threshold, trim_treated: functools.partial(
+                    estimate_ipw_did, trim_threshold=threshold, trim_treated=trim_treated
+                ),
+                st.floats(0.5, 1.0),
+                st.booleans(),
+            ),
+        ),
+        st.integers(2, 40),
+    )
+    def test_matches_the_row_level_bootstrap(self, sizes, seed, estimator, reps):
+        cells = sample_from_sizes(sizes)
+        y = np.random.default_rng(seed).normal(100.0, 10.0, cells.n_obs)
+        sample = DidSample(y, cells.d, cells.t, cells.stratum)
+        table_calls, row_calls = [], []
+        table = outcome_of(bootstrap_se, sample, recorded(estimator, table_calls), reps, seed)
+        reference = outcome_of(
+            row_level_bootstrap, sample, recorded(estimator, row_calls), reps, seed
+        )
+        event(f"reference: {type(reference).__name__}")
+        # every call, the full sample's first: its estimate or its error
+        assert len(table_calls) == len(row_calls)
+        for (lost, ours), (_, theirs) in zip(table_calls, row_calls):
+            if lost:
+                event("a replicate lost a stratum")
+            if isinstance(theirs, str):
+                assert ours == theirs
+            else:
+                assert abs(ours - theirs) <= 1e-12 * abs(theirs), (ours, theirs)
+        if isinstance(reference, Exception):
+            assert type(table) is type(reference), (table, reference)
+            assert str(table) == str(reference)
+            return
+        assert not isinstance(table, Exception), table
+        atet, se, p, ci_normal, ci_percentile, failures = reference
+        event(f"replicate failures: {failures > 0}")
+        assert table.atet == atet
+        assert table.bootstrap_failures == failures
+        assert table.bootstrap_reps == reps and table.seed == seed
+        assert_allclose(table.se, se, rtol=1e-12, atol=0)
+        assert_allclose(table.p_value, p, rtol=1e-12, atol=0)
+        assert_allclose(table.ci_normal, ci_normal, rtol=1e-12, atol=0)
+        assert_allclose(table.ci_percentile, ci_percentile, rtol=1e-12, atol=0)
+
+
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_ten_percent_of_failed_replicates_is_the_limit(self, rng, failing):
+        sample = random_cell_sample(rng, lo=4, hi=6)
+
+        def failing_first():
+            calls = []
+
+            def estimator(table):
+                calls.append(table)
+                if 1 < len(calls) <= failing + 1:  # the first call is the full sample
+                    raise TrimExhaustionError("synthetic failure")
+                return cell_means_did(table)
+
+            return estimator
+
+        for bootstrap in (bootstrap_se, row_level_bootstrap):
+            estimator = failing_first()
+            if failing == 2:  # 2 of 20 is 10%, still allowed
+                result = bootstrap(sample, estimator, 20, 7)
+                failures = result[-1] if isinstance(result, tuple) else result.bootstrap_failures
+                assert failures == 2
+            else:
+                with pytest.raises(BootstrapDegenerateError, match="3 of 20"):
+                    bootstrap(sample, estimator, 20, 7)
+
+
+def recorded(estimator, calls):
+    """``estimator`` appending (whether the table lacks a stratum of the
+    first table it saw, its atet or its error's type name) to ``calls``."""
+    present = []
+
+    def call(table):
+        seen = table.counts.any(axis=0)
+        if not present:
+            present.append(seen)
+        full = present[0]
+        lost = bool((full[: seen.size] & ~seen).any() or full[seen.size :].any())
+        try:
+            estimate = estimator(table)
+        except SeasonDidError as exc:
+            calls.append((lost, type(exc).__name__))
+            raise
+        calls.append((lost, estimate.atet))
+        return estimate
+
+    return call
 
 
 class TestNormalP:

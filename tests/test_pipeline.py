@@ -1,6 +1,8 @@
 """prepare_outcome_rows: rows shared across tasks equal per-task rows, and
 failures stay per task."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from seasondid import (
 )
 from seasondid import pipeline
 from seasondid.cli import EXIT_OK, main
-from seasondid.errors import CalendarMissError, ConfigError, EmptyOverlapError
+from seasondid.errors import CalendarMissError, ConfigError, EmptyOverlapError, SeparationError
 from seasondid.ingest import write_calendar, write_prices
 from seasondid.panel import (
     LabeledObservation,
@@ -263,3 +265,26 @@ class TestFailuresStayPerTask:
             with pytest.raises(error) as expected:
                 reference_prepare_outcome_rows(task, store, calendar)
             assert str(raised.value) == str(expected.value)
+
+
+def test_missing_seed_is_reported_before_estimation():
+    # The control series lacks a whole season, so the IPW propensities
+    # separate; a bootstrap task without a seed must name the seed, not that.
+    cfg = SimConfig(n_seasons=3, seed=4)
+    treated, control, calendar = generate_panel(cfg)
+    control = [obs for obs in control if obs.week.year != 2016]
+    store = PanelStore(treated + control)
+    task = EstimationTask(
+        treated=SeriesSpec(cfg.product, cfg.quality, cfg.treated_country),
+        control=SeriesSpec(cfg.product, cfg.quality, cfg.control_country),
+        outcome=Outcome.LEVEL,
+        bootstrap_reps=20,
+        seed=None,
+    )
+    with pytest.raises(ConfigError, match="a seed is required"):
+        pipeline.run_task(task, store, calendar)
+    with pytest.raises(SeparationError):
+        pipeline.run_task(replace(task, seed=1), store, calendar)
+    # OLS draws nothing, so it needs no seed
+    (ols,) = pipeline.run_task(task, store, calendar, methods=("ols",)).estimates
+    assert ols.seed is None

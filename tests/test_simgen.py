@@ -37,7 +37,7 @@ def pipeline_estimate(cfg, covariates=CovariateSpec.SEASONAL):
     )
     treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
     sample = build_sample(task, treated_rows, control_rows)
-    return estimate_ipw_did(sample).atet
+    return estimate_ipw_did(sample.cell_table()).atet
 
 
 class TestDeterminism:

@@ -62,8 +62,11 @@ for effect in rolling_biweekly_effects(task, treated_rows, control_rows,
     atet = f"{effect.estimate.atet:8.3f}" if effect.estimate else "       -"
     print(f"{effect.biweek:>6}  {effect.status:<10}{atet}     {effect.seasons_used}")
 
-# Distribution summaries of the standardized levels per country and phase.
+# Distribution summaries of the standardized levels per country and phase;
+# the treated rows are all Swiss and the control rows all German.
 print("\ncountry  phase        mean     IQR")
-for row in describe_distribution(treated_rows + control_rows, Outcome.LEVEL):
+summaries = (describe_distribution(treated_rows, Outcome.LEVEL)
+             + describe_distribution(control_rows, Outcome.LEVEL))
+for row in summaries:
     print(f"{row.country:<8} {row.phase.value:<12}{row.mean:7.2f}  "
           f"[{row.q1:7.2f}, {row.q3:7.2f}]  n={row.n}")

@@ -64,12 +64,12 @@ from .ingest import (
     write_prices,
 )
 from .panel import (
-    LabeledObservation,
+    PHASES,
     Outcome,
+    PanelRows,
     PhaseLabel,
     PriceObservation,
     Quality,
-    SeasonId,
     SeriesKey,
     apply_boundary_exclusion,
     assign_season_week,
@@ -80,7 +80,6 @@ from .panel import (
 from .pipeline import TaskResult, prepare_outcome_rows, run_task, task_seed
 from .simgen import SimConfig, build_calendar, generate_panel, true_effect
 from .transforms import (
-    OutcomeObservation,
     compute_volatility,
     restrict_to_production_weeks,
     standardize_prices,

@@ -305,30 +305,15 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         skip_bad_rows=args.skip_bad_rows or None
     )
     store, calendar = _load_inputs(config)
-    level_rows = []
-    volatility_rows = []
-    for key in store.series():
-        labeled = label_panel(store.rows_for(key), calendar)
-        level_rows.extend(apply_boundary_exclusion(standardize_prices(labeled)))
-        volatility_rows.extend(compute_volatility(labeled))
-    rows: list[tuple] = []
-    for outcome, outcome_rows in (
-        (Outcome.LEVEL, level_rows),
-        (Outcome.VOLATILITY, volatility_rows),
-    ):
-        for summary in describe_distribution(outcome_rows, outcome):
-            rows.append(
-                (
-                    summary.country,
-                    summary.phase.value,
-                    summary.outcome.value,
-                    summary.mean,
-                    summary.q1,
-                    summary.median,
-                    summary.q3,
-                    summary.n,
-                )
-            )
+    labeled = label_panel(store.rows(), calendar)
+    rows = [
+        (s.country, s.phase.value, s.outcome.value, s.mean, s.q1, s.median, s.q3, s.n)
+        for outcome, outcome_rows in (
+            (Outcome.LEVEL, apply_boundary_exclusion(standardize_prices(labeled))),
+            (Outcome.VOLATILITY, compute_volatility(labeled)),
+        )
+        for s in describe_distribution(outcome_rows, outcome)
+    ]
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "descriptives.csv", DESCRIBE_COLUMNS, rows)

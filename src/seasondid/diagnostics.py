@@ -24,8 +24,7 @@ from .calendar import ProtectionCalendar, ProtectionWindow
 from .did import DidSample, EffectEstimate, EstimationTask, bootstrap_se, cell_means_did
 from .errors import InfeasibleSampleError
 from .glm import DesignMatrix, FitResult, fit_ols
-from .panel import Outcome, PhaseLabel, label_week
-from .transforms import OutcomeObservation
+from .panel import PHASES, Outcome, PanelRows, PhaseLabel, label_week
 from .weeks import IsoWeek
 
 _MAX_OFFSET_WALK = 120
@@ -101,52 +100,50 @@ def offset_weeks(window: ProtectionWindow, year: int, count: int) -> list[IsoWee
     return collected
 
 
-def _rows_by_week(rows: list[OutcomeObservation]) -> dict[IsoWeek, list[OutcomeObservation]]:
-    index: dict[IsoWeek, list[OutcomeObservation]] = {}
-    for row in rows:
-        index.setdefault(row.week, []).append(row)
-    return index
+def _values_by_week(rows: PanelRows) -> dict[int, np.ndarray]:
+    """Each week ordinal's outcome values, in row order."""
+    order = np.argsort(rows.week, kind="stable")
+    weeks, starts = np.unique(rows.week[order], return_index=True)
+    return dict(zip(weeks.tolist(), np.split(rows.value[order], starts[1:])))
 
 
 def _pool_seasons(
-    treated_index: dict[IsoWeek, list[OutcomeObservation]],
-    control_index: dict[IsoWeek, list[OutcomeObservation]],
+    treated_index: dict[int, np.ndarray],
+    control_index: dict[int, np.ndarray],
     contrasts: list[tuple[list[IsoWeek], list[IsoWeek]]],
 ) -> tuple[DidSample, int]:
     """Pool (post weeks, pre weeks) contrasts, one per season, into a 2x2
     sample with no covariates. A season enters only if both series are
     observed at every one of its weeks. Returns the sample and the number of
     seasons used."""
-    values: list[float] = []
+    values: list[np.ndarray] = [np.empty(0)]  # no season: an empty sample
     d: list[int] = []
     t: list[int] = []
     seasons_used = 0
     for post_weeks, pre_weeks in contrasts:
-        if not all(
-            w in treated_index and w in control_index for w in post_weeks + pre_weeks
-        ):
+        ordinals = [w.ordinal for w in post_weeks + pre_weeks]
+        if not all(w in treated_index and w in control_index for w in ordinals):
             continue
         for weeks, pseudo in ((post_weeks, 1), (pre_weeks, 0)):
             for week in weeks:
                 for side, index in ((1, treated_index), (0, control_index)):
-                    for row in index[week]:
-                        values.append(row.value)
-                        d.append(side)
-                        t.append(pseudo)
+                    values.append(index[week.ordinal])
+                    d += [side] * values[-1].size
+                    t += [pseudo] * values[-1].size
         seasons_used += 1
     sample = DidSample(
-        y=np.array(values),
+        y=np.concatenate(values),
         d=np.array(d, dtype=np.int8),
         t=np.array(t, dtype=np.int8),
-        stratum=np.zeros(len(values), dtype=np.intp),
+        stratum=np.zeros(len(d), dtype=np.intp),
     )
     return sample, seasons_used
 
 
 def pretrend_placebo(
     task: EstimationTask,
-    treated_rows: list[OutcomeObservation],
-    control_rows: list[OutcomeObservation],
+    treated_rows: PanelRows,
+    control_rows: PanelRows,
     calendar: ProtectionCalendar,
     reps: int,
     seed: int,
@@ -160,12 +157,9 @@ def pretrend_placebo(
     same stratified bootstrap as the main estimator.
     """
     window = calendar.window_for(task.treated.product)
-    treated_index = _rows_by_week(treated_rows)
-    control_index = _rows_by_week(control_rows)
-    years = sorted(
-        {row.season.index for row in treated_rows}
-        | {row.season.index for row in control_rows}
-    )
+    treated_index = _values_by_week(treated_rows)
+    control_index = _values_by_week(control_rows)
+    years = np.union1d(treated_rows.season, control_rows.season).tolist()
     contrasts = []
     for year in years:
         offsets = offset_weeks(window, year, 4)
@@ -196,8 +190,8 @@ def _protected_weeks(window: ProtectionWindow, year: int) -> list[IsoWeek]:
 
 def rolling_biweekly_effects(
     task: EstimationTask,
-    treated_rows: list[OutcomeObservation],
-    control_rows: list[OutcomeObservation],
+    treated_rows: PanelRows,
+    control_rows: PanelRows,
     calendar: ProtectionCalendar,
     reps: int,
     seed: int,
@@ -211,12 +205,9 @@ def rolling_biweekly_effects(
     reported as infeasible markers rather than dropped silently.
     """
     window = calendar.window_for(task.treated.product)
-    treated_index = _rows_by_week(treated_rows)
-    control_index = _rows_by_week(control_rows)
-    years = sorted(
-        {row.season.index for row in treated_rows}
-        | {row.season.index for row in control_rows}
-    )
+    treated_index = _values_by_week(treated_rows)
+    control_index = _values_by_week(control_rows)
+    years = np.union1d(treated_rows.season, control_rows.season).tolist()
     season_pre: dict[int, list[IsoWeek]] = {}
     season_biweeks: dict[int, list[list[IsoWeek]]] = {}
     for year in years:
@@ -264,30 +255,23 @@ def rolling_biweekly_effects(
     return results
 
 
-def describe_distribution(
-    rows: list[OutcomeObservation], outcome: Outcome
-) -> list[PhaseSummary]:
+def describe_distribution(rows: PanelRows, outcome: Outcome) -> list[PhaseSummary]:
     """Phase-level summaries per country.
 
-    First averages the outcome within each (country, product, quality,
-    season, phase) unit, then summarizes those unit averages per country and
-    phase with mean and quartiles. Output order is deterministic and
-    independent of input order.
+    First averages the outcome within each (series, season, phase) unit,
+    then summarizes those unit averages per country and phase with mean and
+    quartiles. ``rows.keys`` must be distinct. Output order is deterministic
+    and independent of input order.
     """
-    units: dict[tuple, list[float]] = {}
-    for row in rows:
-        key = (
-            row.series.country,
-            row.series.product,
-            row.series.quality,
-            row.series.region,
-            row.season,
-            row.phase,
-        )
-        units.setdefault(key, []).append(row.value)
     groups: dict[tuple[str, PhaseLabel], list[float]] = {}
-    for (country, _, _, _, _, phase), values in units.items():
-        groups.setdefault((country, phase), []).append(float(np.mean(values)))
+    order = np.lexsort((rows.phase, rows.season, rows.series))
+    unit = np.stack([rows.series, rows.season, rows.phase])[:, order]
+    starts = np.flatnonzero((unit[:, 1:] != unit[:, :-1]).any(axis=0)) + 1
+    for first, values in zip([0, *starts.tolist()], np.split(rows.value[order], starts)):
+        if values.size:
+            series, _, phase = unit[:, first].tolist()
+            group = (rows.keys[series].country, PHASES[phase])
+            groups.setdefault(group, []).append(float(np.mean(values)))
     summaries = []
     for (country, phase) in sorted(groups, key=lambda k: (k[0], k[1].value)):
         values = np.array(sorted(groups[(country, phase)]))

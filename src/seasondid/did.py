@@ -46,8 +46,7 @@ from .errors import (
 )
 # fit_logistic is not called here; perfbench/spans.py traces did.fit_logistic.
 from .glm import INTERCEPT_NAME, DesignMatrix, fit_logistic, fit_ols
-from .panel import Outcome, Quality
-from .transforms import OutcomeObservation
+from .panel import Outcome, PanelRows, PhaseLabel, Quality
 
 # z such that the standard normal leaves 2.5% in each tail
 Z_975 = 1.959963984540054
@@ -176,9 +175,9 @@ class CellTable(NamedTuple):
     def n_by_cell(self) -> tuple[int, int, int, int]:
         return tuple(int(n) for n in self.counts.sum(axis=1))
 
-    def validate(self, min_cell: int = 1) -> None:
-        """Raise :class:`InfeasibleSampleError` for an empty cell first,
-        then for a cell with fewer than ``min_cell`` rows."""
+    def validate(self, min_cell: int = 1) -> tuple[int, int, int, int]:
+        """Rows per cell; raises :class:`InfeasibleSampleError` for an empty
+        cell first, then for a cell with fewer than ``min_cell`` rows."""
         n_by_cell = self.n_by_cell
         for (d, t), count in zip(CELL_ORDER, n_by_cell):
             if count == 0:
@@ -192,6 +191,7 @@ class CellTable(NamedTuple):
                     f"small_cell(D={d},T={t})",
                     f"cell has {count} observations, need at least {min_cell}",
                 )
+        return n_by_cell
 
 
 def _cell_code(sample: DidSample) -> tuple[np.ndarray, int]:
@@ -243,14 +243,14 @@ def two_sided_normal_p(estimate: float, se: float) -> float:
 
 def cell_means_did(table: CellTable) -> EffectEstimate:
     """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00), pooling strata."""
-    table.validate()
-    means = table.sums.sum(axis=1) / table.counts.sum(axis=1)
+    n_by_cell = table.validate()
+    means = table.sums.sum(axis=1) / n_by_cell
     return EffectEstimate(
         method="means",
         atet=float(means[0] - means[1] - (means[2] - means[3])),
         se=math.nan,
         p_value=math.nan,
-        n_by_cell=table.n_by_cell,
+        n_by_cell=n_by_cell,
     )
 
 
@@ -265,6 +265,10 @@ def propensity_report(table: CellTable) -> dict[tuple[int, int], np.ndarray]:
     :class:`SeparationError`.
     """
     table.validate()
+    return _propensities(table)
+
+
+def _propensities(table: CellTable) -> dict[tuple[int, int], np.ndarray]:
     n11 = table.counts[0]
     rho = {}
     for (d, t), n_g in zip(COMPARISON_CELLS, table.counts[1:]):
@@ -295,9 +299,9 @@ def estimate_ipw_did(
     """
     if not 0.0 < trim_threshold <= 1.0:
         raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
-    rho = propensity_report(table)
+    n_by_cell = table.validate()
+    rho = _propensities(table)
     counts, sums = table
-    n_by_cell = table.n_by_cell
     stratum_means = sums / np.maximum(counts, 1)
     n11 = counts[0]
 
@@ -340,8 +344,7 @@ def estimate_ipw_did(
 
 def estimate_ols_did(sample: DidSample) -> EffectEstimate:
     """DiD as the D:T interaction in an OLS regression with covariates."""
-    table = sample.cell_table()
-    table.validate()
+    n_by_cell = sample.cell_table().validate()
     columns = [
         (INTERCEPT_NAME, np.ones(sample.n_obs)),
         ("d", sample.d.astype(float)),
@@ -360,7 +363,7 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
         atet=atet,
         se=se,
         p_value=two_sided_normal_p(atet, se),
-        n_by_cell=table.n_by_cell,
+        n_by_cell=n_by_cell,
     )
 
 
@@ -425,8 +428,8 @@ def bootstrap_se(
 
 def build_sample(
     task: EstimationTask,
-    treated_rows: list[OutcomeObservation],
-    control_rows: list[OutcomeObservation],
+    treated_rows: PanelRows,
+    control_rows: PanelRows,
 ) -> DidSample:
     """Assemble the estimation sample for one task.
 
@@ -435,19 +438,19 @@ def build_sample(
     D/T indicators and the stratum codes of the requested covariates (with
     season fixed effects, seasons in order with the earliest as code 0),
     validates that all four cells meet ``task.min_cell``, and returns the
-    sample.
+    sample: treated rows first, then control rows, each in their order.
     """
-    rows = list(treated_rows) + list(control_rows)
-    if any(row.phase.value == "boundary" for row in rows):
+    phase = np.concatenate([treated_rows.phase, control_rows.phase])
+    if (phase == PhaseLabel.BOUNDARY.code).any():
         raise ValueError("sample construction received Boundary rows")
-    y = np.array([row.value for row in rows])
-    d = np.array([1] * len(treated_rows) + [0] * len(control_rows), dtype=np.int8)
-    t = np.array([1 if row.phase.value == "protected" else 0 for row in rows], dtype=np.int8)
+    y = np.concatenate([treated_rows.value, control_rows.value])
+    d = np.repeat(np.array([1, 0], dtype=np.int8), (len(treated_rows), len(control_rows)))
+    t = (phase == PhaseLabel.PROTECTED.code).astype(np.int8)
     if task.covariates is CovariateSpec.SEASONAL:
-        seasons = np.array([row.season.index for row in rows], dtype=np.intp)
+        seasons = np.concatenate([treated_rows.season, control_rows.season])
         stratum = np.unique(seasons, return_inverse=True)[1]
     else:
-        stratum = np.zeros(len(rows), dtype=np.intp)
+        stratum = np.zeros(y.size, dtype=np.intp)
     sample = DidSample(y=y, d=d, t=t, stratum=stratum)
     sample.cell_table().validate(task.min_cell)
     return sample

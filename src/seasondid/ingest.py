@@ -9,18 +9,24 @@ positive decimal using ``.`` as the separator. Validation failures carry
 ``file:line`` positions; by default any failure rejects the file, with
 ``skip_bad_rows`` offending rows are dropped and counted instead. Duplicate
 (country, product, quality, region, year, iso_week) keys name both lines.
+Kept rows go straight into per-series arrays of ISO-week ordinals and
+prices, the columns of a ``PanelStore``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ConfigError, IngestError
-from .panel import PriceObservation, Quality, SeriesKey
+from .panel import PanelRows, PriceObservation, Quality, SeriesKey
 from .weeks import IsoWeek
 
 PRICE_HEADER = ("country", "product", "quality", "region", "year", "iso_week", "price")
@@ -36,6 +42,8 @@ ATTRIBUTE_HEADER = (
 
 _PRICE_PATTERN = re.compile(r"^\d+(\.\d+)?$")
 _MAX_REPORTED = 50
+_NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))
+_Columns = dict[SeriesKey, tuple[Iterable[int], list[float]]]
 
 
 @dataclass(frozen=True)
@@ -48,17 +56,34 @@ class IngestReport:
 
 
 class PanelStore:
-    """Price observations grouped by series, indexed by (product, quality,
-    country) market."""
+    """Price series as (week ordinal, price) arrays sorted by week, listed in
+    (product, quality, country, region) order and indexed by (product,
+    quality, country) market."""
 
-    def __init__(self, observations: list[PriceObservation]):
-        self._by_series: dict[SeriesKey, list[PriceObservation]] = {}
+    def __init__(self, observations: Iterable[PriceObservation] = ()):
+        columns: _Columns = {}
         for obs in observations:
-            self._by_series.setdefault(obs.series, []).append(obs)
-        for rows in self._by_series.values():
-            rows.sort(key=lambda o: o.week)
+            key = SeriesKey(obs.product, obs.quality, obs.country, obs.region)
+            weeks, prices = columns.setdefault(key, ([], []))
+            weeks.append(obs.week.ordinal)
+            prices.append(obs.price)
+        self._index(columns)
+
+    @classmethod
+    def from_columns(cls, columns: _Columns) -> "PanelStore":
+        """A store of series given as (week ordinals, prices) in any week order."""
+        store = cls.__new__(cls)
+        store._index(columns)
+        return store
+
+    def _index(self, columns: _Columns) -> None:
+        self._columns: dict[SeriesKey, tuple[np.ndarray, np.ndarray]] = {}
+        for key, (weeks, prices) in columns.items():
+            weeks = np.fromiter(weeks, dtype=np.int64, count=len(prices))
+            order = np.argsort(weeks, kind="stable")
+            self._columns[key] = (weeks[order], np.array(prices, dtype=float)[order])
         self._series = sorted(
-            self._by_series,
+            self._columns,
             key=lambda k: (k.product, k.quality.value, k.country, k.region or ""),
         )
         self._by_market: dict[tuple[str, Quality, str], list[SeriesKey]] = {}
@@ -66,13 +91,22 @@ class PanelStore:
             self._by_market.setdefault((key.product, key.quality, key.country), []).append(key)
 
     def __len__(self) -> int:
-        return sum(len(rows) for rows in self._by_series.values())
+        return sum(weeks.size for weeks, _ in self._columns.values())
 
     def series(self) -> list[SeriesKey]:
         return list(self._series)
 
-    def rows_for(self, key: SeriesKey) -> list[PriceObservation]:
-        return list(self._by_series.get(key, []))
+    def rows(self, keys: Iterable[SeriesKey] | None = None) -> PanelRows:
+        """The rows of ``keys`` (of every series when None), series in that
+        order; a key the store lacks has no rows."""
+        keys = tuple(self._series if keys is None else keys)
+        columns = [self._columns.get(key, _NO_ROWS) for key in keys]
+        return PanelRows(
+            keys,
+            np.repeat(np.arange(len(keys)), [weeks.size for weeks, _ in columns]),
+            np.concatenate([weeks for weeks, _ in columns] + [_NO_ROWS[0]]),
+            np.concatenate([prices for _, prices in columns] + [_NO_ROWS[1]]),
+        )
 
     def rows_matching(
         self,
@@ -80,14 +114,11 @@ class PanelStore:
         quality: Quality,
         country: str,
         region: str | None = None,
-    ) -> list[PriceObservation]:
-        """All observations of a (product, quality, country) triple, series
-        in ``series()`` order; ``region=None`` pools every region."""
-        rows: list[PriceObservation] = []
-        for key in self._by_market.get((product, quality, country), ()):
-            if region is None or key.region == region:
-                rows.extend(self._by_series[key])
-        return rows
+    ) -> PanelRows:
+        """The rows of a (product, quality, country) market, series in
+        ``series()`` order; ``region=None`` pools every region."""
+        keys = self._by_market.get((product, quality, country), ())
+        return self.rows(key for key in keys if region is None or key.region == region)
 
     def countries(self) -> list[str]:
         return sorted({key.country for key in self.series()})
@@ -96,31 +127,35 @@ class PanelStore:
         return sorted({key.product for key in self.series()})
 
 
+def _data_rows(path: Path, handle, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each non-blank row after a header that must
+    equal ``header``."""
+    reader = csv.reader(handle)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise IngestError(f"{path.name}: file is empty") from None
+    if tuple(cell.strip() for cell in first) != header:
+        raise IngestError(
+            f"{path.name}:1: expected header {','.join(header)!r}, got {','.join(first)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if row and (len(row) > 1 or row[0].strip()):
+            yield lineno, row
+
+
 def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelStore, IngestReport]:
-    """Read and validate a price panel."""
+    """Read and validate a price panel into per-series arrays."""
     path = Path(path)
-    observations: list[PriceObservation] = []
+    columns: dict[SeriesKey, tuple[dict[int, int], list[float]]] = {}
     problems: list[str] = []
-    seen: dict[tuple, int] = {}
     rows_read = 0
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path.name}: file is empty") from None
-        if tuple(cell.strip() for cell in header) != PRICE_HEADER:
-            raise IngestError(
-                f"{path.name}:1: expected header {','.join(PRICE_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for lineno, row in _data_rows(path, handle, PRICE_HEADER):
             rows_read += 1
-            problem = _parse_price_row(path.name, lineno, row, seen, observations)
+            problem = _parse_price_row(lineno, row, columns)
             if problem is not None:
-                problems.append(problem)
+                problems.append(f"{path.name}:{lineno}: {problem}")
     if problems and not skip_bad_rows:
         shown = problems[:_MAX_REPORTED]
         if len(problems) > _MAX_REPORTED:
@@ -129,75 +164,74 @@ def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelSto
             f"{len(problems)} invalid rows in {path.name}:\n" + "\n".join(shown)
         )
     kept_by_country: dict[str, int] = {}
-    for obs in observations:
-        kept_by_country[obs.country] = kept_by_country.get(obs.country, 0) + 1
+    for key, (_, prices) in columns.items():
+        kept_by_country[key.country] = kept_by_country.get(key.country, 0) + len(prices)
     report = IngestReport(
         rows_read=rows_read,
-        rows_kept=len(observations),
+        rows_kept=rows_read - len(problems),
         rows_skipped=len(problems),
         kept_by_country=kept_by_country,
         problems=tuple(problems),
     )
-    return PanelStore(observations), report
+    return PanelStore.from_columns(columns), report
 
 
 def _parse_price_row(
-    filename: str,
-    lineno: int,
-    row: list[str],
-    seen: dict[tuple, int],
-    observations: list[PriceObservation],
+    lineno: int, row: list[str], columns: dict[SeriesKey, tuple[dict[int, int], list[float]]]
 ) -> str | None:
-    """Parse one data row; returns a problem string or appends the row."""
+    """Parse one data row; returns its first problem or adds the row to its
+    series' (line by week ordinal, prices) column."""
     if len(row) != len(PRICE_HEADER):
-        return f"{filename}:{lineno}: expected {len(PRICE_HEADER)} fields, got {len(row)}"
-    country, product, quality_text, region, year_text, week_text, price_text = (
-        cell.strip() for cell in row
-    )
-    if not country:
-        return f"{filename}:{lineno}: empty country"
-    if not product:
-        return f"{filename}:{lineno}: empty product"
-    try:
-        quality = Quality.parse(quality_text)
-    except ConfigError as exc:
-        return f"{filename}:{lineno}: {exc}"
-    if not (year_text.isdigit() and week_text.isdigit()):
-        return f"{filename}:{lineno}: year and iso_week must be integers"
-    try:
-        week = IsoWeek(int(year_text), int(week_text))
-    except ConfigError as exc:
-        return f"{filename}:{lineno}: {exc}"
+        return f"expected {len(PRICE_HEADER)} fields, got {len(row)}"
+    key = _series_key(row[0], row[1], row[2], row[3])
+    if isinstance(key, str):
+        return key
+    week = _week_ordinal(row[4], row[5])
+    if isinstance(week, str):
+        return week
+    price_text = row[6].strip()
     price = float(price_text) if _PRICE_PATTERN.match(price_text) else math.nan
     if not price > 0:
-        return (
-            f"{filename}:{lineno}: price must be a positive decimal "
-            f"with '.' separator, got {price_text!r}"
-        )
+        return f"price must be a positive decimal with '.' separator, got {price_text!r}"
     if math.isinf(price):
+        return f"price {price_text[:20]}... ({len(price_text)} characters) overflows a float"
+    lines, prices = columns.setdefault(key, ({}, []))
+    if week in lines:
         return (
-            f"{filename}:{lineno}: price {price_text[:20]}... "
-            f"({len(price_text)} characters) overflows a float"
+            f"duplicate observation for {key.product}/{key.quality}/{key.country}/"
+            f"{key.region or '-'} {IsoWeek.from_ordinal(week)} "
+            f"(first seen on line {lines[week]})"
         )
-    key = (country, product, quality, region or None, week)
-    if key in seen:
-        return (
-            f"{filename}:{lineno}: duplicate observation for "
-            f"{product}/{quality}/{country}/{region or '-'} {week} "
-            f"(first seen on line {seen[key]})"
-        )
-    seen[key] = lineno
-    observations.append(
-        PriceObservation(
-            product=product,
-            quality=quality,
-            country=country,
-            region=region or None,
-            week=week,
-            price=price,
-        )
-    )
+    lines[week] = lineno
+    prices.append(price)
     return None
+
+
+# Cells repeat from row to row: each distinct text is checked once.
+@functools.lru_cache(maxsize=4096)
+def _series_key(country: str, product: str, quality: str, region: str) -> SeriesKey | str:
+    """The series of a row's first four cells, or their first problem."""
+    country, product, quality, region = (t.strip() for t in (country, product, quality, region))
+    if not country:
+        return "empty country"
+    if not product:
+        return "empty product"
+    try:
+        return SeriesKey(product, Quality.parse(quality), country, region or None)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@functools.lru_cache(maxsize=4096)
+def _week_ordinal(year: str, week: str) -> int | str:
+    """The ordinal of a row's ISO week, or the problem with its cells."""
+    year, week = year.strip(), week.strip()
+    if not (year.isdecimal() and week.isdecimal()):  # what int() reads
+        return "year and iso_week must be integers"
+    try:
+        return IsoWeek(int(year), int(week)).ordinal
+    except ConfigError as exc:
+        return str(exc)
 
 
 def write_prices(path: str | Path, observations: list[PriceObservation]) -> None:
@@ -248,19 +282,7 @@ def read_attributes(path: str | Path) -> list[AttributeRecord]:
     records: list[AttributeRecord] = []
     problems: list[str] = []
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path.name}: file is empty") from None
-        if tuple(cell.strip() for cell in header) != ATTRIBUTE_HEADER:
-            raise IngestError(
-                f"{path.name}:1: expected header {','.join(ATTRIBUTE_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for lineno, row in _data_rows(path, handle, ATTRIBUTE_HEADER):
             if len(row) != len(ATTRIBUTE_HEADER):
                 problems.append(
                     f"{path.name}:{lineno}: expected {len(ATTRIBUTE_HEADER)} fields, "

@@ -1,8 +1,11 @@
-"""Panel data model: price observations, phase labels, and seasons.
+"""Panel data model: price series as arrays, phase labels, and seasons.
 
 A *series* is one (product, quality, country, region) price sequence on a
-weekly grid. Weeks are labeled relative to a product's annual protection
-window:
+weekly grid. ``PanelRows`` holds rows of one or more series as parallel
+arrays (series code, ISO-week ordinal, price or outcome value) in series
+order and by week within a series; ``label_panel`` adds each row's phase
+code and season. Weeks are labeled relative to a product's annual
+protection window:
 
 * ``PROTECTED``   all seven days fall inside the window,
 * ``UNPROTECTED`` no day falls inside the window,
@@ -20,7 +23,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .calendar import ProtectionCalendar, ProtectionWindow
 from .errors import ConfigError
@@ -48,6 +53,14 @@ class PhaseLabel(enum.Enum):
     PROTECTED = "protected"
     UNPROTECTED = "unprotected"
     BOUNDARY = "boundary"
+
+    @property
+    def code(self) -> int:
+        """This label's entry in a labelled ``PanelRows.phase`` array."""
+        return PHASES.index(self)
+
+
+PHASES = tuple(PhaseLabel)
 
 
 class Outcome(str, enum.Enum):
@@ -90,28 +103,37 @@ class PriceObservation:
                 f"({self.product}, {self.country}, {self.week})"
             )
 
-    @property
-    def series(self) -> SeriesKey:
-        return SeriesKey(self.product, self.quality, self.country, self.region)
 
+@dataclass(frozen=True, eq=False)
+class PanelRows:
+    """Rows of price series as read-only parallel arrays; ``len()`` counts
+    the rows.
 
-@dataclass(frozen=True, order=True)
-class SeasonId:
-    """Season ``index`` of ``product``; the index is the calendar year whose
-    administered period anchors the season."""
+    ``series`` indexes ``keys``, ``week`` holds ISO-week ordinals
+    (``IsoWeek.ordinal``) and ``value`` the price or, once transformed, the
+    outcome. Labelled rows also carry ``phase`` codes (indices into
+    ``PHASES``) and ``season`` indices of the window they were labelled on.
+    """
 
-    product: str
-    index: int
+    keys: tuple[SeriesKey, ...]
+    series: np.ndarray
+    week: np.ndarray
+    value: np.ndarray
+    phase: np.ndarray | None = None
+    season: np.ndarray | None = None
 
-    def __str__(self) -> str:
-        return f"{self.product}:{self.index}"
+    def __post_init__(self):
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
+    def __len__(self) -> int:
+        return self.week.size
 
-@dataclass(frozen=True)
-class LabeledObservation:
-    obs: PriceObservation
-    phase: PhaseLabel
-    season: SeasonId
+    def take(self, rows) -> "PanelRows":
+        """The rows that a boolean mask or an index array picks, in its order."""
+        arrays = vars(self).items()
+        return replace(self, **{k: a[rows] for k, a in arrays if isinstance(a, np.ndarray)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,35 +170,37 @@ def assign_season_week(window: ProtectionWindow, week: IsoWeek) -> int:
 
 
 def label_panel(
-    observations: list[PriceObservation],
-    calendar: ProtectionCalendar,
-    window_product: str | None = None,
-) -> list[LabeledObservation]:
-    """Attach phase labels and seasons to a panel.
+    rows: PanelRows, calendar: ProtectionCalendar, window_product: str | None = None
+) -> PanelRows:
+    """Attach phase codes and season indices to a panel's rows.
 
-    ``window_product`` labels every observation against that product's window
-    regardless of the observation's own product. This is how control-country
-    series are placed on the treated product's protection timeline; the
-    resulting SeasonId also carries ``window_product``. Phase and season are
-    worked out once per distinct (window product, week) in the call.
+    ``window_product`` labels every row against that product's window
+    regardless of the row's own product. This is how control-country series
+    are placed on the treated product's protection timeline. Phase and
+    season are worked out once per distinct (window product, week), then
+    spread to the rows: the phase by ``label_week``, the season as the last
+    one whose ``season_start_week`` is not after the week, which is what
+    ``assign_season_week`` returns.
     """
-    labels: dict[tuple[str, IsoWeek], tuple[PhaseLabel, SeasonId]] = {}
-    labeled = []
-    for obs in observations:
-        product = window_product if window_product is not None else obs.product
-        label = labels.get((product, obs.week))
-        if label is None:
-            window = calendar.window_for(product)
-            label = (
-                label_week(window, obs.week),
-                SeasonId(product, assign_season_week(window, obs.week)),
-            )
-            labels[product, obs.week] = label
-        labeled.append(LabeledObservation(obs=obs, phase=label[0], season=label[1]))
-    return labeled
+    groups: dict[str, list[int]] = {}
+    for code in dict.fromkeys(rows.series.tolist()):  # products in row order
+        product = rows.keys[code].product if window_product is None else window_product
+        groups.setdefault(product, []).append(code)
+    phase = np.empty(len(rows), dtype=np.int8)
+    season = np.empty(len(rows), dtype=np.int64)
+    for product, group in groups.items():
+        window = calendar.window_for(product)
+        mask = np.isin(rows.series, group) if len(groups) > 1 else slice(None)
+        weeks, inverse = np.unique(rows.week[mask], return_inverse=True)
+        iso = [IsoWeek.from_ordinal(week) for week in weeks.tolist()]
+        phase[mask] = np.array([label_week(window, week).code for week in iso])[inverse]
+        years = range(iso[0].year - 1, iso[-1].year + 2)
+        starts = [season_start_week(window, year).ordinal for year in years]
+        season[mask] = years[0] - 1 + np.searchsorted(starts, weeks, side="right")[inverse]
+    return PanelRows(rows.keys, rows.series, rows.week, rows.value, phase, season)
 
 
-def apply_boundary_exclusion(panel: list) -> list:
+def apply_boundary_exclusion(panel: PanelRows) -> PanelRows:
     """Drop Boundary-week rows from a labeled or transformed panel.
 
     For level outcomes this is the whole exclusion. For volatility the
@@ -185,4 +209,4 @@ def apply_boundary_exclusion(panel: list) -> list:
     differ, so transition weeks never contribute a change either way.
     Idempotent.
     """
-    return [row for row in panel if row.phase is not PhaseLabel.BOUNDARY]
+    return panel.take(panel.phase != PhaseLabel.BOUNDARY.code)

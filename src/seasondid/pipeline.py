@@ -4,12 +4,14 @@ Control observations are placed on the treated product's protection
 timeline: their phase labels and seasons come from the treated product's
 window, since the policy whose effect is estimated is the treated market's.
 
+Rows travel as ``PanelRows`` arrays from the store to ``build_sample``.
 A batch is many tasks over few series. ``prepare_outcome_rows`` takes a
 series' labelled and outcome rows from two memos keyed by store, calendar,
 series spec and window product (and outcome), each bounded at ``_MEMO_SIZE``
-entries and returning tuples no task can change; a call that raises leaves
-nothing behind. Tasks run in key order, so the ones sharing a series are
-neighbours and each series is labelled and transformed once per worker.
+entries and returning read-only arrays no task can change; a call that
+raises leaves nothing behind. Tasks run in key order, so the ones sharing a
+series are neighbours and each series is labelled and transformed once per
+worker.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .did import (
 )
 from .errors import ConfigError
 from .ingest import PanelStore
-from .panel import LabeledObservation, Outcome, apply_boundary_exclusion, label_panel
+from .panel import Outcome, PanelRows, apply_boundary_exclusion, label_panel
 from .transforms import (
-    OutcomeObservation,
     compute_volatility,
     restrict_to_production_weeks,
     standardize_prices,
@@ -55,9 +56,9 @@ def task_seed(master_seed: int, key: str) -> int:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _labeled_rows(
     store: PanelStore, calendar: ProtectionCalendar, spec: SeriesSpec, window_product: str
-) -> tuple[LabeledObservation, ...]:
+) -> PanelRows:
     raw = store.rows_matching(spec.product, spec.quality, spec.country, spec.region)
-    return tuple(label_panel(raw, calendar, window_product=window_product))
+    return label_panel(raw, calendar, window_product=window_product)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -67,18 +68,18 @@ def _outcome_rows(
     spec: SeriesSpec,
     window_product: str,
     outcome: Outcome,
-) -> tuple[OutcomeObservation, ...]:
+) -> PanelRows:
     labeled = _labeled_rows(store, calendar, spec, window_product)
     if outcome is Outcome.LEVEL:
-        return tuple(apply_boundary_exclusion(standardize_prices(labeled)))
-    return tuple(compute_volatility(labeled))
+        return apply_boundary_exclusion(standardize_prices(labeled))
+    return compute_volatility(labeled)
 
 
 def prepare_outcome_rows(
     task: EstimationTask,
     store: PanelStore,
     calendar: ProtectionCalendar,
-) -> tuple[list[OutcomeObservation], list[OutcomeObservation]]:
+) -> tuple[PanelRows, PanelRows]:
     """Transformed (treated, control) outcome rows for one task.
 
     Pipeline order: label phases/seasons, transform to the outcome scale,
@@ -98,7 +99,7 @@ def prepare_outcome_rows(
         treated_rows,
         product_map={task.control.product: task.treated.product},
     )
-    return list(treated_rows), control_rows
+    return treated_rows, control_rows
 
 
 @dataclass(frozen=True)

@@ -4,98 +4,62 @@ Pipeline order: label the raw panel, transform (this module), then apply the
 boundary exclusion and production-week restriction to the transformed rows.
 Standardization therefore uses every observed week of a season cell,
 including Boundary weeks that are later excluded from estimation samples.
+Each transform takes labelled ``PanelRows`` and returns rows with the
+outcome as their ``value``, in the input's order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
+
+import numpy as np
 
 from .errors import EmptyOverlapError
-from .panel import (
-    LabeledObservation,
-    PhaseLabel,
-    SeasonId,
-    SeriesKey,
-)
-from .weeks import IsoWeek, weeks_between
+from .panel import PanelRows, PhaseLabel
 
 
-@dataclass(frozen=True)
-class OutcomeObservation:
-    """One transformed outcome value on the weekly grid."""
-
-    series: SeriesKey
-    week: IsoWeek
-    season: SeasonId
-    phase: PhaseLabel
-    value: float
-
-
-def standardize_prices(labeled: list[LabeledObservation]) -> list[OutcomeObservation]:
+def standardize_prices(labeled: PanelRows) -> PanelRows:
     """Standardized price levels: 100 * price / mean(price) per season cell.
 
     The cell is one (series, season) pair, i.e. each price series is scaled
     by its own unweighted season average, so within every cell the
-    standardized values average exactly 100.
+    standardized values average exactly 100. A cell's prices are summed in
+    row order.
     """
-    cells: dict[tuple[SeriesKey, SeasonId], list[LabeledObservation]] = {}
-    for row in labeled:
-        cells.setdefault((row.obs.series, row.season), []).append(row)
-    out = []
-    for rows in cells.values():
-        mean = sum(r.obs.price for r in rows) / len(rows)
-        for r in rows:
-            out.append(
-                OutcomeObservation(
-                    series=r.obs.series,
-                    week=r.obs.week,
-                    season=r.season,
-                    phase=r.phase,
-                    value=100.0 * r.obs.price / mean,
-                )
-            )
-    return out
+    season = labeled.season - (labeled.season.min() if len(labeled) else 0)
+    cell = labeled.series * (season.max(initial=0) + 1) + season
+    counts = np.bincount(cell)
+    mean = np.bincount(cell, weights=labeled.value) / np.maximum(counts, 1)
+    return replace(labeled, value=100.0 * labeled.value / mean[cell])
 
 
-def compute_volatility(labeled: list[LabeledObservation]) -> list[OutcomeObservation]:
+def compute_volatility(labeled: PanelRows) -> PanelRows:
     """Absolute week-to-week price changes |p_w / p_{w-1} - 1| on raw prices.
 
-    A change is defined only when the two weeks are consecutive on the ISO
-    grid and share the same non-Boundary phase label, so no change spans a
-    phase transition or a gap. The change is recorded at the later week.
+    A change is defined only when the two weeks are consecutive rows of a
+    series (rows taken in series, then week order), one ISO week apart, and
+    share the same non-Boundary phase label, so no change spans a phase
+    transition or a gap. The change is recorded at the later week.
     Scale-free: rescaling a series by any positive constant leaves the
     output unchanged.
     """
-    by_series: dict[SeriesKey, list[LabeledObservation]] = {}
-    for row in labeled:
-        by_series.setdefault(row.obs.series, []).append(row)
-    out = []
-    for rows in by_series.values():
-        rows = sorted(rows, key=lambda r: r.obs.week)
-        for prev, cur in zip(rows, rows[1:]):
-            if weeks_between(prev.obs.week, cur.obs.week) != 1:
-                continue
-            if prev.phase is PhaseLabel.BOUNDARY or cur.phase is PhaseLabel.BOUNDARY:
-                continue
-            if prev.phase is not cur.phase:
-                continue
-            out.append(
-                OutcomeObservation(
-                    series=cur.obs.series,
-                    week=cur.obs.week,
-                    season=cur.season,
-                    phase=cur.phase,
-                    value=abs(cur.obs.price / prev.obs.price - 1.0),
-                )
-            )
-    return out
+    rows = labeled.take(np.lexsort((labeled.week, labeled.series)))
+    series, week, phase, price = rows.series, rows.week, rows.phase, rows.value
+    pair = (
+        (series[1:] == series[:-1])
+        & (week[1:] - week[:-1] == 1)
+        & (phase[1:] == phase[:-1])
+        & (phase[1:] != PhaseLabel.BOUNDARY.code)
+    )
+    later = rows.take(np.flatnonzero(pair) + 1)
+    return replace(later, value=np.abs(price[1:][pair] / price[:-1][pair] - 1.0))
 
 
 def restrict_to_production_weeks(
-    control: list[OutcomeObservation],
-    treated: list[OutcomeObservation],
+    control: PanelRows,
+    treated: PanelRows,
     product_map: dict[str, str] | None = None,
-) -> list[OutcomeObservation]:
+) -> PanelRows:
     """Keep control rows only for weeks where a matched treated row exists.
 
     A control row survives iff the treated panel has an observation with the
@@ -104,22 +68,22 @@ def restrict_to_production_weeks(
     in the map match under their own name.
     """
     product_map = product_map or {}
-    available = {(row.series.product, row.series.quality, row.week) for row in treated}
-    kept = [
-        row
-        for row in control
-        if (
-            product_map.get(row.series.product, row.series.product),
-            row.series.quality,
-            row.week,
-        )
-        in available
-    ]
-    if control and not kept:
-        control_names = sorted({str(row.series) for row in control})
-        treated_names = sorted({str(row.series) for row in treated})
+    pairs = [(key.product, key.quality) for key in treated.keys]
+    keep = np.zeros(len(control), dtype=bool)
+    for code, key in enumerate(control.keys):
+        pair = (product_map.get(key.product, key.product), key.quality)
+        matched = np.isin(treated.series, [c for c, p in enumerate(pairs) if p == pair])
+        rows = control.series == code
+        keep[rows] = np.isin(control.week[rows], treated.week[matched])
+    kept = control.take(keep)
+    if len(control) and not len(kept):
         raise EmptyOverlapError(
             "no control observation falls in a treated production week "
-            f"(control {', '.join(control_names)}; treated {', '.join(treated_names)})"
+            f"(control {', '.join(_names(control))}; treated {', '.join(_names(treated))})"
         )
     return kept
+
+
+def _names(rows: PanelRows) -> list[str]:
+    """Sorted names of the series that have rows."""
+    return sorted({str(rows.keys[code]) for code in np.unique(rows.series).tolist()})

@@ -41,6 +41,15 @@ class IsoWeek:
         iso = day.isocalendar()
         return cls(iso[0], iso[1])
 
+    @property
+    def ordinal(self) -> int:
+        """Consecutive weeks have consecutive ordinals (Monday's ordinal // 7)."""
+        return self.monday().toordinal() // 7
+
+    @classmethod
+    def from_ordinal(cls, ordinal: int) -> "IsoWeek":
+        return cls.from_date(dt.date.fromordinal(7 * ordinal + 1))
+
     @staticmethod
     def weeks_in_year(year: int) -> int:
         # ISO years have 53 weeks iff Dec 28 falls in week 53.

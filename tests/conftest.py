@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from seasondid import (
+    PHASES,
     DidSample,
     EstimationTask,
     IsoWeek,
     MonthDay,
     Outcome,
+    PanelRows,
+    PanelStore,
     PriceObservation,
     ProtectionCalendar,
     ProtectionWindow,
@@ -43,6 +46,34 @@ def price_row(
         week=wk,
         price=price,
     )
+
+
+def panel_rows(observations: list[PriceObservation]) -> PanelRows:
+    """The rows of every series of these observations, in store order."""
+    return PanelStore(observations).rows()
+
+
+def weeks_of(rows: PanelRows) -> list[IsoWeek]:
+    return [IsoWeek.from_ordinal(w) for w in rows.week.tolist()]
+
+
+def phases_of(rows: PanelRows) -> list:
+    return [PHASES[code] for code in rows.phase.tolist()]
+
+
+def records(rows: PanelRows) -> list[tuple]:
+    """(series, week, value) of each row; (series, week, season, phase,
+    value) once labelled."""
+    keys = [rows.keys[code] for code in rows.series.tolist()]
+    if rows.phase is None:
+        return list(zip(keys, weeks_of(rows), rows.value.tolist()))
+    return list(zip(keys, weeks_of(rows), rows.season.tolist(), phases_of(rows),
+                    rows.value.tolist()))
+
+
+def oracle_records(rows) -> list[tuple]:
+    """``records`` of the row-level oracle's outcome rows."""
+    return [(r.series, r.week, r.season.index, r.phase, r.value) for r in rows]
 
 
 def no_covariate_sample(y, d, t) -> DidSample:

@@ -18,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import basic_task, random_cell_sample, stratified_sample
+from conftest import (
+    basic_task,
+    panel_rows,
+    phases_of,
+    random_cell_sample,
+    stratified_sample,
+    weeks_of,
+)
 from oracles import (
     central_difference_gradient,
     golden_section_logit_1d,
@@ -220,10 +227,11 @@ def test_06_transform_invariants(report):
             seed=int(rng.integers(0, 1 << 30)),
         )
         treated, control, calendar = generate_panel(cfg)
-        standardized = standardize_prices(label_panel(treated + control, calendar))
+        standardized = standardize_prices(label_panel(panel_rows(treated + control), calendar))
         cells = {}
-        for row in standardized:
-            cells.setdefault((row.series, row.season), []).append(row.value)
+        for code, season, value in zip(standardized.series.tolist(),
+                                       standardized.season.tolist(), standardized.value):
+            cells.setdefault((code, season), []).append(value)
         for values in cells.values():
             worst_mean = max(worst_mean, abs(sum(values) / len(values) - 100.0))
 
@@ -231,23 +239,27 @@ def test_06_transform_invariants(report):
                     protected_end=22, true_atet=15.0, noise_sd=3.0, seed=77)
     treated, _, calendar = generate_panel(cfg)
     scaled = [replace(obs, price=obs.price * 2.0) for obs in treated]
-    vol = compute_volatility(label_panel(treated, calendar))
-    vol_scaled = compute_volatility(label_panel(scaled, calendar))
+    vol = compute_volatility(label_panel(panel_rows(treated), calendar))
+    vol_scaled = compute_volatility(label_panel(panel_rows(scaled), calendar))
     rescale_exact = (
         len(vol) == len(vol_scaled)
-        and all(a.week == b.week and a.value == b.value
-                for a, b in zip(vol, vol_scaled))
+        and all(a == b for a, b in zip(weeks_of(vol), weeks_of(vol_scaled)))
+        and all(a == b for a, b in zip(vol.value, vol_scaled.value))
     )
 
     midweek = replace(cfg, midweek_boundaries=True, seed=78)
     treated, control, calendar = generate_panel(midweek)
-    labeled = label_panel(treated + control, calendar)
-    phase_of = {(row.obs.series, row.obs.week): row.phase for row in labeled}
-    assert any(row.phase is PhaseLabel.BOUNDARY for row in labeled)
+    labeled = label_panel(panel_rows(treated + control), calendar)
+    phase_of = {
+        (labeled.keys[code], wk): phase
+        for code, wk, phase in zip(labeled.series, weeks_of(labeled), phases_of(labeled))
+    }
+    assert PhaseLabel.BOUNDARY in phase_of.values()
+    vol = compute_volatility(labeled)
     no_spans = all(
-        row.phase is not PhaseLabel.BOUNDARY
-        and phase_of[(row.series, row.week.prev())] is row.phase
-        for row in compute_volatility(labeled)
+        phase is not PhaseLabel.BOUNDARY
+        and phase_of[(vol.keys[code], wk.prev())] is phase
+        for code, wk, phase in zip(vol.series, weeks_of(vol), phases_of(vol))
     )
 
     ok = worst_mean < 1e-9 and rescale_exact and no_spans

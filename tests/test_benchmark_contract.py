@@ -2,12 +2,15 @@
 
 The tracer patches module attributes by name and counts bootstrap
 replicates as the estimator calls made inside each ``bootstrap_se`` call,
-less the first, which estimates the full sample. A refactor that renames a
-traced attribute or changes how often an estimator is called breaks the
+less the first, which estimates the full sample. It counts labelled and
+transformed rows as the ``len()`` of what ``label_panel`` and the two
+transforms return. A refactor that renames a traced attribute, changes how
+often an estimator is called or what those results count breaks the
 benchmark; these tests make it break the suite too. ``spans.py`` is loaded
 from its file and not changed.
 """
 
+import csv
 import importlib.util
 import json
 import sys
@@ -15,7 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from seasondid import IsoWeek, Outcome, PanelStore, PriceObservation, Quality
+from seasondid.calendar import ProtectionCalendar
 from seasondid.cli import EXIT_OK, main
+from seasondid.config import RunConfig, expand_tasks
 
 from test_cli import workspace  # noqa: F401  (fixture: simulated data, reps 25, two tasks)
 
@@ -52,3 +59,47 @@ def test_traced_replicates_match_the_cli_output(spans, workspace, command, manif
     assert metrics["did.replicates"] == REPS * len(statuses)
     assert metrics["did.replicate_failures"] == 0
     assert metrics["pipeline.tasks"] == len(statuses)
+
+
+def oracle_row_counts(run_cfg) -> tuple[int, int]:
+    """Rows the row-level oracle labels and transforms for the batch, once
+    per series spec and window product (and outcome), as the pipeline's
+    memos do: (labelled rows, transformed rows)."""
+    config = RunConfig.from_file(run_cfg)
+    with open(config.prices, newline="") as handle:
+        observations = [
+            PriceObservation(r["product"], Quality(r["quality"]), r["country"],
+                             r["region"] or None, IsoWeek(int(r["year"]), int(r["iso_week"])),
+                             float(r["price"]))
+            for r in csv.DictReader(handle)
+        ]
+    calendar = ProtectionCalendar.from_csv(config.calendar)
+    labeled, transformed = {}, {}
+    for task in expand_tasks(config, store=PanelStore(observations)):
+        for spec in (task.treated, task.control):
+            key = (spec, task.treated.product)
+            if key not in labeled:
+                raw = oracles.rows_matching(observations, spec.product, spec.quality,
+                                            spec.country, spec.region)
+                labeled[key] = oracles.label_panel(raw, calendar, task.treated.product)
+            transform = (oracles.standardize_prices if task.outcome is Outcome.LEVEL
+                         else oracles.compute_volatility)
+            transformed.setdefault(key + (task.outcome,), transform(labeled[key]))
+    return sum(map(len, labeled.values())), sum(map(len, transformed.values()))
+
+
+@pytest.mark.parametrize("command", ["run", "pretrend"])
+def test_traced_row_counts_match_the_oracle(spans, workspace, command):  # noqa: F811
+    _, _, run_cfg, _ = workspace
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert main([command, "--config", str(run_cfg)]) == EXIT_OK
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer.spans, 1.0, spans.task_seconds(tracer.spans))
+    rows_labeled, rows_out = oracle_row_counts(run_cfg)
+    assert rows_labeled > 0 and rows_out > 0
+    assert (metrics["panel.rows_labeled"], metrics["transforms.rows_out"]) == (
+        rows_labeled, rows_out
+    )

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from seasondid import (
+    PHASES,
     EffectAttributeRow,
     Outcome,
-    OutcomeObservation,
+    PanelRows,
     PanelStore,
     PhaseLabel,
     ProtectionCalendar,
     Quality,
-    SeasonId,
     SeriesKey,
     SimConfig,
     describe_distribution,
@@ -28,10 +29,10 @@ from seasondid import (
     standardize_prices,
     compute_volatility,
 )
-from seasondid.errors import InfeasibleSampleError
+from seasondid.errors import InfeasibleSampleError, SeasonDidError
 from seasondid.panel import label_week
 
-from conftest import basic_task, price_row, week, window
+from conftest import basic_task, panel_rows, price_row, week, weeks_of, window
 from oracles import did_from_cell_means, normal_equations_ols
 
 
@@ -45,13 +46,25 @@ def outcome_row(
     quality=Quality.CONVENTIONAL,
     region=None,
 ):
-    return OutcomeObservation(
-        series=SeriesKey(product, quality, country, region),
-        week=wk,
-        season=SeasonId(product, season_year),
-        phase=phase,
-        value=value,
+    return SeriesKey(product, quality, country, region), wk, value, phase, season_year
+
+
+def outcome_panel(rows) -> PanelRows:
+    """Outcome rows in the given order, from ``outcome_row`` tuples."""
+    keys = list(dict.fromkeys(key for key, *_ in rows))
+    return PanelRows(
+        tuple(keys),
+        np.array([keys.index(key) for key, *_ in rows], dtype=np.intp),
+        np.array([wk.ordinal for _, wk, *_ in rows], dtype=np.int64),
+        np.array([value for _, _, value, *_ in rows], dtype=float),
+        np.array([phase.code for *_, phase, _ in rows], dtype=np.int8),
+        np.array([season for *_, season in rows], dtype=np.int64),
     )
+
+
+def without_weeks(rows, weeks):
+    """``rows`` less those at any of ``weeks``."""
+    return rows.take(~np.isin(rows.week, [wk.ordinal for wk in weeks]))
 
 
 def simulated_rows(cfg):
@@ -113,14 +126,14 @@ class TestPretrendPlacebo:
 
         win = calendar.window_for(cfg.product)
         values, d, t = [], [], []
-        for year in sorted({r.season.index for r in treated_rows}):
+        for year in sorted(set(treated_rows.season.tolist())):
             offsets = offset_weeks(win, year, 4)
             for rows, dd in ((treated_rows, 1), (control_rows, 0)):
-                for row in rows:
-                    if row.week in offsets[:2]:
-                        values.append(row.value), d.append(dd), t.append(1)
-                    elif row.week in offsets[2:]:
-                        values.append(row.value), d.append(dd), t.append(0)
+                for row_week, value in zip(weeks_of(rows), rows.value):
+                    if row_week in offsets[:2]:
+                        values.append(value), d.append(dd), t.append(1)
+                    elif row_week in offsets[2:]:
+                        values.append(value), d.append(dd), t.append(0)
         expected = did_from_cell_means(np.array(values), np.array(d), np.array(t))
         assert_allclose(result.estimate.atet, expected, atol=1e-12)
 
@@ -139,7 +152,7 @@ class TestPretrendPlacebo:
         win = calendar.window_for(cfg.product)
         gap_year = cfg.first_year + 1
         missing_week = offset_weeks(win, gap_year, 4)[0]
-        thinned = [r for r in treated_rows if r.week != missing_week]
+        thinned = without_weeks(treated_rows, [missing_week])
         result = pretrend_placebo(task, thinned, control_rows, calendar,
                                   reps=50, seed=7)
         assert result.seasons_used == 2
@@ -151,7 +164,7 @@ class TestPretrendPlacebo:
         blocked = set()
         for year in (cfg.first_year, cfg.first_year + 1):
             blocked.update(offset_weeks(win, year, 4))
-        thinned = [r for r in treated_rows if r.week not in blocked]
+        thinned = without_weeks(treated_rows, blocked)
         with pytest.raises(InfeasibleSampleError) as excinfo:
             pretrend_placebo(task, thinned, control_rows, calendar, reps=50, seed=7)
         assert excinfo.value.reason == "pretrend_no_complete_season"
@@ -161,9 +174,9 @@ class TestRollingBiweeklyEffects:
     def protected_chunks(self, rows):
         """Per-season protected weeks, chunked in pairs like the estimator."""
         by_season = {}
-        for row in rows:
-            if row.phase is PhaseLabel.PROTECTED:
-                by_season.setdefault(row.season.index, set()).add(row.week)
+        for season, phase, row_week in zip(rows.season.tolist(), rows.phase, weeks_of(rows)):
+            if PHASES[phase] is PhaseLabel.PROTECTED:
+                by_season.setdefault(season, set()).add(row_week)
         return {
             year: [sorted(weeks)[i : i + 2] for i in range(0, len(weeks), 2)]
             for year, weeks in by_season.items()
@@ -220,7 +233,7 @@ class TestRollingBiweeklyEffects:
         for year, season_chunks in chunks.items():
             for chunk in season_chunks[n_common - 1 :]:
                 blocked.update(chunk)
-        thinned = [r for r in treated_rows if r.week not in blocked]
+        thinned = without_weeks(treated_rows, blocked)
         results = rolling_biweekly_effects(task, thinned, control_rows,
                                            calendar, reps=50, seed=1)
         for result in results:
@@ -235,14 +248,14 @@ class TestRollingBiweeklyEffects:
     def test_all_boundary_window_cannot_roll(self):
         calendar = ProtectionCalendar({"tomato": window("06-07", "06-09")})
         task = basic_task(product="tomato")
-        treated_rows = [
+        treated_rows = outcome_panel([
             outcome_row("CH", week(2016, 10 + j), 100.0, PhaseLabel.UNPROTECTED, 2016)
             for j in range(6)
-        ]
-        control_rows = [
+        ])
+        control_rows = outcome_panel([
             outcome_row("DE", week(2016, 10 + j), 100.0, PhaseLabel.UNPROTECTED, 2016)
             for j in range(6)
-        ]
+        ])
         with pytest.raises(InfeasibleSampleError) as excinfo:
             rolling_biweekly_effects(task, treated_rows, control_rows, calendar,
                                      reps=50, seed=1)
@@ -251,7 +264,7 @@ class TestRollingBiweeklyEffects:
 
 class TestDescribeDistribution:
     def hand_rows(self):
-        return [
+        return outcome_panel([
             # DE protected: two units with means 10 and 30
             outcome_row("DE", week(2016, 20), 5.0, PhaseLabel.PROTECTED, 2016),
             outcome_row("DE", week(2016, 21), 15.0, PhaseLabel.PROTECTED, 2016),
@@ -261,7 +274,7 @@ class TestDescribeDistribution:
             outcome_row("DE", week(2016, 10), 7.0, PhaseLabel.UNPROTECTED, 2016),
             # CH protected: one unit
             outcome_row("CH", week(2016, 20), 2.0, PhaseLabel.PROTECTED, 2016),
-        ]
+        ])
 
     def test_two_stage_aggregation_by_hand(self):
         summaries = describe_distribution(self.hand_rows(), Outcome.LEVEL)
@@ -282,19 +295,20 @@ class TestDescribeDistribution:
 
     def test_input_order_is_irrelevant(self):
         rows = self.hand_rows()
-        shuffled = rows[:]
-        random.Random(5).shuffle(shuffled)
+        order = list(range(len(rows)))
+        random.Random(5).shuffle(order)
+        shuffled = rows.take(np.array(order))
         assert describe_distribution(rows, Outcome.LEVEL) == describe_distribution(
             shuffled, Outcome.LEVEL
         )
 
     def test_regions_are_separate_units(self):
-        rows = [
+        rows = outcome_panel([
             outcome_row("DE", week(2016, 20), 10.0, PhaseLabel.PROTECTED, 2016,
                         region="north"),
             outcome_row("DE", week(2016, 20), 30.0, PhaseLabel.PROTECTED, 2016,
                         region="south"),
-        ]
+        ])
         summary = describe_distribution(rows, Outcome.LEVEL)[0]
         assert summary.n == 2
         assert summary.mean == 20.0
@@ -304,7 +318,7 @@ class TestDescribeDistribution:
             price_row("tomato", "CH", week(2016, number), 80.0)
             for number in range(10, 45)
         ]
-        labeled = label_panel(prices, tomato_calendar)
+        labeled = label_panel(panel_rows(prices), tomato_calendar)
         level = describe_distribution(standardize_prices(labeled), Outcome.LEVEL)
         for summary in level:
             assert_allclose(
@@ -314,6 +328,64 @@ class TestDescribeDistribution:
         volatility = describe_distribution(compute_volatility(labeled), Outcome.VOLATILITY)
         for summary in volatility:
             assert summary.mean == 0.0
+
+
+class TestDiagnosticsEqualTheRowLevelOracle:
+    """Placebo, rolling effects and summaries on array rows equal those of
+    the row-level oracle in ``oracles.py``, to the last bit."""
+
+    CONFIGS = {
+        "plain": SimConfig(n_seasons=3, noise_sd=2.0, seed=4),
+        "missing-weeks": SimConfig(n_seasons=4, noise_sd=3.0, missing_week_prob=0.15, seed=5),
+        "midweek-edges": SimConfig(n_seasons=3, noise_sd=1.0, midweek_boundaries=True,
+                                   trend_divergence_per_week=1.0, seed=6),
+    }
+
+    @staticmethod
+    def outcome_of(fn, *args):
+        try:
+            return fn(*args)
+        except SeasonDidError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("outcome", list(Outcome))
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_placebo_rolling_and_describe(self, name, outcome):
+        cfg = self.CONFIGS[name]
+        treated, control, calendar = generate_panel(cfg)
+        observations = treated + control
+        store = PanelStore(observations)
+        task = basic_task(outcome, product=cfg.product, control_country=cfg.control_country)
+        rows = prepare_outcome_rows(task, store, calendar)
+        oracle_rows = oracles.prepare_outcome_rows(task, observations, calendar)
+        for fn, oracle_fn in ((pretrend_placebo, oracles.pretrend_placebo),
+                              (rolling_biweekly_effects, oracles.rolling_biweekly_effects)):
+            got = self.outcome_of(fn, task, *rows, calendar, 30, 7)
+            assert got == self.outcome_of(oracle_fn, task, *oracle_rows, calendar, 30, 7)
+        for side, oracle_side in zip(rows, oracle_rows):
+            got = describe_distribution(side, outcome)
+            assert got == oracles.describe_distribution(oracle_side, outcome)
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_describe_of_a_whole_store(self, name):
+        # as the describe command does it: every series on its own window
+        treated, control, calendar = generate_panel(self.CONFIGS[name])
+        store = PanelStore(control + treated)
+        labeled = label_panel(store.rows(), calendar)
+        ordered = [
+            obs for key in store.series()
+            for obs in oracles.rows_matching(control + treated, key.product, key.quality,
+                                             key.country, key.region)
+        ]
+        oracle_labeled = oracles.label_panel(ordered, calendar)
+        pairs = (
+            (standardize_prices, oracles.standardize_prices, Outcome.LEVEL),
+            (compute_volatility, oracles.compute_volatility, Outcome.VOLATILITY),
+        )
+        for transform, oracle_transform, outcome in pairs:
+            assert describe_distribution(transform(labeled), outcome) == (
+                oracles.describe_distribution(oracle_transform(oracle_labeled), outcome)
+            )
 
 
 def attribute_row(gen, outcome=Outcome.LEVEL, conventional=None):

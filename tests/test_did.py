@@ -23,6 +23,7 @@ from seasondid import (
     cell_means_did,
     estimate_ipw_did,
     estimate_ols_did,
+    apply_boundary_exclusion,
     label_panel,
     propensity_report,
     standardize_prices,
@@ -44,6 +45,7 @@ from seasondid.glm import INTERCEPT_NAME, DesignMatrix, fit_logistic
 from conftest import (
     basic_task,
     no_covariate_sample,
+    panel_rows,
     price_row,
     random_cell_sample,
     stratified_sample,
@@ -672,9 +674,8 @@ class TestBuildSample:
             price_row(product if country == "CH" else "tomato", country, wk, price)
             for wk, price in price_by_week.items()
         ]
-        labeled = label_panel(rows, calendar, window_product="tomato")
-        out = standardize_prices(labeled)
-        return [r for r in out if r.phase.value != "boundary"]
+        labeled = label_panel(panel_rows(rows), calendar, window_product="tomato")
+        return apply_boundary_exclusion(standardize_prices(labeled))
 
     def weekly_prices(self, rng, years=(2015, 2016)):
         prices = {}
@@ -688,7 +689,7 @@ class TestBuildSample:
         control = self.outcome_rows(calendar, "DE", self.weekly_prices(rng))
         task = basic_task(product="tomato")
         sample = build_sample(task, treated, control)
-        seasons = np.array([row.season.index for row in treated + control])
+        seasons = np.concatenate([treated.season, control.season])
         assert sorted(set(seasons)) == [2015, 2016]
         assert sample.n_obs == len(treated) + len(control)
         # 2015 is the reference season (code 0), 2016 is code 1
@@ -703,11 +704,12 @@ class TestBuildSample:
 
     def test_boundary_rows_are_refused(self, rng, calendar):
         rows = [price_row("tomato", "CH", week(2016, 19), 150.0)]
-        labeled = label_panel(rows, calendar)
+        labeled = label_panel(panel_rows(rows), calendar)
         boundary_rows = standardize_prices(labeled)
         task = basic_task(product="tomato")
+        no_rows = boundary_rows.take(np.zeros(1, dtype=bool))
         with pytest.raises(ValueError):
-            build_sample(task, boundary_rows, [])
+            build_sample(task, boundary_rows, no_rows)
 
     def test_min_cell_enforced(self, rng, calendar):
         treated = self.outcome_rows(calendar, "CH", self.weekly_prices(rng))

@@ -6,6 +6,7 @@ from seasondid import (
     PanelStore,
     ProtectionCalendar,
     Quality,
+    SeriesKey,
     read_attributes,
     read_prices,
     write_calendar,
@@ -14,7 +15,7 @@ from seasondid import (
 from seasondid.errors import IngestError
 from seasondid.ingest import ATTRIBUTE_HEADER, PRICE_HEADER
 
-from conftest import price_row, week
+from conftest import price_row, records, week
 
 HEADER_LINE = ",".join(PRICE_HEADER)
 
@@ -49,7 +50,9 @@ class TestReadPrices:
         assert report.kept_by_country == {"CH": 2, "DE": 1}
         for row in rows:
             match = store.rows_matching(row.product, row.quality, row.country, row.region)
-            assert match == [row]  # float survives the repr round trip exactly
+            key = SeriesKey(row.product, row.quality, row.country, row.region)
+            # float survives the repr round trip exactly
+            assert records(match) == [(key, row.week, row.price)]
 
     def test_header_must_match_exactly(self, tmp_path):
         path = write_lines(tmp_path / "bad.csv",
@@ -78,6 +81,8 @@ class TestReadPrices:
             ("CH,,conventional,,2016,20,5.0", "empty product"),
             ("CH,tomato,premium,,2016,20,5.0", "unknown quality"),
             ("CH,tomato,conventional,,16,twenty,5.0", "must be integers"),
+            # a digit that int() does not read
+            ("CH,tomato,conventional,,2016,2\u00b2,5.0", "must be integers"),
             ("CH,tomato,conventional,,2016,54,5.0", "2016"),
             ("CH,tomato,conventional,,2016,20,1,5", "expected 7 fields"),
             ("CH,tomato,conventional,,2016,20,-3", "positive decimal"),
@@ -161,6 +166,76 @@ class TestReadPrices:
         assert report.rows_read == 2
 
 
+class TestIngestEdgeCases:
+    """Behaviour the per-text checks of the reader must keep."""
+
+    def test_padded_cells_give_the_same_store(self, tmp_path):
+        plain = price_file(tmp_path, [
+            "CH,tomato,conventional,,2016,20,5.0",
+            "DE,tomato,organic,north,2016,21,4.5",
+        ], name="plain.csv")
+        padded = price_file(tmp_path, [
+            " CH , tomato , Conventional ,  , 2016 , 20 , 5.0 ",
+            "DE ,tomato, ORGANIC,north ,2016, 21,4.5",
+        ], name="padded.csv")
+        (plain_store, plain_report), (padded_store, padded_report) = map(read_prices,
+                                                                         (plain, padded))
+        assert padded_store.series() == plain_store.series()
+        assert records(padded_store.rows()) == records(plain_store.rows())
+        assert padded_report == plain_report
+
+    @pytest.mark.parametrize("first,second", [(53, 53), (53, 52)])
+    def test_week_validity_depends_on_the_year(self, tmp_path, first, second):
+        # 2015 has 53 ISO weeks and 2016 has 52: the same week text is valid
+        # on one line and not on the next
+        path = price_file(tmp_path, [
+            f"CH,tomato,conventional,,2015,{first},5.0",
+            f"CH,tomato,conventional,,2016,{second},6.0",
+            "CH,tomato,conventional,,2016,53,7.0",
+            "CH,tomato,conventional,,2015,53,8.0",
+        ])
+        store, report = read_prices(path, skip_bad_rows=True)
+        problems = [p for p in report.problems if "invalid ISO week 2016-W53" in p]
+        assert [p.split(":")[1] for p in problems] == (["3", "4"] if second == 53 else ["4"])
+        kept = [(str(w), v) for _, w, v in records(store.rows())]
+        assert kept == [("2015-W53", 5.0)] + ([("2016-W52", 6.0)] if second == 52 else [])
+        assert report.problems[-1].startswith("prices.csv:5: duplicate observation")
+        assert report.problems[-1].endswith("2015-W53 (first seen on line 2)")
+
+    def test_a_rejected_row_is_not_the_first_seen_line(self, tmp_path):
+        path = price_file(tmp_path, [
+            "CH,tomato,conventional,,2016,20,abc",
+            "CH,tomato,conventional,,2016,20,5.0",
+            "CH,tomato,conventional,,2016,20,6.0",
+        ])
+        store, report = read_prices(path, skip_bad_rows=True)
+        assert [p.split(":")[1] for p in report.problems] == ["2", "4"]
+        assert "first seen on line 3" in report.problems[1]
+        assert [v for *_, v in records(store.rows())] == [5.0]
+
+    @pytest.mark.parametrize(
+        "row,first_fault",
+        [
+            (",,conventional,,2016,20,5.0", "empty country"),
+            (",tomato,premium,,2016,99,-1", "empty country"),
+            ("CH,,premium,,2016,20,5.0", "empty product"),
+            ("CH,tomato,premium,,2016,99,5.0", "unknown quality 'premium'"),
+            ("CH,tomato,conventional,,2016,x,-1", "year and iso_week must be integers"),
+            ("CH,tomato,conventional,,2016,54,-1", "invalid ISO week 2016-W54"),
+            ("CH,tomato,conventional,,2016,19,-1", "price must be a positive decimal"),
+            ("CH,tomato,conventional,,2016,19,9.0,", "expected 7 fields, got 8"),
+        ],
+        ids=["country+product", "country+quality+week+price", "product+quality",
+             "quality+week", "week-text+price", "week-number+price", "price+duplicate",
+             "fields+duplicate"],
+    )
+    def test_a_row_with_two_faults_reports_the_first(self, tmp_path, row, first_fault):
+        path = price_file(tmp_path, ["CH,tomato,conventional,,2016,19,4.0", row])
+        _, report = read_prices(path, skip_bad_rows=True)
+        (problem,) = report.problems
+        assert problem.startswith(f"prices.csv:3: {first_fault}")
+
+
 class TestPanelStore:
     def build(self):
         return PanelStore([
@@ -180,9 +255,10 @@ class TestPanelStore:
 
     def test_rows_are_sorted_by_week(self):
         store = self.build()
-        key = store.series()[-1]  # tomato / CH / no region
-        rows = store.rows_for(key)
-        assert [r.week for r in rows] == sorted(r.week for r in rows)
+        key = SeriesKey("tomato", Quality.CONVENTIONAL, "CH")  # no region
+        rows = store.rows([key])
+        assert rows.week.tolist() == sorted(rows.week.tolist())
+        assert rows.value.tolist() == [4.0, 5.0]  # prices travel with their weeks
 
     def test_region_none_pools_all_regions(self):
         store = self.build()
@@ -190,11 +266,11 @@ class TestPanelStore:
         assert len(pooled) == 3
         geneva = store.rows_matching("tomato", Quality.CONVENTIONAL, "CH", "geneva")
         assert len(geneva) == 1
-        assert geneva[0].region == "geneva"
+        assert geneva.keys[geneva.series[0]].region == "geneva"
 
     def test_quality_is_part_of_the_match(self):
         store = self.build()
-        assert store.rows_matching("leek", Quality.CONVENTIONAL, "CH") == []
+        assert len(store.rows_matching("leek", Quality.CONVENTIONAL, "CH")) == 0
         assert len(store.rows_matching("leek", Quality.ORGANIC, "CH")) == 1
 
 

@@ -1,12 +1,17 @@
 """Phase labeling and season assignment."""
 
+import datetime as dt
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seasondid import (
     IsoWeek,
+    MonthDay,
+    ProtectionWindow,
     PhaseLabel,
     ProtectionCalendar,
-    SeasonId,
     apply_boundary_exclusion,
     assign_season_week,
     label_panel,
@@ -17,7 +22,7 @@ from seasondid import (
 )
 from seasondid.errors import CalendarMissError, ConfigError
 
-from conftest import price_row, week, window
+from conftest import panel_rows, phases_of, price_row, week, weeks_of, window
 from oracles import midpoint_week_by_enumeration
 
 MAY_AUG = window("05-10", "08-31")
@@ -108,20 +113,23 @@ class TestLabelPanel:
             price_row("tomato", "CH", week(2016, 10), 220.0),
             price_row("tomato", "CH", week(2016, 19), 230.0),
         ]
-        labeled = label_panel(rows, tomato_calendar)
-        assert [r.phase for r in labeled] == [
-            PhaseLabel.PROTECTED,
+        raw = panel_rows(rows)  # rows of a series come in week order
+        labeled = label_panel(raw, tomato_calendar)
+        assert phases_of(labeled) == [
             PhaseLabel.UNPROTECTED,
             PhaseLabel.BOUNDARY,
+            PhaseLabel.PROTECTED,
         ]
-        assert all(r.season == SeasonId("tomato", 2016) for r in labeled)
-        assert [r.obs for r in labeled] == rows
+        assert all(season == 2016 for season in labeled.season)
+        assert weeks_of(labeled) == [week(2016, 10), week(2016, 19), week(2016, 25)]
+        assert labeled.value.tolist() == [220.0, 230.0, 240.0]
+        assert labeled.keys == raw.keys
 
     def test_window_product_puts_controls_on_the_treated_timeline(self, tomato_calendar):
-        control = [price_row("paradeiser", "DE", week(2016, 25), 150.0)]
+        control = panel_rows([price_row("paradeiser", "DE", week(2016, 25), 150.0)])
         labeled = label_panel(control, tomato_calendar, window_product="tomato")
-        assert labeled[0].phase is PhaseLabel.PROTECTED
-        assert labeled[0].season == SeasonId("tomato", 2016)
+        assert phases_of(labeled)[0] is PhaseLabel.PROTECTED
+        assert labeled.season[0] == 2016  # a season of the tomato window
         with pytest.raises(CalendarMissError):
             label_panel(control, tomato_calendar)  # own product has no window
 
@@ -134,13 +142,19 @@ class TestLabelPanel:
             price_row("leek", "CH", week(2016, 25), 90.0),
             price_row("tomato", "DE", week(2016, 25), 150.0),
         ]
-        labeled = label_panel(rows, calendar)
-        assert [r.phase for r in labeled] == [
-            PhaseLabel.PROTECTED,
+        labeled = label_panel(panel_rows(rows), calendar)  # series: leek, tomato CH, DE
+        assert phases_of(labeled) == [
             PhaseLabel.UNPROTECTED,
             PhaseLabel.PROTECTED,
+            PhaseLabel.PROTECTED,
         ]
-        assert [r.season.product for r in labeled] == ["tomato", "leek", "tomato"]
+        assert [labeled.keys[code].product for code in labeled.series] == [
+            "leek", "tomato", "tomato"
+        ]
+        # seasons follow each row's own window too: in January 2016 the leek
+        # season that began in 2015 is still running, the tomato 2016 one is not
+        january = [price_row(p, "CH", week(2016, 3), 1.0) for p in ("tomato", "leek")]
+        assert label_panel(panel_rows(january), calendar).season.tolist() == [2015, 2016]
 
     def test_boundary_exclusion_drops_only_boundary_rows(self, tomato_calendar):
         rows = [
@@ -149,10 +163,31 @@ class TestLabelPanel:
             price_row("tomato", "CH", week(2016, 35), 210.0),  # boundary
             price_row("tomato", "CH", week(2016, 40), 200.0),
         ]
-        labeled = label_panel(rows, tomato_calendar)
+        labeled = label_panel(panel_rows(rows), tomato_calendar)
         kept = apply_boundary_exclusion(labeled)
-        assert [r.obs.week.week for r in kept] == [25, 40]
-        assert apply_boundary_exclusion(kept) == kept  # idempotent
+        assert [wk.week for wk in weeks_of(kept)] == [25, 40]
+        again = apply_boundary_exclusion(kept)  # idempotent
+        assert weeks_of(again) == weeks_of(kept) and again.value.tolist() == kept.value.tolist()
+
+
+month_days = st.dates(dt.date(2000, 1, 1), dt.date(2000, 12, 31)).map(
+    lambda day: MonthDay(day.month, day.day)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(month_days, month_days, st.integers(1995, 2030), st.integers(1, 300),
+       st.sets(st.integers(0, 299), max_size=100))
+def test_label_panel_applies_the_scalar_rules_to_every_row(start, end, year, n_weeks, gaps):
+    # windows anywhere in the year, from one day long to nearly all of it
+    assume(start < end)
+    window_ = ProtectionWindow(start, end)
+    weeks = [w for i, w in enumerate(week_range(week(year, 1), week(year, 1).offset(n_weeks)))
+             if i not in gaps]
+    rows = panel_rows([price_row("okra", "CH", w, 1.0) for w in weeks])
+    labeled = label_panel(rows, ProtectionCalendar({"okra": window_}))
+    assert phases_of(labeled) == [label_week(window_, w) for w in weeks]
+    assert labeled.season.tolist() == [assign_season_week(window_, w) for w in weeks]
 
 
 def test_price_observations_must_be_positive_and_finite():

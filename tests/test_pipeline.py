@@ -1,5 +1,6 @@
-"""prepare_outcome_rows: rows shared across tasks equal per-task rows, and
-failures stay per task."""
+"""prepare_outcome_rows and build_sample: the columnar pipeline gives the
+row-level oracle's rows and samples bit for bit, rows shared across tasks
+equal per-task rows, and failures stay per task."""
 
 from dataclasses import replace
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from seasondid import (
+    CovariateSpec,
     EstimationTask,
     IsoWeek,
     MonthDay,
@@ -21,91 +24,49 @@ from seasondid import (
 )
 from seasondid import pipeline
 from seasondid.cli import EXIT_OK, main
-from seasondid.errors import CalendarMissError, ConfigError, EmptyOverlapError, SeparationError
-from seasondid.ingest import write_calendar, write_prices
-from seasondid.panel import (
-    LabeledObservation,
-    SeasonId,
-    apply_boundary_exclusion,
-    assign_season_week,
-    label_week,
+from seasondid.did import build_sample
+from seasondid.errors import (
+    CalendarMissError,
+    ConfigError,
+    EmptyOverlapError,
+    InfeasibleSampleError,
+    SeparationError,
 )
+from seasondid.ingest import write_calendar, write_prices
 from seasondid.pipeline import prepare_outcome_rows
 from seasondid.simgen import SimConfig, generate_panel
-from seasondid.transforms import (
-    compute_volatility,
-    restrict_to_production_weeks,
-    standardize_prices,
-)
 
-from conftest import price_row, window
+from conftest import oracle_records, price_row, records, window
 
 PRODUCTS = ("tomato", "leek")
 COUNTRIES = ("CH", "DE", "FR")
 REGIONS = ("north", "south")
 FIRST_WEEK = IsoWeek(2015, 1)
+ERRORS = (ConfigError, CalendarMissError, EmptyOverlapError, InfeasibleSampleError)
 
 
-# ---------------------------------------------------------------------------
-# reference: every task selects, labels and transforms its own rows
-
-
-def reference_rows_matching(store, spec):
-    rows = []
-    for key in store.series():
-        if (key.product, key.quality, key.country) != (spec.product, spec.quality, spec.country):
-            continue
-        if spec.region is not None and key.region != spec.region:
-            continue
-        rows.extend(store.rows_for(key))
-    return rows
-
-
-def reference_label_panel(observations, calendar, window_product):
-    window_ = calendar.window_for(window_product)
-    return [
-        LabeledObservation(
-            obs=obs,
-            phase=label_week(window_, obs.week),
-            season=SeasonId(window_product, assign_season_week(window_, obs.week)),
-        )
-        for obs in observations
-    ]
-
-
-def reference_prepare_outcome_rows(task, store, calendar):
-    treated_raw = reference_rows_matching(store, task.treated)
-    control_raw = reference_rows_matching(store, task.control)
-    if not treated_raw:
-        raise ConfigError(f"no price data for treated series {task.treated}")
-    if not control_raw:
-        raise ConfigError(f"no price data for control series {task.control}")
-
-    window_product = task.treated.product
-    treated_labeled = reference_label_panel(treated_raw, calendar, window_product)
-    control_labeled = reference_label_panel(control_raw, calendar, window_product)
-
-    if task.outcome is Outcome.LEVEL:
-        treated_rows = apply_boundary_exclusion(standardize_prices(treated_labeled))
-        control_rows = apply_boundary_exclusion(standardize_prices(control_labeled))
-    else:
-        treated_rows = compute_volatility(treated_labeled)
-        control_rows = compute_volatility(control_labeled)
-
-    control_rows = restrict_to_production_weeks(
-        control_rows,
-        treated_rows,
-        product_map={task.control.product: task.treated.product},
-    )
-    return treated_rows, control_rows
-
-
-def outcome_of(fn, task, store, calendar):
-    """Rows, or the type and message of the error ``fn`` raised."""
+def outcome_of(fn, *args):
+    """What ``fn`` returns, or the type and message of the error it raised."""
     try:
-        return fn(task, store, calendar)
-    except (ConfigError, CalendarMissError, EmptyOverlapError) as exc:
+        return fn(*args)
+    except ERRORS as exc:
         return type(exc), str(exc)
+
+
+def columnar_rows(task, store, observations, calendar):
+    return tuple(map(records, prepare_outcome_rows(task, store, calendar)))
+
+
+def oracle_rows(task, store, observations, calendar):
+    return tuple(map(oracle_records, oracles.prepare_outcome_rows(task, observations, calendar)))
+
+
+def columnar_sample(task, store, observations, calendar):
+    return build_sample(task, *prepare_outcome_rows(task, store, calendar))
+
+
+def oracle_sample(task, store, observations, calendar):
+    return oracles.build_sample(task, *oracles.prepare_outcome_rows(task, observations, calendar))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +114,8 @@ def panels(draw):
     return calendar, layout, n_weeks, missing, tasks
 
 
-def random_store(layout, n_weeks, missing, seed):
+def random_panel(layout, n_weeks, missing, seed):
+    """(store, observations) of a random panel: rows in random order."""
     rng = np.random.default_rng(seed)
     rows = []
     for (product, country), regions in sorted(layout.items()):
@@ -163,7 +125,8 @@ def random_store(layout, n_weeks, missing, seed):
                     price = float(rng.uniform(20.0, 200.0))
                     rows.append(price_row(product, country, FIRST_WEEK.offset(i), price,
                                           region=region))
-    return PanelStore(rows)
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return PanelStore(rows), rows
 
 
 class TestSharedRowsEqualPerTaskRows:
@@ -173,14 +136,40 @@ class TestSharedRowsEqualPerTaskRows:
         calendar, layout, n_weeks, missing, tasks = panel
         # Two stores with the same series and different prices, one after the
         # other in this process: neither may get the other's rows.
-        stores = [random_store(layout, n_weeks, missing, seed + i) for i in range(2)]
-        for store in stores:
+        panels_ = [random_panel(layout, n_weeks, missing, seed + i) for i in range(2)]
+        for store, observations in panels_:
             order = tasks * 2  # repeats hit the memo
             random.shuffle(order)
             for task in order:
-                got = outcome_of(prepare_outcome_rows, task, store, calendar)
-                want = outcome_of(reference_prepare_outcome_rows, task, store, calendar)
-                assert got == want
+                args = (task, store, observations, calendar)
+                assert outcome_of(columnar_rows, *args) == outcome_of(oracle_rows, *args)
+
+
+def same_sample(got, want) -> bool:
+    """Bitwise-equal samples, or the same error."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    return all(
+        getattr(got, name).dtype == getattr(want, name).dtype
+        and getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("y", "d", "t", "stratum")
+    )
+
+
+class TestSamplesEqualTheRowLevelOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(panels(), st.integers(0, 2**32 - 1), st.sampled_from(list(CovariateSpec)),
+           st.integers(1, 6))
+    def test_both_outcomes(self, panel, seed, covariates, min_cell):
+        calendar, layout, n_weeks, missing, tasks = panel
+        store, observations = random_panel(layout, n_weeks, missing, seed)
+        for task in tasks:
+            for outcome in Outcome:
+                task = replace(task, outcome=outcome, covariates=covariates, min_cell=min_cell)
+                args = (task, store, observations, calendar)
+                got = outcome_of(columnar_sample, *args)
+                want = outcome_of(oracle_sample, *args)
+                assert same_sample(got, want), (task, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +199,9 @@ def test_cli_run_labels_each_series_once_per_window_product(tmp_path, monkeypatc
     calls = []
     label_panel = pipeline.label_panel
 
-    def counting_label_panel(observations, calendar, window_product=None):
-        calls.append((observations[0].country, window_product))
-        return label_panel(observations, calendar, window_product=window_product)
+    def counting_label_panel(rows, calendar, window_product=None):
+        calls.append((rows.keys[rows.series[0]].country, window_product))
+        return label_panel(rows, calendar, window_product=window_product)
 
     monkeypatch.setattr(pipeline, "label_panel", counting_label_panel)
     assert main(["run", "--config", str(tmp_path / "run.cfg"), "--workers", "1"]) == EXIT_OK
@@ -227,13 +216,14 @@ class TestFailuresStayPerTask:
 
     @staticmethod
     def panel(overlap=True):
+        """(store, observations)"""
         weeks = [FIRST_WEEK.offset(i) for i in range(60)]
         control_weeks = weeks if overlap else [FIRST_WEEK.offset(60 + i) for i in range(60)]
         rows = [price_row("tomato", "CH", w, 100.0 + i) for i, w in enumerate(weeks)]
         rows += [price_row("tomato", "DE", w, 80.0 + i % 7) for i, w in enumerate(control_weeks)]
         rows += [price_row("okra", "CH", w, 90.0 + i % 5) for i, w in enumerate(weeks)]
         rows += [price_row("okra", "DE", w, 70.0 + i % 3) for i, w in enumerate(weeks)]
-        return PanelStore(rows)
+        return PanelStore(rows), rows
 
     @pytest.mark.parametrize(
         "treated,control,overlap,error,needle",
@@ -247,7 +237,7 @@ class TestFailuresStayPerTask:
         ],
     )
     def test_every_task_raises(self, treated, control, overlap, error, needle):
-        store = self.panel(overlap)
+        store, observations = self.panel(overlap)
         calendar = ProtectionCalendar({"tomato": window("05-10", "08-31"),
                                        "leek": window("04-01", "06-30")})
         tasks = [
@@ -263,7 +253,7 @@ class TestFailuresStayPerTask:
             with pytest.raises(error, match=needle) as raised:
                 prepare_outcome_rows(task, store, calendar)
             with pytest.raises(error) as expected:
-                reference_prepare_outcome_rows(task, store, calendar)
+                oracles.prepare_outcome_rows(task, observations, calendar)
             assert str(raised.value) == str(expected.value)
 
 

@@ -22,7 +22,7 @@ from seasondid import (
 from seasondid.errors import ConfigError
 from seasondid.simgen import _PRICE_FLOOR
 
-from conftest import basic_task
+from conftest import basic_task, panel_rows, phases_of, weeks_of
 
 
 def pipeline_estimate(cfg, covariates=CovariateSpec.SEASONAL):
@@ -136,8 +136,11 @@ class TestCalendarLayout:
         cfg = SimConfig(n_seasons=1, weeks_per_season=20, protected_start=5,
                         protected_end=12, seed=0)
         treated, _, calendar = generate_panel(cfg)
-        labeled = label_panel(treated, calendar)
-        by_offset = {row.obs.week.week - cfg.season_start_week: row.phase for row in labeled}
+        labeled = label_panel(panel_rows(treated), calendar)
+        by_offset = {
+            wk.week - cfg.season_start_week: phase
+            for wk, phase in zip(weeks_of(labeled), phases_of(labeled))
+        }
         for offset in range(cfg.weeks_per_season):
             expected = (
                 PhaseLabel.PROTECTED
@@ -149,8 +152,8 @@ class TestCalendarLayout:
     def test_midweek_boundaries_create_boundary_weeks(self):
         cfg = SimConfig(n_seasons=2, midweek_boundaries=True, seed=0)
         treated, _, calendar = generate_panel(cfg)
-        labeled = label_panel(treated, calendar)
-        assert any(row.phase is PhaseLabel.BOUNDARY for row in labeled)
+        labeled = label_panel(panel_rows(treated), calendar)
+        assert PhaseLabel.BOUNDARY in phases_of(labeled)
 
     def test_calendar_window_is_year_independent(self):
         cfg = SimConfig(n_seasons=3, seed=0)

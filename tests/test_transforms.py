@@ -15,16 +15,20 @@ from seasondid import (
 )
 from seasondid.errors import EmptyOverlapError
 
-from conftest import price_row, week, window
+from conftest import panel_rows, phases_of, price_row, week, weeks_of, window
 
 
-def labeled_series(calendar, country="CH", product="tomato", prices=None, quality=None):
-    prices = prices or {}
+def labeled_series(calendar, country="CH", product="tomato", prices=None, quality=None,
+                   more=()):
+    """One series' prices labelled on the tomato window; ``more`` adds the
+    (country, prices) of further series to the same rows."""
     kwargs = {"quality": quality} if quality else {}
     rows = [
-        price_row(product, country, wk, price, **kwargs) for wk, price in prices.items()
+        price_row(product, c, wk, price, **kwargs)
+        for c, series_prices in ((country, prices or {}), *more)
+        for wk, price in series_prices.items()
     ]
-    return label_panel(rows, calendar, window_product="tomato")
+    return label_panel(panel_rows(rows), calendar, window_product="tomato")
 
 
 @pytest.fixture
@@ -37,10 +41,10 @@ class TestStandardize:
         labeled = labeled_series(
             calendar, prices={week(2016, 24): 100.0, week(2016, 25): 300.0}
         )
-        out = sorted(standardize_prices(labeled), key=lambda r: r.week)
+        out = standardize_prices(labeled)
         # season mean is 200, so the values are 50 and 150
-        assert_allclose([r.value for r in out], [50.0, 150.0])
-        assert all(r.season.index == 2016 for r in out)
+        assert_allclose(out.value, [50.0, 150.0])
+        assert all(season == 2016 for season in out.season)
 
     def test_mean_is_100_per_series_season_cell(self, calendar, rng):
         prices = {}
@@ -50,15 +54,17 @@ class TestStandardize:
         labeled = labeled_series(calendar, prices=prices)
         out = standardize_prices(labeled)
         for year in (2015, 2016):
-            values = [r.value for r in out if r.season.index == year]
+            values = out.value[out.season == year]
             assert_allclose(np.mean(values), 100.0, atol=1e-9)
 
     def test_cells_split_by_series_not_only_season(self, calendar):
         # two series in the same season standardize independently
-        swiss = labeled_series(calendar, country="CH", prices={week(2016, 24): 100.0, week(2016, 25): 300.0})
-        german = labeled_series(calendar, country="DE", prices={week(2016, 24): 10.0, week(2016, 25): 30.0})
-        out = standardize_prices(swiss + german)
-        values = sorted(round(r.value, 9) for r in out)
+        both = labeled_series(
+            calendar, country="CH", prices={week(2016, 24): 100.0, week(2016, 25): 300.0},
+            more=[("DE", {week(2016, 24): 10.0, week(2016, 25): 30.0})],
+        )
+        out = standardize_prices(both)
+        values = sorted(round(v, 9) for v in out.value)
         assert values == [50.0, 50.0, 150.0, 150.0]
 
     def test_scale_invariance(self, calendar, rng):
@@ -67,20 +73,17 @@ class TestStandardize:
         scaled = standardize_prices(
             labeled_series(calendar, prices={k: 7.25 * v for k, v in prices.items()})
         )
-        assert_allclose(
-            [r.value for r in sorted(scaled, key=lambda r: r.week)],
-            [r.value for r in sorted(base, key=lambda r: r.week)],
-            rtol=1e-12,
-        )
+        assert_allclose(scaled.value, base.value, rtol=1e-12)
+        assert (scaled.week == base.week).all()
 
     def test_boundary_weeks_enter_the_season_mean(self, calendar):
         # 2016-W19 is a Boundary week; it still contributes to the mean
         labeled = labeled_series(
             calendar, prices={week(2016, 19): 100.0, week(2016, 24): 200.0, week(2016, 25): 300.0}
         )
-        out = sorted(standardize_prices(labeled), key=lambda r: r.week)
-        assert_allclose([r.value for r in out], [50.0, 100.0, 150.0])
-        assert out[0].phase is PhaseLabel.BOUNDARY
+        out = standardize_prices(labeled)
+        assert_allclose(out.value, [50.0, 100.0, 150.0])
+        assert phases_of(out)[0] is PhaseLabel.BOUNDARY
 
 
 class TestVolatility:
@@ -89,15 +92,15 @@ class TestVolatility:
             calendar,
             prices={week(2016, 24): 200.0, week(2016, 25): 230.0, week(2016, 26): 207.0},
         )
-        out = sorted(compute_volatility(labeled), key=lambda r: r.week)
-        assert [r.week.week for r in out] == [25, 26]
-        assert_allclose([r.value for r in out], [0.15, 0.1])
+        out = compute_volatility(labeled)
+        assert [wk.week for wk in weeks_of(out)] == [25, 26]
+        assert_allclose(out.value, [0.15, 0.1])
 
     def test_gap_breaks_the_chain(self, calendar):
         labeled = labeled_series(
             calendar, prices={week(2016, 24): 200.0, week(2016, 26): 230.0}
         )
-        assert compute_volatility(labeled) == []
+        assert len(compute_volatility(labeled)) == 0
 
     def test_phase_changes_and_boundary_weeks_break_the_chain(self, calendar):
         # weeks 18 (unprotected), 19 (boundary), 20 (protected): no pair is valid
@@ -105,12 +108,12 @@ class TestVolatility:
             calendar,
             prices={week(2016, 18): 200.0, week(2016, 19): 210.0, week(2016, 20): 220.0},
         )
-        assert compute_volatility(labeled) == []
+        assert len(compute_volatility(labeled)) == 0
         # without the boundary week in between, 18 -> 20 is a gap, still nothing
         labeled = labeled_series(
             calendar, prices={week(2016, 18): 200.0, week(2016, 20): 220.0}
         )
-        assert compute_volatility(labeled) == []
+        assert len(compute_volatility(labeled)) == 0
 
     def test_uses_raw_prices_and_is_scale_free(self, calendar, rng):
         prices = {week(2016, n): float(rng.uniform(50, 400)) for n in range(21, 34)}
@@ -118,13 +121,13 @@ class TestVolatility:
         scaled = compute_volatility(
             labeled_series(calendar, prices={k: 3.0 * v for k, v in prices.items()})
         )
-        assert_allclose([r.value for r in scaled], [r.value for r in base], rtol=1e-12)
+        assert_allclose(scaled.value, base.value, rtol=1e-12)
 
     def test_series_are_chained_independently(self, calendar):
-        swiss = labeled_series(calendar, country="CH", prices={week(2016, 24): 100.0})
-        german = labeled_series(calendar, country="DE", prices={week(2016, 25): 300.0})
+        both = labeled_series(calendar, country="CH", prices={week(2016, 24): 100.0},
+                              more=[("DE", {week(2016, 25): 300.0})])
         # consecutive weeks but different series: no change is defined
-        assert compute_volatility(swiss + german) == []
+        assert len(compute_volatility(both)) == 0
 
 
 class TestProductionWeekRestriction:
@@ -140,7 +143,7 @@ class TestProductionWeekRestriction:
             )
         )
         kept = restrict_to_production_weeks(control, treated)
-        assert sorted(r.week.week for r in kept) == [24, 25]
+        assert sorted(wk.week for wk in weeks_of(kept)) == [24, 25]
 
     def test_product_map_translates_control_products(self, calendar):
         treated = standardize_prices(
@@ -172,4 +175,5 @@ class TestProductionWeekRestriction:
         treated = standardize_prices(
             labeled_series(calendar, prices={week(2016, 24): 100.0})
         )
-        assert restrict_to_production_weeks([], treated) == []
+        empty = treated.take(np.zeros(len(treated), dtype=bool))
+        assert len(restrict_to_production_weeks(empty, treated)) == 0

@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seasondid import IsoWeek, week_range, weeks_between
 from seasondid.errors import ConfigError
@@ -84,3 +86,20 @@ def test_week_range_is_inclusive_and_gapless():
     assert week_range(first, first) == [first]
     with pytest.raises(ConfigError):
         week_range(last, first)
+
+
+# Weeks from 1990 to 2040, a third of them from the 53-week years in there.
+LONG_YEARS = [y for y in range(1990, 2041) if IsoWeek.weeks_in_year(y) == 53]
+iso_weeks = st.one_of(
+    st.dates(dt.date(1990, 1, 1), dt.date(2040, 12, 31)).map(IsoWeek.from_date),
+    st.builds(IsoWeek, st.sampled_from(LONG_YEARS), st.sampled_from([1, 52, 53])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(iso_weeks, iso_weeks, st.integers(-600, 600))
+def test_ordinals_number_weeks_consecutively(a, b, n):
+    assert IsoWeek.from_ordinal(a.ordinal) == a
+    assert (a < b) == (a.ordinal < b.ordinal)
+    assert weeks_between(a, b) == b.ordinal - a.ordinal
+    assert a.offset(n).ordinal == a.ordinal + n

@@ -38,7 +38,8 @@ class MonthDay:
     @classmethod
     def parse(cls, text: str) -> "MonthDay":
         parts = text.strip().split("-")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise CalendarError(f"expected MM-DD, got {text!r}")
         return cls(int(parts[0]), int(parts[1]))
 

@@ -23,8 +23,10 @@ estimators return an ``EffectEstimate``:
 
 ``bootstrap_se`` gives a table estimator its inference: it estimates the
 full sample once, then resamples observations independently within each of
-the four cells and re-estimates each replicate's table, counted from the
-drawn rows.
+the four cells, one draw call per replicate, and re-estimates each
+replicate's table. The tables of a block of replicates (at most
+``BLOCK_ROWS`` drawn rows, a constant with no setting) are counted from
+the drawn rows by one pair of ``bincount`` calls.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ Z_975 = 1.959963984540054
 
 CELL_ORDER = ((1, 1), (1, 0), (0, 1), (0, 0))
 COMPARISON_CELLS = ((1, 0), (0, 1), (0, 0))
+# Drawn rows tabulated together by bootstrap_se: a block holds as many
+# replicates as fit, at least one, so its index arrays stay a few MiB for
+# any sample size.
+BLOCK_ROWS = 1 << 16
 METHODS = ("ipw", "ols")
 
 
@@ -173,7 +179,7 @@ class CellTable(NamedTuple):
 
     @property
     def n_by_cell(self) -> tuple[int, int, int, int]:
-        return tuple(int(n) for n in self.counts.sum(axis=1))
+        return tuple(self.counts.sum(axis=1).tolist())
 
     def validate(self, min_cell: int = 1) -> tuple[int, int, int, int]:
         """Rows per cell; raises :class:`InfeasibleSampleError` for an empty
@@ -244,10 +250,11 @@ def two_sided_normal_p(estimate: float, se: float) -> float:
 def cell_means_did(table: CellTable) -> EffectEstimate:
     """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00), pooling strata."""
     n_by_cell = table.validate()
-    means = table.sums.sum(axis=1) / n_by_cell
+    n11, n10, n01, n00 = n_by_cell
+    s11, s10, s01, s00 = table.sums.sum(axis=1).tolist()
     return EffectEstimate(
         method="means",
-        atet=float(means[0] - means[1] - (means[2] - means[3])),
+        atet=s11 / n11 - s10 / n10 - (s01 / n01 - s00 / n00),
         se=math.nan,
         p_value=math.nan,
         n_by_cell=n_by_cell,
@@ -265,22 +272,25 @@ def propensity_report(table: CellTable) -> dict[tuple[int, int], np.ndarray]:
     :class:`SeparationError`.
     """
     table.validate()
-    return _propensities(table)
+    return dict(zip(COMPARISON_CELLS, _propensities(table)))
 
 
-def _propensities(table: CellTable) -> dict[tuple[int, int], np.ndarray]:
-    n11 = table.counts[0]
-    rho = {}
-    for (d, t), n_g in zip(COMPARISON_CELLS, table.counts[1:]):
-        one_sided = np.flatnonzero((n11 == 0) != (n_g == 0))
-        if one_sided.size:
-            raise SeparationError(
-                f"strata {one_sided.tolist()} have rows on only one side of the "
-                f"(1,1) vs (D={d},T={t}) propensity fit",
-                columns=tuple(f"stratum_{s}" for s in one_sided),
-            )
-        rho[(d, t)] = n11 / np.maximum(n11 + n_g, 1)
-    return rho
+def _propensities(table: CellTable) -> np.ndarray:
+    """rho per (comparison cell, stratum), comparison cells in
+    ``COMPARISON_CELLS`` order; the first pair with a one-sided stratum
+    raises."""
+    n11, n_g = table.counts[0], table.counts[1:]
+    one_sided = (n11 == 0) != (n_g == 0)
+    if one_sided.any():
+        k = int(one_sided.any(axis=1).argmax())
+        d, t = COMPARISON_CELLS[k]
+        strata = np.flatnonzero(one_sided[k])
+        raise SeparationError(
+            f"strata {strata.tolist()} have rows on only one side of the "
+            f"(1,1) vs (D={d},T={t}) propensity fit",
+            columns=tuple(f"stratum_{s}" for s in strata),
+        )
+    return n11 / np.maximum(n11 + n_g, 1)
 
 
 def estimate_ipw_did(
@@ -300,36 +310,37 @@ def estimate_ipw_did(
     if not 0.0 < trim_threshold <= 1.0:
         raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
     n_by_cell = table.validate()
-    rho = _propensities(table)
+    above = _propensities(table) > trim_threshold
     counts, sums = table
-    stratum_means = sums / np.maximum(counts, 1)
     n11 = counts[0]
 
-    trimmed = [0, 0, 0, 0]
-    treated_kept = np.ones(n11.size, dtype=bool)
-    means = []
-    for k, (d, t) in enumerate(COMPARISON_CELLS, start=1):
-        above = rho[(d, t)] > trim_threshold
-        if trim_treated:
-            treated_kept &= ~above
-            weights = n11
-        else:
-            trimmed[k] = int(counts[k, above].sum())
-            if trimmed[k] == n_by_cell[k]:
-                raise TrimExhaustionError(
-                    f"all {n_by_cell[k]} observations of cell (D={d},T={t}) "
-                    f"exceeded the trim threshold {trim_threshold}"
-                )
-            weights = np.where(above, 0, n11)
-        means.append(float(weights @ stratum_means[k]) / int(weights.sum()))
-
     if trim_treated:
-        trimmed[0] = int(n11[~treated_kept].sum())
+        treated_kept = ~above.any(axis=0)
+        trimmed = (int(n11[~treated_kept].sum()), 0, 0, 0)
         if trimmed[0] == n_by_cell[0]:
             raise TrimExhaustionError(
                 f"all {n_by_cell[0]} treated-protected observations exceeded "
                 f"the trim threshold {trim_threshold}"
             )
+        weights = n11
+    else:
+        treated_kept = slice(None)
+        trimmed_g = (counts[1:] * above).sum(axis=1)
+        exhausted = np.flatnonzero(trimmed_g == n_by_cell[1:])
+        if exhausted.size:
+            k = int(exhausted[0]) + 1
+            d, t = CELL_ORDER[k]
+            raise TrimExhaustionError(
+                f"all {n_by_cell[k]} observations of cell (D={d},T={t}) "
+                f"exceeded the trim threshold {trim_threshold}"
+            )
+        trimmed = (0, *trimmed_g.tolist())
+        weights = np.where(above, 0, n11)
+    # a 1-D dot per comparison cell, (1, strata) @ (strata, 1): a row sum
+    # would add in another order and move last digits of the outputs
+    stratum_means = sums[1:] / np.maximum(counts[1:], 1)
+    dots = np.matmul(weights[..., None, :], stratum_means[:, :, None])[:, 0, 0]
+    means = (dots / weights.sum(axis=-1)).tolist()
     treated_mean = float(sums[0, treated_kept].sum()) / int(n11[treated_kept].sum())
 
     return EffectEstimate(
@@ -338,7 +349,7 @@ def estimate_ipw_did(
         se=math.nan,
         p_value=math.nan,
         n_by_cell=n_by_cell,
-        n_trimmed_by_cell=tuple(trimmed),
+        n_trimmed_by_cell=trimmed,
     )
 
 
@@ -378,13 +389,16 @@ def bootstrap_se(
     ``estimator`` runs once on the full sample's table, and its errors
     propagate. Observations are then resampled with replacement
     independently within each of the four (D,T) cells, so no replicate
-    loses a cell, and each replicate's table is counted from the drawn rows
-    at the full sample's width. Replicates where the estimator fails
-    (separation, trim exhaustion, degenerate samples) are skipped and
-    counted; more than 10% failures raises
-    :class:`BootstrapDegenerateError`. Replicate ``r`` draws its randomness
-    from ``SeedSequence((seed, r))``, so results do not depend on scheduling
-    or on other tasks.
+    loses a cell. Replicate ``r`` draws its randomness from
+    ``SeedSequence((seed, r))`` with one ``integers`` call whose bound is
+    each row's cell size, rows ordered cell by cell in ``CELL_ORDER``: the
+    same stream as one call per cell, and results do not depend on
+    scheduling or on other tasks. The drawn rows of a block of replicates,
+    at most ``BLOCK_ROWS`` rows, are tabulated at the full sample's width
+    by one pair of ``bincount`` calls, and ``estimator`` runs once on each
+    replicate's table. Replicates where it fails (separation, trim
+    exhaustion, degenerate samples) are skipped and counted; more than 10%
+    failures raises :class:`BootstrapDegenerateError`.
 
     Returns the full-sample estimate with the replicate standard deviation
     (ddof=1) as its se, the two-sided normal p-value, both normal and
@@ -394,18 +408,32 @@ def bootstrap_se(
         raise ConfigError(f"bootstrap needs at least 2 replicates, got {reps}")
     estimate = estimator(sample.cell_table())
     code, strata = _cell_code(sample)
-    cells = [np.flatnonzero(sample.cell_mask(d, t)) for d, t in CELL_ORDER]
+    cell = code // strata
+    # rows cell by cell in CELL_ORDER, ascending within each cell
+    order = np.argsort(cell, kind="stable")
+    code, y = code[order], sample.y[order]
+    sizes = np.bincount(cell, minlength=4)
+    high = np.repeat(sizes, sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = 4 * strata
+    block = max(1, BLOCK_ROWS // max(code.size, 1))
     estimates = []
     failures = 0
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        rows = np.concatenate(
-            [cell[rng.integers(0, cell.size, cell.size)] for cell in cells]
-        )
-        try:
-            estimates.append(estimator(_table(code[rows], sample.y[rows], strata)).atet)
-        except (GlmError, TrimExhaustionError, InfeasibleSampleError):
-            failures += 1
+    for first in range(0, reps, block):
+        count = min(block, reps - first)
+        rows = np.empty((count, code.size), dtype=np.intp)
+        for i in range(count):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, first + i)))
+            rows[i] = rng.integers(0, high)
+        rows += start
+        tagged = code[rows] + (np.arange(count) * width)[:, None]
+        counts = np.bincount(tagged.ravel(), minlength=count * width)
+        sums = np.bincount(tagged.ravel(), weights=y[rows].ravel(), minlength=count * width)
+        for table in zip(counts.reshape(count, 4, strata), sums.reshape(count, 4, strata)):
+            try:
+                estimates.append(estimator(CellTable(*table)).atet)
+            except (GlmError, TrimExhaustionError, InfeasibleSampleError):
+                failures += 1
     if failures > 0.1 * reps:
         raise BootstrapDegenerateError(
             f"{failures} of {reps} bootstrap replicates failed; "

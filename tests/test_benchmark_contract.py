@@ -2,12 +2,13 @@
 
 The tracer patches module attributes by name and counts bootstrap
 replicates as the estimator calls made inside each ``bootstrap_se`` call,
-less the first, which estimates the full sample. It counts labelled and
-transformed rows as the ``len()`` of what ``label_panel`` and the two
-transforms return. A refactor that renames a traced attribute, changes how
-often an estimator is called or what those results count breaks the
-benchmark; these tests make it break the suite too. ``spans.py`` is loaded
-from its file and not changed.
+less the first, which estimates the full sample, and failed replicates as
+those calls that raised. It counts labelled and transformed rows as the
+``len()`` of what ``label_panel`` and the two transforms return. A
+refactor that renames a traced attribute, changes how often an estimator
+is called or what those results count breaks the benchmark; these tests
+make it break the suite too. ``spans.py`` is loaded from its file and not
+changed.
 """
 
 import csv
@@ -21,9 +22,11 @@ import pytest
 import oracles
 from seasondid import IsoWeek, Outcome, PanelStore, PriceObservation, Quality
 from seasondid.calendar import ProtectionCalendar
+import seasondid.pipeline as pipeline
 from seasondid.cli import EXIT_OK, main
 from seasondid.config import RunConfig, expand_tasks
 
+from test_cli import RUN_CFG, SIM_CFG
 from test_cli import workspace  # noqa: F401  (fixture: simulated data, reps 25, two tasks)
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -59,6 +62,46 @@ def test_traced_replicates_match_the_cli_output(spans, workspace, command, manif
     assert metrics["did.replicates"] == REPS * len(statuses)
     assert metrics["did.replicate_failures"] == 0
     assert metrics["pipeline.tasks"] == len(statuses)
+
+
+# Weeks missing at random leave some (cell, season) groups thin: at this
+# simulation seed both tasks succeed and a few of their IPW bootstrap
+# replicates separate.
+SPARSE_SIM_CFG = SIM_CFG + "missing_week_prob = 0.1\n"
+SPARSE_SIM_SEED = "3"
+
+
+def test_traced_replicate_failures_match_the_returned_estimates(spans, tmp_path, monkeypatch):
+    data, out = tmp_path / "data", tmp_path / "out"
+    sim_cfg, run_cfg = tmp_path / "sim.cfg", tmp_path / "run.cfg"
+    sim_cfg.write_text(SPARSE_SIM_CFG)
+    assert main(["simulate", "--config", str(sim_cfg), "--out", str(data),
+                 "--seed", SPARSE_SIM_SEED]) == EXIT_OK
+    run_cfg.write_text(RUN_CFG.format(prices=data / "prices.csv",
+                                      calendar=data / "calendar.csv", out=out))
+    returned = []
+
+    def recording(*args, **kwargs):
+        estimate = bootstrap_se(*args, **kwargs)
+        returned.append(estimate)
+        return estimate
+
+    bootstrap_se = pipeline.bootstrap_se
+    monkeypatch.setattr(pipeline, "bootstrap_se", recording)  # the tracer wraps the recorder
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert main(["run", "--config", str(run_cfg)]) == EXIT_OK
+    finally:
+        tracer.restore()
+
+    statuses = [s["status"] for s in json.loads((out / "manifest.json").read_text())["tasks"]]
+    assert statuses == ["ok", "ok"] and len(returned) == len(statuses)
+    failures = sum(estimate.bootstrap_failures for estimate in returned)
+    assert failures > 0, "the sparse panel no longer makes replicates fail"
+    metrics = spans.layer_metrics(tracer.spans, 1.0, spans.task_seconds(tracer.spans))
+    assert metrics["did.replicates"] == REPS * len(returned)
+    assert metrics["did.replicate_failures"] == failures
 
 
 def oracle_row_counts(run_cfg) -> tuple[int, int]:

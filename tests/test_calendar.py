@@ -17,7 +17,9 @@ class TestMonthDay:
         assert str(md) == "05-10"
         assert MonthDay.parse(" 11-03 ") == MonthDay(11, 3)
 
-    @pytest.mark.parametrize("bad", ["5/10", "0510", "13-01", "02-30", "05-", "-10", "a-b", ""])
+    @pytest.mark.parametrize(
+        "bad", ["5/10", "0510", "13-01", "02-30", "05-", "-10", "a-b", "", "05-1²"]
+    )
     def test_parse_rejects_malformed_text(self, bad):
         with pytest.raises(CalendarError):
             MonthDay.parse(bad)
@@ -92,6 +94,13 @@ class TestCalendarFile:
         assert "calendar.csv:3" in message
         assert "calendar.csv:4" in message
         assert "calendar.csv:5" in message
+
+    def test_non_decimal_digits_are_a_row_problem(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text("tomato,05-10,08-31\nleek,05-1²,11-15\n", encoding="utf-8")
+        with pytest.raises(CalendarError) as excinfo:
+            ProtectionCalendar.from_csv(path)
+        assert "cal.csv:2: expected MM-DD, got '05-1²'" in str(excinfo.value)
 
     def test_duplicate_product_names_both_lines(self, tmp_path):
         path = tmp_path / "calendar.csv"

@@ -3,6 +3,7 @@
 import functools
 import math
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -547,66 +548,116 @@ class TestBootstrap:
         assert merged.p_value == two_sided_normal_p(point.atet, merged.se)
 
 
+class TestBootstrapDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.just(1) | st.integers(1, 300), min_size=4, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10_000),
+    )
+    def test_one_call_with_each_rows_cell_size_draws_the_per_cell_stream(
+        self, sizes, seed, rep
+    ):
+        # bootstrap_se relies on this numpy behaviour for bounded integers
+        def generator():
+            return np.random.default_rng(np.random.SeedSequence((seed, rep)))
+
+        per_cell = generator()
+        expected = np.concatenate([per_cell.integers(0, n, n) for n in sizes])
+        assert_array_equal(generator().integers(0, np.repeat(sizes, sizes)), expected)
+
+
+TABLE_ESTIMATORS = st.one_of(
+    st.just(cell_means_did),
+    st.builds(
+        lambda threshold, trim_treated: functools.partial(
+            estimate_ipw_did, trim_threshold=threshold, trim_treated=trim_treated
+        ),
+        st.floats(0.5, 1.0),
+        st.booleans(),
+    ),
+)
+
+
+def assert_matches_the_row_level_bootstrap(sizes, seed, estimator, reps):
+    cells = sample_from_sizes(sizes)
+    y = np.random.default_rng(seed).normal(100.0, 10.0, cells.n_obs)
+    sample = DidSample(y, cells.d, cells.t, cells.stratum)
+    table_calls, row_calls = [], []
+    table = outcome_of(bootstrap_se, sample, recorded(estimator, table_calls), reps, seed)
+    reference = outcome_of(
+        row_level_bootstrap, sample, recorded(estimator, row_calls), reps, seed
+    )
+    event(f"reference: {type(reference).__name__}")
+    # every call, the full sample's first: its estimate or its error
+    assert len(table_calls) == len(row_calls)
+    for (lost, ours), (_, theirs) in zip(table_calls, row_calls):
+        if lost:
+            event("a replicate lost a stratum")
+        if isinstance(theirs, str):
+            assert ours == theirs
+        else:
+            assert abs(ours - theirs) <= 1e-12 * abs(theirs), (ours, theirs)
+    if isinstance(reference, Exception):
+        assert type(table) is type(reference), (table, reference)
+        assert str(table) == str(reference)
+        return
+    assert not isinstance(table, Exception), table
+    atet, se, p, ci_normal, ci_percentile, failures = reference
+    event(f"replicate failures: {failures > 0}")
+    assert table.atet == atet
+    assert table.bootstrap_failures == failures
+    assert table.bootstrap_reps == reps and table.seed == seed
+    assert_allclose(table.se, se, rtol=1e-12, atol=0)
+    assert_allclose(table.p_value, p, rtol=1e-12, atol=0)
+    assert_allclose(table.ci_normal, ci_normal, rtol=1e-12, atol=0)
+    assert_allclose(table.ci_percentile, ci_percentile, rtol=1e-12, atol=0)
+
+
 class TestBootstrapOracle:
     """``bootstrap_se`` tables each replicate at the full sample's width
-    from a code computed once; the oracle builds each replicate's sample
-    from its rows. Small cells make replicates lose strata, separate and
-    exhaust the trim."""
+    from a code computed once, a block of replicates at a time; the oracle
+    builds each replicate's sample from its rows. Small cells make
+    replicates lose strata, separate and exhaust the trim."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         stratum_sizes(treated_max=8, count_max=5),
         st.integers(0, 2**32 - 1),
-        st.one_of(
-            st.just(cell_means_did),
-            st.builds(
-                lambda threshold, trim_treated: functools.partial(
-                    estimate_ipw_did, trim_threshold=threshold, trim_treated=trim_treated
-                ),
-                st.floats(0.5, 1.0),
-                st.booleans(),
-            ),
-        ),
+        TABLE_ESTIMATORS,
         st.integers(2, 40),
     )
     def test_matches_the_row_level_bootstrap(self, sizes, seed, estimator, reps):
-        cells = sample_from_sizes(sizes)
-        y = np.random.default_rng(seed).normal(100.0, 10.0, cells.n_obs)
-        sample = DidSample(y, cells.d, cells.t, cells.stratum)
-        table_calls, row_calls = [], []
-        table = outcome_of(bootstrap_se, sample, recorded(estimator, table_calls), reps, seed)
-        reference = outcome_of(
-            row_level_bootstrap, sample, recorded(estimator, row_calls), reps, seed
-        )
-        event(f"reference: {type(reference).__name__}")
-        # every call, the full sample's first: its estimate or its error
-        assert len(table_calls) == len(row_calls)
-        for (lost, ours), (_, theirs) in zip(table_calls, row_calls):
-            if lost:
-                event("a replicate lost a stratum")
-            if isinstance(theirs, str):
-                assert ours == theirs
-            else:
-                assert abs(ours - theirs) <= 1e-12 * abs(theirs), (ours, theirs)
-        if isinstance(reference, Exception):
-            assert type(table) is type(reference), (table, reference)
-            assert str(table) == str(reference)
-            return
-        assert not isinstance(table, Exception), table
-        atet, se, p, ci_normal, ci_percentile, failures = reference
-        event(f"replicate failures: {failures > 0}")
-        assert table.atet == atet
-        assert table.bootstrap_failures == failures
-        assert table.bootstrap_reps == reps and table.seed == seed
-        assert_allclose(table.se, se, rtol=1e-12, atol=0)
-        assert_allclose(table.p_value, p, rtol=1e-12, atol=0)
-        assert_allclose(table.ci_normal, ci_normal, rtol=1e-12, atol=0)
-        assert_allclose(table.ci_percentile, ci_percentile, rtol=1e-12, atol=0)
+        assert_matches_the_row_level_bootstrap(sizes, seed, estimator, reps)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stratum_sizes(treated_max=8, count_max=5),
+        st.integers(0, 2**32 - 1),
+        TABLE_ESTIMATORS,
+        st.integers(2, 6),
+        st.integers(2, 6),
+        st.data(),
+    )
+    def test_blocks_and_a_remainder_match_the_row_level_bootstrap(
+        self, sizes, seed, estimator, per_block, blocks, data
+    ):
+        # BLOCK_ROWS fits per_block replicates of this sample's rows, and
+        # reps leaves a last, shorter block
+        rows = sample_from_sizes(sizes).n_obs
+        block_rows = per_block * rows + data.draw(st.integers(0, rows - 1))
+        reps = blocks * per_block + data.draw(st.integers(1, per_block - 1))
+        with mock.patch.object(did, "BLOCK_ROWS", block_rows):
+            assert_matches_the_row_level_bootstrap(sizes, seed, estimator, reps)
 
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
     @pytest.mark.parametrize("failing", [2, 3])
-    def test_ten_percent_of_failed_replicates_is_the_limit(self, rng, failing):
+    def test_ten_percent_of_failed_replicates_is_the_limit(
+        self, rng, monkeypatch, failing, per_block
+    ):
         sample = random_cell_sample(rng, lo=4, hi=6)
+        if per_block is not None:  # blocks of per_block replicates, the last of 20 % per_block
+            monkeypatch.setattr(did, "BLOCK_ROWS", per_block * sample.n_obs)
 
         def failing_first():
             calls = []

@@ -23,10 +23,11 @@ estimators return an ``EffectEstimate``:
 
 ``bootstrap_se`` gives a table estimator its inference: it estimates the
 full sample once, then resamples observations independently within each of
-the four cells, one draw call per replicate, and re-estimates each
-replicate's table. The tables of a block of replicates (at most
-``BLOCK_ROWS`` drawn rows, a constant with no setting) are counted from
-the drawn rows by one pair of ``bincount`` calls.
+the four cells and re-estimates each replicate's table. A block of
+replicates (at most ``BLOCK_ROWS`` drawn rows, a constant with no setting)
+is drawn as arrays by ``_replicate_draws``, the same stream as numpy's
+generator per replicate, and its tables are counted from the drawn rows by
+one pair of ``bincount`` calls.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ COMPARISON_CELLS = ((1, 0), (0, 1), (0, 0))
 # any sample size.
 BLOCK_ROWS = 1 << 16
 METHODS = ("ipw", "ols")
+
+# numpy's SeedSequence hash (INIT_A, MULT_A, MIX_MULT_L/R, INIT_B, MULT_B)
+# and PCG64's 128-bit multiplier, for _replicate_draws
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 class CovariateSpec(str, enum.Enum):
@@ -378,6 +387,90 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
     )
 
 
+def _seed_sequence_words(seed: int, first: int, count: int) -> list[list[int]]:
+    """``SeedSequence((seed, r)).generate_state(4, np.uint64)`` for the
+    replicates r = first ... first + count - 1, as four lists of Python
+    ints, one per word, each of ``count`` values.
+
+    The entropy is the seed's uint32 words, least significant first, then
+    r (one word, so r < 2**32). Every r hashes the same number of words, so
+    the hash constant chain is the same for all and stays a Python int."""
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(count, word, np.uint32) for word in words]
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros(count, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # entropy longer than the pool
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # uint32 pairs, low word first, make the uint64 words
+    return [(state[2 * j] | state[2 * j + 1] << 32).tolist() for j in range(4)]
+
+
+def _replicate_draws(seed: int, first: int, count: int, high: np.ndarray) -> np.ndarray:
+    """Row r - first of the (count, rows) result is
+    ``default_rng(SeedSequence((seed, r))).integers(0, high)`` for r =
+    first ... first + count - 1, with each bound in ``high`` at most 2**32.
+
+    Each generator is seeded in closed form (PCG64's
+    ``pcg_setseq_128_srandom_r``) from the block's seed words and yields
+    its raw words from one reused ``PCG64``. A bound above 1 takes one
+    uint32 of them, low half first, by Lemire's multiply-shift; a bound of
+    1 takes none. Where numpy would reject a uint32 and draw again, which
+    happens for about rows * bound / 2**32 of the replicates, that
+    replicate is redrawn by numpy itself."""
+    bounded = high > 1
+    size = high[bounded].astype(np.uint64)
+    n_raw = (size.size + 1) // 2
+    raw = np.empty((count, n_raw), dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    for i, (s0, s1, i0, i1) in enumerate(zip(*_seed_sequence_words(seed, first, count))):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        raw[i] = bitgen.random_raw(n_raw)
+    scaled = raw.astype("<u8", copy=False).view("<u4")[:, : size.size] * size
+    draws = np.zeros((count, high.size), dtype=np.intp)
+    draws[:, bounded] = scaled >> 32
+    rejected = ((scaled & _MASK32) < (2**32 - size) % size).any(axis=1)
+    for i in np.flatnonzero(rejected).tolist():
+        rng = np.random.default_rng(np.random.SeedSequence((seed, first + i)))
+        draws[i] = rng.integers(0, high)
+    return draws
+
+
 def bootstrap_se(
     sample: DidSample,
     estimator: Callable[[CellTable], EffectEstimate],
@@ -389,23 +482,33 @@ def bootstrap_se(
     ``estimator`` runs once on the full sample's table, and its errors
     propagate. Observations are then resampled with replacement
     independently within each of the four (D,T) cells, so no replicate
-    loses a cell. Replicate ``r`` draws its randomness from
-    ``SeedSequence((seed, r))`` with one ``integers`` call whose bound is
-    each row's cell size, rows ordered cell by cell in ``CELL_ORDER``: the
-    same stream as one call per cell, and results do not depend on
-    scheduling or on other tasks. The drawn rows of a block of replicates,
-    at most ``BLOCK_ROWS`` rows, are tabulated at the full sample's width
-    by one pair of ``bincount`` calls, and ``estimator`` runs once on each
-    replicate's table. Replicates where it fails (separation, trim
-    exhaustion, degenerate samples) are skipped and counted; more than 10%
-    failures raises :class:`BootstrapDegenerateError`.
+    loses a cell. Replicate ``r`` draws what
+    ``default_rng(SeedSequence((seed, r))).integers(0, high)`` would, with
+    ``high`` each row's cell size, rows ordered cell by cell in
+    ``CELL_ORDER``: the same stream as one call per cell, and results do
+    not depend on scheduling or on other tasks. A block of replicates, at
+    most ``BLOCK_ROWS`` drawn rows, is drawn at once as array arithmetic
+    (``_replicate_draws``; a replicate where numpy would reject a draw is
+    redrawn by numpy, and there is no setting), then tabulated at the full
+    sample's width by one pair of ``bincount`` calls, and ``estimator``
+    runs once on each replicate's table. Replicates where it fails
+    (separation, trim exhaustion, degenerate samples) are skipped and
+    counted; more than 10% failures raises
+    :class:`BootstrapDegenerateError`.
 
     Returns the full-sample estimate with the replicate standard deviation
     (ddof=1) as its se, the two-sided normal p-value, both normal and
     percentile 95% confidence intervals, and the replicate bookkeeping.
+    A seed that is not a non-negative integer, or more than 2**32
+    replicates (r must fit one uint32 word), raise :class:`ConfigError`
+    before any estimate.
     """
     if reps < 2:
         raise ConfigError(f"bootstrap needs at least 2 replicates, got {reps}")
+    if reps > 2**32:
+        raise ConfigError(f"bootstrap allows at most 2**32 replicates, got {reps}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"bootstrap seed must be a non-negative integer, got {seed!r}")
     estimate = estimator(sample.cell_table())
     code, strata = _cell_code(sample)
     cell = code // strata
@@ -421,10 +524,7 @@ def bootstrap_se(
     failures = 0
     for first in range(0, reps, block):
         count = min(block, reps - first)
-        rows = np.empty((count, code.size), dtype=np.intp)
-        for i in range(count):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, first + i)))
-            rows[i] = rng.integers(0, high)
+        rows = _replicate_draws(int(seed), first, count, high)
         rows += start
         tagged = code[rows] + (np.arange(count) * width)[:, None]
         counts = np.bincount(tagged.ravel(), minlength=count * width)

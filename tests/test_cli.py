@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,22 @@ reps = 25
 seed = 9
 output_dir = {out}
 """
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random on first use; a main process that never
+    # bootstraps (or hands every task to workers) should not carry it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, seasondid.cli; print([m for m in sys.modules if 'numpy.random' in m])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
 
 
 def read_csv(path):

@@ -526,6 +526,24 @@ class TestBootstrap:
         with pytest.raises(ConfigError):
             bootstrap_se(random_cell_sample(rng), cell_means_did, reps=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.0, "7", None, True], ids=repr)
+    def test_bad_seed_is_rejected_before_any_estimate(self, rng, seed):
+        calls = []
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            bootstrap_se(random_cell_sample(rng), recorded(cell_means_did, calls), 20, seed)
+        assert calls == []
+
+    def test_replicate_numbers_must_fit_one_uint32_word(self, rng):
+        calls = []
+        with pytest.raises(ConfigError, match="at most 2\\*\\*32 replicates"):
+            bootstrap_se(random_cell_sample(rng), recorded(cell_means_did, calls), 2**32 + 1, 0)
+        assert calls == []
+
+    def test_numpy_integer_seed_is_accepted(self, rng):
+        sample = random_cell_sample(rng, lo=4, hi=6)
+        boot = bootstrap_se(sample, cell_means_did, reps=30, seed=np.uint64(2**63 + 5))
+        assert boot.se == bootstrap_se(sample, cell_means_did, reps=30, seed=2**63 + 5).se
+
     def test_with_inference_merges_the_bootstrap_fields(self, rng):
         # bootstrap_se returns the full-sample estimate with its inference
         sample = random_cell_sample(rng, lo=6, hi=10)
@@ -565,6 +583,61 @@ class TestBootstrapDraws:
         per_cell = generator()
         expected = np.concatenate([per_cell.integers(0, n, n) for n in sizes])
         assert_array_equal(generator().integers(0, np.repeat(sizes, sizes)), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.just(0)
+        | st.integers(0, 2**32 - 1)
+        | st.integers(2**62, 2**63 - 1)  # pipeline.task_seed
+        | st.integers(2**96, 2**192),  # entropy longer than SeedSequence's pool
+        st.integers(1, 8),
+        st.data(),
+        st.booleans(),
+    )
+    def test_block_draws_equal_numpys_seed_sequence_pcg64_and_bounded_integers(
+        self, seed, count, data, cell_sizes
+    ):
+        # fails when a numpy release changes SeedSequence, PCG64 seeding or
+        # the Lemire bounded integers that _replicate_draws spells out
+        first = data.draw(st.integers(0, 100) | st.integers(2**32 - 100, 2**32 - count))
+        if cell_sizes:
+            sizes = data.draw(st.lists(st.just(1) | st.integers(1, 40), min_size=4, max_size=4))
+            high = np.repeat(sizes, sizes)
+        else:  # bounds near 2**32 make numpy reject and redraw
+            bounds = st.just(1) | st.integers(1, 2**32 - 1) | st.integers(2**31, 2**32 - 1)
+            high = np.array(data.draw(st.lists(bounds, min_size=1, max_size=12)))
+        expected = [numpy_draws(seed, r, high) for r in range(first, first + count)]
+        rejected = sum(redrawn for _, redrawn in expected)
+        event(f"replicates numpy redrew: {min(rejected, 2)}")
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+            draws = did._replicate_draws(seed, first, count, high)
+        assert draws.shape == (count, high.size)
+        for row, (numpy_row, _) in zip(draws, expected):
+            assert_array_equal(row, numpy_row, err_msg="numpy's generator stream changed")
+        assert rng.call_count == rejected
+
+    def test_a_rejected_draw_redraws_its_replicate_with_numpy(self):
+        high = np.array([2**31 + 1, 1, 2**31 + 1, 5])
+        expected = [numpy_draws(9, r, high) for r in range(20)]
+        assert 0 < sum(redrawn for _, redrawn in expected) < 20
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+            draws = did._replicate_draws(9, 0, 20, high)
+        assert_array_equal(draws, [row for row, _ in expected])
+        assert rng.call_count == sum(redrawn for _, redrawn in expected)
+
+
+def numpy_draws(seed, rep, high):
+    """numpy's draws for replicate ``rep`` and whether it rejected a uint32
+    on the way: one uint32 per bound above 1 leaves a state that a fresh
+    generator reaches by that many raw words."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
+    row = rng.integers(0, high)
+    used = int((high > 1).sum())
+    fresh = np.random.PCG64(np.random.SeedSequence((seed, rep)))
+    fresh.random_raw((used + 1) // 2)
+    state = rng.bit_generator.state
+    exact = state["state"] == fresh.state["state"] and state["has_uint32"] == used % 2
+    return row, not exact
 
 
 TABLE_ESTIMATORS = st.one_of(
@@ -628,6 +701,18 @@ class TestBootstrapOracle:
         st.integers(2, 40),
     )
     def test_matches_the_row_level_bootstrap(self, sizes, seed, estimator, reps):
+        assert_matches_the_row_level_bootstrap(sizes, seed, estimator, reps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stratum_sizes(treated_max=8, count_max=5),
+        st.integers(2**62, 2**63 - 1) | st.integers(2**96, 2**160),
+        TABLE_ESTIMATORS,
+        st.integers(2, 40),
+    )
+    def test_cli_sized_seeds_match_the_row_level_bootstrap(self, sizes, seed, estimator, reps):
+        # pipeline.task_seed gives 63-bit seeds; 2**96 and above hash more
+        # entropy words than SeedSequence's pool holds
         assert_matches_the_row_level_bootstrap(sizes, seed, estimator, reps)
 
     @settings(max_examples=200, deadline=None)

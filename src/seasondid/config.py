@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .did import METHODS, CovariateSpec, EstimationTask, SeriesSpec
+from .did import METHODS, CovariateSpec, EstimationTask, SeriesSpec, check_reps
 from .errors import ConfigError
 from .panel import Outcome, Quality
 from .simgen import SimConfig
@@ -214,8 +214,7 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 < self.trim <= 1.0:
             raise ConfigError(f"trim must be in (0, 1], got {self.trim}")
-        if self.reps < 0:
-            raise ConfigError(f"reps must be >= 0, got {self.reps}")
+        check_reps(self.reps)
         if self.reps > 0 and self.seed is None:
             raise ConfigError("a seed is mandatory for any run involving the bootstrap")
         if self.seed is not None and self.seed < 0:

@@ -18,8 +18,12 @@ estimators return an ``EffectEstimate``:
   of Stuart et al., 2014). Strata with rho above the trim threshold get
   weight 0.
 * ``cell_means_did`` (on the table): the plain 2x2 cell-means DiD.
-* ``estimate_ols_did`` (on the rows): the interaction coefficient from
-  ``y ~ const + D + T + D:T + stratum dummies``, classical standard errors.
+* ``estimate_ols_did`` (on the occupied (cell, stratum) bins): the
+  interaction coefficient from ``y ~ const + D + T + D:T + stratum
+  dummies``, classical standard errors. The design is constant within a
+  bin, so one QR of the bins' count-weighted design gives the fit, and the
+  rows' sum of squares about their bin means completes the residual sum of
+  squares, whose degrees of freedom count rows.
 
 ``bootstrap_se`` gives a table estimator its inference: it estimates the
 full sample once, then resamples observations independently within each of
@@ -47,8 +51,16 @@ from .errors import (
     SeparationError,
     TrimExhaustionError,
 )
-# fit_logistic is not called here; perfbench/spans.py traces did.fit_logistic.
-from .glm import INTERCEPT_NAME, DesignMatrix, fit_logistic, fit_ols
+# fit_logistic and fit_ols are not called here; perfbench/spans.py traces
+# did.fit_logistic and did.fit_ols.
+from .glm import (
+    INTERCEPT_NAME,
+    DesignMatrix,
+    fit_logistic,
+    fit_ols,
+    least_squares,
+    prune_design,
+)
 from .panel import Outcome, PanelRows, PhaseLabel, Quality
 
 # z such that the standard normal leaves 2.5% in each tail
@@ -69,6 +81,15 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def check_reps(reps: int) -> None:
+    """Bootstrap replicates are 0 (no bootstrap) or what ``bootstrap_se``
+    accepts, so a run refuses any other count before it reads its data."""
+    if reps != 0 and not 2 <= reps <= 2**32:
+        raise ConfigError(
+            f"reps must be 0 or between 2 and 2**32 (a bootstrap needs reps >= 2), got {reps}"
+        )
 
 
 class CovariateSpec(str, enum.Enum):
@@ -108,8 +129,7 @@ class EstimationTask:
     def __post_init__(self):
         if not 0.0 < self.trim_threshold <= 1.0:
             raise ConfigError(f"trim threshold must be in (0, 1], got {self.trim_threshold}")
-        if self.bootstrap_reps < 0:
-            raise ConfigError(f"bootstrap reps must be >= 0, got {self.bootstrap_reps}")
+        check_reps(self.bootstrap_reps)
         if self.min_cell < 1:
             raise ConfigError(f"min_cell must be >= 1, got {self.min_cell}")
         if self.treated.quality is not self.control.quality:
@@ -363,21 +383,40 @@ def estimate_ipw_did(
 
 
 def estimate_ols_did(sample: DidSample) -> EffectEstimate:
-    """DiD as the D:T interaction in an OLS regression with covariates."""
-    n_by_cell = sample.cell_table().validate()
-    columns = [
-        (INTERCEPT_NAME, np.ones(sample.n_obs)),
-        ("d", sample.d.astype(float)),
-        ("t", sample.t.astype(float)),
-        ("d_t", (sample.d * sample.t).astype(float)),
-    ]
-    columns += [
-        (f"stratum_{s}", (sample.stratum == s).astype(float))
-        for s in range(1, int(sample.stratum.max()) + 1)
-    ]
-    fit = fit_ols(DesignMatrix.from_columns(columns), sample.y)
-    atet = fit.coefficient("d_t")
-    se = fit.standard_error("d_t")
+    """DiD as the D:T interaction in an OLS regression with covariates.
+
+    The design (const, d, t, d_t, stratum dummies) is constant within each
+    (cell, stratum) bin, so the fit runs on the occupied bins: the design
+    is pruned there (a column is constant or a duplicate over the rows
+    exactly when it is over the bins), each bin's row is weighted by the
+    square root of its count, and ``glm.least_squares`` adds the rows'
+    sum of squares about their bin means to the residuals and counts
+    rows for the degrees of freedom and the checks.
+    """
+    code, strata = _cell_code(sample)
+    table = _table(code, sample.y, strata)
+    n_by_cell = table.validate()
+    counts = table.counts.ravel()
+    mean = table.sums.ravel() / np.maximum(counts, 1)
+    within = sample.y - mean[code]
+    bins = np.flatnonzero(counts)
+    cell, stratum = np.divmod(bins, strata)
+    # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): d = cell < 2, t = cell even
+    d, t = cell < 2, cell % 2 == 0
+    dummies = stratum[:, None] == np.arange(1, strata)
+    values = np.column_stack([np.ones(bins.size), d, t, d & t, dummies])
+    names = (INTERCEPT_NAME, "d", "t", "d_t", *(f"stratum_{s}" for s in range(1, strata)))
+    design, _ = prune_design(DesignMatrix(values, names))
+    weight = np.sqrt(counts[bins])
+    beta, se, _ = least_squares(
+        design.values * weight[:, None],
+        weight * mean[bins],
+        sample.n_obs,
+        design.names,
+        within_ss=float(within @ within),
+    )
+    k = design.names.index("d_t")
+    atet, se = float(beta[k]), float(se[k])
     return EffectEstimate(
         method="ols",
         atet=atet,

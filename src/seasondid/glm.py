@@ -91,37 +91,68 @@ def prune_design(design: DesignMatrix) -> tuple[DesignMatrix, tuple[str, ...]]:
     """Drop degenerate columns: constants (except a column named ``const``)
     and exact duplicates of an earlier kept column."""
     values, names = design.values, design.names
-    keep: list[int] = []
-    dropped: list[str] = []
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        if names[j] != INTERCEPT_NAME and col.size and np.ptp(col) == 0.0:
-            dropped.append(names[j])
-            continue
-        if any(np.array_equal(col, values[:, i]) for i in keep):
-            dropped.append(names[j])
-            continue
-        keep.append(j)
-    if not dropped:
-        return design, ()
-    pruned = DesignMatrix(values[:, keep], tuple(names[j] for j in keep))
-    return pruned, tuple(dropped)
-
-
-def _check_rank(values: np.ndarray, names: tuple[str, ...]) -> None:
     n, k = values.shape
-    if k == 0:
+    if not k:
+        return design, ()
+    drop = np.zeros(k, dtype=bool)
+    if n:
+        drop = (np.ptp(values, axis=0) == 0.0) & (np.array(names) != INTERCEPT_NAME)
+    # A column equal to an earlier one equals an earlier kept one. A stable
+    # sort of the columns puts equal ones side by side, earliest first.
+    order = np.lexsort(values) if n else np.arange(k)
+    ranked = values[:, order]
+    drop[order[1:][(ranked[:, 1:] == ranked[:, :-1]).all(axis=0)]] = True
+    if not drop.any():
+        return design, ()
+    pruned = DesignMatrix(values[:, ~drop], tuple(names[j] for j in np.flatnonzero(~drop)))
+    return pruned, tuple(names[j] for j in np.flatnonzero(drop))
+
+
+def _check_columns(n: int, names: tuple[str, ...]) -> None:
+    """A fit of ``n`` observations needs at least one column and no more
+    columns than observations."""
+    if not names:
         raise RankError("design matrix has no columns after pruning")
-    if n < k:
-        raise RankError(f"more columns ({k}) than rows ({n})", columns=names)
-    diag = np.abs(np.diag(np.linalg.qr(values, mode="r")))
-    tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    bad = [names[j] for j in range(k) if diag[j] <= tol]
+    if n < len(names):
+        raise RankError(f"more columns ({len(names)}) than rows ({n})", columns=names)
+
+
+def _check_rank(values: np.ndarray, r: np.ndarray, n: int, names: tuple[str, ...]) -> None:
+    """Raise :class:`RankError` naming the columns of ``values`` that lie in
+    the span of the columns before them, judged by the diagonal of ``r``,
+    the R factor of ``values``, against ``max(n, k) * eps * max|diag|`` for
+    a fit of ``n`` observations.
+
+    Only the first column flagged is sure. Its Householder step reflects
+    rounding noise and so still takes up a row, which a later independent
+    column may need when ``values`` has few rows (a table with fewer bins
+    than columns leaves the last columns no pivot at all). So that column
+    is set aside and the columns after it are judged again on the R of the
+    rest."""
+    k = values.shape[1]
+    diag = _pivots(r, k)
+    tol = max(n, k) * np.finfo(float).eps * diag.max()
+    judged = list(range(k))
+    bad: list[int] = []
+    while (flagged := [judged[j] for j in np.flatnonzero(diag <= tol).tolist()]):
+        bad.append(flagged[0])
+        if len(flagged) == 1:
+            break
+        judged.remove(flagged[0])
+        diag = _pivots(np.linalg.qr(values[:, judged], mode="r"), len(judged))
     if bad:
+        columns = tuple(names[j] for j in bad)
         raise RankError(
-            f"design matrix is rank deficient; collinear columns: {bad}",
-            columns=tuple(bad),
+            f"design matrix is rank deficient; collinear columns: {list(columns)}",
+            columns=columns,
         )
+
+
+def _pivots(r: np.ndarray, k: int) -> np.ndarray:
+    """|diag(r)| for ``k`` columns; a column past the last row has pivot 0."""
+    diag = np.zeros(k)
+    diag[: min(r.shape)] = np.abs(np.diag(r))
+    return diag
 
 
 def _validate_binary(y: np.ndarray) -> np.ndarray:
@@ -164,7 +195,8 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> FitResult:
     values, names = pruned.values, pruned.names
     if y.shape[0] != values.shape[0]:
         raise ValueError(f"y has {y.shape[0]} rows, design has {values.shape[0]}")
-    _check_rank(values, names)
+    _check_columns(values.shape[0], names)
+    _check_rank(values, np.linalg.qr(values, mode="r"), values.shape[0], names)
 
     beta = np.zeros(values.shape[1])
     converged = False
@@ -234,26 +266,47 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     values, names = pruned.values, pruned.names
     if y.shape[0] != values.shape[0]:
         raise ValueError(f"y has {y.shape[0]} rows, design has {values.shape[0]}")
-    _check_rank(values, names)
-    n, k = values.shape
-    if n <= k:
-        raise RankError(f"need more rows ({n}) than columns ({k}) for OLS", columns=names)
-
-    q, r = np.linalg.qr(values)
-    beta = np.linalg.solve(r, q.T @ y)
-    fitted = values @ beta
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
-    sigma2 = rss / (n - k)
-    r_inv = np.linalg.solve(r, np.eye(k))
-    cov = sigma2 * (r_inv @ r_inv.T)
+    beta, standard_errors, fitted = least_squares(values, y, values.shape[0], names)
     return FitResult(
         coefficients=beta,
-        standard_errors=np.sqrt(np.diag(cov)),
+        standard_errors=standard_errors,
         fitted=fitted,
         converged=True,
         iterations=1,
         column_names=names,
         dropped_columns=dropped,
-        residual_df=n - k,
+        residual_df=values.shape[0] - len(names),
     )
+
+
+def least_squares(
+    values: np.ndarray,
+    y: np.ndarray,
+    n: int,
+    names: tuple[str, ...],
+    within_ss: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, classical standard errors and fitted values of ``y`` on
+    the columns of ``values``, from one QR; ``n`` is the observation count.
+
+    The rows are the ``n`` observations, or groups of them whose design is
+    constant within a group: row b then holds ``sqrt(n_b)`` times the
+    group's design row and mean outcome, and ``within_ss`` is the sum of
+    squares of the observations about their group means. Either way the
+    residual sum of squares is ``within_ss`` plus the rows' own, the fit is
+    that of the observations, and the checks, ``max(n, k)`` in the rank
+    tolerance and ``sigma2 = RSS / (n - k)`` count observations.
+    """
+    _check_columns(n, names)
+    q, r = np.linalg.qr(values)
+    _check_rank(values, r, n, names)
+    k = len(names)
+    if n <= k:
+        raise RankError(f"need more rows ({n}) than columns ({k}) for OLS", columns=names)
+    beta = np.linalg.solve(r, q.T @ y)
+    fitted = values @ beta
+    residuals = y - fitted
+    sigma2 = (within_ss + float(residuals @ residuals)) / (n - k)
+    r_inv = np.linalg.inv(r)
+    cov = sigma2 * (r_inv @ r_inv.T)
+    return beta, np.sqrt(np.diag(cov)), fitted

@@ -20,6 +20,7 @@ and the midpoint week itself opens season ``y``.
 
 from __future__ import annotations
 
+import datetime as dt
 import enum
 import functools
 import math
@@ -61,6 +62,8 @@ class PhaseLabel(enum.Enum):
 
 
 PHASES = tuple(PhaseLabel)
+# day ordinal of numpy's datetime64 epoch, 1970-01-01
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 class Outcome(str, enum.Enum):
@@ -178,9 +181,10 @@ def label_panel(
     regardless of the row's own product. This is how control-country series
     are placed on the treated product's protection timeline. Phase and
     season are worked out once per distinct (window product, week), then
-    spread to the rows: the phase by ``label_week``, the season as the last
-    one whose ``season_start_week`` is not after the week, which is what
-    ``assign_season_week`` returns.
+    spread to the rows: the phase by day arithmetic over the week's seven
+    days (``_week_phases``, the rule of ``label_week``), the season as the
+    last one whose ``season_start_week`` is not after the week, which is
+    what ``assign_season_week`` returns.
     """
     groups: dict[str, list[int]] = {}
     for code in dict.fromkeys(rows.series.tolist()):  # products in row order
@@ -192,12 +196,29 @@ def label_panel(
         window = calendar.window_for(product)
         mask = np.isin(rows.series, group) if len(groups) > 1 else slice(None)
         weeks, inverse = np.unique(rows.week[mask], return_inverse=True)
-        iso = [IsoWeek.from_ordinal(week) for week in weeks.tolist()]
-        phase[mask] = np.array([label_week(window, week).code for week in iso])[inverse]
-        years = range(iso[0].year - 1, iso[-1].year + 2)
+        phase[mask] = _week_phases(window, weeks)[inverse]
+        first, last = (IsoWeek.from_ordinal(week) for week in weeks[[0, -1]].tolist())
+        years = range(first.year - 1, last.year + 2)
         starts = [season_start_week(window, year).ordinal for year in years]
         season[mask] = years[0] - 1 + np.searchsorted(starts, weeks, side="right")[inverse]
     return PanelRows(rows.keys, rows.series, rows.week, rows.value, phase, season)
+
+
+def _week_phases(window: ProtectionWindow, weeks: np.ndarray) -> np.ndarray:
+    """Phase code of each ISO-week ordinal in ``weeks``: ``label_week``'s
+    rule, with each of the seven days tested as ``window.contains`` does,
+    month * 100 + day against the window's ends (so a 02-29 end takes in
+    02-28 of a common year, and a 02-29 start leaves it out)."""
+    # week w runs from day ordinal 7w + 1 (Monday) to 7w + 7
+    days = (7 * weeks[:, None] + np.arange(1, 8) - _EPOCH_ORDINAL).astype("M8[D]")
+    months = days.astype("M8[M]")
+    month_day = (months.astype(np.int64) % 12 + 1) * 100 + (days - months).astype(np.int64) + 1
+    start, end = (100 * md.month + md.day for md in (window.start, window.end))
+    inside = ((start <= month_day) & (month_day <= end)).sum(axis=1)
+    codes = np.full(weeks.size, PhaseLabel.BOUNDARY.code, dtype=np.int8)
+    codes[inside == 7] = PhaseLabel.PROTECTED.code
+    codes[inside == 0] = PhaseLabel.UNPROTECTED.code
+    return codes
 
 
 def apply_boundary_exclusion(panel: PanelRows) -> PanelRows:

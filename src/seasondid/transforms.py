@@ -65,16 +65,18 @@ def restrict_to_production_weeks(
     A control row survives iff the treated panel has an observation with the
     mapped product, the same quality, and the same ISO week. ``product_map``
     translates control product names to treated product names; products not
-    in the map match under their own name.
+    in the map match under their own name. Rows are matched by one ``isin``
+    over (pair id, week) keys.
     """
     product_map = product_map or {}
-    pairs = [(key.product, key.quality) for key in treated.keys]
-    keep = np.zeros(len(control), dtype=bool)
-    for code, key in enumerate(control.keys):
-        pair = (product_map.get(key.product, key.product), key.quality)
-        matched = np.isin(treated.series, [c for c, p in enumerate(pairs) if p == pair])
-        rows = control.series == code
-        keep[rows] = np.isin(control.week[rows], treated.week[matched])
+    # one id per treated (product, quality) pair; a control series whose
+    # mapped pair has none gets -1, so its keys are negative and match nothing
+    ids: dict = {}
+    treated_pair = [ids.setdefault((k.product, k.quality), len(ids)) for k in treated.keys]
+    control_pair = [
+        ids.get((product_map.get(k.product, k.product), k.quality), -1) for k in control.keys
+    ]
+    keep = np.isin(_week_keys(control_pair, control), _week_keys(treated_pair, treated))
     kept = control.take(keep)
     if len(control) and not len(kept):
         raise EmptyOverlapError(
@@ -82,6 +84,11 @@ def restrict_to_production_weeks(
             f"(control {', '.join(_names(control))}; treated {', '.join(_names(treated))})"
         )
     return kept
+
+
+def _week_keys(pair: list[int], rows: PanelRows) -> np.ndarray:
+    """Each row's pair id * 2**32 + ISO-week ordinal, as int64."""
+    return np.array(pair, dtype=np.int64)[rows.series] * 2**32 + rows.week
 
 
 def _names(rows: PanelRows) -> list[str]:

@@ -7,6 +7,8 @@ is the point. Two parts reuse the package on purpose:
 
 * ``row_level_bootstrap`` reuses its sample type, estimators and errors:
   what it checks is the resampling, not the estimators.
+  ``row_level_ols_did`` reuses its sample type and ``fit_ols``: what it
+  checks is the reduction of the OLS DiD to the (cell, stratum) bins.
 * the row-level data preparation at the end (one object per row, from
   ``rows_matching`` to ``describe_distribution``) reuses its scalar week
   rules (``label_week``, ``assign_season_week``, ``offset_weeks``), its row
@@ -22,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seasondid.did import CovariateSpec, DidSample, bootstrap_se, cell_means_did
+from seasondid.did import (
+    CovariateSpec,
+    DidSample,
+    EffectEstimate,
+    bootstrap_se,
+    cell_means_did,
+    two_sided_normal_p,
+)
 from seasondid.diagnostics import BiweekEffect, PhaseSummary, PlaceboResult, offset_weeks
 from seasondid.errors import (
     BootstrapDegenerateError,
@@ -32,6 +41,7 @@ from seasondid.errors import (
     InfeasibleSampleError,
     TrimExhaustionError,
 )
+from seasondid.glm import INTERCEPT_NAME, DesignMatrix, fit_ols
 from seasondid.panel import PhaseLabel, PriceObservation, SeriesKey, assign_season_week, label_week
 from seasondid.weeks import IsoWeek
 
@@ -105,6 +115,23 @@ def golden_section_logit_1d(x, y, lo=-25.0, hi=25.0, tol=1e-12) -> float:
     return float(0.5 * (a + b))
 
 
+def prune_column_by_column(values, names) -> tuple[list[str], list[str]]:
+    """(kept, dropped) column names: each column in turn is dropped when it
+    is constant (unless named ``const``) or equal to a column kept before
+    it."""
+    kept: list[int] = []
+    dropped = []
+    for j, name in enumerate(names):
+        col = values[:, j]
+        if name != "const" and col.size and np.ptp(col) == 0.0:
+            dropped.append(name)
+        elif any(np.array_equal(col, values[:, i]) for i in kept):
+            dropped.append(name)
+        else:
+            kept.append(j)
+    return [names[j] for j in kept], dropped
+
+
 def normal_equations_ols(x_matrix, y) -> tuple[np.ndarray, np.ndarray]:
     """beta = (X'X)^-1 X'y with classical SEs from sigma2 = RSS / (n - k)."""
     x_matrix = np.asarray(x_matrix, dtype=float)
@@ -153,6 +180,33 @@ def midpoint_week_by_enumeration(gap_weeks: list) -> object:
     the earlier period."""
     assert gap_weeks, "enumeration oracle needs a non-empty gap"
     return gap_weeks[(len(gap_weeks) - 1) // 2]
+
+
+def row_level_ols_did(sample):
+    """Reference for ``did.estimate_ols_did``: the D:T coefficient of the
+    n x p design (const, d, t, d_t, stratum dummies) fitted on the rows by
+    ``fit_ols``."""
+    n_by_cell = sample.cell_table().validate()
+    columns = [
+        (INTERCEPT_NAME, np.ones(sample.n_obs)),
+        ("d", sample.d.astype(float)),
+        ("t", sample.t.astype(float)),
+        ("d_t", (sample.d * sample.t).astype(float)),
+    ]
+    columns += [
+        (f"stratum_{s}", (sample.stratum == s).astype(float))
+        for s in range(1, int(sample.stratum.max()) + 1)
+    ]
+    fit = fit_ols(DesignMatrix.from_columns(columns), sample.y)
+    atet = fit.coefficient("d_t")
+    se = fit.standard_error("d_t")
+    return EffectEstimate(
+        method="ols",
+        atet=atet,
+        se=se,
+        p_value=two_sided_normal_p(atet, se),
+        n_by_cell=n_by_cell,
+    )
 
 
 def row_level_bootstrap(sample, estimator, reps: int, seed: int) -> tuple:

@@ -168,6 +168,28 @@ class TestRun:
         assert [r[14] for r in rows[0::2]] == [str(task_seed(9, key)) for key in keys]
         assert [(r[13], r[14]) for r in rows[1::2]] == [("0", "0"), ("0", "0")]
 
+    @pytest.mark.parametrize("reps", ["1", str(2**32 + 1)])
+    def test_reps_the_bootstrap_refuses_stop_the_run_before_ingest(
+        self, workspace, monkeypatch, capsys, reps
+    ):
+        import seasondid.cli as cli
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("read_prices was called")
+
+        monkeypatch.setattr(cli, "read_prices", no_ingest)
+        _, _, run_cfg, out = workspace
+        assert main(["run", "--config", str(run_cfg), "--reps", reps]) == EXIT_CONFIG
+        assert "reps must be 0 or between 2 and 2**32" in capsys.readouterr().err
+        assert not (out / "effects.csv").exists()
+
+    def test_zero_reps_runs_ipw_without_a_bootstrap(self, workspace):
+        _, _, run_cfg, out = workspace
+        assert main(["run", "--config", str(run_cfg), "--reps", "0"]) == EXIT_OK
+        _, rows = read_csv(out / "effects.csv")
+        assert [(r[4], r[13]) for r in rows] == [("ipw", "0"), ("ipw", "0")]
+        assert abs(float(rows[0][5]) - 18.0) < 3.0
+
     def test_infeasible_tasks_are_reported_not_failed(self, workspace):
         cfg, out = write_run_cfg(workspace, extra="min_cell = 500\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_OK

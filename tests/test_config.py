@@ -111,6 +111,8 @@ class TestRunConfig:
             (MINIMAL + "trim = 0\n", "trim must be in"),
             (MINIMAL + "trim = nope\n", "expects a number"),
             (MINIMAL + "reps = -1\n", "reps must be"),
+            (MINIMAL + "reps = 1\n", r"reps must be 0 or between 2 and 2\*\*32 .*, got 1"),
+            (MINIMAL + f"reps = {2**32 + 1}\n", r"reps must be 0 or between 2 and 2\*\*32"),
             (MINIMAL + "reps = many\n", "expects an integer"),
             (MINIMAL + "workers = 0\n", "workers"),
             (MINIMAL + "min_cell = 0\n", "min_cell"),

@@ -53,7 +53,13 @@ from conftest import (
     week,
     window,
 )
-from oracles import did_from_cell_means, row_level_bootstrap, stratified_did
+from oracles import (
+    did_from_cell_means,
+    normal_equations_ols,
+    row_level_bootstrap,
+    row_level_ols_did,
+    stratified_did,
+)
 
 
 class TestCellMeans:
@@ -449,6 +455,115 @@ class TestStratumTable:
         # as arrays, int8 and intp casts would turn 256 into 0, 0.7 and 0.5 into 0
         with pytest.raises(ValueError, match=message):
             DidSample(y=[1.0, 2.0], d=np.array(d), t=np.array(t), stratum=np.array(stratum))
+
+
+@st.composite
+def ols_sizes(draw):
+    """Counts per (stratum, cell) for the OLS DiD: unbalanced tables of one
+    to six strata with empty bins, the single stratum of ``covariates =
+    none``, and tables built to be degenerate."""
+    kind = draw(st.sampled_from(["random", "none", "confined", "sums_to_t", "tight"]))
+    strata = draw(st.integers(1, 6))
+    count = st.just(0) | st.integers(1, 12)
+    sizes = draw(st.lists(st.lists(count, min_size=4, max_size=4), min_size=strata,
+                          max_size=strata))
+    if kind == "none":
+        sizes = [draw(st.lists(st.integers(1, 12), min_size=4, max_size=4))]
+    elif kind == "confined":
+        # one stratum's rows only in the (1,1) cell, which holds no other
+        # stratum: its dummy duplicates d_t unless it is the reference
+        confined = draw(st.integers(0, strata - 1))
+        for row in sizes:
+            row[0] = 0
+        sizes[confined] = [draw(st.integers(1, 6)), 0, 0, 0]
+    elif kind == "sums_to_t":
+        # stratum 0 only in T=0 cells, the others only in T=1 cells: the
+        # stratum dummies sum to t
+        for s, row in enumerate(sizes):
+            for k in ((0, 2) if s == 0 else (1, 3)):
+                row[k] = 0
+    elif kind == "tight":
+        # one row per cell in stratum 0 and one row per other stratum: n = k,
+        # or n = k + 1 with one more row
+        sizes = [[1, 1, 1, 1]] + [[0, 0, 0, 0] for _ in range(strata - 1)]
+        for row in sizes[1:]:
+            row[draw(st.integers(0, 3))] = 1
+        if draw(st.booleans()):
+            sizes[draw(st.integers(0, strata - 1))][draw(st.integers(0, 3))] += 1
+    return sizes
+
+
+def shuffled_sample(sizes, seed) -> DidSample:
+    """``sample_from_sizes`` with normal outcomes, rows in random order."""
+    cells = sample_from_sizes(sizes)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(cells.n_obs)
+    y = rng.normal(100.0, 10.0, cells.n_obs)
+    return DidSample(y, cells.d[order], cells.t[order], cells.stratum[order])
+
+
+def assert_same_ols(sample):
+    """The table fit and the row-level fit raise the same error, or agree
+    within the reference budget; returns the row-level outcome."""
+    table = outcome_of(estimate_ols_did, sample)
+    reference = outcome_of(row_level_ols_did, sample)
+    if isinstance(reference, Exception):
+        assert type(table) is type(reference), (table, reference)
+        assert str(table) == str(reference)
+        assert getattr(table, "columns", None) == getattr(reference, "columns", None)
+        return reference
+    assert not isinstance(table, Exception), table
+    for name in ("atet", "se", "p_value"):
+        got, want = getattr(table, name), getattr(reference, name)
+        assert abs(got - want) <= 1e-9 + 1e-9 * abs(want), (name, got, want)
+    assert table.n_by_cell == reference.n_by_cell
+    return reference
+
+
+class TestOlsTable:
+    @settings(max_examples=400, deadline=None)
+    @given(ols_sizes(), st.integers(0, 2**32 - 1))
+    def test_matches_the_row_level_fit(self, sizes, seed):
+        reference = assert_same_ols(shuffled_sample(sizes, seed))
+        event(f"reference: {type(reference).__name__}")
+
+    def test_stratum_dummies_summing_to_t_are_rank_deficient(self):
+        sample = shuffled_sample([[0, 3, 0, 2], [2, 0, 4, 0], [3, 0, 1, 0]], 7)
+        with pytest.raises(RankError) as excinfo:
+            estimate_ols_did(sample)
+        assert excinfo.value.columns == ("stratum_2",)
+        assert_same_ols(sample)
+
+    def test_a_collinear_stratum_leaves_later_ones_their_pivot(self):
+        # five bins for six columns: stratum_1 is d + t - d_t, while
+        # stratum_2 splits the (0,0) cell and is independent of the rest;
+        # a single QR of the bins would leave stratum_2 no pivot
+        sample = shuffled_sample([[0, 0, 0, 1], [2, 1, 1, 0], [0, 0, 0, 1]], 1)
+        with pytest.raises(RankError) as excinfo:
+            estimate_ols_did(sample)
+        assert excinfo.value.columns == ("stratum_1",)
+        assert_same_ols(sample)
+
+    def test_a_stratum_confined_to_the_treated_cell_is_pruned(self):
+        # stratum 1 is exactly the (1,1) cell: its dummy duplicates d_t and
+        # is dropped, so the fit is that of the other columns
+        sample = shuffled_sample([[0, 4, 5, 3], [6, 0, 0, 0], [0, 2, 3, 4]], 3)
+        assert_same_ols(sample)
+        d, t = sample.d.astype(float), sample.t.astype(float)
+        x = np.column_stack([np.ones(sample.n_obs), d, t, d * t, sample.stratum == 2])
+        beta, se = normal_equations_ols(x, sample.y)
+        fit = estimate_ols_did(sample)
+        assert_allclose([fit.atet, fit.se], [beta[3], se[3]], rtol=1e-10)
+
+    def test_degrees_of_freedom_count_rows(self):
+        # six rows in six bins for six columns: no residual degree of freedom
+        tight = [[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+        assert_same_ols(shuffled_sample(tight, 5))
+        with pytest.raises(RankError, match=r"need more rows \(6\) than columns \(6\)"):
+            estimate_ols_did(shuffled_sample(tight, 5))
+        tight[0][0] = 2  # one more row in the same six bins: n = k + 1
+        assert_same_ols(shuffled_sample(tight, 5))
+        assert estimate_ols_did(shuffled_sample(tight, 5)).se > 0.0
 
 
 class TestBootstrap:
@@ -860,6 +975,10 @@ class TestBuildSample:
             basic_task(trim_threshold=0.0)
         with pytest.raises(ConfigError):
             basic_task(bootstrap_reps=-1)
+        for reps in (1, 2**32 + 1):
+            with pytest.raises(ConfigError, match=r"reps must be 0 or between 2 and 2\*\*32"):
+                basic_task(bootstrap_reps=reps)
+        assert basic_task(bootstrap_reps=0).bootstrap_reps == 0
         with pytest.raises(ConfigError):
             basic_task(min_cell=0)
         with pytest.raises(ConfigError):  # treated and control quality differ

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from seasondid import DesignMatrix, fit_logistic, fit_ols, prune_design
@@ -20,6 +22,7 @@ from oracles import (
     golden_section_logit_1d,
     logistic_nll,
     normal_equations_ols,
+    prune_column_by_column,
 )
 
 
@@ -156,6 +159,20 @@ class TestDesignHygiene:
         fit = fit_logistic(d, y)
         assert fit.dropped_columns == ("frozen", "x_copy")
         assert fit.column_names == ("const", "x")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 7), st.data())
+    def test_pruning_matches_the_column_by_column_rule(self, n, k, data):
+        # few distinct values, signed zeros and NaN make constants, equal
+        # columns and columns that only look equal
+        cell = st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan])
+        values = np.array(data.draw(st.lists(st.lists(cell, min_size=k, max_size=k),
+                                             min_size=n, max_size=n)), dtype=float)
+        names = tuple(("const" if j == 0 and data.draw(st.booleans()) else f"x{j}")
+                      for j in range(k))
+        pruned, dropped = prune_design(DesignMatrix(values.reshape(n, k), names))
+        kept, expected = prune_column_by_column(values.reshape(n, k), names)
+        assert (list(pruned.names), list(dropped)) == (kept, expected)
 
     def test_genuine_collinearity_raises_rank_error_naming_suspects(self, rng):
         n = 40

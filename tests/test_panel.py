@@ -175,6 +175,40 @@ month_days = st.dates(dt.date(2000, 1, 1), dt.date(2000, 12, 31)).map(
 )
 
 
+class TestLeapDayWindows:
+    """A window that starts or ends on 02-29 is tested day by day as
+    ``ProtectionWindow.contains`` tests it: in a common year no day is
+    02-29, so a 02-29 start leaves 02-28 out and a 02-29 end takes it in
+    (``MonthDay.date_in``, which moves 02-29 to 02-28, would put 02-28
+    inside a 02-29 start)."""
+
+    LATE = window("02-29", "06-30")
+    EARLY = window("01-10", "02-29")
+
+    def labels(self, window_, weeks):
+        rows = panel_rows([price_row("okra", "CH", w, 1.0) for w in weeks])
+        return phases_of(label_panel(rows, ProtectionCalendar({"okra": window_})))
+
+    def test_a_leap_day_start_in_common_years(self):
+        # 2021-W08 ends on Sunday 02-28; 2022-W09 starts on Monday 02-28
+        assert self.labels(self.LATE, [week(2021, 8), week(2021, 9)]) == [
+            PhaseLabel.UNPROTECTED, PhaseLabel.PROTECTED]
+        assert self.labels(self.LATE, [week(2022, 8), week(2022, 9), week(2022, 10)]) == [
+            PhaseLabel.UNPROTECTED, PhaseLabel.BOUNDARY, PhaseLabel.PROTECTED]
+
+    def test_a_leap_day_end_in_common_years(self):
+        assert self.labels(self.EARLY, [week(2021, 8), week(2021, 9)]) == [
+            PhaseLabel.PROTECTED, PhaseLabel.UNPROTECTED]
+        assert self.labels(self.EARLY, [week(2022, 8), week(2022, 9), week(2022, 10)]) == [
+            PhaseLabel.PROTECTED, PhaseLabel.BOUNDARY, PhaseLabel.UNPROTECTED]
+
+    @pytest.mark.parametrize("year", [2019, 2020, 2021, 2022, 2023, 2024])
+    def test_every_week_follows_the_scalar_rule(self, year):
+        weeks = week_range(week(year, 1), week(year, 1).offset(IsoWeek.weeks_in_year(year) - 1))
+        for window_ in (self.LATE, self.EARLY):
+            assert self.labels(window_, weeks) == [label_week(window_, w) for w in weeks]
+
+
 @settings(max_examples=150, deadline=None)
 @given(month_days, month_days, st.integers(1995, 2030), st.integers(1, 300),
        st.sets(st.integers(0, 299), max_size=100))

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from seasondid import (
+    PHASES,
+    IsoWeek,
+    PanelRows,
     PhaseLabel,
     ProtectionCalendar,
     Quality,
@@ -14,8 +20,18 @@ from seasondid import (
     standardize_prices,
 )
 from seasondid.errors import EmptyOverlapError
+from seasondid.panel import SeriesKey
 
-from conftest import panel_rows, phases_of, price_row, week, weeks_of, window
+from conftest import (
+    oracle_records,
+    panel_rows,
+    phases_of,
+    price_row,
+    records,
+    week,
+    weeks_of,
+    window,
+)
 
 
 def labeled_series(calendar, country="CH", product="tomato", prices=None, quality=None,
@@ -177,3 +193,61 @@ class TestProductionWeekRestriction:
         )
         empty = treated.take(np.zeros(len(treated), dtype=bool))
         assert len(restrict_to_production_weeks(empty, treated)) == 0
+
+
+FIRST_WEEK = IsoWeek(2016, 1).ordinal
+
+
+@st.composite
+def outcome_rows(draw, products, min_keys):
+    """Transformed rows of up to four series over twelve weeks, in series
+    then week order; a key may have no rows."""
+    key = st.builds(SeriesKey, st.sampled_from(products), st.sampled_from(list(Quality)),
+                    st.sampled_from(["CH", "DE", "IT"]))
+    keys = tuple(draw(st.lists(key, min_size=min_keys, max_size=4, unique=True)))
+    cells = sorted(draw(st.sets(st.tuples(st.integers(0, len(keys) - 1), st.integers(0, 11)),
+                                max_size=30))) if keys else []
+    n = len(cells)
+    return PanelRows(
+        keys,
+        np.array([code for code, _ in cells], dtype=np.intp),
+        FIRST_WEEK + np.array([offset for _, offset in cells], dtype=np.int64),
+        np.arange(n, dtype=float),
+        np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)), np.int8),
+        np.full(n, 2016),
+    )
+
+
+def as_oracle_rows(rows: PanelRows) -> list:
+    return [
+        oracles.OutcomeObservation(rows.keys[code], IsoWeek.from_ordinal(w),
+                                   oracles.SeasonId("tomato", season), PHASES[phase], value)
+        for code, w, season, phase, value in zip(rows.series.tolist(), rows.week.tolist(),
+                                                 rows.season.tolist(), rows.phase.tolist(),
+                                                 rows.value.tolist())
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    outcome_rows(["tomato", "leek", "okra"], min_keys=0),
+    outcome_rows(["tomato", "leek"], min_keys=1),
+    st.none() | st.dictionaries(st.sampled_from(["tomato", "leek", "okra"]),
+                                st.sampled_from(["tomato", "leek", "okra", "cress"]),
+                                max_size=3),
+)
+def test_restriction_matches_the_row_level_oracle(control, treated, product_map):
+    # treated keys never name okra or cress, so a control series mapped to
+    # either keeps no row
+    try:
+        kept = records(restrict_to_production_weeks(control, treated, product_map))
+    except EmptyOverlapError as exc:
+        kept = exc
+    try:
+        want = oracle_records(oracles.restrict_to_production_weeks(
+            as_oracle_rows(control), as_oracle_rows(treated), product_map))
+    except EmptyOverlapError as exc:
+        assert isinstance(kept, EmptyOverlapError), kept
+        assert str(kept) == str(exc)
+        return
+    assert kept == want

@@ -326,6 +326,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     by_key = {(a.product, a.quality, a.comparison): a for a in attributes}
     rows: list[EffectAttributeRow] = []
     missing: list[str] = []
+    references: set[str] = set()  # control countries without a dummy
     with Path(args.effects).open(newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or tuple(reader.fieldnames) != EFFECTS_COLUMNS:
@@ -336,6 +337,8 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
         for record in reader:
             if record["method"] != args.method:
                 continue
+            if record["control_country"] not in ("DE", "IT"):
+                references.add(record["control_country"])
             quality = Quality.parse(record["quality"])
             key = (record["product"], quality, record["control_country"])
             attribute = by_key.get(key)
@@ -355,6 +358,12 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
                     days_protection=attribute.days_protection,
                 )
             )
+    if len(references) > 1:
+        raise ConfigError(
+            "the heterogeneity regression has country dummies for DE and IT only; "
+            f"control countries {', '.join(sorted(references))} would share its "
+            "reference level"
+        )
     if missing:
         raise ConfigError(
             "no attribute row for estimated effects: " + ", ".join(sorted(set(missing)))

@@ -189,9 +189,6 @@ class DidSample:
     def n_obs(self) -> int:
         return self.y.shape[0]
 
-    def cell_mask(self, d: int, t: int) -> np.ndarray:
-        return (self.d == d) & (self.t == t)
-
     def cell_table(self) -> CellTable:
         """Row counts and outcome sums per (cell, stratum)."""
         code, strata = _cell_code(self)

@@ -62,10 +62,6 @@ class DesignMatrix:
             values = np.empty((0, 0))
         return cls(values, names)
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -9,8 +9,16 @@ positive decimal using ``.`` as the separator. Validation failures carry
 ``file:line`` positions; by default any failure rejects the file, with
 ``skip_bad_rows`` offending rows are dropped and counted instead. Duplicate
 (country, product, quality, region, year, iso_week) keys name both lines.
-Kept rows go straight into per-series arrays of ISO-week ordinals and
-prices, the columns of a ``PanelStore``.
+Kept rows go into per-series arrays of ISO-week ordinals and prices, the
+columns of a ``PanelStore``.
+
+A price file is first read as columns, 32 KiB of whole lines at a time:
+each chunk is split once as plain text, and each distinct series or week
+text is parsed once. That path takes a file only if it is ASCII, holds no
+``"``, has the exact header, ``\\n`` or ``\\r\\n`` line ends, no blank line
+and seven fields on every line, and passes every row check. Anything else,
+any problem included, sends the whole file to the row reader, which alone
+reports problems; the columnar path is tested against it.
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,10 +49,15 @@ ATTRIBUTE_HEADER = (
     "days_protection",
 )
 
-_PRICE_PATTERN = re.compile(r"^\d+(\.\d+)?$")
+_DECIMAL = r"\d+(?:\.\d+)?"
+_PRICE_PATTERN = re.compile(rf"^{_DECIMAL}$")
+# A column of price cells joined by commas, each one matching _PRICE_PATTERN.
+_PRICE_COLUMN = re.compile(rf"{_DECIMAL}(?:,{_DECIMAL})*", re.ASCII)
+_HEADER_LINES = tuple(",".join(PRICE_HEADER) + end for end in ("\n", "\r\n", ""))
+_CHUNK_CHARS = 32 * 1024
 _MAX_REPORTED = 50
 _NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))
-_Columns = dict[SeriesKey, tuple[Iterable[int], list[float]]]
+_Columns = dict[SeriesKey, tuple[Sequence[int] | np.ndarray, Sequence[float] | np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -79,9 +93,9 @@ class PanelStore:
     def _index(self, columns: _Columns) -> None:
         self._columns: dict[SeriesKey, tuple[np.ndarray, np.ndarray]] = {}
         for key, (weeks, prices) in columns.items():
-            weeks = np.fromiter(weeks, dtype=np.int64, count=len(prices))
+            weeks = np.asarray(weeks, dtype=np.int64)
             order = np.argsort(weeks, kind="stable")
-            self._columns[key] = (weeks[order], np.array(prices, dtype=float)[order])
+            self._columns[key] = (weeks[order], np.asarray(prices, dtype=float)[order])
         self._series = sorted(
             self._columns,
             key=lambda k: (k.product, k.quality.value, k.country, k.region or ""),
@@ -147,6 +161,89 @@ def _data_rows(path: Path, handle, header: tuple[str, ...]) -> Iterator[tuple[in
 def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelStore, IngestReport]:
     """Read and validate a price panel into per-series arrays."""
     path = Path(path)
+    with path.open(newline="") as handle:
+        columnar = _read_price_columns(handle)
+    return columnar or _read_price_rows(path, skip_bad_rows)
+
+
+def _read_price_columns(handle) -> tuple[PanelStore, IngestReport] | None:
+    """The store and report of a file on which every row check passes, read
+    a chunk of whole lines at a time; None at the first line that a plain
+    split might read unlike ``csv.reader`` or that a row check might refuse,
+    which leaves the file to the row reader."""
+    if handle.readline() not in _HEADER_LINES:
+        return None
+    series: dict[SeriesKey, int] = {}  # series id by key, in first-seen order
+    key_ids: dict[tuple[str, ...], int] = {}
+    week_ids: dict[tuple[str, ...], int] = {}
+    chunks = []
+    while lines := handle.readlines(_CHUNK_CHARS):
+        chunk = _price_chunk(lines, series, key_ids, week_ids)
+        if chunk is None:
+            return None
+        chunks.append(chunk)
+    ids, weeks, prices = (
+        (np.concatenate(c) for c in zip(*chunks)) if chunks else (_NO_ROWS[0], *_NO_ROWS)
+    )
+    if not (prices > 0).all() or not np.isfinite(prices).all():
+        return None
+    order = np.lexsort((weeks, ids))
+    ids, weeks, prices = ids[order], weeks[order], prices[order]
+    if ((ids[1:] == ids[:-1]) & (weeks[1:] == weeks[:-1])).any():
+        return None  # a duplicate observation
+    bounds = np.cumsum(np.bincount(ids, minlength=len(series)))[:-1]
+    columns = dict(zip(series, zip(np.split(weeks, bounds), np.split(prices, bounds))))
+    report = IngestReport(ids.size, ids.size, 0, _kept_by_country(columns))
+    return PanelStore.from_columns(columns), report
+
+
+def _price_chunk(
+    lines: list[str],
+    series: dict[SeriesKey, int],
+    key_ids: dict[tuple[str, ...], int],
+    week_ids: dict[tuple[str, ...], int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The series ids, week ordinals and prices of whole lines split as
+    plain text, or None where that split or a row check might fail; new
+    series get the next id, and ``key_ids`` and ``week_ids`` remember the
+    parse of each cell text seen."""
+    text = "".join(lines)
+    if not text.isascii() or '"' in text or len(text) > csv.field_size_limit():
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):  # a lone \r ends a row too
+            return None
+        text = text.replace("\r\n", "\n")
+    if set(map(str.count, lines, repeat(","))) != {len(PRICE_HEADER) - 1}:
+        return None  # a blank line or a wrong field count
+    if not text.endswith("\n"):  # the last line of a file without a final newline
+        text += "\n"
+    n = len(lines)
+    cells = text.replace("\n", ",").split(",")
+    country, product, quality, region, year, week, price = (
+        cells[i : n * 7 : 7] for i in range(7)
+    )
+    for raw in dict.fromkeys(zip(country, product, quality, region)):
+        key = _series_key(*raw)
+        if isinstance(key, str):
+            return None
+        key_ids[raw] = series.setdefault(key, len(series))
+    for raw in dict.fromkeys(zip(year, week)):
+        week_ids[raw] = _week_ordinal(*raw)
+        if isinstance(week_ids[raw], str):
+            return None
+    if not _PRICE_COLUMN.fullmatch(",".join(price)):
+        return None
+    return (
+        np.fromiter(map(key_ids.__getitem__, zip(country, product, quality, region)),
+                    dtype=np.int64, count=n),
+        np.fromiter(map(week_ids.__getitem__, zip(year, week)), dtype=np.int64, count=n),
+        np.fromiter(map(float, price), dtype=float, count=n),
+    )
+
+
+def _read_price_rows(path: Path, skip_bad_rows: bool) -> tuple[PanelStore, IngestReport]:
+    """``read_prices`` row by row: the reader that reports every problem."""
     columns: dict[SeriesKey, tuple[dict[int, int], list[float]]] = {}
     problems: list[str] = []
     rows_read = 0
@@ -163,17 +260,23 @@ def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelSto
         raise IngestError(
             f"{len(problems)} invalid rows in {path.name}:\n" + "\n".join(shown)
         )
-    kept_by_country: dict[str, int] = {}
-    for key, (_, prices) in columns.items():
-        kept_by_country[key.country] = kept_by_country.get(key.country, 0) + len(prices)
     report = IngestReport(
         rows_read=rows_read,
         rows_kept=rows_read - len(problems),
         rows_skipped=len(problems),
-        kept_by_country=kept_by_country,
+        kept_by_country=_kept_by_country(columns),
         problems=tuple(problems),
     )
-    return PanelStore.from_columns(columns), report
+    return PanelStore.from_columns(
+        {key: (list(lines), prices) for key, (lines, prices) in columns.items()}
+    ), report
+
+
+def _kept_by_country(columns: _Columns) -> dict[str, int]:
+    kept: dict[str, int] = {}
+    for key, (_, prices) in columns.items():
+        kept[key.country] = kept.get(key.country, 0) + len(prices)
+    return kept
 
 
 def _parse_price_row(

@@ -46,6 +46,11 @@ from seasondid.panel import PhaseLabel, PriceObservation, SeriesKey, assign_seas
 from seasondid.weeks import IsoWeek
 
 
+def cell_mask(sample, d: int, t: int) -> np.ndarray:
+    """The rows of a sample in cell (D=d, T=t)."""
+    return (sample.d == d) & (sample.t == t)
+
+
 def did_from_cell_means(y, d, t) -> float:
     """(mean Y | D=1,T=1) - (D=1,T=0) - [(D=0,T=1) - (D=0,T=0)], computed
     with four independent boolean masks."""

@@ -27,6 +27,7 @@ from conftest import (
     weeks_of,
 )
 from oracles import (
+    cell_mask,
     central_difference_gradient,
     golden_section_logit_1d,
     logistic_nll,
@@ -290,7 +291,7 @@ def _imbalanced_sample(rng: np.random.Generator) -> DidSample:
 def _retained_rows(sample: DidSample, threshold: float) -> set:
     kept = set(range(sample.n_obs))
     for cell, rho in propensity_report(sample.cell_table()).items():
-        rows = np.flatnonzero(sample.cell_mask(*cell))
+        rows = np.flatnonzero(cell_mask(sample, *cell))
         kept -= set(rows[rho[sample.stratum[rows]] > threshold].tolist())
     return kept
 

@@ -278,10 +278,9 @@ class TestDescribe:
 
 
 class TestHeterogeneity:
-    def effects_fixture(self, tmp_path, n=20, drop_attribute=None):
+    def effects_fixture(self, tmp_path, n=20, drop_attribute=None, countries=("DE", "IT", "FR")):
         effects = tmp_path / "effects.csv"
         attributes = tmp_path / "attributes.csv"
-        countries = ("DE", "IT", "FR")
         with effects.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(EFFECTS_COLUMNS)
@@ -335,6 +334,16 @@ class TestHeterogeneity:
                      "--attributes", str(attributes), "--out", str(tmp_path / "h")])
         assert code == EXIT_CONFIG
         assert "veg3" in capsys.readouterr().err
+
+    def test_two_reference_countries_are_refused(self, tmp_path, capsys):
+        # with dummies for DE and IT only, AT and FR would share one level
+        effects, attributes = self.effects_fixture(tmp_path, countries=("DE", "AT", "FR"))
+        out = tmp_path / "h"
+        code = main(["heterogeneity", "--effects", str(effects),
+                     "--attributes", str(attributes), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "control countries AT, FR would share" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_effects_header_is_checked(self, tmp_path, capsys):
         _, attributes = self.effects_fixture(tmp_path)

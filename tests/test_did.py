@@ -54,6 +54,7 @@ from conftest import (
     window,
 )
 from oracles import (
+    cell_mask,
     did_from_cell_means,
     normal_equations_ols,
     row_level_bootstrap,
@@ -170,9 +171,9 @@ class TestTrimming:
         # the weighted comparison means
         rows = np.flatnonzero(sample.stratum == 0)
         stratum0 = DidSample(sample.y[rows], sample.d[rows], sample.t[rows], sample.stratum[rows])
-        treated_mean = float(sample.y[sample.cell_mask(1, 1)].mean())
+        treated_mean = float(sample.y[cell_mask(sample, 1, 1)].mean())
         comparison = [
-            float(stratum0.y[stratum0.cell_mask(d, t)].mean())
+            float(stratum0.y[cell_mask(stratum0, d, t)].mean())
             for d, t in ((1, 0), (0, 1), (0, 0))
         ]
         assert_allclose(trimmed, treated_mean - comparison[0] - comparison[1] + comparison[2], atol=1e-8)
@@ -227,9 +228,9 @@ def irls_propensity_report(sample: DidSample) -> dict:
     names = tuple(f"stratum_{s}" for s in codes[1:])
     dummies = (sample.stratum[:, None] == codes[None, 1:]).astype(float)
     reports = {}
-    treated_rows = np.flatnonzero(sample.cell_mask(1, 1))
+    treated_rows = np.flatnonzero(cell_mask(sample, 1, 1))
     for d, t in COMPARISON_CELLS:
-        comparison_rows = np.flatnonzero(sample.cell_mask(d, t))
+        comparison_rows = np.flatnonzero(cell_mask(sample, d, t))
         pooled = np.concatenate([treated_rows, comparison_rows])
         membership = np.concatenate(
             [np.ones(treated_rows.size), np.zeros(comparison_rows.size)]
@@ -248,12 +249,12 @@ def row_level_propensity_report(sample: DidSample) -> dict:
     """Row-level reference for the closed-form propensities: each pair's
     stratum shares looked up for every comparison row and every (1,1) row."""
     sample.cell_table().validate()
-    treated = sample.cell_mask(1, 1)
+    treated = cell_mask(sample, 1, 1)
     n_strata = int(sample.stratum.max()) + 1
     n11 = np.bincount(sample.stratum[treated], minlength=n_strata)
     reports = {}
     for d, t in COMPARISON_CELLS:
-        rows = np.flatnonzero(sample.cell_mask(d, t))
+        rows = np.flatnonzero(cell_mask(sample, d, t))
         n_g = np.bincount(sample.stratum[rows], minlength=n_strata)
         one_sided = np.flatnonzero((n11 == 0) != (n_g == 0))
         if one_sided.size:
@@ -276,7 +277,7 @@ def row_level_ipw_did(sample: DidSample, trim_threshold: float, trim_treated: bo
     normalized within each comparison cell, with per-row trimming. Returns
     (atet, n_by_cell, n_trimmed_by_cell)."""
     reports = row_level_propensity_report(sample)
-    treated_rows = np.flatnonzero(sample.cell_mask(1, 1))
+    treated_rows = np.flatnonzero(cell_mask(sample, 1, 1))
     trimmed = {cell: 0 for cell in CELL_ORDER}
     weighted_means = {}
     treated_drop = np.zeros(treated_rows.size, dtype=bool)
@@ -310,7 +311,7 @@ def row_level_ipw_did(sample: DidSample, trim_threshold: float, trim_treated: bo
         - weighted_means[(1, 0)]
         - (weighted_means[(0, 1)] - weighted_means[(0, 0)])
     )
-    n_by_cell = tuple(int(sample.cell_mask(d, t).sum()) for d, t in CELL_ORDER)
+    n_by_cell = tuple(int(cell_mask(sample, d, t).sum()) for d, t in CELL_ORDER)
     return atet, n_by_cell, tuple(trimmed[cell] for cell in CELL_ORDER)
 
 
@@ -365,12 +366,12 @@ class TestClosedFormPropensity:
             # leaves the intercept collinear; the closed form names the
             # one-sided stratum instead
             assert isinstance(closed, SeparationError)
-            assert not np.any(sample.cell_mask(1, 1) & (sample.stratum == sample.stratum.min()))
+            assert not np.any(cell_mask(sample, 1, 1) & (sample.stratum == sample.stratum.min()))
         elif isinstance(reference, Exception):
             assert type(closed) is type(reference), (closed, reference)
         else:
             assert not isinstance(closed, Exception), closed
-            treated_strata = sample.stratum[sample.cell_mask(1, 1)]
+            treated_strata = sample.stratum[cell_mask(sample, 1, 1)]
             for cell in COMPARISON_CELLS:
                 rho = closed[cell]
                 row_rho = rho[sample.stratum[reference[cell].rows]]

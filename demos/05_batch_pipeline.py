@@ -65,9 +65,10 @@ with open(out / "pretrends.csv", newline="") as handle:
               f"ATET {float(record['atet']):+.4f} (p = {float(record['p']):.3f})")
 print()
 
-# 5. Heterogeneity: regress estimated effects on product attributes. A single
-# simulated product cannot support the regression, so this step uses the
-# committed reference tables instead.
+# 5. Heterogeneity: regress estimated effects on product attributes and on
+# dummies for the control countries in the table (DE, the first in sorted
+# order, is the reference level). A single simulated product cannot support
+# the regression, so this step uses the committed reference tables instead.
 fixtures = Path(__file__).parent.parent / "tests" / "data"
 het = root / "het"
 assert main(["heterogeneity",

@@ -33,6 +33,7 @@ from .diagnostics import (
     PlaceboResult,
     describe_distribution,
     heterogeneity_regression,
+    join_effect_attributes,
     offset_weeks,
     pretrend_placebo,
     rolling_biweekly_effects,

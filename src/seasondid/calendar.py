@@ -112,7 +112,12 @@ class ProtectionCalendar:
         first_line: dict[str, int] = {}
         problems: list[str] = []
         with path.open(newline="") as handle:
-            for lineno, row in enumerate(csv.reader(handle), start=1):
+            reader = csv.reader(handle)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+                raise CalendarError(f"{path.name}:{reader.line_num}: {exc}") from None
+            for lineno, row in enumerate(rows, start=1):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if lineno == 1 and tuple(cell.strip() for cell in row) == _HEADER:

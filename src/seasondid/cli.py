@@ -29,9 +29,9 @@ from . import __version__
 from .calendar import ProtectionCalendar
 from .config import RunConfig, expand_tasks, sim_config_from_file
 from .diagnostics import (
-    EffectAttributeRow,
     describe_distribution,
     heterogeneity_regression,
+    join_effect_attributes,
     pretrend_placebo,
 )
 from .did import METHODS, EstimationTask, two_sided_normal_p
@@ -44,13 +44,13 @@ from .errors import (
     SeasonDidError,
 )
 from .ingest import (
+    EFFECTS_COLUMNS,
     PanelStore,
-    read_attributes,
     read_prices,
     write_calendar,
     write_prices,
 )
-from .panel import Outcome, Quality, apply_boundary_exclusion, label_panel
+from .panel import Outcome, apply_boundary_exclusion, label_panel
 from .pipeline import prepare_outcome_rows, run_task, task_seed
 from .simgen import generate_panel, true_effect
 from .transforms import compute_volatility, standardize_prices
@@ -59,10 +59,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TASK_FAILURE = 2
 
-EFFECTS_COLUMNS = (
-    "product", "quality", "control_country", "outcome", "method", "atet", "se",
-    "p", "n11", "n10", "n01", "n00", "trimmed", "reps", "seed",
-)
 PRETREND_COLUMNS = (
     "product", "quality", "control_country", "outcome", "atet", "se", "p",
     "n11", "n10", "n01", "n00", "seasons_used", "reps", "seed",
@@ -322,57 +318,9 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_heterogeneity(args: argparse.Namespace) -> int:
-    attributes = read_attributes(args.attributes)
-    by_key = {(a.product, a.quality, a.comparison): a for a in attributes}
-    rows: list[EffectAttributeRow] = []
-    missing: list[str] = []
-    references: set[str] = set()  # control countries without a dummy
-    with Path(args.effects).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != EFFECTS_COLUMNS:
-            raise IngestError(
-                f"{args.effects}: expected an effects table with columns "
-                f"{','.join(EFFECTS_COLUMNS)}"
-            )
-        for record in reader:
-            if record["method"] != args.method:
-                continue
-            if record["control_country"] not in ("DE", "IT"):
-                references.add(record["control_country"])
-            quality = Quality.parse(record["quality"])
-            key = (record["product"], quality, record["control_country"])
-            attribute = by_key.get(key)
-            if attribute is None:
-                missing.append(f"{key[0]}/{quality}/{key[2]}")
-                continue
-            rows.append(
-                EffectAttributeRow(
-                    outcome=Outcome(record["outcome"]),
-                    effect=float(record["atet"]),
-                    conventional=1 if quality is Quality.CONVENTIONAL else 0,
-                    germany=1 if record["control_country"] == "DE" else 0,
-                    italy=1 if record["control_country"] == "IT" else 0,
-                    harvested_once=attribute.harvested_once,
-                    storability_weeks=attribute.storability_weeks,
-                    market_share_pct=attribute.market_share_pct,
-                    days_protection=attribute.days_protection,
-                )
-            )
-    if len(references) > 1:
-        raise ConfigError(
-            "the heterogeneity regression has country dummies for DE and IT only; "
-            f"control countries {', '.join(sorted(references))} would share its "
-            "reference level"
-        )
-    if missing:
-        raise ConfigError(
-            "no attribute row for estimated effects: " + ", ".join(sorted(set(missing)))
-        )
-    if not rows:
-        raise ConfigError(f"no effect rows with method {args.method!r} to regress")
-    results = heterogeneity_regression(rows)
+    rows = join_effect_attributes(args.effects, args.attributes, args.method)
     out_rows: list[tuple] = []
-    for result in results:
+    for result in heterogeneity_regression(rows):
         dropped = ";".join(result.fit.dropped_columns)
         for name in result.fit.column_names:
             coef = result.fit.coefficient(name)

@@ -7,8 +7,9 @@
   one cell-means DiD per biweek of protection against the last two
   pre-protection weeks.
 * ``describe_distribution``: phase-level outcome summaries per country.
-* ``heterogeneity_regression``: OLS of estimated effects on product
-  attributes, pooled and per quality.
+* ``heterogeneity_regression``: OLS of estimated effects (joined with their
+  product attributes by ``join_effect_attributes``) on those attributes and
+  comparison-country dummies derived from the rows, pooled and per quality.
 
 Offsets are counted in whole non-Boundary weeks walking back from the week
 containing the protection start; Boundary weeks are skipped, not counted.
@@ -16,15 +17,24 @@ containing the protection start; Boundary weeks are skipped, not counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .calendar import ProtectionCalendar, ProtectionWindow
 from .did import DidSample, EffectEstimate, EstimationTask, bootstrap_se, cell_means_did
-from .errors import InfeasibleSampleError
+from .errors import ConfigError, InfeasibleSampleError
 from .glm import DesignMatrix, FitResult, fit_ols
-from .panel import PHASES, Outcome, PanelRows, PhaseLabel, label_week
+from .ingest import (
+    ATTRIBUTE_HEADER,
+    EFFECTS_COLUMNS,
+    AttributeRecord,
+    read_attributes,
+    read_table,
+)
+from .panel import PHASES, Outcome, PanelRows, PhaseLabel, Quality, label_week
 from .weeks import IsoWeek
 
 _MAX_OFFSET_WALK = 120
@@ -63,13 +73,7 @@ class EffectAttributeRow:
 
     outcome: Outcome
     effect: float
-    conventional: int
-    germany: int
-    italy: int
-    harvested_once: int
-    storability_weeks: float
-    market_share_pct: float
-    days_protection: float
+    attributes: AttributeRecord
 
 
 @dataclass(frozen=True)
@@ -290,15 +294,38 @@ def describe_distribution(rows: PanelRows, outcome: Outcome) -> list[PhaseSummar
     return summaries
 
 
-_ATTRIBUTE_COLUMNS = (
-    "conventional",
-    "germany",
-    "italy",
-    "harvested_once",
-    "storability_weeks",
-    "market_share_pct",
-    "days_protection",
-)
+def join_effect_attributes(
+    effects: str | Path, attributes: str | Path, method: str
+) -> list[EffectAttributeRow]:
+    """The ``method`` rows of an effects table, each joined with the row of
+    an attributes file for its (product, quality, control country).
+
+    A bad effects row is an :class:`IngestError` at its ``file:line``; an
+    effect without an attribute row, or no row of ``method``, is a
+    :class:`ConfigError` that names what is missing."""
+    by_key = {(a.product, a.quality, a.comparison): a for a in read_attributes(attributes)}
+    missing: set[str] = set()
+
+    def join(record: dict[str, str]) -> EffectAttributeRow | None:
+        if record["method"] != method:
+            return None
+        quality = Quality.parse(record["quality"])
+        outcome = Outcome(record["outcome"])
+        effect = float(record["atet"])
+        if not math.isfinite(effect):
+            raise ConfigError(f"atet must be a finite number, got {effect!r}")
+        key = (record["product"], quality, record["control_country"])
+        if key not in by_key:
+            missing.add(f"{key[0]}/{quality}/{key[2]}")
+            return None
+        return EffectAttributeRow(outcome, effect, by_key[key])
+
+    rows = [row for row in read_table(Path(effects), EFFECTS_COLUMNS, join) if row is not None]
+    if missing:
+        raise ConfigError("no attribute row for estimated effects: " + ", ".join(sorted(missing)))
+    if not rows:
+        raise ConfigError(f"no effect rows with method {method!r} to regress")
+    return rows
 
 
 def heterogeneity_regression(rows: list[EffectAttributeRow]) -> list[HeterogeneityResult]:
@@ -306,27 +333,34 @@ def heterogeneity_regression(rows: list[EffectAttributeRow]) -> list[Heterogenei
 
     Six regressions: one per outcome for the pooled sample (with a
     conventional-quality dummy) and per quality subsample (without it).
-    Degenerate columns are pruned and reported by the fitter; genuinely
-    collinear attributes raise a rank error.
+    The comparison countries of all ``rows`` set the country dummies: the
+    first in sorted order is the reference level, and every other one has a
+    ``country_<code>`` column, in sorted order. Degenerate columns, such as
+    the dummy of a country a subsample lacks, are pruned and reported by
+    the fitter; genuinely collinear attributes raise a rank error.
     """
+    countries = sorted({row.attributes.comparison for row in rows})
     results = []
     for outcome in (Outcome.LEVEL, Outcome.VOLATILITY):
         outcome_rows = [row for row in rows if row.outcome is outcome]
-        subsamples = (
-            ("pooled", outcome_rows),
-            ("conventional", [r for r in outcome_rows if r.conventional == 1]),
-            ("organic", [r for r in outcome_rows if r.conventional == 0]),
-        )
+        subsamples = [("pooled", outcome_rows)] + [
+            (q.value, [r for r in outcome_rows if r.attributes.quality is q]) for q in Quality
+        ]
         for name, subset in subsamples:
             if not subset:
                 continue
             y = np.array([r.effect for r in subset])
+            records = [r.attributes for r in subset]
             columns = [("const", np.ones(len(subset)))]
-            for attribute in _ATTRIBUTE_COLUMNS:
-                if name != "pooled" and attribute == "conventional":
-                    continue
+            if name == "pooled":
+                quality = [a.quality is Quality.CONVENTIONAL for a in records]
+                columns.append(("conventional", np.array(quality, dtype=float)))
+            for country in countries[1:]:
+                dummy = [a.comparison == country for a in records]
+                columns.append((f"country_{country}", np.array(dummy, dtype=float)))
+            for attribute in ATTRIBUTE_HEADER[3:]:  # the columns after the join key
                 columns.append(
-                    (attribute, np.array([float(getattr(r, attribute)) for r in subset]))
+                    (attribute, np.array([float(getattr(a, attribute)) for a in records]))
                 )
             fit = fit_ols(DesignMatrix.from_columns(columns), y)
             residuals = y - fit.fitted

@@ -27,10 +27,10 @@ import csv
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,14 +39,9 @@ from .panel import PanelRows, PriceObservation, Quality, SeriesKey
 from .weeks import IsoWeek
 
 PRICE_HEADER = ("country", "product", "quality", "region", "year", "iso_week", "price")
-ATTRIBUTE_HEADER = (
-    "product",
-    "quality",
-    "comparison",
-    "harvested_once",
-    "storability_weeks",
-    "market_share_pct",
-    "days_protection",
+EFFECTS_COLUMNS = (
+    "product", "quality", "control_country", "outcome", "method", "atet", "se",
+    "p", "n11", "n10", "n01", "n00", "trimmed", "reps", "seed",
 )
 
 _DECIMAL = r"\d+(?:\.\d+)?"
@@ -58,6 +53,7 @@ _CHUNK_CHARS = 32 * 1024
 _MAX_REPORTED = 50
 _NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))
 _Columns = dict[SeriesKey, tuple[Sequence[int] | np.ndarray, Sequence[float] | np.ndarray]]
+_Record = TypeVar("_Record")
 
 
 @dataclass(frozen=True)
@@ -146,16 +142,18 @@ def _data_rows(path: Path, handle, header: tuple[str, ...]) -> Iterator[tuple[in
     equal ``header``."""
     reader = csv.reader(handle)
     try:
-        first = next(reader)
-    except StopIteration:
-        raise IngestError(f"{path.name}: file is empty") from None
-    if tuple(cell.strip() for cell in first) != header:
-        raise IngestError(
-            f"{path.name}:1: expected header {','.join(header)!r}, got {','.join(first)!r}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if row and (len(row) > 1 or row[0].strip()):
-            yield lineno, row
+        first = next(reader, None)
+        if first is None:
+            raise IngestError(f"{path.name}: file is empty")
+        if tuple(cell.strip() for cell in first) != header:
+            raise IngestError(
+                f"{path.name}:1: expected header {','.join(header)!r}, got {','.join(first)!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if row and (len(row) > 1 or row[0].strip()):
+                yield lineno, row
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise IngestError(f"{path.name}:{reader.line_num}: {exc}") from None
 
 
 def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelStore, IngestReport]:
@@ -369,7 +367,8 @@ def write_calendar(path: str | Path, entries: dict[str, tuple[str, str]]) -> Non
 
 @dataclass(frozen=True)
 class AttributeRecord:
-    """Product attributes for one (product, quality, comparison country)."""
+    """Product attributes for one (product, quality, comparison country);
+    the fields are the columns of an attributes file, in order."""
 
     product: str
     quality: Quality
@@ -380,42 +379,54 @@ class AttributeRecord:
     days_protection: float
 
 
-def read_attributes(path: str | Path) -> list[AttributeRecord]:
-    path = Path(path)
-    records: list[AttributeRecord] = []
+ATTRIBUTE_HEADER = tuple(field.name for field in fields(AttributeRecord))
+
+
+def read_table(
+    path: Path, header: tuple[str, ...], parse: Callable[[dict[str, str]], _Record]
+) -> list[_Record]:
+    """``parse`` of each data row of a file with exactly ``header``, given
+    the row's stripped cells by column. A row with the wrong field count, or
+    one that ``parse`` refuses with a ConfigError or ValueError, is a
+    problem; any problem is an IngestError listing each at its file:line."""
+    records: list[_Record] = []
     problems: list[str] = []
     with path.open(newline="") as handle:
-        for lineno, row in _data_rows(path, handle, ATTRIBUTE_HEADER):
-            if len(row) != len(ATTRIBUTE_HEADER):
-                problems.append(
-                    f"{path.name}:{lineno}: expected {len(ATTRIBUTE_HEADER)} fields, "
-                    f"got {len(row)}"
-                )
-                continue
-            product, quality_text, comparison, once, storability, share, days = (
-                cell.strip() for cell in row
-            )
+        for lineno, row in _data_rows(path, handle, header):
             try:
-                quality = Quality.parse(quality_text)
-                if once not in ("0", "1"):
-                    raise ConfigError(f"harvested_once must be 0 or 1, got {once!r}")
-                record = AttributeRecord(
-                    product=product,
-                    quality=quality,
-                    comparison=comparison,
-                    harvested_once=int(once),
-                    storability_weeks=float(storability),
-                    market_share_pct=float(share),
-                    days_protection=float(days),
-                )
+                if len(row) != len(header):
+                    raise ConfigError(f"expected {len(header)} fields, got {len(row)}")
+                records.append(parse(dict(zip(header, (cell.strip() for cell in row)))))
             except (ConfigError, ValueError) as exc:
                 problems.append(f"{path.name}:{lineno}: {exc}")
-                continue
-            records.append(record)
     if problems:
         raise IngestError(
             f"{len(problems)} invalid rows in {path.name}:\n" + "\n".join(problems)
         )
+    return records
+
+
+def read_attributes(path: str | Path) -> list[AttributeRecord]:
+    path = Path(path)
+    records = read_table(path, ATTRIBUTE_HEADER, _attribute_record)
     if not records:
         raise IngestError(f"{path.name}: no attribute rows")
     return records
+
+
+def _attribute_record(cells: dict[str, str]) -> AttributeRecord:
+    quality = Quality.parse(cells["quality"])
+    once = cells["harvested_once"]
+    if once not in ("0", "1"):
+        raise ConfigError(f"harvested_once must be 0 or 1, got {once!r}")
+    numbers = {name: float(cells[name]) for name in ATTRIBUTE_HEADER[4:]}
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return AttributeRecord(
+        product=cells["product"],
+        quality=quality,
+        comparison=cells["comparison"],
+        harvested_once=int(once),
+        **numbers,
+    )

@@ -11,7 +11,6 @@ used by the reference) and documented best-effort attribute reconstructions,
 so the check reports the honest discrepancy rather than hiding it.
 """
 
-import csv
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +38,6 @@ from seasondid import (
     CovariateSpec,
     DesignMatrix,
     DidSample,
-    EffectAttributeRow,
     Outcome,
     PanelStore,
     PhaseLabel,
@@ -55,11 +53,11 @@ from seasondid import (
     fit_ols,
     generate_panel,
     heterogeneity_regression,
+    join_effect_attributes,
     label_panel,
     prepare_outcome_rows,
     pretrend_placebo,
     propensity_report,
-    read_attributes,
     standardize_prices,
     true_effect,
 )
@@ -360,26 +358,8 @@ def test_09_reference_heterogeneity_reproduction(report):
     ever published, and the attribute codings in the fixture are best-effort
     reconstructions. The measured coefficient is printed for the record.
     """
-    attributes = {
-        (rec.product, rec.quality.value, rec.comparison): rec
-        for rec in read_attributes(DATA / "reference_attributes.csv")
-    }
-    rows = []
-    with open(DATA / "reference_effects.csv", newline="") as handle:
-        for record in csv.DictReader(handle):
-            rec = attributes[(record["product"], record["quality"],
-                              record["control_country"])]
-            rows.append(EffectAttributeRow(
-                outcome=Outcome(record["outcome"]),
-                effect=float(record["atet"]),
-                conventional=int(record["quality"] == "conventional"),
-                germany=int(record["control_country"] == "DE"),
-                italy=int(record["control_country"] == "IT"),
-                harvested_once=rec.harvested_once,
-                storability_weeks=rec.storability_weeks,
-                market_share_pct=rec.market_share_pct,
-                days_protection=rec.days_protection,
-            ))
+    rows = join_effect_attributes(DATA / "reference_effects.csv",
+                                  DATA / "reference_attributes.csv", "ipw")
     pooled = next(r for r in heterogeneity_regression(rows)
                   if r.outcome is Outcome.LEVEL and r.subsample == "pooled")
     measured = pooled.fit.coefficient("conventional")

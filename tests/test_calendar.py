@@ -1,5 +1,6 @@
 """Protection-calendar parsing and window semantics."""
 
+import csv
 import datetime as dt
 
 import pytest
@@ -101,6 +102,13 @@ class TestCalendarFile:
         with pytest.raises(CalendarError) as excinfo:
             ProtectionCalendar.from_csv(path)
         assert "cal.csv:2: expected MM-DD, got '05-1²'" in str(excinfo.value)
+
+    def test_a_cell_beyond_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        product = "p" * (csv.field_size_limit() + 1)
+        path.write_text(f"tomato,05-10,08-31\n{product},05-10,08-31\n")
+        with pytest.raises(CalendarError, match="cal.csv:2: field larger than field limit"):
+            ProtectionCalendar.from_csv(path)
 
     def test_duplicate_product_names_both_lines(self, tmp_path):
         path = tmp_path / "calendar.csv"

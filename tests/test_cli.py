@@ -287,7 +287,7 @@ class TestHeterogeneity:
             for i in range(n):
                 quality = "conventional" if i % 2 == 0 else "organic"
                 writer.writerow([
-                    f"veg{i}", quality, countries[i % 3], "level", "ipw",
+                    f"veg{i}", quality, countries[(i // 2) % len(countries)], "level", "ipw",
                     repr(10.0 + 3.0 * (i % 7) - 0.5 * i), "1.0", "0.5",
                     "10", "10", "10", "10", "0", "25", str(100 + i),
                 ])
@@ -305,7 +305,7 @@ class TestHeterogeneity:
                 if drop_attribute == i:
                     continue
                 writer.writerow([
-                    f"veg{i}", quality, countries[i % 3], (i // 2) % 2,
+                    f"veg{i}", quality, countries[(i // 2) % len(countries)], (i // 5) % 2,
                     2 + i % 5, 1 + (3 * i) % 17, 40 + (i * i) % 31,
                 ])
         return effects, attributes
@@ -323,10 +323,48 @@ class TestHeterogeneity:
                               ("level", "organic")}
         pooled = [r for r in rows if r[1] == "pooled"]
         assert [r[2] for r in pooled] == [
-            "const", "conventional", "germany", "italy", "harvested_once",
+            "const", "conventional", "country_FR", "country_IT", "harvested_once",
             "storability_weeks", "market_share_pct", "days_protection",
         ]
         assert all(r[6] == "20" for r in pooled)  # the ols row was ignored
+
+    @pytest.mark.parametrize("countries,dummies", [
+        (("DE", "IT", "FR", "AT"), ["country_DE", "country_FR", "country_IT"]),
+        (("FR",), []),
+    ])
+    def test_country_dummies_come_from_the_rows(self, tmp_path, countries, dummies):
+        # the first country in sorted order is the reference level
+        effects, attributes = self.effects_fixture(tmp_path, countries=countries)
+        out = tmp_path / "het"
+        code = main(["heterogeneity", "--effects", str(effects),
+                     "--attributes", str(attributes), "--out", str(out)])
+        assert code == EXIT_OK
+        _, rows = read_csv(out / "heterogeneity.csv")
+        for subsample in ("pooled", "conventional", "organic"):
+            terms = [r[2] for r in rows if r[1] == subsample]
+            assert [t for t in terms if t.startswith("country_")] == dummies
+            assert len(terms) == 5 + len(dummies) + (subsample == "pooled")
+
+    @pytest.mark.parametrize("column,value,needle", [
+        (1, "premium", "unknown quality 'premium'"),
+        (3, "levels", "'levels' is not a valid Outcome"),
+        (5, "steep", "could not convert string to float: 'steep'"),
+        (5, "nan", "atet must be a finite number, got nan"),
+        (5, "-inf", "atet must be a finite number, got -inf"),
+    ])
+    def test_bad_effects_rows_are_named_by_line(self, tmp_path, capsys, column, value, needle):
+        effects, attributes = self.effects_fixture(tmp_path)
+        lines = effects.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        effects.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "h"
+        code = main(["heterogeneity", "--effects", str(effects),
+                     "--attributes", str(attributes), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"effects.csv:4: {needle}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_attribute_rows_are_named(self, tmp_path, capsys):
         effects, attributes = self.effects_fixture(tmp_path, drop_attribute=3)
@@ -335,16 +373,6 @@ class TestHeterogeneity:
         assert code == EXIT_CONFIG
         assert "veg3" in capsys.readouterr().err
 
-    def test_two_reference_countries_are_refused(self, tmp_path, capsys):
-        # with dummies for DE and IT only, AT and FR would share one level
-        effects, attributes = self.effects_fixture(tmp_path, countries=("DE", "AT", "FR"))
-        out = tmp_path / "h"
-        code = main(["heterogeneity", "--effects", str(effects),
-                     "--attributes", str(attributes), "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert "control countries AT, FR would share" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_effects_header_is_checked(self, tmp_path, capsys):
         _, attributes = self.effects_fixture(tmp_path)
         effects = tmp_path / "bad_effects.csv"
@@ -352,7 +380,7 @@ class TestHeterogeneity:
         code = main(["heterogeneity", "--effects", str(effects),
                      "--attributes", str(attributes), "--out", str(tmp_path / "h")])
         assert code == EXIT_CONFIG
-        assert "expected an effects table" in capsys.readouterr().err
+        assert "bad_effects.csv:1: expected header" in capsys.readouterr().err
 
     def test_too_few_rows_for_the_design_is_a_hard_failure(self, tmp_path):
         effects, attributes = self.effects_fixture(tmp_path, n=6)

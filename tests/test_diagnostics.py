@@ -1,14 +1,20 @@
 """Placebo, rolling-effect, descriptive, and meta-regression diagnostics."""
 
+import csv
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
 from seasondid import (
     PHASES,
+    AttributeRecord,
     EffectAttributeRow,
     Outcome,
     PanelRows,
@@ -21,6 +27,7 @@ from seasondid import (
     describe_distribution,
     generate_panel,
     heterogeneity_regression,
+    join_effect_attributes,
     label_panel,
     offset_weeks,
     prepare_outcome_rows,
@@ -29,7 +36,8 @@ from seasondid import (
     standardize_prices,
     compute_volatility,
 )
-from seasondid.errors import InfeasibleSampleError, SeasonDidError
+from seasondid.errors import ConfigError, InfeasibleSampleError, IngestError, SeasonDidError
+from seasondid.ingest import ATTRIBUTE_HEADER, EFFECTS_COLUMNS
 from seasondid.panel import label_week
 
 from conftest import basic_task, panel_rows, price_row, week, weeks_of, window
@@ -388,72 +396,143 @@ class TestDiagnosticsEqualTheRowLevelOracle:
             )
 
 
-def attribute_row(gen, outcome=Outcome.LEVEL, conventional=None):
-    conv = int(gen.integers(0, 2)) if conventional is None else conventional
-    country = gen.choice(["FR", "DE", "IT"])
-    return EffectAttributeRow(
-        outcome=outcome,
-        effect=float(gen.normal(10.0, 20.0)),
-        conventional=conv,
-        germany=int(country == "DE"),
-        italy=int(country == "IT"),
-        harvested_once=int(gen.integers(0, 2)),
-        storability_weeks=float(gen.integers(2, 9)),
-        market_share_pct=float(gen.uniform(0.1, 20.0)),
-        days_protection=float(gen.integers(30, 200)),
-    )
+def joined(directory, effects, method="ipw"):
+    """``join_effect_attributes`` of an effects table and an attributes file
+    written from ``effects``, a list of (outcome, effect, AttributeRecord)."""
+    effects_path, attributes_path = directory / "effects.csv", directory / "attributes.csv"
+    with attributes_path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(ATTRIBUTE_HEADER)
+        records = dict.fromkeys(record for _, _, record in effects)
+        writer.writerows([getattr(r, name) for name in ATTRIBUTE_HEADER] for r in records)
+    with effects_path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(EFFECTS_COLUMNS)
+        for outcome, effect, r in effects:
+            writer.writerow([r.product, r.quality, r.comparison, outcome, "ipw", repr(effect),
+                             "1.0", "0.5", 10, 10, 10, 10, 0, 25, 7])
+    return join_effect_attributes(effects_path, attributes_path, method)
 
 
-def oracle_design(rows, include_conventional):
-    columns = [np.ones(len(rows))]
-    names = ["const"]
-    attributes = ["conventional", "germany", "italy", "harvested_once",
-                  "storability_weeks", "market_share_pct", "days_protection"]
-    for name in attributes:
-        if name == "conventional" and not include_conventional:
-            continue
-        columns.append(np.array([float(getattr(r, name)) for r in rows]))
-        names.append(name)
-    return np.column_stack(columns), names
+def random_effects(gen, countries, per_cell, qualities=tuple(Quality), outcomes=tuple(Outcome)):
+    """(outcome, effect, attributes) of ``per_cell`` products in each
+    (quality, country) cell, for each outcome."""
+    records = [
+        AttributeRecord(
+            product=f"veg{j}",
+            quality=quality,
+            comparison=country,
+            harvested_once=j % 2,
+            storability_weeks=float(gen.integers(2, 9)),
+            market_share_pct=float(gen.uniform(0.1, 20.0)),
+            days_protection=float(gen.integers(30, 200)),
+        )
+        for quality in qualities for country in countries for j in range(per_cell)
+    ]
+    return [(outcome, float(gen.normal(10.0, 20.0)), r) for outcome in outcomes for r in records]
+
+
+def oracle_design(effects, countries, include_conventional):
+    """The design of ``effects``: const, the conventional dummy if asked, a
+    dummy for each country after the first in sorted order, then the four
+    attributes; its constant columns other than const are pruned.
+    Returns the kept columns, their names and the pruned names."""
+    records = [r for _, _, r in effects]
+    columns = {"const": np.ones(len(records))}
+    if include_conventional:
+        columns["conventional"] = np.array(
+            [float(r.quality is Quality.CONVENTIONAL) for r in records]
+        )
+    for country in sorted(countries)[1:]:
+        columns[f"country_{country}"] = np.array([float(r.comparison == country) for r in records])
+    for name in ["harvested_once", "storability_weeks", "market_share_pct", "days_protection"]:
+        columns[name] = np.array([float(getattr(r, name)) for r in records])
+    dropped = tuple(name for name, v in columns.items() if name != "const" and np.ptp(v) == 0)
+    names = [name for name in columns if name not in dropped]
+    return np.column_stack([columns[name] for name in names]), names, dropped
+
+
+class TestJoinEffectAttributes:
+    def test_rows_of_the_method_are_joined_with_their_attributes(self, tmp_path, rng):
+        effects = random_effects(rng, ["FR", "DE"], per_cell=2)
+        rows = joined(tmp_path, effects)
+        assert rows == [EffectAttributeRow(*effect) for effect in effects]
+        with pytest.raises(ConfigError, match="no effect rows with method 'ols'"):
+            joined(tmp_path, effects, method="ols")
+
+    def test_every_missing_attribute_row_is_named(self, tmp_path, rng):
+        effects = random_effects(rng, ["FR"], per_cell=2)
+        joined(tmp_path, effects)
+        with (tmp_path / "effects.csv").open("a", newline="") as handle:
+            handle.write("kale,organic,AT,level,ipw,1.5,1,1,1,1,1,1,0,25,7\n")
+            handle.write("kale,organic,DE,level,ipw,1.5,1,1,1,1,1,1,0,25,7\n")
+        with pytest.raises(ConfigError) as excinfo:
+            join_effect_attributes(tmp_path / "effects.csv", tmp_path / "attributes.csv", "ipw")
+        assert str(excinfo.value).endswith("kale/organic/AT, kale/organic/DE")
+
+    @pytest.mark.parametrize("row,needle", [
+        ("kale,organic,AT,levels,ipw,1.5", "'levels' is not a valid Outcome"),
+        ("kale,premium,AT,level,ipw,1.5", "unknown quality 'premium'"),
+        ("kale,organic,AT,level,ipw,", "could not convert string to float: ''"),
+        ("kale,organic,AT,level,ipw,inf", "atet must be a finite number, got inf"),
+        ("kale,organic,AT,level,ipw,NaN", "atet must be a finite number, got nan"),
+    ])
+    def test_bad_effects_rows_are_ingest_errors_with_positions(self, tmp_path, rng, row, needle):
+        joined(tmp_path, random_effects(rng, ["FR"], per_cell=2))
+        with (tmp_path / "effects.csv").open("a", newline="") as handle:
+            handle.write(row + ",1,1,1,1,1,1,0,25,7\n")
+            handle.write("kale,organic,AT,level,ipw,1.5,1,1\n")
+        with pytest.raises(IngestError) as excinfo:
+            join_effect_attributes(tmp_path / "effects.csv", tmp_path / "attributes.csv", "ipw")
+        message = str(excinfo.value)
+        assert f"effects.csv:10: {needle}" in message
+        assert "effects.csv:11: expected 15 fields, got 8" in message
 
 
 class TestHeterogeneityRegression:
-    def test_single_quality_rows_match_the_oracle(self, rng):
-        rows = [attribute_row(rng, conventional=1) for _ in range(12)]
-        results = heterogeneity_regression(rows)
+    def test_single_quality_rows_match_the_oracle(self, tmp_path, rng):
+        effects = random_effects(rng, ["FR", "DE", "IT"], per_cell=4,
+                                 qualities=(Quality.CONVENTIONAL,), outcomes=(Outcome.LEVEL,))
+        results = heterogeneity_regression(joined(tmp_path, effects))
         by_name = {r.subsample: r for r in results}
         assert set(by_name) == {"pooled", "conventional"}  # no organic rows
 
         # in an all-conventional sample the dummy is constant and is pruned
         pooled = by_name["pooled"].fit
-        assert "conventional" in pooled.dropped_columns
-        x, names = oracle_design(rows, include_conventional=False)
-        beta, se = normal_equations_ols(x, np.array([r.effect for r in rows]))
+        assert pooled.dropped_columns == ("conventional",)
+        x, names, _ = oracle_design(effects, ["FR", "DE", "IT"], include_conventional=False)
+        beta, se = normal_equations_ols(x, np.array([effect for _, effect, _ in effects]))
         assert pooled.column_names == tuple(names)
         assert_allclose(pooled.coefficients, beta, atol=1e-8)
         assert_allclose(pooled.standard_errors, se, atol=1e-8)
         # the conventional subsample fits the same design
         assert_allclose(by_name["conventional"].fit.coefficients, beta, atol=1e-8)
 
-    def test_all_six_columns_match_the_oracle(self, rng):
-        rows = []
-        for outcome in (Outcome.LEVEL, Outcome.VOLATILITY):
-            rows += [attribute_row(rng, outcome, conventional=1) for _ in range(12)]
-            rows += [attribute_row(rng, outcome, conventional=0) for _ in range(12)]
-        results = heterogeneity_regression(rows)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(["AT", "BE", "CH", "DE", "ES", "FR", "IT", "NL"]),
+                    min_size=1, max_size=5, unique=True),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_all_six_columns_match_the_oracle(self, countries, seed, gap):
+        effects = random_effects(np.random.default_rng(seed), countries,
+                                 per_cell=-(-12 // len(countries)) + 1)
+        if gap and len(countries) > 1:
+            # the organic rows lack the last country, whose dummy they then drop
+            gone = (Quality.ORGANIC, max(countries))
+            effects = [e for e in effects if (e[2].quality, e[2].comparison) != gone]
+        with tempfile.TemporaryDirectory() as directory:
+            results = heterogeneity_regression(joined(Path(directory), effects))
         assert len(results) == 6
         for result in results:
-            subset = [r for r in rows if r.outcome is result.outcome]
-            if result.subsample == "conventional":
-                subset = [r for r in subset if r.conventional == 1]
-            elif result.subsample == "organic":
-                subset = [r for r in subset if r.conventional == 0]
+            subset = [e for e in effects if e[0] is result.outcome]
+            if result.subsample != "pooled":
+                subset = [e for e in subset if e[2].quality.value == result.subsample]
             pooled = result.subsample == "pooled"
-            x, names = oracle_design(subset, include_conventional=pooled)
-            y = np.array([r.effect for r in subset])
+            x, names, dropped = oracle_design(subset, countries, include_conventional=pooled)
+            y = np.array([effect for _, effect, _ in subset])
             beta, se = normal_equations_ols(x, y)
             assert result.n == len(subset)
             assert result.fit.column_names == tuple(names)
+            assert result.fit.dropped_columns == dropped
             assert_allclose(result.fit.coefficients, beta, atol=1e-8)
             assert_allclose(result.fit.standard_errors, se, atol=1e-8)
             fitted = x @ beta
@@ -461,31 +540,35 @@ class TestHeterogeneityRegression:
             rss = float(((y - fitted) ** 2).sum())
             assert_allclose(result.r_squared, 1.0 - rss / tss, atol=1e-10)
 
-    def test_constant_effects_put_everything_in_the_intercept(self, rng):
-        rows = [
-            EffectAttributeRow(
-                outcome=Outcome.LEVEL,
-                effect=42.0,
-                conventional=i % 2,
-                germany=int(i % 3 == 0),
-                italy=int(i % 3 == 1),
-                harvested_once=(i // 2) % 2,
-                storability_weeks=float(2 + i % 5),
-                market_share_pct=float(1 + (3 * i) % 17),
-                days_protection=float(40 + (i * i) % 31),
+    def test_constant_effects_put_everything_in_the_intercept(self, tmp_path):
+        effects = [
+            (
+                Outcome.LEVEL,
+                42.0,
+                AttributeRecord(
+                    product=f"veg{i}",
+                    quality=Quality.CONVENTIONAL if i % 2 else Quality.ORGANIC,
+                    comparison=["DE", "IT", "FR"][i % 3],
+                    harvested_once=(i // 2) % 2,
+                    storability_weeks=float(2 + i % 5),
+                    market_share_pct=float(1 + (3 * i) % 17),
+                    days_protection=float(40 + (i * i) % 31),
+                ),
             )
             for i in range(20)
         ]
-        pooled = [r for r in heterogeneity_regression(rows) if r.subsample == "pooled"][0]
+        results = heterogeneity_regression(joined(tmp_path, effects))
+        pooled = [r for r in results if r.subsample == "pooled"][0]
         assert_allclose(pooled.fit.coefficient("const"), 42.0, atol=1e-8)
         for name in pooled.fit.column_names[1:]:
             assert_allclose(pooled.fit.coefficient(name), 0.0, atol=1e-8)
         assert pooled.r_squared == 0.0
 
-    def test_subsample_design_drops_only_the_quality_dummy(self, rng):
-        rows = [attribute_row(rng, conventional=i % 2) for i in range(24)]
-        results = {r.subsample: r for r in heterogeneity_regression(rows)}
+    def test_subsample_design_drops_only_the_quality_dummy(self, tmp_path, rng):
+        effects = random_effects(rng, ["FR", "DE", "IT"], per_cell=4, outcomes=(Outcome.LEVEL,))
+        results = {r.subsample: r for r in heterogeneity_regression(joined(tmp_path, effects))}
         pooled_names = results["pooled"].fit.column_names
+        assert pooled_names[:4] == ("const", "conventional", "country_FR", "country_IT")
         for subsample in ("conventional", "organic"):
             names = results[subsample].fit.column_names
             assert names == tuple(n for n in pooled_names if n != "conventional")

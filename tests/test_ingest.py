@@ -302,6 +302,9 @@ class TestAttributes:
             ("tomato,conventional,DE,0,soft,12.5,120", "soft"),
             ("tomato,premium,DE,0,3,12.5,120", "unknown quality"),
             ("tomato,conventional,DE,0,3,12.5", "expected 7 fields"),
+            ("tomato,conventional,DE,0,nan,12.5,120", "storability_weeks must be a finite"),
+            ("tomato,conventional,DE,0,3,inf,120", "market_share_pct must be a finite"),
+            ("tomato,conventional,DE,0,3,12.5,-Infinity", "days_protection must be a finite"),
         ],
     )
     def test_bad_rows_are_rejected_with_positions(self, tmp_path, row, needle):

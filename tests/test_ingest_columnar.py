@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seasondid import ingest, read_prices
+from seasondid.cli import EXIT_CONFIG, main
 from seasondid.errors import IngestError
 from seasondid.ingest import PRICE_HEADER
 
@@ -212,5 +213,8 @@ class TestRouting:
         path = write(tmp_path / "prices.csv", [f"{country},tomato,organic,,2016,19,4.0"],
                      ["\n"] * 2)
         assert columnar(path) is None
-        with pytest.raises(csv.Error, match="field limit"):
+        with pytest.raises(IngestError, match="prices.csv:2: field larger than field limit"):
             read_prices(path)
+        calendar = tmp_path / "calendar.csv"
+        calendar.write_text("tomato,05-10,08-31\n")
+        assert main(["ingest", "--prices", str(path), "--calendar", str(calendar)]) == EXIT_CONFIG

@@ -50,10 +50,9 @@ from .ingest import (
     write_calendar,
     write_prices,
 )
-from .panel import Outcome, apply_boundary_exclusion, label_panel
-from .pipeline import prepare_outcome_rows, run_task, task_seed
+from .panel import Outcome, label_panel
+from .pipeline import outcome_rows, prepare_outcome_rows, run_task, task_seed
 from .simgen import generate_panel, true_effect
-from .transforms import compute_volatility, standardize_prices
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -304,11 +303,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     labeled = label_panel(store.rows(), calendar)
     rows = [
         (s.country, s.phase.value, s.outcome.value, s.mean, s.q1, s.median, s.q3, s.n)
-        for outcome, outcome_rows in (
-            (Outcome.LEVEL, apply_boundary_exclusion(standardize_prices(labeled))),
-            (Outcome.VOLATILITY, compute_volatility(labeled)),
-        )
-        for s in describe_distribution(outcome_rows, outcome)
+        for outcome in Outcome
+        for s in describe_distribution(outcome_rows(labeled, outcome), outcome)
     ]
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,13 +1,19 @@
 """Plain-text configuration: ``key = value`` lines, ``#`` comments.
 
-Repeated ``task`` keys accumulate, but a task, outcome or method named twice
-is rejected. Unknown keys are rejected so typos fail loudly. The same format configures batch runs and the synthetic generator.
+The same format configures batch runs and the synthetic generator. Each key
+sets the field of its name: a ``RunConfig`` field carries its default and
+its parser, and a ``SimConfig`` field is parsed by the type of its default.
+Unknown keys and keys given twice are rejected so typos fail loudly, except
+``task`` lines, which accumulate; a task, outcome or method named twice is
+rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import enum
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from .did import METHODS, CovariateSpec, EstimationTask, SeriesSpec, check_reps
 from .errors import ConfigError
@@ -34,15 +40,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, list[str
             raise ConfigError(f"{source}:{lineno}: empty key")
         values.setdefault(key, []).append(value)
     return values
-
-
-def _single(values: dict[str, list[str]], key: str, default: str | None) -> str | None:
-    if key not in values:
-        return default
-    entries = values[key]
-    if len(entries) > 1:
-        raise ConfigError(f"config key {key!r} given {len(entries)} times")
-    return entries[0]
 
 
 def _reject_repeats(items: tuple, key: str) -> None:
@@ -115,99 +112,115 @@ class TaskSpec:
         return ":".join(filter(None, parts))
 
 
+def _parse_text(text: str, key: str) -> str:
+    return text
+
+
+def _parse_path(text: str, key: str) -> Path:
+    return Path(text)
+
+
+def _parse_outcomes(text: str, key: str) -> tuple[Outcome, ...]:
+    try:
+        outcomes = tuple(
+            Outcome(part.strip().lower()) for part in text.split(",") if part.strip()
+        )
+    except ValueError:
+        raise ConfigError(f"invalid {key} {text!r}") from None
+    if not outcomes:
+        raise ConfigError(f"config key {key!r} is empty")
+    _reject_repeats(outcomes, key)
+    return outcomes
+
+
+def _parse_methods(text: str, key: str) -> tuple[str, ...]:
+    methods = tuple(part.strip().lower() for part in text.split(",") if part.strip())
+    _reject_repeats(methods, key)
+    return methods
+
+
+def _parse_covariates(text: str, key: str) -> CovariateSpec:
+    try:
+        return CovariateSpec(text)
+    except ValueError:
+        raise ConfigError(
+            f"invalid {key} {text!r}; expected one of {[c.value for c in CovariateSpec]}"
+        ) from None
+
+
+def _parse_all(text: str, key: str) -> str:
+    if text.lower() != "all":
+        raise ConfigError(f"config key {key!r} must be 'all', got {text!r}")
+    return "all"
+
+
+def _setting(parse: Callable[[str, str], object], default=MISSING):
+    """A field set by the config key of its name, whose text ``parse`` reads."""
+    return field(default=default, metadata={"parse": parse})
+
+
+def _parse_fields(values: dict[str, list[str]], parsers: dict[str, Callable], what: str) -> dict:
+    """``{key: parsers[key](value, key)}`` for each key of ``values``; an
+    unknown key or a key given more than once is refused."""
+    unknown = sorted(set(values) - set(parsers))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    parsed = {}
+    for key, entries in values.items():
+        if len(entries) > 1:
+            raise ConfigError(f"config key {key!r} given {len(entries)} times")
+        parsed[key] = parsers[key](entries[0], key)
+    return parsed
+
+
+def _json_value(value):
+    """A setting as JSON: tuples as lists, enums as their values, paths and
+    task specs as their text."""
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (Path, TaskSpec)):
+        return str(value)
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a batch run needs; every field is echoed to the manifest."""
 
-    prices: Path
-    calendar: Path
-    treated_country: str
-    outcomes: tuple[Outcome, ...]
-    methods: tuple[str, ...]
-    covariates: CovariateSpec
-    trim: float
-    trim_treated: bool
-    reps: int
-    seed: int | None
-    min_cell: int
-    workers: int
-    output_dir: Path
-    tasks: str | tuple[TaskSpec, ...]
-    skip_bad_rows: bool
+    prices: Path = _setting(_parse_path)
+    calendar: Path = _setting(_parse_path)
+    treated_country: str = _setting(_parse_text, "CH")
+    outcomes: tuple[Outcome, ...] = _setting(_parse_outcomes, (Outcome.LEVEL, Outcome.VOLATILITY))
+    methods: tuple[str, ...] = _setting(_parse_methods, ("ipw",))
+    covariates: CovariateSpec = _setting(_parse_covariates, CovariateSpec.SEASONAL)
+    trim: float = _setting(_parse_float, 0.95)
+    trim_treated: bool = _setting(_parse_bool, False)
+    reps: int = _setting(_parse_int, 200)
+    seed: int | None = _setting(_parse_int, None)
+    min_cell: int = _setting(_parse_int, 4)
+    workers: int = _setting(_parse_int, 1)
+    output_dir: Path = _setting(_parse_path, Path("."))
+    # ``tasks = all``, or the ``task`` lines, the one key that may repeat
+    tasks: str | tuple[TaskSpec, ...] = _setting(_parse_all, "all")
+    skip_bad_rows: bool = _setting(_parse_bool, False)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         values = parse_config_text(path.read_text(), source=path.name)
-        unknown = sorted(set(values) - _RUN_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-
-        prices = _single(values, "prices", None)
-        calendar = _single(values, "calendar", None)
-        if not prices or not calendar:
+        task_lines = values.pop("task", [])
+        settings = fields(cls)
+        parsed = _parse_fields(values, {f.name: f.metadata["parse"] for f in settings}, "config")
+        if not all(values.get(f.name, [""])[0] for f in settings if f.default is MISSING):
             raise ConfigError("config must set both 'prices' and 'calendar'")
-
-        outcome_text = _single(values, "outcomes", "level,volatility")
-        try:
-            outcomes = tuple(
-                Outcome(part.strip().lower()) for part in outcome_text.split(",") if part.strip()
-            )
-        except ValueError:
-            raise ConfigError(f"invalid outcomes {outcome_text!r}") from None
-        if not outcomes:
-            raise ConfigError("config key 'outcomes' is empty")
-        _reject_repeats(outcomes, "outcomes")
-
-        methods = tuple(
-            part.strip().lower()
-            for part in _single(values, "methods", "ipw").split(",")
-            if part.strip()
-        )
-        _reject_repeats(methods, "methods")
-        covariates_text = _single(values, "covariates", CovariateSpec.SEASONAL.value)
-        try:
-            covariates = CovariateSpec(covariates_text)
-        except ValueError:
-            raise ConfigError(
-                f"invalid covariates {covariates_text!r}; expected one of "
-                f"{[c.value for c in CovariateSpec]}"
-            ) from None
-
-        seed_text = _single(values, "seed", None)
-        tasks_mode = _single(values, "tasks", None)
-        task_lines = values.get("task", [])
-        if tasks_mode is not None and task_lines:
-            raise ConfigError("give either 'tasks = all' or explicit 'task' lines, not both")
-        if tasks_mode is not None:
-            if tasks_mode.lower() != "all":
-                raise ConfigError(f"config key 'tasks' must be 'all', got {tasks_mode!r}")
-            tasks: str | tuple[TaskSpec, ...] = "all"
-        elif task_lines:
-            tasks = tuple(TaskSpec.parse(line) for line in task_lines)
-            _reject_repeats(tasks, "task")
-        else:
-            tasks = "all"
-
-        config = cls(
-            prices=Path(prices),
-            calendar=Path(calendar),
-            treated_country=_single(values, "treated_country", "CH"),
-            outcomes=outcomes,
-            methods=methods,
-            covariates=covariates,
-            trim=_parse_float(_single(values, "trim", "0.95"), "trim"),
-            trim_treated=_parse_bool(_single(values, "trim_treated", "false"), "trim_treated"),
-            reps=_parse_int(_single(values, "reps", "200"), "reps"),
-            seed=_parse_int(seed_text, "seed") if seed_text is not None else None,
-            min_cell=_parse_int(_single(values, "min_cell", "4"), "min_cell"),
-            workers=_parse_int(_single(values, "workers", "1"), "workers"),
-            output_dir=Path(_single(values, "output_dir", ".")),
-            tasks=tasks,
-            skip_bad_rows=_parse_bool(
-                _single(values, "skip_bad_rows", "false"), "skip_bad_rows"
-            ),
-        )
+        if task_lines:
+            if "tasks" in parsed:
+                raise ConfigError("give either 'tasks = all' or explicit 'task' lines, not both")
+            parsed["tasks"] = tuple(TaskSpec.parse(line) for line in task_lines)
+            _reject_repeats(parsed["tasks"], "task")
+        config = cls(**parsed)
         config.validate()
         return config
 
@@ -229,51 +242,15 @@ class RunConfig:
                 f"methods must be a subset of {','.join(METHODS)}; got {self.methods!r}"
             )
 
-    def override(
-        self,
-        seed: int | None = None,
-        trim: float | None = None,
-        reps: int | None = None,
-        workers: int | None = None,
-        skip_bad_rows: bool | None = None,
-    ) -> "RunConfig":
-        """Apply command-line overrides and re-validate."""
-        from dataclasses import replace
-
-        updated = replace(
-            self,
-            seed=self.seed if seed is None else seed,
-            trim=self.trim if trim is None else trim,
-            reps=self.reps if reps is None else reps,
-            workers=self.workers if workers is None else workers,
-            skip_bad_rows=self.skip_bad_rows if skip_bad_rows is None else skip_bad_rows,
-        )
+    def override(self, **settings) -> "RunConfig":
+        """Apply command-line overrides, where not ``None``, and re-validate."""
+        updated = replace(self, **{k: v for k, v in settings.items() if v is not None})
         updated.validate()
         return updated
 
     def manifest_dict(self) -> dict:
         """Every effective setting, defaults included, as JSON-ready values."""
-        task_value = "all" if self.tasks == "all" else [str(spec) for spec in self.tasks]
-        return {
-            "prices": str(self.prices),
-            "calendar": str(self.calendar),
-            "treated_country": self.treated_country,
-            "outcomes": [o.value for o in self.outcomes],
-            "methods": list(self.methods),
-            "covariates": self.covariates.value,
-            "trim": self.trim,
-            "trim_treated": self.trim_treated,
-            "reps": self.reps,
-            "seed": self.seed,
-            "min_cell": self.min_cell,
-            "workers": self.workers,
-            "output_dir": str(self.output_dir),
-            "tasks": task_value,
-            "skip_bad_rows": self.skip_bad_rows,
-        }
-
-
-_RUN_KEYS = {f.name for f in fields(RunConfig)} | {"task"}
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def _parse_numbers(text: str, key: str) -> tuple[float, ...]:
@@ -288,7 +265,7 @@ _SIM_PARSERS = {
     bool: _parse_bool,
     int: _parse_int,
     float: _parse_float,
-    str: lambda text, key: text,
+    str: _parse_text,
     Quality: lambda text, key: Quality.parse(text),
     tuple: _parse_numbers,
 }
@@ -298,18 +275,11 @@ def sim_config_from_file(path: str | Path, seed_override: int | None = None) -> 
     """Build a :class:`SimConfig` from a key=value file."""
     path = Path(path)
     values = parse_config_text(path.read_text(), source=path.name)
-    defaults = {f.name: f.default for f in fields(SimConfig)}
-    unknown = sorted(set(values) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown generator config keys: {unknown}")
-    kwargs: dict = {}
-    for key, entries in values.items():
-        if len(entries) > 1:
-            raise ConfigError(f"config key {key!r} given {len(entries)} times")
-        kwargs[key] = _SIM_PARSERS[type(defaults[key])](entries[0], key)
+    parsers = {f.name: _SIM_PARSERS[type(f.default)] for f in fields(SimConfig)}
+    settings = _parse_fields(values, parsers, "generator config")
     if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return SimConfig(**kwargs)
+        settings["seed"] = seed_override
+    return SimConfig(**settings)
 
 
 def expand_tasks(config: RunConfig, store=None) -> list[EstimationTask]:

@@ -333,11 +333,12 @@ def heterogeneity_regression(rows: list[EffectAttributeRow]) -> list[Heterogenei
 
     Six regressions: one per outcome for the pooled sample (with a
     conventional-quality dummy) and per quality subsample (without it).
-    The comparison countries of all ``rows`` set the country dummies: the
-    first in sorted order is the reference level, and every other one has a
-    ``country_<code>`` column, in sorted order. Degenerate columns, such as
-    the dummy of a country a subsample lacks, are pruned and reported by
-    the fitter; genuinely collinear attributes raise a rank error.
+    The comparison countries of all ``rows`` set the country dummies: each
+    fit's reference level is the first country in sorted order among its
+    own rows, and every other country has a ``country_<code>`` column, in
+    sorted order. Degenerate columns, such as the dummy of a country a
+    subsample lacks, are pruned and reported by the fitter; genuinely
+    collinear attributes raise a rank error.
     """
     countries = sorted({row.attributes.comparison for row in rows})
     results = []
@@ -355,7 +356,8 @@ def heterogeneity_regression(rows: list[EffectAttributeRow]) -> list[Heterogenei
             if name == "pooled":
                 quality = [a.quality is Quality.CONVENTIONAL for a in records]
                 columns.append(("conventional", np.array(quality, dtype=float)))
-            for country in countries[1:]:
+            reference = min(a.comparison for a in records)
+            for country in (c for c in countries if c != reference):
                 dummy = [a.comparison == country for a in records]
                 columns.append((f"country_{country}", np.array(dummy, dtype=float)))
             for attribute in ATTRIBUTE_HEADER[3:]:  # the columns after the join key

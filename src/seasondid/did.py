@@ -21,9 +21,9 @@ estimators return an ``EffectEstimate``:
 * ``estimate_ols_did`` (on the occupied (cell, stratum) bins): the
   interaction coefficient from ``y ~ const + D + T + D:T + stratum
   dummies``, classical standard errors. The design is constant within a
-  bin, so one QR of the bins' count-weighted design gives the fit, and the
-  rows' sum of squares about their bin means completes the residual sum of
-  squares, whose degrees of freedom count rows.
+  bin, so ``glm.fit_ols`` fits the bins, each standing for the rows it
+  counts, with the rows' sum of squares about their bin means completing
+  the residual sum of squares, whose degrees of freedom count rows.
 
 ``bootstrap_se`` gives a table estimator its inference: it estimates the
 full sample once, then resamples observations independently within each of
@@ -51,16 +51,8 @@ from .errors import (
     SeparationError,
     TrimExhaustionError,
 )
-# fit_logistic and fit_ols are not called here; perfbench/spans.py traces
-# did.fit_logistic and did.fit_ols.
-from .glm import (
-    INTERCEPT_NAME,
-    DesignMatrix,
-    fit_logistic,
-    fit_ols,
-    least_squares,
-    prune_design,
-)
+# fit_logistic is not called here; perfbench/spans.py traces did.fit_logistic.
+from .glm import INTERCEPT_NAME, DesignMatrix, fit_logistic, fit_ols
 from .panel import Outcome, PanelRows, PhaseLabel, Quality
 
 # z such that the standard normal leaves 2.5% in each tail
@@ -383,12 +375,9 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
     """DiD as the D:T interaction in an OLS regression with covariates.
 
     The design (const, d, t, d_t, stratum dummies) is constant within each
-    (cell, stratum) bin, so the fit runs on the occupied bins: the design
-    is pruned there (a column is constant or a duplicate over the rows
-    exactly when it is over the bins), each bin's row is weighted by the
-    square root of its count, and ``glm.least_squares`` adds the rows'
-    sum of squares about their bin means to the residuals and counts
-    rows for the degrees of freedom and the checks.
+    (cell, stratum) bin, so ``fit_ols`` fits the occupied bins with their
+    row counts and mean outcomes, and the rows' sum of squares about their
+    bin means: the fit of the rows, from a table of a few dozen bins.
     """
     code, strata = _cell_code(sample)
     table = _table(code, sample.y, strata)
@@ -403,17 +392,10 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
     dummies = stratum[:, None] == np.arange(1, strata)
     values = np.column_stack([np.ones(bins.size), d, t, d & t, dummies])
     names = (INTERCEPT_NAME, "d", "t", "d_t", *(f"stratum_{s}" for s in range(1, strata)))
-    design, _ = prune_design(DesignMatrix(values, names))
-    weight = np.sqrt(counts[bins])
-    beta, se, _ = least_squares(
-        design.values * weight[:, None],
-        weight * mean[bins],
-        sample.n_obs,
-        design.names,
-        within_ss=float(within @ within),
+    fit = fit_ols(
+        DesignMatrix(values, names), mean[bins], counts[bins], within_ss=float(within @ within)
     )
-    k = design.names.index("d_t")
-    atet, se = float(beta[k]), float(se[k])
+    atet, se = fit.coefficient("d_t"), fit.standard_error("d_t")
     return EffectEstimate(
         method="ols",
         atet=atet,

@@ -3,7 +3,9 @@
 Small by design. Both fitters share the same front door: a named-column
 design matrix, degenerate-column pruning with a report of what was dropped,
 and loud, typed failures (rank deficiency, separation, non-convergence)
-instead of silently unstable output.
+instead of silently unstable output. ``fit_ols`` is the one OLS path: the
+heterogeneity regression fits its rows, and the OLS DiD its (cell, stratum)
+bins, each standing for the rows it counts.
 
 Conventions:
 
@@ -70,7 +72,6 @@ class FitResult:
     coefficients: np.ndarray
     standard_errors: np.ndarray
     fitted: np.ndarray
-    converged: bool
     iterations: int
     column_names: tuple[str, ...]
     dropped_columns: tuple[str, ...]
@@ -195,8 +196,6 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> FitResult:
     _check_rank(values, np.linalg.qr(values, mode="r"), values.shape[0], names)
 
     beta = np.zeros(values.shape[1])
-    converged = False
-    iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         eta = values @ beta
         p = 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700)))
@@ -220,9 +219,8 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> FitResult:
                 columns=offenders,
             )
         if np.abs(step).max() < COEF_TOL and np.abs(score).max() < SCORE_TOL:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"logistic fit did not converge in {MAX_ITERATIONS} iterations"
         )
@@ -244,7 +242,6 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> FitResult:
         coefficients=beta,
         standard_errors=np.sqrt(np.diag(cov)),
         fitted=fitted,
-        converged=True,
         iterations=iterations,
         column_names=names,
         dropped_columns=dropped,
@@ -252,57 +249,55 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray) -> FitResult:
     )
 
 
-def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
-    """Least squares via QR, with classical standard errors.
+def fit_ols(
+    design: DesignMatrix,
+    y: np.ndarray,
+    counts: np.ndarray | None = None,
+    within_ss: float = 0.0,
+) -> FitResult:
+    """Least squares via one QR, with classical standard errors.
 
-    ``se_j = sqrt(sigma2 * [(X'X)^-1]_jj)`` where ``sigma2 = RSS / (n - k)``.
+    ``se_j = sqrt(sigma2 * [(X'X)^-1]_jj)`` where ``sigma2 = (within_ss +
+    RSS) / (n - k)`` and ``n`` counts observations. Without ``counts`` each
+    row is one observation. With ``counts``, row b stands for ``counts[b]``
+    observations whose design is that row and whose mean outcome is
+    ``y[b]``, and ``within_ss`` is the sum of squares of the observations
+    about their row means: the design is pruned on the rows as given (a
+    column is constant or a duplicate over them exactly when it is over the
+    observations), each row is weighted by ``sqrt(counts[b])``, and the fit,
+    the rank checks (``max(n, k)`` in the tolerance) and the degrees of
+    freedom are those of the observations. ``fitted`` holds the rows'
+    fitted values.
     """
     y = np.asarray(y, dtype=float)
     pruned, dropped = prune_design(design)
     values, names = pruned.values, pruned.names
     if y.shape[0] != values.shape[0]:
         raise ValueError(f"y has {y.shape[0]} rows, design has {values.shape[0]}")
-    beta, standard_errors, fitted = least_squares(values, y, values.shape[0], names)
-    return FitResult(
-        coefficients=beta,
-        standard_errors=standard_errors,
-        fitted=fitted,
-        converged=True,
-        iterations=1,
-        column_names=names,
-        dropped_columns=dropped,
-        residual_df=values.shape[0] - len(names),
-    )
-
-
-def least_squares(
-    values: np.ndarray,
-    y: np.ndarray,
-    n: int,
-    names: tuple[str, ...],
-    within_ss: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients, classical standard errors and fitted values of ``y`` on
-    the columns of ``values``, from one QR; ``n`` is the observation count.
-
-    The rows are the ``n`` observations, or groups of them whose design is
-    constant within a group: row b then holds ``sqrt(n_b)`` times the
-    group's design row and mean outcome, and ``within_ss`` is the sum of
-    squares of the observations about their group means. Either way the
-    residual sum of squares is ``within_ss`` plus the rows' own, the fit is
-    that of the observations, and the checks, ``max(n, k)`` in the rank
-    tolerance and ``sigma2 = RSS / (n - k)`` count observations.
-    """
+    n, weighted, target = values.shape[0], values, y
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != y.shape or not (counts > 0).all():
+            raise ValueError(f"counts must be {y.shape[0]} positive row counts, got {counts!r}")
+        weight = np.sqrt(counts)
+        n, weighted, target = int(counts.sum()), values * weight[:, None], weight * y
     _check_columns(n, names)
-    q, r = np.linalg.qr(values)
-    _check_rank(values, r, n, names)
+    q, r = np.linalg.qr(weighted)
+    _check_rank(weighted, r, n, names)
     k = len(names)
     if n <= k:
         raise RankError(f"need more rows ({n}) than columns ({k}) for OLS", columns=names)
-    beta = np.linalg.solve(r, q.T @ y)
-    fitted = values @ beta
-    residuals = y - fitted
+    beta = np.linalg.solve(r, q.T @ target)
+    residuals = target - weighted @ beta
     sigma2 = (within_ss + float(residuals @ residuals)) / (n - k)
     r_inv = np.linalg.inv(r)
     cov = sigma2 * (r_inv @ r_inv.T)
-    return beta, np.sqrt(np.diag(cov)), fitted
+    return FitResult(
+        coefficients=beta,
+        standard_errors=np.sqrt(np.diag(cov)),
+        fitted=values @ beta,
+        iterations=1,
+        column_names=names,
+        dropped_columns=dropped,
+        residual_df=n - k,
+    )

@@ -69,7 +69,12 @@ def _outcome_rows(
     window_product: str,
     outcome: Outcome,
 ) -> PanelRows:
-    labeled = _labeled_rows(store, calendar, spec, window_product)
+    return outcome_rows(_labeled_rows(store, calendar, spec, window_product), outcome)
+
+
+def outcome_rows(labeled: PanelRows, outcome: Outcome) -> PanelRows:
+    """Labelled rows on the ``outcome`` scale: standardized prices without
+    Boundary weeks, or volatility."""
     if outcome is Outcome.LEVEL:
         return apply_boundary_exclusion(standardize_prices(labeled))
     return compute_volatility(labeled)

@@ -4,7 +4,8 @@ The tracer patches module attributes by name and counts bootstrap
 replicates as the estimator calls made inside each ``bootstrap_se`` call,
 less the first, which estimates the full sample, and failed replicates as
 those calls that raised. It counts labelled and transformed rows as the
-``len()`` of what ``label_panel`` and the two transforms return. A
+``len()`` of what ``label_panel`` and the two transforms return, and OLS
+fits as the calls of ``did.fit_ols``, each pruning its design once. A
 refactor that renames a traced attribute, changes how often an estimator
 is called or what those results count breaks the benchmark; these tests
 make it break the suite too. ``spans.py`` is loaded from its file and not
@@ -146,3 +147,19 @@ def test_traced_row_counts_match_the_oracle(spans, workspace, command):  # noqa:
     assert (metrics["panel.rows_labeled"], metrics["transforms.rows_out"]) == (
         rows_labeled, rows_out
     )
+
+
+def test_traced_ols_fits_match_the_ols_rows(spans, workspace):  # noqa: F811
+    _, _, run_cfg, out = workspace
+    run_cfg.write_text(run_cfg.read_text() + "methods = ipw,ols\n")
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert main(["run", "--config", str(run_cfg)]) == EXIT_OK
+    finally:
+        tracer.restore()
+    with (out / "effects.csv").open(newline="") as handle:
+        ols_rows = sum(row["method"] == "ols" for row in csv.DictReader(handle))
+    metrics = spans.layer_metrics(tracer.spans, 1.0, spans.task_seconds(tracer.spans))
+    assert ols_rows == 2
+    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == ols_rows

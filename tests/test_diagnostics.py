@@ -564,6 +564,32 @@ class TestHeterogeneityRegression:
             assert_allclose(pooled.fit.coefficient(name), 0.0, atol=1e-8)
         assert pooled.r_squared == 0.0
 
+    def test_each_fit_takes_its_reference_from_its_own_rows(self, tmp_path, rng):
+        # The conventional rows lack AT, the first country of all rows: with
+        # AT as their reference, their DE and FR dummies would sum to const.
+        effects = random_effects(rng, ["DE", "FR"], per_cell=5,
+                                 qualities=(Quality.CONVENTIONAL,))
+        effects += random_effects(rng, ["AT", "DE", "FR"], per_cell=5,
+                                  qualities=(Quality.ORGANIC,))
+        results = heterogeneity_regression(joined(tmp_path, effects))
+        fits = {(r.outcome, r.subsample): r.fit for r in results}
+        assert len(fits) == 6
+        for outcome in Outcome:
+            assert fits[outcome, "pooled"].column_names[:4] == (
+                "const", "conventional", "country_DE", "country_FR")
+            assert fits[outcome, "organic"].column_names[:3] == (
+                "const", "country_DE", "country_FR")
+            conventional = fits[outcome, "conventional"]
+            assert conventional.column_names[:2] == ("const", "country_FR")
+            assert conventional.dropped_columns == ("country_AT",)
+            subset = [e for e in effects
+                      if e[0] is outcome and e[2].quality is Quality.CONVENTIONAL]
+            x, names, _ = oracle_design(subset, ["DE", "FR"], include_conventional=False)
+            beta, se = normal_equations_ols(x, np.array([effect for _, effect, _ in subset]))
+            assert conventional.column_names == tuple(names)
+            assert_allclose(conventional.coefficients, beta, atol=1e-8)
+            assert_allclose(conventional.standard_errors, se, atol=1e-8)
+
     def test_subsample_design_drops_only_the_quality_dummy(self, tmp_path, rng):
         effects = random_effects(rng, ["FR", "DE", "IT"], per_cell=4, outcomes=(Outcome.LEVEL,))
         results = {r.subsample: r for r in heterogeneity_regression(joined(tmp_path, effects))}

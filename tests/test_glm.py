@@ -132,6 +132,27 @@ class TestOls:
         assert_allclose(fit.coefficients, [2.0, 3.0, -1.5], atol=1e-10)
         assert_allclose(fit.standard_errors, 0.0, atol=1e-7)
 
+    def test_counted_rows_fit_as_the_observations_they_stand_for(self, rng):
+        # 6 distinct design rows, each repeated 1-5 times; a constant column
+        # is pruned over the distinct rows as over the observations
+        groups = np.column_stack([np.ones(6), rng.normal(0.0, 1.0, (6, 2)), np.full(6, 2.0)])
+        counts = rng.integers(1, 6, 6)
+        rows = np.repeat(np.arange(6), counts)
+        y = rng.normal(0.0, 1.0, rows.size)
+        names = ("const", "a", "b", "frozen")
+        full = fit_ols(DesignMatrix(groups[rows], names), y)
+        means = np.bincount(rows, weights=y) / counts
+        within = y - means[rows]
+        grouped = fit_ols(DesignMatrix(groups, names), means, counts, float(within @ within))
+        assert grouped.dropped_columns == full.dropped_columns == ("frozen",)
+        assert grouped.residual_df == full.residual_df == rows.size - 3
+        assert_allclose(grouped.coefficients, full.coefficients, rtol=1e-10)
+        assert_allclose(grouped.standard_errors, full.standard_errors, rtol=1e-10)
+        assert_allclose(grouped.fitted, full.fitted[np.cumsum(counts) - 1], rtol=1e-10)
+        for bad in (counts[:5], np.where(np.arange(6) == 2, 0, counts)):
+            with pytest.raises(ValueError, match="positive row counts"):
+                fit_ols(DesignMatrix(groups, names), means, bad)
+
     def test_needs_more_rows_than_columns(self, rng):
         x = rng.normal(0.0, 1.0, (3, 3))
         with pytest.raises(RankError):

@@ -196,7 +196,7 @@ def _placebo_rows(
 
 
 # (job, store, calendar, config) of the batch this process runs; set once
-# per pool worker by its initializer, so tasks travel to workers alone.
+# per pool worker by its initializer, so task groups travel to workers alone.
 _batch: tuple = ()
 
 
@@ -206,10 +206,7 @@ def _start_batch(*state) -> None:
 
 
 def _run_one(task: EstimationTask) -> tuple[str, str, list[tuple]]:
-    """Run the batch's job on one task; returns (key, status, table rows).
-
-    Top-level function so process pools can pickle it.
-    """
+    """Run the batch's job on one task; returns (key, status, table rows)."""
     job, store, calendar, config = _batch
     try:
         rows = job(task, store, calendar, config)
@@ -218,6 +215,33 @@ def _run_one(task: EstimationTask) -> tuple[str, str, list[tuple]]:
     except SeasonDidError as exc:
         return task.key(), f"failed: {type(exc).__name__}: {exc}", []
     return task.key(), "ok", rows
+
+
+def _run_group(tasks: list[EstimationTask]) -> list[tuple[str, str, list[tuple]]]:
+    """``_run_one`` on each task of a group, in order.
+
+    Top-level function so process pools can pickle it.
+    """
+    return [_run_one(task) for task in tasks]
+
+
+def _task_groups(tasks: list[EstimationTask], workers: int) -> list[list[EstimationTask]]:
+    """Cut key-ordered ``tasks`` into contiguous groups that share
+    ``task.treated``, none longer than ceil(tasks / workers).
+
+    The tasks of a group share the pipeline's memo entries for their
+    treated series (and their controls' entries across outcomes), so a
+    group runs in one process; the cap keeps one treated series with many
+    controls spread over every worker.
+    """
+    cap = -(-len(tasks) // workers)
+    groups: list[list[EstimationTask]] = []
+    for task in tasks:
+        if groups and groups[-1][-1].treated == task.treated and len(groups[-1]) < cap:
+            groups[-1].append(task)
+        else:
+            groups.append([task])
+    return groups
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -238,20 +262,28 @@ def _run_batch(
     table_name: str,
     manifest_name: str,
 ) -> int:
-    """Run ``job`` on every task in key order, on ``config.workers``
-    processes; write its rows to ``table_name`` and each task's status to
-    ``manifest_name``."""
+    """Run ``job`` on every task in key order; write its rows to
+    ``table_name`` and each task's status to ``manifest_name``.
+
+    The tasks run as ``_task_groups`` on min(``config.workers``, groups)
+    processes: a pool whose initializer hands each worker the store,
+    calendar and config once, or this process alone. Either way the rows
+    come back in key order, so the outputs do not depend on the worker
+    count."""
     store, calendar = _load_inputs(config)
     tasks = sorted(expand_tasks(config, store=store), key=lambda t: t.key())
+    groups = _task_groups(tasks, config.workers)
+    workers = min(config.workers, len(groups))
     state = (job, store, calendar, config)
-    if config.workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_start_batch, initargs=state
+            max_workers=workers, initializer=_start_batch, initargs=state
         ) as pool:
-            outcomes = list(pool.map(_run_one, tasks))
+            results = list(pool.map(_run_group, groups))
     else:
         _start_batch(*state)
-        outcomes = [_run_one(task) for task in tasks]
+        results = list(map(_run_group, groups))
+    outcomes = [outcome for group in results for outcome in group]
 
     rows = [row for _, _, task_rows in outcomes for row in task_rows]
     statuses = [{"task": key, "status": status} for key, status, _ in outcomes]

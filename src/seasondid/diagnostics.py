@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .calendar import ProtectionCalendar, ProtectionWindow
-from .did import DidSample, EffectEstimate, EstimationTask, bootstrap_se, cell_means_did
+from .did import (
+    DidSample,
+    EffectEstimate,
+    EstimationTask,
+    bootstrap_se,
+    cell_means_did,
+    quantile,
+)
 from .errors import ConfigError, InfeasibleSampleError
 from .glm import DesignMatrix, FitResult, fit_ols
 from .ingest import (
@@ -163,7 +170,7 @@ def pretrend_placebo(
     window = calendar.window_for(task.treated.product)
     treated_index = _values_by_week(treated_rows)
     control_index = _values_by_week(control_rows)
-    years = np.union1d(treated_rows.season, control_rows.season).tolist()
+    years = sorted({*treated_rows.season.tolist(), *control_rows.season.tolist()})
     contrasts = []
     for year in years:
         offsets = offset_weeks(window, year, 4)
@@ -211,7 +218,7 @@ def rolling_biweekly_effects(
     window = calendar.window_for(task.treated.product)
     treated_index = _values_by_week(treated_rows)
     control_index = _values_by_week(control_rows)
-    years = np.union1d(treated_rows.season, control_rows.season).tolist()
+    years = sorted({*treated_rows.season.tolist(), *control_rows.season.tolist()})
     season_pre: dict[int, list[IsoWeek]] = {}
     season_biweeks: dict[int, list[list[IsoWeek]]] = {}
     for year in years:
@@ -285,9 +292,9 @@ def describe_distribution(rows: PanelRows, outcome: Outcome) -> list[PhaseSummar
                 phase=phase,
                 outcome=outcome,
                 mean=float(values.mean()),
-                q1=float(np.quantile(values, 0.25)),
-                median=float(np.quantile(values, 0.5)),
-                q3=float(np.quantile(values, 0.75)),
+                q1=quantile(values, 0.25),
+                median=quantile(values, 0.5),
+                q3=quantile(values, 0.75),
                 n=int(values.size),
             )
         )

@@ -130,6 +130,20 @@ class PanelStore:
         keys = self._by_market.get((product, quality, country), ())
         return self.rows(key for key in keys if region is None or key.region == region)
 
+    def has_rows(
+        self,
+        product: str,
+        quality: Quality,
+        country: str,
+        region: str | None = None,
+    ) -> bool:
+        """Whether ``rows_matching`` would return any row, read off the
+        index without building them."""
+        keys = self._by_market.get((product, quality, country), ())
+        return any(
+            self._columns[key][0].size for key in keys if region is None or key.region == region
+        )
+
     def countries(self) -> list[str]:
         return sorted({key.country for key in self.series()})
 

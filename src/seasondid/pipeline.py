@@ -9,9 +9,9 @@ A batch is many tasks over few series. ``prepare_outcome_rows`` takes a
 series' labelled and outcome rows from two memos keyed by store, calendar,
 series spec and window product (and outcome), each bounded at ``_MEMO_SIZE``
 entries and returning read-only arrays no task can change; a call that
-raises leaves nothing behind. Tasks run in key order, so the ones sharing a
-series are neighbours and each series is labelled and transformed once per
-worker.
+raises leaves nothing behind. Tasks run in key order, in contiguous groups
+that share a treated series (``cli._task_groups``), each group in one
+process, so each series is labelled and transformed once per group.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def prepare_outcome_rows(
     Both series must have price data before either is labelled.
     """
     for side, spec in (("treated", task.treated), ("control", task.control)):
-        if not store.rows_matching(spec.product, spec.quality, spec.country, spec.region):
+        if not store.has_rows(spec.product, spec.quality, spec.country, spec.region):
             raise ConfigError(f"no price data for {side} series {spec}")
 
     window_product = task.treated.product

@@ -93,4 +93,4 @@ def _week_keys(pair: list[int], rows: PanelRows) -> np.ndarray:
 
 def _names(rows: PanelRows) -> list[str]:
     """Sorted names of the series that have rows."""
-    return sorted({str(rows.keys[code]) for code in np.unique(rows.series).tolist()})
+    return sorted({str(rows.keys[code]) for code in set(rows.series.tolist())})

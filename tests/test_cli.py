@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seasondid import EstimationTask, Outcome, Quality, SeriesSpec
 from seasondid.cli import (
     DESCRIBE_COLUMNS,
     EFFECTS_COLUMNS,
@@ -17,6 +20,7 @@ from seasondid.cli import (
     EXIT_TASK_FAILURE,
     HETEROGENEITY_COLUMNS,
     PRETREND_COLUMNS,
+    _task_groups,
     main,
 )
 from seasondid.pipeline import task_seed
@@ -87,6 +91,66 @@ def write_run_cfg(workspace_paths, extra="", name="alt.cfg", out_name="alt_out")
                        out=out) + extra
     )
     return cfg, out
+
+
+def test_a_run_leaves_numpy_ma_unloaded(workspace):
+    # numpy 2 imports numpy.ma on the first plain np.unique (np.quantile and
+    # np.union1d make one), about 10 ms in each process, pool workers included.
+    # "Newly" keeps the check valid on numpy 1, which imports it with numpy.
+    _, _, run_cfg, _ = workspace
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "from seasondid.cli import main\n"
+        "for command in ('run', 'pretrend', 'describe'):\n"
+        "    assert main([command, '--config', sys.argv[1]]) == 0, command\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(run_cfg)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+def grouping_task(treated: int, control: int, outcome: Outcome) -> EstimationTask:
+    return EstimationTask(
+        treated=SeriesSpec(f"crop{treated}", Quality.CONVENTIONAL, "CH"),
+        control=SeriesSpec(f"crop{treated}", Quality.CONVENTIONAL, f"C{control}"),
+        outcome=outcome,
+        bootstrap_reps=0,
+    )
+
+
+class TestTaskGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.tuples(st.integers(0, 4), st.integers(0, 12), st.sampled_from(Outcome))),
+        st.integers(1, 4),
+    )
+    def test_groups_cut_the_key_order_at_treated_series(self, specs, workers):
+        tasks = sorted((grouping_task(*spec) for spec in specs), key=lambda t: t.key())
+        groups = _task_groups(tasks, workers)
+        assert [task for group in groups for task in group] == tasks
+        cap = -(-len(tasks) // workers)
+        for group in groups:
+            assert 1 <= len(group) <= cap
+            assert len({task.treated for task in group}) == 1
+        # a group ends at a new treated series or at the cap, nowhere else
+        for before, after in zip(groups, groups[1:]):
+            assert before[-1].treated != after[0].treated or len(before) == cap
+
+    def test_one_treated_series_spreads_over_every_worker(self):
+        tasks = sorted((grouping_task(0, c, Outcome.LEVEL) for c in range(10)),
+                       key=lambda t: t.key())
+        groups = _task_groups(tasks, 2)
+        assert len(groups) >= 2
+        assert all(len(group) <= 5 for group in groups)
 
 
 class TestSimulate:

@@ -30,7 +30,7 @@ from seasondid import (
     standardize_prices,
 )
 from seasondid import did
-from seasondid.did import CELL_ORDER, COMPARISON_CELLS, Z_975, two_sided_normal_p
+from seasondid.did import CELL_ORDER, COMPARISON_CELLS, Z_975, quantile, two_sided_normal_p
 from seasondid.errors import (
     BootstrapDegenerateError,
     ConfigError,
@@ -914,6 +914,33 @@ class TestNormalP:
         assert two_sided_normal_p(0.0, 0.0) == 1.0
         assert two_sided_normal_p(1.0, 0.0) == 0.0
         assert two_sided_normal_p(1.0, float("nan")) == 0.0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def quantile_values(draw):
+    """Finite floats, n >= 1; half the time drawn from a few values, both
+    zeros among them, so that ties (and 0.0 against -0.0) are common."""
+    if draw(st.booleans()):
+        return draw(st.lists(FINITE, min_size=1, max_size=60))
+    pool = draw(st.lists(FINITE, min_size=1, max_size=4)) + [0.0, -0.0]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+class TestQuantile:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        quantile_values(),
+        st.sampled_from([0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_is_numpys_linear_quantile_bit_for_bit(self, values, q):
+        values = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # b - a may overflow
+            expected = float(np.quantile(values, q))
+        # effects.csv writes repr, which tells -0.0 from 0.0
+        assert repr(quantile(values, q)) == repr(expected)
 
 
 class TestBuildSample:

@@ -273,6 +273,24 @@ class TestPanelStore:
         assert len(store.rows_matching("leek", Quality.CONVENTIONAL, "CH")) == 0
         assert len(store.rows_matching("leek", Quality.ORGANIC, "CH")) == 1
 
+    @pytest.mark.parametrize("empty_series", [False, True])
+    def test_has_rows_answers_as_rows_matching_does(self, empty_series):
+        store = self.build()
+        if empty_series:
+            # a series the store indexes but holds no row of
+            columns = {}
+            for key in store.series():
+                rows = store.rows([key])
+                columns[key] = (rows.week, rows.value)
+            columns[SeriesKey("okra", Quality.ORGANIC, "CH", "geneva")] = ([], [])
+            store = PanelStore.from_columns(columns)
+        for product in ("tomato", "leek", "okra"):
+            for quality in Quality:
+                for country in ("CH", "DE", "FR"):
+                    for region in (None, "geneva", "bern"):
+                        args = (product, quality, country, region)
+                        assert store.has_rows(*args) == bool(store.rows_matching(*args)), args
+
 
 class TestAttributes:
     GOOD = [

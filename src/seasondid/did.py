@@ -30,8 +30,10 @@ full sample once, then resamples observations independently within each of
 the four cells and re-estimates each replicate's table. A block of
 replicates (at most ``BLOCK_ROWS`` drawn rows, a constant with no setting)
 is drawn as arrays by ``_replicate_draws``, the same stream as numpy's
-generator per replicate, and its tables are counted from the drawn rows by
-one pair of ``bincount`` calls.
+generator per replicate: ``SeedSequence`` and ``PCG64`` are computed on
+uint64 arrays for the whole block, so ``numpy.random`` is imported only to
+redraw the rare replicate that numpy would reject. The block's tables are
+counted from the drawn rows by one pair of ``bincount`` calls.
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ BLOCK_ROWS = 1 << 16
 METHODS = ("ipw", "ols")
 
 # numpy's SeedSequence hash (INIT_A, MULT_A, MIX_MULT_L/R, INIT_B, MULT_B)
-# and PCG64's 128-bit multiplier, for _replicate_draws
+# and PCG64's 128-bit LCG multiplier M, for _replicate_draws
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 def check_reps(reps: int) -> None:
@@ -425,51 +427,125 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
     )
 
 
-def _seed_sequence_words(seed: int, first: int, count: int) -> list[list[int]]:
+def _hash_chain(const: int, mult: int, rows: int) -> np.ndarray:
+    """A hash constant and the ``rows`` that follow it, each the last times
+    ``mult`` mod 2**32, as a (rows + 1, 1) uint32 column: a hash of row i
+    xors with constant i and multiplies by constant i + 1."""
+    chain = [const]
+    for _ in range(rows):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, np.uint32)[:, None]
+
+
+def _seed_sequence_words(seed: int, first: int, count: int) -> list[np.ndarray]:
     """``SeedSequence((seed, r)).generate_state(4, np.uint64)`` for the
-    replicates r = first ... first + count - 1, as four lists of Python
-    ints, one per word, each of ``count`` values.
+    replicates r = first ... first + count - 1, as four uint64 arrays, one
+    per word, each of ``count`` values.
 
     The entropy is the seed's uint32 words, least significant first, then
     r (one word, so r < 2**32). Every r hashes the same number of words, so
-    the hash constant chain is the same for all and stays a Python int."""
+    all replicates share one chain of hash constants. The pool is a
+    (4, count) array: the hashes of one source word into the other pool
+    words, which do not depend on each other, run as one array operation
+    with a constant per row."""
     words = [seed & _MASK32]
     while seed > _MASK32:
         seed >>= 32
         words.append(seed & _MASK32)
-    entropy = [np.full(count, word, np.uint32) for word in words]
-    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    entropy = np.zeros((max(4, len(words) + 1), count), np.uint32)
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
     const = _INIT_A
 
-    def hashmix(value):
+    def hashmix(value, rows):
+        # numpy's hashmix on ``rows`` consecutive constants of the chain
         nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
+        chain = _hash_chain(const, _MULT_A, rows)
+        const = int(chain[-1, 0])
+        value = value ^ chain[:-1]
+        value *= chain[1:]
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = x * _MIX_MULT_L - y * _MIX_MULT_R
         return result ^ (result >> 16)
 
-    zero = np.zeros(count, np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    pool = hashmix(entropy[:4], 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
     for word in entropy[4:]:  # entropy longer than the pool
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        state.append((value ^ (value >> 16)).astype(np.uint64))
+        pool = mix(pool, hashmix(word, 4))
+    chain = _hash_chain(_INIT_B, _MULT_B, 8)
+    value = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ chain[:-1]
+    value *= chain[1:]
+    state = (value ^ (value >> 16)).astype(np.uint64)
     # uint32 pairs, low word first, make the uint64 words
-    return [(state[2 * j] | state[2 * j + 1] << 32).tolist() for j in range(4)]
+    return [state[2 * j] | state[2 * j + 1] << 32 for j in range(4)]
+
+
+def _mul_add(state, k: int, add):
+    """``(state * k + add) mod 2**128`` for 128-bit values held as (hi, lo)
+    pairs of uint64 arrays, ``k`` a Python int. uint64 products wrap mod
+    2**64, so only the high word of ``lo * k_lo`` needs the 32-bit halves
+    of both factors (Hacker's Delight ``mulhu``; no sum overflows)."""
+    hi, lo = state
+    add_hi, add_lo = add
+    k_hi, k_lo = np.uint64(k >> 64), np.uint64(k & _MASK64)
+    b0, b1 = k & _MASK32, k >> 32 & _MASK32
+    a0, a1 = lo & _MASK32, lo >> 32
+    t = a0 * b0
+    t >>= 32
+    t += a1 * b0
+    u = a0 * b1
+    u += t & _MASK32
+    t >>= 32
+    u >>= 32
+    new_lo = lo * k_lo
+    new_lo += add_lo
+    new_hi = a1 * b1
+    new_hi += t
+    new_hi += u
+    new_hi += hi * k_lo
+    new_hi += lo * k_hi
+    new_hi += add_hi
+    new_hi += new_lo < add_lo
+    return new_hi, new_lo
+
+
+def _pcg64_raw(seed: int, first: int, count: int, words: int) -> np.ndarray:
+    """The first ``words`` raw outputs of ``PCG64(SeedSequence((seed, r)))``
+    for r = first ... first + count - 1, a (words, count) uint64 array.
+
+    Each generator is seeded in closed form (PCG64's
+    ``pcg_setseq_128_srandom_r``: ``inc = initseq << 1 | 1``, then
+    ``state = (inc + s) * M + inc``), and output j is the XSL-RR output of
+    the state j + 1 steps on. States 0 ... k - 1 give states k ... 2k - 1
+    as ``M**k * s + (M**(k-1) + ... + M + 1) * inc`` (Brown's LCG
+    jump-ahead), so log2(words) rounds of array arithmetic reach them all.
+    Row 0 carries that jump term: one ``_mul_add`` by ``M**k`` with the
+    jump added takes it to the next round's along with the states.
+    """
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(seed, first, count)
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    hi = np.empty((words + 2, count), np.uint64)
+    lo = np.empty_like(hi)
+    hi[0], lo[0] = inc
+    hi[1], lo[1] = _mul_add(_mul_add((s_hi, s_lo), 1, inc), _PCG64_MULT, inc)
+    k, mult = 1, _PCG64_MULT
+    while k <= words:
+        take = min(k, words + 1 - k)
+        new_hi, new_lo = _mul_add((hi[: take + 1], lo[: take + 1]), mult, (hi[0], lo[0]))
+        hi[k + 1 : k + 1 + take], lo[k + 1 : k + 1 + take] = new_hi[1:], new_lo[1:]
+        hi[0], lo[0] = new_hi[0], new_lo[0]
+        k, mult = 2 * k, mult * mult & _MASK128
+    hi, lo = hi[2:], lo[2:]
+    xored, rot = hi ^ lo, hi >> 58
+    raw = xored >> rot
+    rot = 64 - rot
+    rot &= 63
+    raw |= xored << rot
+    return raw
 
 
 def _replicate_draws(seed: int, first: int, count: int, high: np.ndarray) -> np.ndarray:
@@ -477,32 +553,22 @@ def _replicate_draws(seed: int, first: int, count: int, high: np.ndarray) -> np.
     ``default_rng(SeedSequence((seed, r))).integers(0, high)`` for r =
     first ... first + count - 1, with each bound in ``high`` at most 2**32.
 
-    Each generator is seeded in closed form (PCG64's
-    ``pcg_setseq_128_srandom_r``) from the block's seed words and yields
-    its raw words from one reused ``PCG64``. A bound above 1 takes one
-    uint32 of them, low half first, by Lemire's multiply-shift; a bound of
-    1 takes none. Where numpy would reject a uint32 and draw again, which
-    happens for about rows * bound / 2**32 of the replicates, that
-    replicate is redrawn by numpy itself."""
+    The raw words of all ``count`` generators are computed together on
+    uint64 arrays (``_pcg64_raw``), with no generator object. A bound above
+    1 takes one uint32 of them, low half first, by Lemire's multiply-shift;
+    a bound of 1 takes none. Where numpy would reject a uint32 and draw
+    again, which happens for about rows * bound / 2**32 of the replicates,
+    that replicate is redrawn by numpy itself: the only use of
+    ``numpy.random``, which is imported then and not before."""
     bounded = high > 1
     size = high[bounded].astype(np.uint64)
-    n_raw = (size.size + 1) // 2
-    raw = np.empty((count, n_raw), dtype=np.uint64)
-    bitgen = np.random.PCG64(0)
-    for i, (s0, s1, i0, i1) in enumerate(zip(*_seed_sequence_words(seed, first, count))):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        raw[i] = bitgen.random_raw(n_raw)
-    scaled = raw.astype("<u8", copy=False).view("<u4")[:, : size.size] * size
+    raw = _pcg64_raw(seed, first, count, (size.size + 1) // 2)
+    # (bounded rows, count): each word's low half, then its high half
+    halves = np.stack([raw & _MASK32, raw >> 32], axis=1).reshape(-1, count)
+    scaled = halves[: size.size] * size[:, None]
     draws = np.zeros((count, high.size), dtype=np.intp)
-    draws[:, bounded] = scaled >> 32
-    rejected = ((scaled & _MASK32) < (2**32 - size) % size).any(axis=1)
+    draws[:, bounded] = (scaled >> 32).T
+    rejected = ((scaled & _MASK32) < ((2**32 - size) % size)[:, None]).any(axis=0)
     for i in np.flatnonzero(rejected).tolist():
         rng = np.random.default_rng(np.random.SeedSequence((seed, first + i)))
         draws[i] = rng.integers(0, high)

@@ -93,10 +93,12 @@ def write_run_cfg(workspace_paths, extra="", name="alt.cfg", out_name="alt_out")
     return cfg, out
 
 
-def test_a_run_leaves_numpy_ma_unloaded(workspace):
+def test_a_run_leaves_numpy_ma_and_numpy_random_unloaded(workspace):
     # numpy 2 imports numpy.ma on the first plain np.unique (np.quantile and
-    # np.union1d make one), about 10 ms in each process, pool workers included.
-    # "Newly" keeps the check valid on numpy 1, which imports it with numpy.
+    # np.union1d make one), about 10 ms in each process, pool workers included,
+    # and numpy.random (11-13 ms) on first use, which only a rejected
+    # bootstrap draw makes. "Newly" keeps the check valid on numpy 1, which
+    # imports both with numpy. The config bootstraps at one worker.
     _, _, run_cfg, _ = workspace
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
@@ -105,7 +107,8 @@ def test_a_run_leaves_numpy_ma_unloaded(workspace):
         "from seasondid.cli import main\n"
         "for command in ('run', 'pretrend', 'describe'):\n"
         "    assert main([command, '--config', sys.argv[1]]) == 0, command\n"
-        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new if m.startswith(('numpy.ma', 'numpy.random'))))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, str(run_cfg)],

@@ -741,6 +741,28 @@ class TestBootstrapDraws:
         assert_array_equal(draws, [row for row, _ in expected])
         assert rng.call_count == sum(redrawn for _, redrawn in expected)
 
+    @pytest.mark.parametrize(
+        "sizes, seed, first, count",
+        [
+            # a full block of a 48-row sample: 24 raw words, 1,365 replicates
+            ((10, 14, 11, 13), 11, 0, did.BLOCK_ROWS // 48),
+            ((500, 480, 520, 500), 2**62 + 3, 7, 32),  # 1,000 raw words each
+            ((1, 6, 1, 9), 5, 100, 300),  # 15 bounded rows: half a word unused
+            ((1, 1, 1, 1), 3, 0, 64),  # no bounded row draws a raw word
+            ((12, 12, 12, 12), 2**96 + 2**64 + 1, 2**32 - 200, 200),
+        ],
+        ids=["48-row-block", "2000-rows", "odd-bounded-rows", "cells-of-one", "seed-over-2**96"],
+    )
+    def test_a_block_of_replicates_draws_numpys_stream(self, sizes, seed, first, count):
+        # more replicates and raw words than the hypothesis test above draws
+        # (8 replicates, 80 words), so every doubling round of the stream runs
+        high = np.repeat(sizes, sizes)
+        expected = [numpy_draws(seed, r, high) for r in range(first, first + count)]
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+            draws = did._replicate_draws(seed, first, count, high)
+        assert_array_equal(draws, [row for row, _ in expected])
+        assert rng.call_count == sum(redrawn for _, redrawn in expected)
+
 
 def numpy_draws(seed, rep, high):
     """numpy's draws for replicate ``rep`` and whether it rejected a uint32

@@ -4,8 +4,8 @@
 marks Protected weeks (1) versus Unprotected weeks (0). The target is the
 average treatment effect on the treated cell (D=1, T=1).
 
-A ``DidSample`` holds the rows; ``DidSample.cell_table`` reduces them to a
-``CellTable`` of counts and outcome sums per (cell, stratum). Three
+A ``DidSample`` holds the rows and their ``CellTable`` of counts and outcome
+sums per (cell, stratum), tabulated once, when the sample is built. Three
 estimators return an ``EffectEstimate``:
 
 * ``estimate_ipw_did`` (on the table): inverse-probability weighting with
@@ -18,7 +18,7 @@ estimators return an ``EffectEstimate``:
   of Stuart et al., 2014). Strata with rho above the trim threshold get
   weight 0.
 * ``cell_means_did`` (on the table): the plain 2x2 cell-means DiD.
-* ``estimate_ols_did`` (on the occupied (cell, stratum) bins): the
+* ``estimate_ols_did`` (on the table's occupied (cell, stratum) bins): the
   interaction coefficient from ``y ~ const + D + T + D:T + stratum
   dummies``, classical standard errors. The design is constant within a
   bin, so ``glm.fit_ols`` fits the bins, each standing for the rows it
@@ -26,8 +26,8 @@ estimators return an ``EffectEstimate``:
   the residual sum of squares, whose degrees of freedom count rows.
 
 ``bootstrap_se`` gives a table estimator its inference: it estimates the
-full sample once, then resamples observations independently within each of
-the four cells and re-estimates each replicate's table. A block of
+sample's table once, then resamples observations independently within each
+of the four cells and re-estimates each replicate's table. A block of
 replicates (at most ``BLOCK_ROWS`` drawn rows, a constant with no setting)
 is drawn as arrays by ``_replicate_draws``, the same stream as numpy's
 generator per replicate: ``SeedSequence`` and ``PCG64`` are computed on
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -152,16 +152,22 @@ class DidSample:
     """Estimation-ready outcome panel for one task.
 
     ``stratum`` is each row's code of the one categorical covariate: 0 is
-    the reference season, and every row is 0 without covariates.
+    the reference season, and every row is 0 without covariates. The rows
+    are copied, checked and tabulated once: ``code`` is each row's (cell,
+    stratum) code, ``cell * strata + stratum`` with cells in ``CELL_ORDER``,
+    and ``cell_table`` returns their ``CellTable``. Every one of these
+    arrays is read-only, so the table stays the table of the rows.
     """
 
     y: np.ndarray
     d: np.ndarray
     t: np.ndarray
     stratum: np.ndarray
+    code: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: CellTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float)
         d, t, stratum = np.asarray(self.d), np.asarray(self.t), np.asarray(self.stratum)
         n = y.shape[0]
         if d.shape[0] != n or t.shape[0] != n or stratum.shape[0] != n:
@@ -169,24 +175,29 @@ class DidSample:
         # checked on the raw values: the casts below would hide 256 or 0.7
         if ((d != 0) & (d != 1)).any() or ((t != 0) & (t != 1)).any():
             raise ValueError("d and t must be 0/1 indicators")
-        codes = stratum.astype(np.intp, copy=False)
+        codes = stratum.astype(np.intp)
         if (codes != stratum).any():
             raise ValueError("stratum codes must be integers")
         if n and codes.min() < 0:
             raise ValueError("stratum codes must be non-negative")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d.astype(np.int8, copy=False))
-        object.__setattr__(self, "t", t.astype(np.int8, copy=False))
-        object.__setattr__(self, "stratum", codes)
+        d, t = d.astype(np.int8), t.astype(np.int8)
+        strata = int(codes.max(initial=0)) + 1
+        # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell code 3 - 2d - t
+        code = (3 - 2 * d.astype(np.intp) - t) * strata + codes
+        counts = np.bincount(code, minlength=4 * strata).reshape(4, strata)
+        sums = np.bincount(code, weights=y, minlength=4 * strata).reshape(4, strata)
+        for array in (y, d, t, codes, code, counts, sums):
+            array.flags.writeable = False
+        # the dataclass is frozen, so the fields are set in the instance dict
+        vars(self).update(y=y, d=d, t=t, stratum=codes, code=code, _table=CellTable(counts, sums))
 
     @property
     def n_obs(self) -> int:
         return self.y.shape[0]
 
     def cell_table(self) -> CellTable:
-        """Row counts and outcome sums per (cell, stratum)."""
-        code, strata = _cell_code(self)
-        return _table(code, self.y, strata)
+        """The table tabulated when the sample was built."""
+        return self._table
 
 
 class CellTable(NamedTuple):
@@ -218,20 +229,6 @@ class CellTable(NamedTuple):
                     f"cell has {count} observations, need at least {min_cell}",
                 )
         return n_by_cell
-
-
-def _cell_code(sample: DidSample) -> tuple[np.ndarray, int]:
-    """Each row's (cell, stratum) code, cell-major in ``CELL_ORDER``, and
-    the number of strata."""
-    strata = int(sample.stratum.max(initial=0)) + 1
-    # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell code 3 - 2d - t
-    return (3 - 2 * sample.d.astype(np.intp) - sample.t) * strata + sample.stratum, strata
-
-
-def _table(code: np.ndarray, y: np.ndarray, strata: int) -> CellTable:
-    counts = np.bincount(code, minlength=4 * strata).reshape(4, strata)
-    sums = np.bincount(code, weights=y, minlength=4 * strata).reshape(4, strata)
-    return CellTable(counts, sums)
 
 
 @dataclass(frozen=True)
@@ -397,16 +394,17 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
     """DiD as the D:T interaction in an OLS regression with covariates.
 
     The design (const, d, t, d_t, stratum dummies) is constant within each
-    (cell, stratum) bin, so ``fit_ols`` fits the occupied bins with their
-    row counts and mean outcomes, and the rows' sum of squares about their
-    bin means: the fit of the rows, from a table of a few dozen bins.
+    (cell, stratum) bin, so ``fit_ols`` fits the occupied bins of the
+    sample's table with their row counts and mean outcomes, and the rows'
+    sum of squares about their bin means (each row's bin read from
+    ``sample.code``): the fit of the rows, from a table of a few dozen bins.
     """
-    code, strata = _cell_code(sample)
-    table = _table(code, sample.y, strata)
+    table = sample.cell_table()
     n_by_cell = table.validate()
+    strata = table.counts.shape[1]
     counts = table.counts.ravel()
     mean = table.sums.ravel() / np.maximum(counts, 1)
-    within = sample.y - mean[code]
+    within = sample.y - mean[sample.code]
     bins = np.flatnonzero(counts)
     cell, stratum = np.divmod(bins, strata)
     # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): d = cell < 2, t = cell even
@@ -583,7 +581,7 @@ def bootstrap_se(
 ) -> EffectEstimate:
     """Stratified nonparametric bootstrap of a table estimator.
 
-    ``estimator`` runs once on the full sample's table, and its errors
+    ``estimator`` runs once on the sample's table, and its errors
     propagate. Observations are then resampled with replacement
     independently within each of the four (D,T) cells, so no replicate
     loses a cell. Replicate ``r`` draws what
@@ -613,13 +611,13 @@ def bootstrap_se(
         raise ConfigError(f"bootstrap allows at most 2**32 replicates, got {reps}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"bootstrap seed must be a non-negative integer, got {seed!r}")
-    estimate = estimator(sample.cell_table())
-    code, strata = _cell_code(sample)
-    cell = code // strata
+    table = sample.cell_table()
+    estimate = estimator(table)
+    strata = table.counts.shape[1]
     # rows cell by cell in CELL_ORDER, ascending within each cell
-    order = np.argsort(cell, kind="stable")
-    code, y = code[order], sample.y[order]
-    sizes = np.bincount(cell, minlength=4)
+    order = np.argsort(sample.code // strata, kind="stable")
+    code, y = sample.code[order], sample.y[order]
+    sizes = table.counts.sum(axis=1)
     high = np.repeat(sizes, sizes)
     start = np.repeat(np.cumsum(sizes) - sizes, sizes)
     width = 4 * strata
@@ -633,9 +631,9 @@ def bootstrap_se(
         tagged = code[rows] + (np.arange(count) * width)[:, None]
         counts = np.bincount(tagged.ravel(), minlength=count * width)
         sums = np.bincount(tagged.ravel(), weights=y[rows].ravel(), minlength=count * width)
-        for table in zip(counts.reshape(count, 4, strata), sums.reshape(count, 4, strata)):
+        for replicate in zip(counts.reshape(count, 4, strata), sums.reshape(count, 4, strata)):
             try:
-                estimates.append(estimator(CellTable(*table)).atet)
+                estimates.append(estimator(CellTable(*replicate)).atet)
             except (GlmError, TrimExhaustionError, InfeasibleSampleError):
                 failures += 1
     if failures > 0.1 * reps:

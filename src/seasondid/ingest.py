@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import ConfigError, IngestError
-from .panel import PanelRows, PriceObservation, Quality, SeriesKey
+from .panel import PanelRows, PriceObservation, Quality, SeriesKey, check_labelled_year
 from .weeks import IsoWeek
 
 PRICE_HEADER = ("country", "product", "quality", "region", "year", "iso_week", "price")
@@ -344,6 +344,7 @@ def _week_ordinal(year: str, week: str) -> int | str:
     if not (year.isdecimal() and week.isdecimal()):  # what int() reads
         return "year and iso_week must be integers"
     try:
+        check_labelled_year(int(year))
         return IsoWeek(int(year), int(week)).ordinal
     except ConfigError as exc:
         return str(exc)

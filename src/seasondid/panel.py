@@ -150,6 +150,16 @@ def label_week(window: ProtectionWindow, week: IsoWeek) -> PhaseLabel:
     return PhaseLabel.BOUNDARY
 
 
+def check_labelled_year(year: int, what: str = "year") -> None:
+    """Refuse a year whose weeks cannot be labelled: the season of a week of
+    ISO year y is found from the windows of years y - 2 .. y + 1, and dates
+    end at year 9999."""
+    if not 3 <= year <= 9998:
+        raise ConfigError(
+            f"{what} {year} is outside 3..9998, the years whose weeks can be labelled"
+        )
+
+
 @functools.lru_cache(maxsize=None)
 def season_start_week(window: ProtectionWindow, year: int) -> IsoWeek:
     """First week of season ``year``: the midpoint of the gap between the

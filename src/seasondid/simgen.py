@@ -33,6 +33,7 @@ import numpy as np
 from .calendar import MonthDay, ProtectionCalendar, ProtectionWindow
 from .errors import ConfigError
 from .panel import PhaseLabel, PriceObservation, Quality, assign_season_week, label_week
+from .panel import check_labelled_year
 from .weeks import IsoWeek
 
 _SHOCK_STREAM = 0
@@ -74,6 +75,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_seasons < 1:
             raise ConfigError(f"n_seasons must be >= 1, got {self.n_seasons}")
+        check_labelled_year(self.first_year, "first season")
+        check_labelled_year(self.first_year + self.n_seasons - 1, "last season")
         if self.weeks_per_season < 4:
             raise ConfigError(f"weeks_per_season must be >= 4, got {self.weeks_per_season}")
         if not (1 <= self.protected_start < self.protected_end <= self.weeks_per_season - 1):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (
+from helpers import (
     basic_task,
     panel_rows,
     phases_of,

@@ -8,7 +8,7 @@ import pytest
 from seasondid import IsoWeek, MonthDay, ProtectionCalendar, ProtectionWindow
 from seasondid.errors import CalendarError, CalendarMissError
 
-from conftest import window
+from helpers import window
 
 
 class TestMonthDay:

@@ -282,6 +282,34 @@ class TestRun:
         assert main(["run", "--config", str(run_cfg)]) == EXIT_CONFIG
         assert main(["run", "--config", str(run_cfg), "--skip-bad-rows"]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["run", "pretrend", "describe"])
+    @pytest.mark.parametrize("year", [2, 9999])
+    def test_a_year_whose_weeks_cannot_be_labelled_is_a_config_error(
+        self, workspace, capsys, command, year
+    ):
+        # labelling a week of year y dates the windows of years y - 2 .. y + 1
+        _, data, run_cfg, _ = workspace
+        prices = data / "prices.csv"
+        line = len(prices.read_text().splitlines()) + 1
+        prices.write_text(
+            prices.read_text() + f"CH,simulated-vegetable,conventional,,{year},20,5.0\n"
+        )
+        assert main([command, "--config", str(run_cfg)]) == EXIT_CONFIG
+        assert f"prices.csv:{line}: year {year} is outside 3..9998" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first_year", [3, 9996])
+    def test_panels_at_the_ends_of_the_labelled_years_run(self, workspace, first_year):
+        _, data, run_cfg, _ = workspace
+        prices = data / "prices.csv"
+        header, rows = read_csv(prices)
+        shift = first_year - min(int(row[4]) for row in rows)
+        with prices.open("w", newline="") as handle:
+            csv.writer(handle).writerows(
+                [header] + [[*row[:4], int(row[4]) + shift, *row[5:]] for row in rows]
+            )
+        for command in ("run", "pretrend", "describe"):
+            assert main([command, "--config", str(run_cfg)]) == EXIT_OK, command
+
     def test_unknown_config_key_is_a_config_error(self, workspace, capsys):
         tmp_path, _, _, _ = workspace
         bad = tmp_path / "bad.cfg"

@@ -13,7 +13,7 @@ from seasondid.config import (
 from seasondid.did import CovariateSpec
 from seasondid.errors import ConfigError
 
-from conftest import price_row, week
+from helpers import price_row, week
 
 MINIMAL = "prices = p.csv\ncalendar = c.csv\nseed = 7\n"
 

@@ -40,7 +40,7 @@ from seasondid.errors import ConfigError, InfeasibleSampleError, IngestError, Se
 from seasondid.ingest import ATTRIBUTE_HEADER, EFFECTS_COLUMNS
 from seasondid.panel import label_week
 
-from conftest import basic_task, panel_rows, price_row, week, weeks_of, window
+from helpers import basic_task, panel_rows, price_row, week, weeks_of, window
 from oracles import did_from_cell_means, normal_equations_ols
 
 

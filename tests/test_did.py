@@ -43,7 +43,7 @@ from seasondid.errors import (
 )
 from seasondid.glm import INTERCEPT_NAME, DesignMatrix, fit_logistic
 
-from conftest import (
+from helpers import (
     basic_task,
     no_covariate_sample,
     panel_rows,
@@ -442,6 +442,44 @@ class TestStratumTable:
         assert_array_equal(counts, [[1, 0, 1], [1, 0, 0], [0, 0, 1], [0, 0, 2]])
         assert_array_equal(sums, [[1, 0, 2], [8, 0, 0], [0, 0, 16], [0, 0, 36]])
         assert sample.cell_table().n_by_cell == (2, 1, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda top: st.lists(
+                st.tuples(
+                    st.floats(-1e6, 1e6),
+                    st.integers(0, 1),
+                    st.integers(0, 1),
+                    st.integers(0, top),
+                ),
+                max_size=30,
+            )
+        )
+    )
+    def test_the_table_is_tabulated_once_as_a_row_loop_would(self, rows):
+        # random rows: empty cells, empty strata below the largest code, and
+        # the empty sample all occur
+        y, d, t, stratum = (np.array(column) for column in list(zip(*rows)) or [()] * 4)
+        sample = DidSample(y, d, t, stratum)
+        strata = max((s for *_, s in rows), default=0) + 1
+        counts, sums = np.zeros((4, strata), int), np.zeros((4, strata))
+        for value, dd, tt, s in rows:
+            counts[CELL_ORDER.index((dd, tt)), s] += 1
+            sums[CELL_ORDER.index((dd, tt)), s] += value
+        table = sample.cell_table()
+        event(f"empty cells: {int((counts.sum(axis=1) == 0).sum())}")
+        event(f"empty strata: {int((counts.sum(axis=0) == 0).sum())}")
+        assert_array_equal(table.counts, counts)
+        assert_array_equal(table.sums, sums)
+        assert sample.cell_table() is table
+        for array in (*table, sample.code, sample.y, sample.d, sample.t, sample.stratum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # the sample copied the rows: writing the caller's arrays leaves it as it was
+        y[...] = np.nan
+        assert_array_equal(sample.cell_table().sums, sums)
 
     @pytest.mark.parametrize(
         "d,t,stratum,message",

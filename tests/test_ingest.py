@@ -15,7 +15,7 @@ from seasondid import (
 from seasondid.errors import IngestError
 from seasondid.ingest import ATTRIBUTE_HEADER, PRICE_HEADER
 
-from conftest import price_row, records, week
+from helpers import price_row, records, week
 
 HEADER_LINE = ",".join(PRICE_HEADER)
 
@@ -202,6 +202,20 @@ class TestIngestEdgeCases:
         assert report.problems[-1].startswith("prices.csv:5: duplicate observation")
         assert report.problems[-1].endswith("2015-W53 (first seen on line 2)")
 
+    @pytest.mark.parametrize("year", [2, 3, 9998, 9999])
+    def test_only_years_whose_weeks_can_be_labelled_are_read(self, tmp_path, year):
+        # a week of year y is labelled from the windows of years y - 2 .. y + 1
+        path = price_file(tmp_path, [
+            "CH,tomato,conventional,,2016,20,5.0",
+            f"CH,tomato,conventional,,{year},20,6.0",
+        ])
+        if year in (3, 9998):
+            assert read_prices(path)[1].rows_kept == 2
+            return
+        with pytest.raises(IngestError) as excinfo:
+            read_prices(path)
+        assert f"prices.csv:3: year {year} is outside 3..9998" in str(excinfo.value)
+
     def test_a_rejected_row_is_not_the_first_seen_line(self, tmp_path):
         path = price_file(tmp_path, [
             "CH,tomato,conventional,,2016,20,abc",
@@ -221,13 +235,14 @@ class TestIngestEdgeCases:
             ("CH,,premium,,2016,20,5.0", "empty product"),
             ("CH,tomato,premium,,2016,99,5.0", "unknown quality 'premium'"),
             ("CH,tomato,conventional,,2016,x,-1", "year and iso_week must be integers"),
+            ("CH,tomato,conventional,,9999,54,-1", "year 9999 is outside 3..9998"),
             ("CH,tomato,conventional,,2016,54,-1", "invalid ISO week 2016-W54"),
             ("CH,tomato,conventional,,2016,19,-1", "price must be a positive decimal"),
             ("CH,tomato,conventional,,2016,19,9.0,", "expected 7 fields, got 8"),
         ],
         ids=["country+product", "country+quality+week+price", "product+quality",
-             "quality+week", "week-text+price", "week-number+price", "price+duplicate",
-             "fields+duplicate"],
+             "quality+week", "week-text+price", "year+week+price", "week-number+price",
+             "price+duplicate", "fields+duplicate"],
     )
     def test_a_row_with_two_faults_reports_the_first(self, tmp_path, row, first_fault):
         path = price_file(tmp_path, ["CH,tomato,conventional,,2016,19,4.0", row])

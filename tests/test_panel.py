@@ -22,7 +22,7 @@ from seasondid import (
 )
 from seasondid.errors import CalendarMissError, ConfigError
 
-from conftest import panel_rows, phases_of, price_row, week, weeks_of, window
+from helpers import panel_rows, phases_of, price_row, week, weeks_of, window
 from oracles import midpoint_week_by_enumeration
 
 MAY_AUG = window("05-10", "08-31")

@@ -36,7 +36,7 @@ from seasondid.ingest import write_calendar, write_prices
 from seasondid.pipeline import prepare_outcome_rows
 from seasondid.simgen import SimConfig, generate_panel
 
-from conftest import oracle_records, price_row, records, window
+from helpers import oracle_records, price_row, records, window
 
 PRODUCTS = ("tomato", "leek")
 COUNTRIES = ("CH", "DE", "FR")

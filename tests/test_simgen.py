@@ -22,7 +22,7 @@ from seasondid import (
 from seasondid.errors import ConfigError
 from seasondid.simgen import _PRICE_FLOOR
 
-from conftest import basic_task, panel_rows, phases_of, weeks_of
+from helpers import basic_task, panel_rows, phases_of, weeks_of
 
 
 def pipeline_estimate(cfg, covariates=CovariateSpec.SEASONAL):
@@ -213,6 +213,18 @@ class TestValidation:
     def test_bad_configs_are_rejected(self, overrides):
         with pytest.raises(ConfigError):
             SimConfig(**overrides)
+
+    @pytest.mark.parametrize("first_year,n_seasons", [(2, 1), (9994, 6), (9999, 1)])
+    def test_seasons_outside_the_labelled_years_are_rejected(self, first_year, n_seasons):
+        # a week of year y is labelled from the windows of years y - 2 .. y + 1
+        with pytest.raises(ConfigError, match="the years whose weeks can be labelled"):
+            SimConfig(first_year=first_year, n_seasons=n_seasons)
+
+    @pytest.mark.parametrize("first_year", [3, 9993])
+    def test_seasons_at_the_ends_of_the_labelled_years_are_generated(self, first_year):
+        treated, control, _ = generate_panel(SimConfig(first_year=first_year))
+        years = {row.week.year for row in treated + control}
+        assert years == set(range(first_year, first_year + 6))
 
     def test_default_config_is_valid(self):
         cfg = SimConfig()

@@ -22,7 +22,7 @@ from seasondid import (
 from seasondid.errors import EmptyOverlapError
 from seasondid.panel import SeriesKey
 
-from conftest import (
+from helpers import (
     oracle_records,
     panel_rows,
     phases_of,

@@ -15,7 +15,7 @@ from seasondid import (
     EstimationTask,
     Outcome,
     PanelStore,
-    SeriesSpec,
+    SeriesKey,
     SimConfig,
     bootstrap_se,
     build_sample,
@@ -36,11 +36,12 @@ print(f"true standardized effect: {true_effect(config)}")
 treated, control, calendar = generate_panel(config)
 store = PanelStore(treated + control)
 
-# An estimation task names the two series, the outcome, the covariate set,
-# and the inference settings.
+# An estimation task names the two markets as SeriesKeys (a region of None
+# pools every region), the outcome, the covariate set, and the inference
+# settings.
 task = EstimationTask(
-    treated=SeriesSpec(config.product, config.quality, config.treated_country),
-    control=SeriesSpec(config.product, config.quality, config.control_country),
+    treated=SeriesKey(config.product, config.quality, config.treated_country),
+    control=SeriesKey(config.product, config.quality, config.control_country),
     outcome=Outcome.LEVEL,
     covariates=CovariateSpec.SEASONAL,
     trim_threshold=0.95,

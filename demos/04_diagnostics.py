@@ -13,7 +13,7 @@ from seasondid import (
     EstimationTask,
     Outcome,
     PanelStore,
-    SeriesSpec,
+    SeriesKey,
     SimConfig,
     describe_distribution,
     generate_panel,
@@ -27,8 +27,8 @@ config = SimConfig(n_seasons=6, weeks_per_season=30, protected_start=8,
 treated, control, calendar = generate_panel(config)
 store = PanelStore(treated + control)
 task = EstimationTask(
-    treated=SeriesSpec(config.product, config.quality, config.treated_country),
-    control=SeriesSpec(config.product, config.quality, config.control_country),
+    treated=SeriesKey(config.product, config.quality, config.treated_country),
+    control=SeriesKey(config.product, config.quality, config.control_country),
     outcome=Outcome.LEVEL,
     covariates=CovariateSpec.NONE,
 )

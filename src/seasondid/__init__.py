@@ -16,7 +16,6 @@ from .did import (
     DidSample,
     EffectEstimate,
     EstimationTask,
-    SeriesSpec,
     bootstrap_se,
     build_sample,
     cell_means_did,

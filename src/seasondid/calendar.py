@@ -16,7 +16,7 @@ import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CalendarError, CalendarMissError
+from .errors import CalendarError, CalendarMissError, utf8_text
 from .weeks import IsoWeek
 
 _HEADER = ("product", "start_md", "end_md")
@@ -111,7 +111,7 @@ class ProtectionCalendar:
         entries: dict[str, ProtectionWindow] = {}
         first_line: dict[str, int] = {}
         problems: list[str] = []
-        with path.open(newline="") as handle:
+        with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, CalendarError):
             reader = csv.reader(handle)
             try:
                 rows = list(reader)

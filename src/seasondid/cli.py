@@ -76,15 +76,17 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    with path.open("w", newline="") as handle:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
+    print(f"wrote {path} ({len(rows)} rows)")
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_inputs(config: RunConfig) -> tuple[PanelStore, ProtectionCalendar]:
@@ -125,15 +127,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         out_dir / "calendar.csv",
         {cfg.product: (str(window.start), str(window.end))},
     )
-    config_echo = dataclasses.asdict(cfg)
-    config_echo["quality"] = cfg.quality.value
-    config_echo["common_trend"] = list(cfg.common_trend)
     _write_manifest(
         out_dir / "sim_manifest.json",
         {
             "version": __version__,
             "command": "simulate",
-            "config": config_echo,
+            "config": dataclasses.asdict(cfg),  # JSON writes the quality as its value
             "true_effect": true_effect(cfg),
             "n_treated": len(treated),
             "n_control": len(control),
@@ -142,6 +141,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"wrote {len(treated) + len(control)} price rows to {out_dir / 'prices.csv'}")
     print(f"true standardized-scale effect: {true_effect(cfg)!r}")
     return EXIT_OK
+
+
+def _task_columns(task: EstimationTask) -> tuple[str, str, str, str]:
+    """The product, quality, control_country and outcome cells of a task's rows."""
+    treated = task.treated
+    return treated.product, treated.quality.value, task.control.country, task.outcome.value
 
 
 def _effect_rows(
@@ -153,10 +158,7 @@ def _effect_rows(
     result = run_task(task, store, calendar, methods=config.methods)
     return [
         (
-            task.treated.product,
-            task.treated.quality.value,
-            task.control.country,
-            task.outcome.value,
+            *_task_columns(task),
             estimate.method,
             estimate.atet,
             estimate.se,
@@ -180,10 +182,7 @@ def _placebo_rows(
     estimate = result.estimate
     return [
         (
-            task.treated.product,
-            task.treated.quality.value,
-            task.control.country,
-            task.outcome.value,
+            *_task_columns(task),
             estimate.atet,
             estimate.se,
             estimate.p_value,
@@ -287,11 +286,15 @@ def _run_batch(
 
     rows = [row for _, _, task_rows in outcomes for row in task_rows]
     statuses = [{"task": key, "status": status} for key, status, _ in outcomes]
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / table_name, columns, rows)
+    n_failed = sum(1 for s in statuses if s["status"].startswith("failed"))
+    n_infeasible = sum(1 for s in statuses if s["status"].startswith("infeasible"))
+    print(
+        f"{len(statuses)} tasks: {len(statuses) - n_failed - n_infeasible} ok, "
+        f"{n_infeasible} infeasible, {n_failed} failed"
+    )
+    _write_csv(config.output_dir / table_name, columns, rows)
     _write_manifest(
-        out_dir / manifest_name,
+        config.output_dir / manifest_name,
         {
             "version": __version__,
             "command": command,
@@ -300,13 +303,6 @@ def _run_batch(
             "tasks": statuses,
         },
     )
-    n_failed = sum(1 for s in statuses if s["status"].startswith("failed"))
-    n_infeasible = sum(1 for s in statuses if s["status"].startswith("infeasible"))
-    print(
-        f"{len(statuses)} tasks: {len(statuses) - n_failed - n_infeasible} ok, "
-        f"{n_infeasible} infeasible, {n_failed} failed"
-    )
-    print(f"wrote {out_dir / table_name} ({len(rows)} rows)")
     return EXIT_TASK_FAILURE if n_failed else EXIT_OK
 
 
@@ -338,10 +334,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         for outcome in Outcome
         for s in describe_distribution(outcome_rows(labeled, outcome), outcome)
     ]
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "descriptives.csv", DESCRIBE_COLUMNS, rows)
-    print(f"wrote {out_dir / 'descriptives.csv'} ({len(rows)} rows)")
+    _write_csv(config.output_dir / "descriptives.csv", DESCRIBE_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -366,10 +359,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
                     dropped,
                 )
             )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "heterogeneity.csv", HETEROGENEITY_COLUMNS, out_rows)
-    print(f"wrote {out_dir / 'heterogeneity.csv'} ({len(out_rows)} rows)")
+    _write_csv(Path(args.out) / "heterogeneity.csv", HETEROGENEITY_COLUMNS, out_rows)
     return EXIT_OK
 
 

@@ -15,9 +15,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .did import METHODS, CovariateSpec, EstimationTask, SeriesSpec, check_reps
-from .errors import ConfigError
-from .panel import Outcome, Quality
+from .did import METHODS, CovariateSpec, EstimationTask, check_reps
+from .errors import ConfigError, utf8_text
+from .panel import Outcome, Quality, SeriesKey
 from .simgen import SimConfig
 
 _TRUE = ("true", "1", "yes", "on")
@@ -40,6 +40,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, list[str
             raise ConfigError(f"{source}:{lineno}: empty key")
         values.setdefault(key, []).append(value)
     return values
+
+
+def _config_values(path: str | Path) -> dict[str, list[str]]:
+    """The key=value lines of a UTF-8 config file."""
+    path = Path(path)
+    with utf8_text(path, ConfigError):
+        text = path.read_text(encoding="utf-8")
+    return parse_config_text(text, source=path.name)
 
 
 def _reject_repeats(items: tuple, key: str) -> None:
@@ -76,14 +84,12 @@ def _parse_float(text: str, key: str) -> float:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One explicit task line: product:quality:control_country with optional
-    :control_product and :control_region suffixes."""
+    """One explicit task line, product:quality:control_country with optional
+    :control_product and :control_region suffixes: the treated product and
+    the control market, whose quality is the task's."""
 
     product: str
-    quality: Quality
-    control_country: str
-    control_product: str
-    control_region: str | None
+    control: SeriesKey
 
     @classmethod
     def parse(cls, text: str) -> "TaskSpec":
@@ -93,22 +99,16 @@ class TaskSpec:
                 "task must be 'product:quality:control_country"
                 f"[:control_product[:control_region]]', got {text!r}"
             )
-        product, quality_text, control_country = parts[:3]
-        control_product = parts[3] if len(parts) > 3 and parts[3] else product
-        control_region = parts[4] if len(parts) > 4 and parts[4] else None
+        product, quality, country, control_product, region = parts + [""] * (5 - len(parts))
         return cls(
-            product=product,
-            quality=Quality.parse(quality_text),
-            control_country=control_country,
-            control_product=control_product,
-            control_region=control_region,
+            product, SeriesKey(control_product or product, Quality.parse(quality), country,
+                               region or None)
         )
 
     def __str__(self) -> str:
-        parts = (
-            self.product, self.quality.value, self.control_country, self.control_product,
-            self.control_region,
-        )
+        control = self.control
+        parts = (self.product, control.quality.value, control.country, control.product,
+                 control.region)
         return ":".join(filter(None, parts))
 
 
@@ -117,6 +117,8 @@ def _parse_text(text: str, key: str) -> str:
 
 
 def _parse_path(text: str, key: str) -> Path:
+    if "\0" in text:
+        raise ConfigError(f"config key {key!r} contains a NUL byte")
     return Path(text)
 
 
@@ -208,8 +210,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        values = parse_config_text(path.read_text(), source=path.name)
+        values = _config_values(path)
         task_lines = values.pop("task", [])
         settings = fields(cls)
         parsed = _parse_fields(values, {f.name: f.metadata["parse"] for f in settings}, "config")
@@ -273,8 +274,7 @@ _SIM_PARSERS = {
 
 def sim_config_from_file(path: str | Path, seed_override: int | None = None) -> SimConfig:
     """Build a :class:`SimConfig` from a key=value file."""
-    path = Path(path)
-    values = parse_config_text(path.read_text(), source=path.name)
+    values = _config_values(path)
     parsers = {f.name: _SIM_PARSERS[type(f.default)] for f in fields(SimConfig)}
     settings = _parse_fields(values, parsers, "generator config")
     if seed_override is not None:
@@ -289,49 +289,34 @@ def expand_tasks(config: RunConfig, store=None) -> list[EstimationTask]:
     country is paired with every control country carrying the same product
     and quality (regions pooled).
     """
-    pairs: list[TaskSpec] = []
-    if config.tasks == "all":
-        if store is None:
-            raise ConfigError("expanding 'tasks = all' requires the ingested panel")
-        treated_pairs = set()
-        control_markets: dict[tuple[str, Quality], set[str]] = {}
-        for key in store.series():
-            if key.country == config.treated_country:
-                treated_pairs.add((key.product, key.quality))
-            else:
-                control_markets.setdefault((key.product, key.quality), set()).add(key.country)
-        for product, quality in sorted(treated_pairs, key=lambda p: (p[0], p[1].value)):
-            for country in sorted(control_markets.get((product, quality), ())):
-                pairs.append(
-                    TaskSpec(
-                        product=product,
-                        quality=quality,
-                        control_country=country,
-                        control_product=product,
-                        control_region=None,
-                    )
-                )
-    else:
+    if config.tasks != "all":
         pairs = list(config.tasks)
+    elif store is None:
+        raise ConfigError("expanding 'tasks = all' requires the ingested panel")
+    else:
+        # series come in (product, quality, country, region) order
+        markets = dict.fromkeys((k.product, k.quality, k.country) for k in store.series())
+        treated = {(product, quality) for product, quality, country in markets
+                   if country == config.treated_country}
+        pairs = [TaskSpec(product, SeriesKey(product, quality, country))
+                 for product, quality, country in markets
+                 if country != config.treated_country and (product, quality) in treated]
 
-    tasks = []
-    for spec in pairs:
-        for outcome in config.outcomes:
-            task = EstimationTask(
-                treated=SeriesSpec(spec.product, spec.quality, config.treated_country),
-                control=SeriesSpec(
-                    spec.control_product, spec.quality, spec.control_country,
-                    spec.control_region,
-                ),
-                outcome=outcome,
-                covariates=config.covariates,
-                trim_threshold=config.trim,
-                bootstrap_reps=config.reps,
-                seed=None,  # filled per task from the master seed
-                min_cell=config.min_cell,
-                trim_treated=config.trim_treated,
-            )
-            tasks.append(task)
+    tasks = [
+        EstimationTask(
+            treated=SeriesKey(spec.product, spec.control.quality, config.treated_country),
+            control=spec.control,
+            outcome=outcome,
+            covariates=config.covariates,
+            trim_threshold=config.trim,
+            bootstrap_reps=config.reps,
+            seed=None,  # filled per task from the master seed
+            min_cell=config.min_cell,
+            trim_treated=config.trim_treated,
+        )
+        for spec in pairs
+        for outcome in config.outcomes
+    ]
     if not tasks:
         raise ConfigError("task list is empty; nothing to estimate")
     return tasks

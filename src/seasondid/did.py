@@ -55,7 +55,7 @@ from .errors import (
 )
 # fit_logistic is not called here; perfbench/spans.py traces did.fit_logistic.
 from .glm import INTERCEPT_NAME, DesignMatrix, fit_logistic, fit_ols
-from .panel import Outcome, PanelRows, PhaseLabel, Quality
+from .panel import Outcome, PanelRows, PhaseLabel, SeriesKey
 
 # z such that the standard normal leaves 2.5% in each tail
 Z_975 = 1.959963984540054
@@ -92,26 +92,12 @@ class CovariateSpec(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class SeriesSpec:
-    """Which observations make up one side of the contrast. ``region=None``
-    pools every region of the (product, quality, country) triple."""
-
-    product: str
-    quality: Quality
-    country: str
-    region: str | None = None
-
-    def __str__(self) -> str:
-        region = f"/{self.region}" if self.region else ""
-        return f"{self.product}[{self.quality}]@{self.country}{region}"
-
-
-@dataclass(frozen=True)
 class EstimationTask:
-    """One treated-versus-control estimation request."""
+    """One treated-versus-control estimation request; each side is the
+    ``SeriesKey`` of one market, and both share a quality."""
 
-    treated: SeriesSpec
-    control: SeriesSpec
+    treated: SeriesKey
+    control: SeriesKey
     outcome: Outcome
     covariates: CovariateSpec = CovariateSpec.SEASONAL
     trim_threshold: float = 0.95

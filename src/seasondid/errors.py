@@ -8,6 +8,10 @@ actionable without a debugger.
 
 from __future__ import annotations
 
+import contextlib
+from pathlib import Path
+from typing import Iterator
+
 
 class SeasonDidError(Exception):
     """Base class for all seasondid errors."""
@@ -84,3 +88,14 @@ class TrimExhaustionError(SeasonDidError):
 
 class BootstrapDegenerateError(SeasonDidError):
     """Too many bootstrap replicates failed to produce an estimate."""
+
+
+@contextlib.contextmanager
+def utf8_text(path: Path, error: type[SeasonDidError]) -> Iterator[None]:
+    """Report a read of ``path`` that meets bytes UTF-8 cannot decode as
+    ``error`` naming the file, not as a UnicodeDecodeError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise error(f"{path.name}: not UTF-8 text ({exc.reason} {byte:#04x})") from None

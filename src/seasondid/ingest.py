@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, IngestError, utf8_text
 from .panel import PanelRows, PriceObservation, Quality, SeriesKey, check_labelled_year
 from .weeks import IsoWeek
 
@@ -68,16 +68,19 @@ class IngestReport:
 class PanelStore:
     """Price series as (week ordinal, price) arrays sorted by week, listed in
     (product, quality, country, region) order and indexed by (product,
-    quality, country) market."""
+    quality, country) market. A series observed twice in one week is
+    refused."""
 
     def __init__(self, observations: Iterable[PriceObservation] = ()):
-        columns: _Columns = {}
+        columns: dict[SeriesKey, dict[int, float]] = {}  # price by week ordinal
         for obs in observations:
             key = SeriesKey(obs.product, obs.quality, obs.country, obs.region)
-            weeks, prices = columns.setdefault(key, ([], []))
-            weeks.append(obs.week.ordinal)
-            prices.append(obs.price)
-        self._index(columns)
+            by_week = columns.setdefault(key, {})
+            if obs.week.ordinal in by_week:
+                raise ConfigError(_duplicate(key, obs.week.ordinal))
+            by_week[obs.week.ordinal] = obs.price
+        self._index({key: (list(by_week), list(by_week.values()))
+                     for key, by_week in columns.items()})
 
     @classmethod
     def from_columns(cls, columns: _Columns) -> "PanelStore":
@@ -118,31 +121,21 @@ class PanelStore:
             np.concatenate([prices for _, prices in columns] + [_NO_ROWS[1]]),
         )
 
-    def rows_matching(
-        self,
-        product: str,
-        quality: Quality,
-        country: str,
-        region: str | None = None,
-    ) -> PanelRows:
-        """The rows of a (product, quality, country) market, series in
-        ``series()`` order; ``region=None`` pools every region."""
-        keys = self._by_market.get((product, quality, country), ())
-        return self.rows(key for key in keys if region is None or key.region == region)
+    def rows_matching(self, key: SeriesKey) -> PanelRows:
+        """The rows of ``key``'s market, series in ``series()`` order;
+        ``key.region=None`` pools every region."""
+        return self.rows(self._market_series(key))
 
-    def has_rows(
-        self,
-        product: str,
-        quality: Quality,
-        country: str,
-        region: str | None = None,
-    ) -> bool:
+    def has_rows(self, key: SeriesKey) -> bool:
         """Whether ``rows_matching`` would return any row, read off the
         index without building them."""
-        keys = self._by_market.get((product, quality, country), ())
-        return any(
-            self._columns[key][0].size for key in keys if region is None or key.region == region
-        )
+        return any(self._columns[series][0].size for series in self._market_series(key))
+
+    def _market_series(self, key: SeriesKey) -> list[SeriesKey]:
+        """The series of ``key``'s (product, quality, country) market, of
+        its region unless that is None."""
+        market = self._by_market.get((key.product, key.quality, key.country), ())
+        return [series for series in market if key.region in (None, series.region)]
 
     def countries(self) -> list[str]:
         return sorted({key.country for key in self.series()})
@@ -173,7 +166,7 @@ def _data_rows(path: Path, handle, header: tuple[str, ...]) -> Iterator[tuple[in
 def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelStore, IngestReport]:
     """Read and validate a price panel into per-series arrays."""
     path = Path(path)
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, IngestError):
         columnar = _read_price_columns(handle)
     return columnar or _read_price_rows(path, skip_bad_rows)
 
@@ -259,7 +252,7 @@ def _read_price_rows(path: Path, skip_bad_rows: bool) -> tuple[PanelStore, Inges
     columns: dict[SeriesKey, tuple[dict[int, int], list[float]]] = {}
     problems: list[str] = []
     rows_read = 0
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, IngestError):
         for lineno, row in _data_rows(path, handle, PRICE_HEADER):
             rows_read += 1
             problem = _parse_price_row(lineno, row, columns)
@@ -312,14 +305,17 @@ def _parse_price_row(
         return f"price {price_text[:20]}... ({len(price_text)} characters) overflows a float"
     lines, prices = columns.setdefault(key, ({}, []))
     if week in lines:
-        return (
-            f"duplicate observation for {key.product}/{key.quality}/{key.country}/"
-            f"{key.region or '-'} {IsoWeek.from_ordinal(week)} "
-            f"(first seen on line {lines[week]})"
-        )
+        return f"{_duplicate(key, week)} (first seen on line {lines[week]})"
     lines[week] = lineno
     prices.append(price)
     return None
+
+
+def _duplicate(key: SeriesKey, week: int) -> str:
+    return (
+        f"duplicate observation for {key.product}/{key.quality}/{key.country}/"
+        f"{key.region or '-'} {IsoWeek.from_ordinal(week)}"
+    )
 
 
 # Cells repeat from row to row: each distinct text is checked once.
@@ -352,7 +348,7 @@ def _week_ordinal(year: str, week: str) -> int | str:
 
 def write_prices(path: str | Path, observations: list[PriceObservation]) -> None:
     path = Path(path)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(PRICE_HEADER)
         for obs in observations:
@@ -372,7 +368,7 @@ def write_prices(path: str | Path, observations: list[PriceObservation]) -> None
 def write_calendar(path: str | Path, entries: dict[str, tuple[str, str]]) -> None:
     """Write a calendar file from {product: (start_md, end_md)} strings."""
     path = Path(path)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("product", "start_md", "end_md"))
         for product in sorted(entries):
@@ -406,7 +402,7 @@ def read_table(
     problem; any problem is an IngestError listing each at its file:line."""
     records: list[_Record] = []
     problems: list[str] = []
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, IngestError):
         for lineno, row in _data_rows(path, handle, header):
             try:
                 if len(row) != len(header):

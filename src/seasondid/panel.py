@@ -76,7 +76,9 @@ class Outcome(str, enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class SeriesKey:
-    """Identity of one weekly price series."""
+    """Identity of one weekly price series. As one side of an
+    ``EstimationTask`` it names a market: ``region=None`` pools every region
+    of the (product, quality, country) market."""
 
     product: str
     quality: Quality
@@ -194,7 +196,8 @@ def label_panel(
     spread to the rows: the phase by day arithmetic over the week's seven
     days (``_week_phases``, the rule of ``label_week``), the season as the
     last one whose ``season_start_week`` is not after the week, which is
-    what ``assign_season_week`` returns.
+    what ``assign_season_week`` returns. Weeks of a year that
+    ``check_labelled_year`` refuses are a ConfigError.
     """
     groups: dict[str, list[int]] = {}
     for code in dict.fromkeys(rows.series.tolist()):  # products in row order
@@ -208,6 +211,8 @@ def label_panel(
         weeks, inverse = np.unique(rows.week[mask], return_inverse=True)
         phase[mask] = _week_phases(window, weeks)[inverse]
         first, last = (IsoWeek.from_ordinal(week) for week in weeks[[0, -1]].tolist())
+        check_labelled_year(first.year)
+        check_labelled_year(last.year)
         years = range(first.year - 1, last.year + 2)
         starts = [season_start_week(window, year).ordinal for year in years]
         season[mask] = years[0] - 1 + np.searchsorted(starts, weeks, side="right")[inverse]

@@ -7,7 +7,7 @@ window, since the policy whose effect is estimated is the treated market's.
 Rows travel as ``PanelRows`` arrays from the store to ``build_sample``.
 A batch is many tasks over few series. ``prepare_outcome_rows`` takes a
 series' labelled and outcome rows from two memos keyed by store, calendar,
-series spec and window product (and outcome), each bounded at ``_MEMO_SIZE``
+``SeriesKey`` and window product (and outcome), each bounded at ``_MEMO_SIZE``
 entries and returning read-only arrays no task can change; a call that
 raises leaves nothing behind. Tasks run in key order, in contiguous groups
 that share a treated series (``cli._task_groups``), each group in one
@@ -25,7 +25,6 @@ from .did import (
     METHODS,
     EffectEstimate,
     EstimationTask,
-    SeriesSpec,
     bootstrap_se,
     build_sample,
     estimate_ipw_did,
@@ -33,7 +32,7 @@ from .did import (
 )
 from .errors import ConfigError
 from .ingest import PanelStore
-from .panel import Outcome, PanelRows, apply_boundary_exclusion, label_panel
+from .panel import Outcome, PanelRows, SeriesKey, apply_boundary_exclusion, label_panel
 from .transforms import (
     compute_volatility,
     restrict_to_production_weeks,
@@ -55,21 +54,20 @@ def task_seed(master_seed: int, key: str) -> int:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _labeled_rows(
-    store: PanelStore, calendar: ProtectionCalendar, spec: SeriesSpec, window_product: str
+    store: PanelStore, calendar: ProtectionCalendar, key: SeriesKey, window_product: str
 ) -> PanelRows:
-    raw = store.rows_matching(spec.product, spec.quality, spec.country, spec.region)
-    return label_panel(raw, calendar, window_product=window_product)
+    return label_panel(store.rows_matching(key), calendar, window_product=window_product)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _outcome_rows(
     store: PanelStore,
     calendar: ProtectionCalendar,
-    spec: SeriesSpec,
+    key: SeriesKey,
     window_product: str,
     outcome: Outcome,
 ) -> PanelRows:
-    return outcome_rows(_labeled_rows(store, calendar, spec, window_product), outcome)
+    return outcome_rows(_labeled_rows(store, calendar, key, window_product), outcome)
 
 
 def outcome_rows(labeled: PanelRows, outcome: Outcome) -> PanelRows:
@@ -92,19 +90,14 @@ def prepare_outcome_rows(
     weeks. Standardization therefore sees every observed week of a season.
     Both series must have price data before either is labelled.
     """
-    for side, spec in (("treated", task.treated), ("control", task.control)):
-        if not store.has_rows(spec.product, spec.quality, spec.country, spec.region):
-            raise ConfigError(f"no price data for {side} series {spec}")
+    for side, key in (("treated", task.treated), ("control", task.control)):
+        if not store.has_rows(key):
+            raise ConfigError(f"no price data for {side} series {key}")
 
     window_product = task.treated.product
     treated_rows = _outcome_rows(store, calendar, task.treated, window_product, task.outcome)
     control_rows = _outcome_rows(store, calendar, task.control, window_product, task.outcome)
-    control_rows = restrict_to_production_weeks(
-        control_rows,
-        treated_rows,
-        product_map={task.control.product: task.treated.product},
-    )
-    return treated_rows, control_rows
+    return treated_rows, restrict_to_production_weeks(control_rows, treated_rows)
 
 
 @dataclass(frozen=True)

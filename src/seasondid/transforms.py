@@ -55,40 +55,21 @@ def compute_volatility(labeled: PanelRows) -> PanelRows:
     return replace(later, value=np.abs(price[1:][pair] / price[:-1][pair] - 1.0))
 
 
-def restrict_to_production_weeks(
-    control: PanelRows,
-    treated: PanelRows,
-    product_map: dict[str, str] | None = None,
-) -> PanelRows:
-    """Keep control rows only for weeks where a matched treated row exists.
+def restrict_to_production_weeks(control: PanelRows, treated: PanelRows) -> PanelRows:
+    """Keep control rows only for weeks where a treated row exists.
 
-    A control row survives iff the treated panel has an observation with the
-    mapped product, the same quality, and the same ISO week. ``product_map``
-    translates control product names to treated product names; products not
-    in the map match under their own name. Rows are matched by one ``isin``
-    over (pair id, week) keys.
+    Each side is the rows of one market (``PanelStore.rows_matching``), and
+    both markets have the same quality, as ``EstimationTask`` requires, so a
+    control row survives iff the treated rows observe its ISO week: one
+    ``isin`` over week ordinals.
     """
-    product_map = product_map or {}
-    # one id per treated (product, quality) pair; a control series whose
-    # mapped pair has none gets -1, so its keys are negative and match nothing
-    ids: dict = {}
-    treated_pair = [ids.setdefault((k.product, k.quality), len(ids)) for k in treated.keys]
-    control_pair = [
-        ids.get((product_map.get(k.product, k.product), k.quality), -1) for k in control.keys
-    ]
-    keep = np.isin(_week_keys(control_pair, control), _week_keys(treated_pair, treated))
-    kept = control.take(keep)
+    kept = control.take(np.isin(control.week, treated.week))
     if len(control) and not len(kept):
         raise EmptyOverlapError(
             "no control observation falls in a treated production week "
             f"(control {', '.join(_names(control))}; treated {', '.join(_names(treated))})"
         )
     return kept
-
-
-def _week_keys(pair: list[int], rows: PanelRows) -> np.ndarray:
-    """Each row's pair id * 2**32 + ISO-week ordinal, as int64."""
-    return np.array(pair, dtype=np.int64)[rows.series] * 2**32 + rows.week
 
 
 def _names(rows: PanelRows) -> list[str]:

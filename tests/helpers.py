@@ -17,7 +17,7 @@ from seasondid import (
     PriceObservation,
     ProtectionWindow,
     Quality,
-    SeriesSpec,
+    SeriesKey,
 )
 
 
@@ -129,8 +129,8 @@ def basic_task(
     **overrides,
 ) -> EstimationTask:
     defaults = dict(
-        treated=SeriesSpec(product, Quality.CONVENTIONAL, "CH"),
-        control=SeriesSpec(product, Quality.CONVENTIONAL, control_country),
+        treated=SeriesKey(product, Quality.CONVENTIONAL, "CH"),
+        control=SeriesKey(product, Quality.CONVENTIONAL, control_country),
         outcome=outcome,
         bootstrap_reps=0,
     )

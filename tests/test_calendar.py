@@ -103,6 +103,14 @@ class TestCalendarFile:
             ProtectionCalendar.from_csv(path)
         assert "cal.csv:2: expected MM-DD, got '05-1²'" in str(excinfo.value)
 
+    def test_a_file_that_is_not_utf8_is_a_calendar_error_naming_it(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_bytes("tomato,05-10,08-31\npomodoro_ü,05-10,08-31\n".encode("latin-1"))
+        with pytest.raises(CalendarError, match=r"^cal\.csv: not UTF-8 text"):
+            ProtectionCalendar.from_csv(path)
+        path.write_bytes("tomato,05-10,08-31\npomodoro_ü,05-10,08-31\n".encode("utf-8"))
+        assert "pomodoro_ü" in ProtectionCalendar.from_csv(path)
+
     def test_a_cell_beyond_the_csv_field_limit(self, tmp_path):
         path = tmp_path / "cal.csv"
         product = "p" * (csv.field_size_limit() + 1)

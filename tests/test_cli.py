@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seasondid import EstimationTask, Outcome, Quality, SeriesSpec
+from seasondid import EstimationTask, Outcome, Quality, SeriesKey
 from seasondid.cli import (
     DESCRIBE_COLUMNS,
     EFFECTS_COLUMNS,
@@ -123,8 +123,8 @@ def test_a_run_leaves_numpy_ma_and_numpy_random_unloaded(workspace):
 
 def grouping_task(treated: int, control: int, outcome: Outcome) -> EstimationTask:
     return EstimationTask(
-        treated=SeriesSpec(f"crop{treated}", Quality.CONVENTIONAL, "CH"),
-        control=SeriesSpec(f"crop{treated}", Quality.CONVENTIONAL, f"C{control}"),
+        treated=SeriesKey(f"crop{treated}", Quality.CONVENTIONAL, "CH"),
+        control=SeriesKey(f"crop{treated}", Quality.CONVENTIONAL, f"C{control}"),
         outcome=outcome,
         bootstrap_reps=0,
     )
@@ -309,6 +309,16 @@ class TestRun:
             )
         for command in ("run", "pretrend", "describe"):
             assert main([command, "--config", str(run_cfg)]) == EXIT_OK, command
+
+    @pytest.mark.parametrize("command", ["run", "pretrend", "describe"])
+    def test_a_latin1_price_file_is_a_config_error_naming_it(self, workspace, capsys, command):
+        _, data, run_cfg, _ = workspace
+        prices = data / "prices.csv"
+        prices.write_bytes(prices.read_bytes()
+                           + "CH,simulated-vegetable,conventional,Zürich,2015,7,5.0\n"
+                           .encode("latin-1"))
+        assert main([command, "--config", str(run_cfg)]) == EXIT_CONFIG
+        assert "error: prices.csv: not UTF-8 text" in capsys.readouterr().err
 
     def test_unknown_config_key_is_a_config_error(self, workspace, capsys):
         tmp_path, _, _, _ = workspace

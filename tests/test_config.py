@@ -2,7 +2,7 @@
 
 import pytest
 
-from seasondid import Outcome, PanelStore, Quality
+from seasondid import Outcome, PanelStore, Quality, SeriesKey
 from seasondid.config import (
     RunConfig,
     TaskSpec,
@@ -22,6 +22,31 @@ def config_from(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return RunConfig.from_file(path)
+
+
+class TestConfigFileText:
+    def test_a_file_that_is_not_utf8_is_a_config_error_naming_it(self, tmp_path):
+        run = tmp_path / "run.cfg"
+        run.write_bytes(MINIMAL.encode() + "treated_country = Zürich\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=r"^run\.cfg: not UTF-8 text"):
+            RunConfig.from_file(run)
+        sim = tmp_path / "sim.cfg"
+        sim.write_bytes(b"# \xff\nseed = 1\n")
+        with pytest.raises(ConfigError, match=r"^sim\.cfg: not UTF-8 text"):
+            sim_config_from_file(sim)
+
+    def test_utf8_text_is_read_whatever_the_locale(self, tmp_path):
+        run = tmp_path / "run.cfg"
+        run.write_bytes(MINIMAL.encode() + "treated_country = Zürich\n".encode("utf-8"))
+        assert RunConfig.from_file(run).treated_country == "Zürich"
+
+    @pytest.mark.parametrize("key", ["prices", "calendar", "output_dir"])
+    def test_a_nul_byte_in_a_path_is_refused(self, tmp_path, key):
+        paths = {"prices": "p.csv", "calendar": "c.csv", "output_dir": "out"}
+        paths[key] = "a\0b"
+        text = "".join(f"{name} = {value}\n" for name, value in paths.items()) + "seed = 7\n"
+        with pytest.raises(ConfigError, match=f"config key '{key}' contains a NUL byte"):
+            config_from(tmp_path, text)
 
 
 class TestParseConfigText:
@@ -93,8 +118,8 @@ class TestRunConfig:
         assert config.workers == 3
         assert config.skip_bad_rows is True
         assert config.tasks == (
-            TaskSpec("tomato", Quality.CONVENTIONAL, "DE", "tomato", None),
-            TaskSpec("leek", Quality.ORGANIC, "IT", "porro", "north"),
+            TaskSpec("tomato", SeriesKey("tomato", Quality.CONVENTIONAL, "DE")),
+            TaskSpec("leek", SeriesKey("porro", Quality.ORGANIC, "IT", "north")),
         )
 
     @pytest.mark.parametrize(
@@ -172,14 +197,28 @@ class TestRunConfig:
 class TestTaskSpec:
     def test_three_to_five_fields(self):
         assert TaskSpec.parse("tomato:organic:DE") == TaskSpec(
-            "tomato", Quality.ORGANIC, "DE", "tomato", None)
+            "tomato", SeriesKey("tomato", Quality.ORGANIC, "DE"))
         assert TaskSpec.parse("tomato:organic:DE:pomodoro") == TaskSpec(
-            "tomato", Quality.ORGANIC, "DE", "pomodoro", None)
+            "tomato", SeriesKey("pomodoro", Quality.ORGANIC, "DE"))
         assert TaskSpec.parse("tomato:organic:DE:pomodoro:south") == TaskSpec(
-            "tomato", Quality.ORGANIC, "DE", "pomodoro", "south")
+            "tomato", SeriesKey("pomodoro", Quality.ORGANIC, "DE", "south"))
         # empty optional fields fall back to their defaults
         assert TaskSpec.parse("tomato:organic:DE::south") == TaskSpec(
-            "tomato", Quality.ORGANIC, "DE", "tomato", "south")
+            "tomato", SeriesKey("tomato", Quality.ORGANIC, "DE", "south"))
+
+    @pytest.mark.parametrize(
+        "text,echo",
+        [
+            ("tomato:organic:DE", "tomato:organic:DE:tomato"),
+            (" tomato : Organic : DE ", "tomato:organic:DE:tomato"),
+            ("leek:organic:IT:porro:north", "leek:organic:IT:porro:north"),
+            ("tomato:conventional:DE::south", "tomato:conventional:DE:tomato:south"),
+            ("tomato:organic:DE:pomodoro:", "tomato:organic:DE:pomodoro"),
+        ],
+    )
+    def test_text_round_trips_through_the_manifest_echo(self, text, echo):
+        assert str(TaskSpec.parse(text)) == echo
+        assert TaskSpec.parse(echo) == TaskSpec.parse(text)
 
     @pytest.mark.parametrize(
         "text", ["tomato:organic", "a:b:c:d:e:f", ":organic:DE", "tomato::DE",

@@ -470,6 +470,13 @@ class TestJoinEffectAttributes:
             join_effect_attributes(tmp_path / "effects.csv", tmp_path / "attributes.csv", "ipw")
         assert str(excinfo.value).endswith("kale/organic/AT, kale/organic/DE")
 
+    def test_an_effects_file_that_is_not_utf8_is_an_ingest_error_naming_it(self, tmp_path, rng):
+        joined(tmp_path, random_effects(rng, ["FR"], per_cell=2))
+        with (tmp_path / "effects.csv").open("ab") as handle:
+            handle.write("kale,organic,Zürich,level,ipw,1.5,1,1,1,1,1,1,0,25,7\n".encode("latin-1"))
+        with pytest.raises(IngestError, match=r"^effects\.csv: not UTF-8 text"):
+            join_effect_attributes(tmp_path / "effects.csv", tmp_path / "attributes.csv", "ipw")
+
     @pytest.mark.parametrize("row,needle", [
         ("kale,organic,AT,levels,ipw,1.5", "'levels' is not a valid Outcome"),
         ("kale,premium,AT,level,ipw,1.5", "unknown quality 'premium'"),

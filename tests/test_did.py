@@ -18,7 +18,7 @@ from seasondid import (
     Outcome,
     ProtectionCalendar,
     Quality,
-    SeriesSpec,
+    SeriesKey,
     bootstrap_se,
     build_sample,
     cell_means_did,
@@ -1071,7 +1071,7 @@ class TestBuildSample:
             basic_task(min_cell=0)
         with pytest.raises(ConfigError):  # treated and control quality differ
             EstimationTask(
-                treated=SeriesSpec("tomato", Quality.CONVENTIONAL, "CH"),
-                control=SeriesSpec("tomato", Quality.ORGANIC, "DE"),
+                treated=SeriesKey("tomato", Quality.CONVENTIONAL, "CH"),
+                control=SeriesKey("tomato", Quality.ORGANIC, "DE"),
                 outcome=Outcome.LEVEL,
             )

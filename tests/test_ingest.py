@@ -12,7 +12,7 @@ from seasondid import (
     write_calendar,
     write_prices,
 )
-from seasondid.errors import IngestError
+from seasondid.errors import ConfigError, IngestError
 from seasondid.ingest import ATTRIBUTE_HEADER, PRICE_HEADER
 
 from helpers import price_row, records, week
@@ -49,8 +49,8 @@ class TestReadPrices:
         assert report.rows_skipped == 0
         assert report.kept_by_country == {"CH": 2, "DE": 1}
         for row in rows:
-            match = store.rows_matching(row.product, row.quality, row.country, row.region)
             key = SeriesKey(row.product, row.quality, row.country, row.region)
+            match = store.rows_matching(key)
             # float survives the repr round trip exactly
             assert records(match) == [(key, row.week, row.price)]
 
@@ -154,6 +154,26 @@ class TestReadPrices:
         message = str(excinfo.value)
         assert "60 invalid rows" in message
         assert "... and 10 more" in message
+
+    @pytest.mark.parametrize("skip_bad_rows", [False, True])
+    @pytest.mark.parametrize("good_rows", [0, 2000])  # the bad byte in the first or a later chunk
+    def test_a_file_that_is_not_utf8_is_an_ingest_error_naming_it(
+        self, tmp_path, good_rows, skip_bad_rows
+    ):
+        lines = [HEADER_LINE] + [f"CH,tomato,conventional,,2016,{n % 50 + 1},5.0"
+                                 for n in range(good_rows)]
+        path = tmp_path / "prices.csv"
+        path.write_bytes("\n".join(lines + ["DE,tomato,conventional,Zürich,2016,20,4.0\n"])
+                         .encode("latin-1"))
+        with pytest.raises(IngestError, match=r"^prices\.csv: not UTF-8 text"):
+            read_prices(path, skip_bad_rows=skip_bad_rows)
+
+    def test_utf8_text_round_trips_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        write_prices(path, [price_row("tomato", "CH", week(2016, 20), 5.0, region="Zürich")])
+        assert "Zürich".encode("utf-8") in path.read_bytes()
+        store, _ = read_prices(path)
+        assert [key.region for key in store.series()] == ["Zürich"]
 
     def test_blank_lines_are_ignored(self, tmp_path):
         path = write_lines(tmp_path / "prices.csv", [
@@ -275,18 +295,33 @@ class TestPanelStore:
         assert rows.week.tolist() == sorted(rows.week.tolist())
         assert rows.value.tolist() == [4.0, 5.0]  # prices travel with their weeks
 
+    def test_a_repeated_series_week_is_refused(self):
+        with pytest.raises(ConfigError) as excinfo:
+            PanelStore([
+                price_row("tomato", "CH", week(2016, 20), 5.0),
+                price_row("tomato", "CH", week(2016, 21), 5.5),
+                price_row("tomato", "CH", week(2016, 20), 6.0),
+            ])
+        assert str(excinfo.value) == "duplicate observation for tomato/conventional/CH/- 2016-W20"
+        # the same week in another region is another series
+        store = PanelStore([
+            price_row("tomato", "CH", week(2016, 20), 5.0),
+            price_row("tomato", "CH", week(2016, 20), 6.0, region="geneva"),
+        ])
+        assert len(store) == 2
+
     def test_region_none_pools_all_regions(self):
         store = self.build()
-        pooled = store.rows_matching("tomato", Quality.CONVENTIONAL, "CH")
+        pooled = store.rows_matching(SeriesKey("tomato", Quality.CONVENTIONAL, "CH"))
         assert len(pooled) == 3
-        geneva = store.rows_matching("tomato", Quality.CONVENTIONAL, "CH", "geneva")
+        geneva = store.rows_matching(SeriesKey("tomato", Quality.CONVENTIONAL, "CH", "geneva"))
         assert len(geneva) == 1
         assert geneva.keys[geneva.series[0]].region == "geneva"
 
     def test_quality_is_part_of_the_match(self):
         store = self.build()
-        assert len(store.rows_matching("leek", Quality.CONVENTIONAL, "CH")) == 0
-        assert len(store.rows_matching("leek", Quality.ORGANIC, "CH")) == 1
+        assert len(store.rows_matching(SeriesKey("leek", Quality.CONVENTIONAL, "CH"))) == 0
+        assert len(store.rows_matching(SeriesKey("leek", Quality.ORGANIC, "CH"))) == 1
 
     @pytest.mark.parametrize("empty_series", [False, True])
     def test_has_rows_answers_as_rows_matching_does(self, empty_series):
@@ -303,8 +338,8 @@ class TestPanelStore:
             for quality in Quality:
                 for country in ("CH", "DE", "FR"):
                     for region in (None, "geneva", "bern"):
-                        args = (product, quality, country, region)
-                        assert store.has_rows(*args) == bool(store.rows_matching(*args)), args
+                        key = SeriesKey(product, quality, country, region)
+                        assert store.has_rows(key) == bool(store.rows_matching(key)), key
 
 
 class TestAttributes:
@@ -347,6 +382,13 @@ class TestAttributes:
         message = str(excinfo.value)
         assert "attrs.csv:4" in message
         assert needle in message
+
+    def test_a_file_that_is_not_utf8_is_an_ingest_error_naming_it(self, tmp_path):
+        path = tmp_path / "attrs.csv"
+        path.write_bytes("\n".join(self.GOOD + ["kale,organic,Zürich,0,3,1,90\n"])
+                         .encode("latin-1"))
+        with pytest.raises(IngestError, match=r"^attrs\.csv: not UTF-8 text"):
+            read_attributes(path)
 
     def test_wrong_header_and_empty_files(self, tmp_path):
         path = write_lines(tmp_path / "attrs.csv", ["product,quality"])

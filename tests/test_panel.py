@@ -156,6 +156,16 @@ class TestLabelPanel:
         january = [price_row(p, "CH", week(2016, 3), 1.0) for p in ("tomato", "leek")]
         assert label_panel(panel_rows(january), calendar).season.tolist() == [2015, 2016]
 
+    @pytest.mark.parametrize("year", [2, 9999])
+    def test_years_that_cannot_be_labelled_are_refused(self, tomato_calendar, year):
+        # a store built in code is not checked by ingest; season starts of
+        # years 0 or 10000 have no date
+        rows = panel_rows([price_row("tomato", "CH", IsoWeek(year, 20), 5.0)])
+        with pytest.raises(ConfigError, match=f"year {year} is outside 3..9998"):
+            label_panel(rows, tomato_calendar)
+        edge = panel_rows([price_row("tomato", "CH", IsoWeek(3 if year == 2 else 9998, 20), 5.0)])
+        assert len(label_panel(edge, tomato_calendar)) == 1
+
     def test_boundary_exclusion_drops_only_boundary_rows(self, tomato_calendar):
         rows = [
             price_row("tomato", "CH", week(2016, 19), 230.0),  # boundary

@@ -20,7 +20,7 @@ from seasondid import (
     ProtectionCalendar,
     ProtectionWindow,
     Quality,
-    SeriesSpec,
+    SeriesKey,
 )
 from seasondid import pipeline
 from seasondid.cli import EXIT_OK, main
@@ -99,8 +99,8 @@ def panels(draw):
     missing = draw(st.sampled_from([0.0, 0.1, 0.4]))
     task = st.builds(
         lambda treated, control_product, country, region, outcome: EstimationTask(
-            treated=SeriesSpec(treated, Quality.CONVENTIONAL, "CH"),
-            control=SeriesSpec(control_product, Quality.CONVENTIONAL, country, region),
+            treated=SeriesKey(treated, Quality.CONVENTIONAL, "CH"),
+            control=SeriesKey(control_product, Quality.CONVENTIONAL, country, region),
             outcome=outcome,
             bootstrap_reps=0,
         ),
@@ -242,8 +242,8 @@ class TestFailuresStayPerTask:
                                        "leek": window("04-01", "06-30")})
         tasks = [
             EstimationTask(
-                treated=SeriesSpec(treated, Quality.CONVENTIONAL, "CH"),
-                control=SeriesSpec(treated, Quality.CONVENTIONAL, control),
+                treated=SeriesKey(treated, Quality.CONVENTIONAL, "CH"),
+                control=SeriesKey(treated, Quality.CONVENTIONAL, control),
                 outcome=outcome,
                 bootstrap_reps=0,
             )
@@ -265,8 +265,8 @@ def test_missing_seed_is_reported_before_estimation():
     control = [obs for obs in control if obs.week.year != 2016]
     store = PanelStore(treated + control)
     task = EstimationTask(
-        treated=SeriesSpec(cfg.product, cfg.quality, cfg.treated_country),
-        control=SeriesSpec(cfg.product, cfg.quality, cfg.control_country),
+        treated=SeriesKey(cfg.product, cfg.quality, cfg.treated_country),
+        control=SeriesKey(cfg.product, cfg.quality, cfg.control_country),
         outcome=Outcome.LEVEL,
         bootstrap_reps=20,
         seed=None,

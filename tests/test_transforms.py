@@ -161,32 +161,6 @@ class TestProductionWeekRestriction:
         kept = restrict_to_production_weeks(control, treated)
         assert sorted(wk.week for wk in weeks_of(kept)) == [24, 25]
 
-    def test_product_map_translates_control_products(self, calendar):
-        treated = standardize_prices(
-            labeled_series(calendar, product="tomato", prices={week(2016, 24): 100.0})
-        )
-        control = standardize_prices(
-            labeled_series(calendar, product="pomodoro", country="IT", prices={week(2016, 24): 10.0})
-        )
-        with pytest.raises(EmptyOverlapError):
-            restrict_to_production_weeks(control, treated)
-        kept = restrict_to_production_weeks(
-            control, treated, product_map={"pomodoro": "tomato"}
-        )
-        assert len(kept) == 1
-
-    def test_quality_must_match(self, calendar):
-        treated = standardize_prices(
-            labeled_series(calendar, prices={week(2016, 24): 100.0})
-        )
-        control = standardize_prices(
-            labeled_series(
-                calendar, country="DE", prices={week(2016, 24): 10.0}, quality=Quality.ORGANIC
-            )
-        )
-        with pytest.raises(EmptyOverlapError):
-            restrict_to_production_weeks(control, treated)
-
     def test_empty_control_passes_through(self, calendar):
         treated = standardize_prices(
             labeled_series(calendar, prices={week(2016, 24): 100.0})
@@ -199,12 +173,12 @@ FIRST_WEEK = IsoWeek(2016, 1).ordinal
 
 
 @st.composite
-def outcome_rows(draw, products, min_keys):
-    """Transformed rows of up to four series over twelve weeks, in series
-    then week order; a key may have no rows."""
-    key = st.builds(SeriesKey, st.sampled_from(products), st.sampled_from(list(Quality)),
-                    st.sampled_from(["CH", "DE", "IT"]))
-    keys = tuple(draw(st.lists(key, min_size=min_keys, max_size=4, unique=True)))
+def market_rows(draw, product, quality, country, min_keys):
+    """Transformed rows of one market over twelve weeks: up to three of its
+    regional series, in series then week order; a key may have no rows."""
+    regions = draw(st.lists(st.sampled_from([None, "north", "south"]), min_size=min_keys,
+                            max_size=3, unique=True))
+    keys = tuple(SeriesKey(product, quality, country, region) for region in regions)
     cells = sorted(draw(st.sets(st.tuples(st.integers(0, len(keys) - 1), st.integers(0, 11)),
                                 max_size=30))) if keys else []
     n = len(cells)
@@ -218,6 +192,19 @@ def outcome_rows(draw, products, min_keys):
     )
 
 
+@st.composite
+def task_sides(draw):
+    """(control, treated, control product, treated product): the rows of a
+    control market and of a Swiss market of the same quality."""
+    quality = draw(st.sampled_from(list(Quality)))
+    treated_product, control_product = (draw(st.sampled_from(["tomato", "leek"])),
+                                        draw(st.sampled_from(["tomato", "leek", "porro"])))
+    control = draw(market_rows(control_product, quality, draw(st.sampled_from(["DE", "IT"])),
+                               min_keys=0))
+    treated = draw(market_rows(treated_product, quality, "CH", min_keys=1))
+    return control, treated, control_product, treated_product
+
+
 def as_oracle_rows(rows: PanelRows) -> list:
     return [
         oracles.OutcomeObservation(rows.keys[code], IsoWeek.from_ordinal(w),
@@ -229,23 +216,17 @@ def as_oracle_rows(rows: PanelRows) -> list:
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    outcome_rows(["tomato", "leek", "okra"], min_keys=0),
-    outcome_rows(["tomato", "leek"], min_keys=1),
-    st.none() | st.dictionaries(st.sampled_from(["tomato", "leek", "okra"]),
-                                st.sampled_from(["tomato", "leek", "okra", "cress"]),
-                                max_size=3),
-)
-def test_restriction_matches_the_row_level_oracle(control, treated, product_map):
-    # treated keys never name okra or cress, so a control series mapped to
-    # either keeps no row
+@given(task_sides())
+def test_restriction_matches_the_row_level_oracle(sides):
+    control, treated, control_product, treated_product = sides
     try:
-        kept = records(restrict_to_production_weeks(control, treated, product_map))
+        kept = records(restrict_to_production_weeks(control, treated))
     except EmptyOverlapError as exc:
         kept = exc
     try:
+        # the product map a task's control product needs to meet its treated one
         want = oracle_records(oracles.restrict_to_production_weeks(
-            as_oracle_rows(control), as_oracle_rows(treated), product_map))
+            as_oracle_rows(control), as_oracle_rows(treated), {control_product: treated_product}))
     except EmptyOverlapError as exc:
         assert isinstance(kept, EmptyOverlapError), kept
         assert str(kept) == str(exc)

@@ -111,11 +111,16 @@ def offset_weeks(window: ProtectionWindow, year: int, count: int) -> list[IsoWee
     return collected
 
 
+def _runs(values: np.ndarray, starts: list[int]) -> list[np.ndarray]:
+    """``values`` cut at ``starts`` (ascending, the first 0) into views."""
+    return [values[a:b] for a, b in zip(starts, starts[1:] + [values.size])]
+
+
 def _values_by_week(rows: PanelRows) -> dict[int, np.ndarray]:
     """Each week ordinal's outcome values, in row order."""
     order = np.argsort(rows.week, kind="stable")
     weeks, starts = np.unique(rows.week[order], return_index=True)
-    return dict(zip(weeks.tolist(), np.split(rows.value[order], starts[1:])))
+    return dict(zip(weeks.tolist(), _runs(rows.value[order], starts.tolist())))
 
 
 def _pool_seasons(
@@ -277,8 +282,8 @@ def describe_distribution(rows: PanelRows, outcome: Outcome) -> list[PhaseSummar
     groups: dict[tuple[str, PhaseLabel], list[float]] = {}
     order = np.lexsort((rows.phase, rows.season, rows.series))
     unit = np.stack([rows.series, rows.season, rows.phase])[:, order]
-    starts = np.flatnonzero((unit[:, 1:] != unit[:, :-1]).any(axis=0)) + 1
-    for first, values in zip([0, *starts.tolist()], np.split(rows.value[order], starts)):
+    starts = [0, *(np.flatnonzero((unit[:, 1:] != unit[:, :-1]).any(axis=0)) + 1).tolist()]
+    for first, values in zip(starts, _runs(rows.value[order], starts)):
         if values.size:
             series, _, phase = unit[:, first].tolist()
             group = (rows.keys[series].country, PHASES[phase])

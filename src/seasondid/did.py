@@ -5,8 +5,8 @@ marks Protected weeks (1) versus Unprotected weeks (0). The target is the
 average treatment effect on the treated cell (D=1, T=1).
 
 A ``DidSample`` holds the rows and their ``CellTable`` of counts and outcome
-sums per (cell, stratum), tabulated once, when the sample is built. Three
-estimators return an ``EffectEstimate``:
+sums per (cell, stratum) and per cell, tabulated once, when the sample is
+built. Three estimators return an ``EffectEstimate``:
 
 * ``estimate_ipw_did`` (on the table): inverse-probability weighting with
   three pairwise propensities of (1,1) membership against each comparison
@@ -33,7 +33,8 @@ is drawn as arrays by ``_replicate_draws``, the same stream as numpy's
 generator per replicate: ``SeedSequence`` and ``PCG64`` are computed on
 uint64 arrays for the whole block, so ``numpy.random`` is imported only to
 redraw the rare replicate that numpy would reject. The block's tables are
-counted from the drawn rows by one pair of ``bincount`` calls.
+counted from the drawn rows by one pair of ``bincount`` calls, and their
+per-cell sums by one reduction; a replicate keeps the sample's cell sizes.
 """
 
 from __future__ import annotations
@@ -174,8 +175,10 @@ class DidSample:
         sums = np.bincount(code, weights=y, minlength=4 * strata).reshape(4, strata)
         for array in (y, d, t, codes, code, counts, sums):
             array.flags.writeable = False
+        totals = [tuple(array.sum(axis=1).tolist()) for array in (counts, sums)]
+        table = CellTable(counts, sums, *totals)
         # the dataclass is frozen, so the fields are set in the instance dict
-        vars(self).update(y=y, d=d, t=t, stratum=codes, code=code, _table=CellTable(counts, sums))
+        vars(self).update(y=y, d=d, t=t, stratum=codes, code=code, _table=table)
 
     @property
     def n_obs(self) -> int:
@@ -188,20 +191,21 @@ class DidSample:
 
 class CellTable(NamedTuple):
     """Row counts and outcome sums per (cell, stratum), each of shape
-    (4, strata) with cells in ``CELL_ORDER``: all that the IPW and
-    cell-means estimators read of a sample."""
+    (4, strata) with cells in ``CELL_ORDER``, and per cell (each a row's
+    ``sum()``, reduced once by ``DidSample`` or once per block of replicates
+    by ``bootstrap_se``): all that the IPW and cell-means estimators read."""
 
     counts: np.ndarray
     sums: np.ndarray
-
-    @property
-    def n_by_cell(self) -> tuple[int, int, int, int]:
-        return tuple(self.counts.sum(axis=1).tolist())
+    n_by_cell: tuple[int, int, int, int]
+    cell_sums: tuple[float, float, float, float]
 
     def validate(self, min_cell: int = 1) -> tuple[int, int, int, int]:
         """Rows per cell; raises :class:`InfeasibleSampleError` for an empty
         cell first, then for a cell with fewer than ``min_cell`` rows."""
         n_by_cell = self.n_by_cell
+        if min(n_by_cell) >= max(min_cell, 1):
+            return n_by_cell
         for (d, t), count in zip(CELL_ORDER, n_by_cell):
             if count == 0:
                 raise InfeasibleSampleError(
@@ -274,7 +278,7 @@ def cell_means_did(table: CellTable) -> EffectEstimate:
     """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00), pooling strata."""
     n_by_cell = table.validate()
     n11, n10, n01, n00 = n_by_cell
-    s11, s10, s01, s00 = table.sums.sum(axis=1).tolist()
+    s11, s10, s01, s00 = table.cell_sums
     return EffectEstimate(
         method="means",
         atet=s11 / n11 - s10 / n10 - (s01 / n01 - s00 / n00),
@@ -334,7 +338,7 @@ def estimate_ipw_did(
         raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
     n_by_cell = table.validate()
     above = _propensities(table) > trim_threshold
-    counts, sums = table
+    counts, sums = table.counts, table.sums
     n11 = counts[0]
 
     if trim_treated:
@@ -346,8 +350,9 @@ def estimate_ipw_did(
                 f"the trim threshold {trim_threshold}"
             )
         weights = n11
+        treated_mean = float(sums[0, treated_kept].sum()) / int(n11[treated_kept].sum())
     else:
-        treated_kept = slice(None)
+        treated_mean = table.cell_sums[0] / n_by_cell[0]
         trimmed_g = (counts[1:] * above).sum(axis=1)
         exhausted = np.flatnonzero(trimmed_g == n_by_cell[1:])
         if exhausted.size:
@@ -364,7 +369,6 @@ def estimate_ipw_did(
     stratum_means = sums[1:] / np.maximum(counts[1:], 1)
     dots = np.matmul(weights[..., None, :], stratum_means[:, :, None])[:, 0, 0]
     means = (dots / weights.sum(axis=-1)).tolist()
-    treated_mean = float(sums[0, treated_kept].sum()) / int(n11[treated_kept].sum())
 
     return EffectEstimate(
         method="ipw",
@@ -578,8 +582,10 @@ def bootstrap_se(
     most ``BLOCK_ROWS`` drawn rows, is drawn at once as array arithmetic
     (``_replicate_draws``; a replicate where numpy would reject a draw is
     redrawn by numpy, and there is no setting), then tabulated at the full
-    sample's width by one pair of ``bincount`` calls, and ``estimator``
-    runs once on each replicate's table. Replicates where it fails
+    sample's width by one pair of ``bincount`` calls, with the sample's
+    ``n_by_cell`` (a replicate keeps its cell sizes) and ``cell_sums`` from
+    one reduction over the block, and ``estimator`` runs once on each
+    replicate's table. Replicates where it fails
     (separation, trim exhaustion, degenerate samples) are skipped and
     counted; more than 10% failures raises
     :class:`BootstrapDegenerateError`.
@@ -603,7 +609,7 @@ def bootstrap_se(
     # rows cell by cell in CELL_ORDER, ascending within each cell
     order = np.argsort(sample.code // strata, kind="stable")
     code, y = sample.code[order], sample.y[order]
-    sizes = table.counts.sum(axis=1)
+    sizes = np.array(table.n_by_cell)
     high = np.repeat(sizes, sizes)
     start = np.repeat(np.cumsum(sizes) - sizes, sizes)
     width = 4 * strata
@@ -615,11 +621,15 @@ def bootstrap_se(
         rows = _replicate_draws(int(seed), first, count, high)
         rows += start
         tagged = code[rows] + (np.arange(count) * width)[:, None]
-        counts = np.bincount(tagged.ravel(), minlength=count * width)
+        counts = np.bincount(tagged.ravel(), minlength=count * width).reshape(count, 4, strata)
         sums = np.bincount(tagged.ravel(), weights=y[rows].ravel(), minlength=count * width)
-        for replicate in zip(counts.reshape(count, 4, strata), sums.reshape(count, 4, strata)):
+        sums = sums.reshape(count, 4, strata)
+        # each last-axis row adds up as its own table's sums.sum(axis=1) would
+        cell_sums = sums.sum(axis=2).tolist()
+        for replicate_counts, replicate_sums, totals in zip(counts, sums, cell_sums):
+            replicate = CellTable(replicate_counts, replicate_sums, table.n_by_cell, tuple(totals))
             try:
-                estimates.append(estimator(CellTable(*replicate)).atet)
+                estimates.append(estimator(replicate).atet)
             except (GlmError, TrimExhaustionError, InfeasibleSampleError):
                 failures += 1
     if failures > 0.1 * reps:

@@ -214,6 +214,27 @@ def row_level_ols_did(sample):
     )
 
 
+def validate_cells(n_by_cell, min_cell: int = 1):
+    """Reference for ``CellTable.validate`` on a table with ``n_by_cell``
+    rows per cell: every cell checked for rows, then every cell checked
+    against ``min_cell``, each loop in the order (1,1), (1,0), (0,1),
+    (0,0)."""
+    cells = ((1, 1), (1, 0), (0, 1), (0, 0))
+    for (d, t), count in zip(cells, n_by_cell):
+        if count == 0:
+            raise InfeasibleSampleError(
+                f"empty_cell(D={d},T={t})",
+                "no observations in this (series, phase) cell",
+            )
+    for (d, t), count in zip(cells, n_by_cell):
+        if count < min_cell:
+            raise InfeasibleSampleError(
+                f"small_cell(D={d},T={t})",
+                f"cell has {count} observations, need at least {min_cell}",
+            )
+    return n_by_cell
+
+
 def row_level_bootstrap(sample, estimator, reps: int, seed: int) -> tuple:
     """Reference for ``did.bootstrap_se``: the stratified bootstrap that
     builds each replicate's sample from its drawn rows and tables it on its

@@ -10,12 +10,20 @@ refactor that renames a traced attribute, changes how often an estimator
 is called or what those results count breaks the benchmark; these tests
 make it break the suite too. ``spans.py`` is loaded from its file and not
 changed.
+
+The benchmark also reaches the package outside the tracer:
+``perfbench/run.py`` clears and reads the caches of ``panel.label_week`` and
+``panel.season_start_week``, and ``perfbench/child.py`` times the setup
+calls of ``seasondid.cli`` by replacing ``read_prices``, ``expand_tasks``
+and ``ProtectionCalendar``, the last with a namespace that holds only
+``from_csv``. The last test does the same.
 """
 
 import csv
 import importlib.util
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -23,7 +31,9 @@ import pytest
 import oracles
 from seasondid import IsoWeek, Outcome, PanelStore, PriceObservation, Quality
 from seasondid.calendar import ProtectionCalendar
+import seasondid.cli as cli
 import seasondid.pipeline as pipeline
+from seasondid import panel
 from seasondid.cli import EXIT_OK, main
 from seasondid.config import RunConfig, expand_tasks
 
@@ -163,3 +173,27 @@ def test_traced_ols_fits_match_the_ols_rows(spans, workspace):  # noqa: F811
     metrics = spans.layer_metrics(tracer.spans, 1.0, spans.task_seconds(tracer.spans))
     assert ols_rows == 2
     assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == ols_rows
+
+
+@pytest.mark.parametrize("command", ["run", "pretrend"])
+def test_the_benchmark_hooks_outside_the_tracer(workspace, monkeypatch, command):  # noqa: F811
+    _, _, run_cfg, _ = workspace
+    for cached in (panel.label_week, panel.season_start_week):
+        cached.cache_clear()
+        info = cached.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+    calls = []
+
+    def timed(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli, "read_prices", timed("read_prices", cli.read_prices))
+    monkeypatch.setattr(cli, "expand_tasks", timed("expand_tasks", cli.expand_tasks))
+    from_csv = timed("from_csv", cli.ProtectionCalendar.from_csv)
+    monkeypatch.setattr(cli, "ProtectionCalendar", types.SimpleNamespace(from_csv=from_csv))
+    assert main([command, "--config", str(run_cfg)]) == EXIT_OK
+    assert sorted(calls) == ["expand_tasks", "from_csv", "read_prices"]

@@ -1,6 +1,7 @@
 """Placebo, rolling-effect, descriptive, and meta-regression diagnostics."""
 
 import csv
+import dataclasses
 import random
 import tempfile
 from pathlib import Path
@@ -36,6 +37,7 @@ from seasondid import (
     standardize_prices,
     compute_volatility,
 )
+from seasondid import diagnostics
 from seasondid.errors import ConfigError, InfeasibleSampleError, IngestError, SeasonDidError
 from seasondid.ingest import ATTRIBUTE_HEADER, EFFECTS_COLUMNS
 from seasondid.panel import label_week
@@ -373,6 +375,34 @@ class TestDiagnosticsEqualTheRowLevelOracle:
         for side, oracle_side in zip(rows, oracle_rows):
             got = describe_distribution(side, outcome)
             assert got == oracles.describe_distribution(oracle_side, outcome)
+
+    @pytest.mark.parametrize("outcome", list(Outcome))
+    def test_a_side_that_pools_regions(self, outcome):
+        # three control regions, each missing its own weeks, pooled into one
+        # market: most weeks hold several control rows, some one
+        cfg = SimConfig(n_seasons=4, noise_sd=2.0, missing_week_prob=0.15, seed=8)
+        treated, _, calendar = generate_panel(cfg)
+        control = [
+            dataclasses.replace(obs, region=region)
+            for seed, region in ((9, "north"), (10, "south"), (11, "west"))
+            for obs in generate_panel(dataclasses.replace(cfg, seed=seed))[1]
+        ]
+        observations = treated + control
+        task = basic_task(outcome, product=cfg.product, control_country=cfg.control_country)
+        assert task.control.region is None
+        rows = prepare_outcome_rows(task, PanelStore(observations), calendar)
+        oracle_rows = oracles.prepare_outcome_rows(task, observations, calendar)
+        by_week = diagnostics._values_by_week(rows[1])
+        assert max(values.size for values in by_week.values()) == 3
+        assert min(values.size for values in by_week.values()) == 1
+        for fn, oracle_fn in ((pretrend_placebo, oracles.pretrend_placebo),
+                              (rolling_biweekly_effects, oracles.rolling_biweekly_effects)):
+            got = fn(task, *rows, calendar, 30, 7)
+            assert got == oracle_fn(task, *oracle_rows, calendar, 30, 7)
+
+    def test_values_by_week_of_no_rows(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert diagnostics._values_by_week(PanelRows((), empty, empty, np.empty(0))) == {}
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_describe_of_a_whole_store(self, name):

@@ -60,6 +60,7 @@ from oracles import (
     row_level_bootstrap,
     row_level_ols_did,
     stratified_did,
+    validate_cells,
 )
 
 
@@ -146,7 +147,7 @@ class TestTrimming:
     def test_high_propensity_rows_are_trimmed_and_counted(self):
         sample = self.build_imbalanced()
         rho = propensity_report(sample.cell_table())
-        counts, _ = sample.cell_table()
+        counts, _, _, _ = sample.cell_table()
         estimate = estimate_ipw_did(sample.cell_table(), trim_threshold=0.95)
         for cell in ((1, 0), (0, 1), (0, 0)):
             index = CELL_ORDER.index(cell)
@@ -438,7 +439,7 @@ class TestStratumTable:
             t=[1, 1, 0, 0, 1, 0],
             stratum=[0, 2, 2, 0, 2, 2],
         )
-        counts, sums = sample.cell_table()
+        counts, sums, _, _ = sample.cell_table()
         assert_array_equal(counts, [[1, 0, 1], [1, 0, 0], [0, 0, 1], [0, 0, 2]])
         assert_array_equal(sums, [[1, 0, 2], [8, 0, 0], [0, 0, 16], [0, 0, 36]])
         assert sample.cell_table().n_by_cell == (2, 1, 1, 2)
@@ -473,7 +474,7 @@ class TestStratumTable:
         assert_array_equal(table.counts, counts)
         assert_array_equal(table.sums, sums)
         assert sample.cell_table() is table
-        for array in (*table, sample.code, sample.y, sample.d, sample.t, sample.stratum):
+        for array in (*table[:2], sample.code, sample.y, sample.d, sample.t, sample.stratum):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -940,6 +941,74 @@ class TestBootstrapOracle:
             else:
                 with pytest.raises(BootstrapDegenerateError, match="3 of 20"):
                     bootstrap(sample, estimator, 20, 7)
+
+
+@st.composite
+def wide_stratum_sizes(draw):
+    """Counts per (stratum, cell) for 1 to 12 strata, so that a cell's row
+    of strata is summed both by numpy's plain loop (fewer than 8) and by
+    its unrolled pairwise one (8 and more). Zeros make empty strata and
+    cells, ones make cells of one row."""
+    strata = draw(st.integers(1, 12))
+    cell = st.lists(st.integers(0, 3) | st.just(0), min_size=4, max_size=4)
+    return draw(st.lists(cell, min_size=strata, max_size=strata))
+
+
+class TestCellTotals:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_stratum_sizes(), st.integers(0, 2**32 - 1), TABLE_ESTIMATORS, st.integers(2, 20))
+    def test_every_table_carries_its_per_cell_totals(self, sizes, seed, estimator, reps):
+        # the sample's table first, then bootstrap_se's replicate tables,
+        # then the row-level oracle's tables: each reduces its own arrays
+        tables = []
+
+        def recording(table):
+            tables.append(table)
+            return estimator(table)
+
+        assert_matches_the_row_level_bootstrap(sizes, seed, recording, reps)
+        n_by_cell = tables[0].n_by_cell
+        event(f"strata: {tables[0].counts.shape[1]}")
+        event(f"a cell of one row: {1 in n_by_cell}")
+        event(f"replicates: {len(tables) > 2}")
+        for table in tables:
+            assert table.n_by_cell == tuple(table.counts.sum(axis=1))
+            assert table.cell_sums == tuple(table.sums.sum(axis=1).tolist())
+            assert all(type(n) is int for n in table.n_by_cell)
+
+
+class TestValidate:
+    """``CellTable.validate`` returns at once when every cell is large
+    enough, and otherwise reports as ``oracles.validate_cells`` does."""
+
+    @pytest.mark.parametrize(
+        "n_by_cell",
+        [
+            pytest.param((6, 0, 4, 5), id="an empty cell"),
+            pytest.param((6, 4, 3, 5), id="a cell one row short"),
+            pytest.param((3, 5, 4, 0), id="a short cell before an empty one"),
+            pytest.param((3, 2, 1, 3), id="min_cell above every cell"),
+            pytest.param((7, 4, 5, 4), id="min_cell the smallest cell"),
+        ],
+    )
+    def test_matches_the_two_loops(self, n_by_cell):
+        min_cell = 4
+        table = sample_from_sizes([n_by_cell]).cell_table()
+        assert table.n_by_cell == n_by_cell
+        ours = outcome_of(table.validate, min_cell)
+        reference = outcome_of(validate_cells, n_by_cell, min_cell)
+        if isinstance(reference, InfeasibleSampleError):
+            assert type(ours) is InfeasibleSampleError, ours
+            assert (ours.reason, str(ours)) == (reference.reason, str(reference))
+        else:
+            assert ours == reference == n_by_cell
+
+    @pytest.mark.parametrize("min_cell", [-1, 0, 1])
+    def test_min_cell_below_one_still_refuses_an_empty_cell(self, min_cell):
+        table = sample_from_sizes([(1, 0, 1, 1)]).cell_table()
+        with pytest.raises(InfeasibleSampleError, match=r"^empty_cell\(D=1,T=0\)"):
+            table.validate(min_cell)
+        assert sample_from_sizes([(1, 1, 1, 1)]).cell_table().validate(min_cell) == (1,) * 4
 
 
 def recorded(estimator, calls):

@@ -16,7 +16,7 @@ built. Three estimators return an ``EffectEstimate``:
   n11_s / n_g_s. Each comparison mean is therefore the mean of its stratum
   means weighted by the treated count n11_s (the four-group propensity DiD
   of Stuart et al., 2014). Strata with rho above the trim threshold get
-  weight 0.
+  weight 0; a table that neither separates nor trims builds no rho arrays.
 * ``cell_means_did`` (on the table): the plain 2x2 cell-means DiD.
 * ``estimate_ols_did`` (on the table's occupied (cell, stratum) bins): the
   interaction coefficient from ``y ~ const + D + T + D:T + stratum
@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from operator import add, truediv
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -172,7 +173,8 @@ class DidSample:
         # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell code 3 - 2d - t
         code = (3 - 2 * d.astype(np.intp) - t) * strata + codes
         counts = np.bincount(code, minlength=4 * strata).reshape(4, strata)
-        sums = np.bincount(code, weights=y, minlength=4 * strata).reshape(4, strata)
+        # float with no rows too: bincount of no rows is ints, whatever the weights
+        sums = np.bincount(code, weights=y, minlength=4 * strata).astype(float).reshape(4, strata)
         for array in (y, d, t, codes, code, counts, sums):
             array.flags.writeable = False
         totals = [tuple(array.sum(axis=1).tolist()) for array in (counts, sums)]
@@ -299,25 +301,23 @@ def propensity_report(table: CellTable) -> dict[tuple[int, int], np.ndarray]:
     :class:`SeparationError`.
     """
     table.validate()
-    return dict(zip(COMPARISON_CELLS, _propensities(table)))
+    return dict(zip(COMPARISON_CELLS, _propensities(table.counts)))
 
 
-def _propensities(table: CellTable) -> np.ndarray:
+def _propensities(counts: np.ndarray) -> np.ndarray:
     """rho per (comparison cell, stratum), comparison cells in
-    ``COMPARISON_CELLS`` order; the first pair with a one-sided stratum
-    raises."""
-    n11, n_g = table.counts[0], table.counts[1:]
-    one_sided = (n11 == 0) != (n_g == 0)
-    if one_sided.any():
-        k = int(one_sided.any(axis=1).argmax())
-        d, t = COMPARISON_CELLS[k]
-        strata = np.flatnonzero(one_sided[k])
-        raise SeparationError(
-            f"strata {strata.tolist()} have rows on only one side of the "
-            f"(1,1) vs (D={d},T={t}) propensity fit",
-            columns=tuple(f"stratum_{s}" for s in strata),
-        )
-    return n11 / np.maximum(n11 + n_g, 1)
+    ``COMPARISON_CELLS`` order; the first pair with a one-sided stratum,
+    found in the counts as Python ints, raises."""
+    n11, *n_g = counts.tolist()
+    for (d, t), row in zip(COMPARISON_CELLS, n_g):
+        strata = [s for s, (a, b) in enumerate(zip(n11, row)) if (a == 0) != (b == 0)]
+        if strata:
+            raise SeparationError(
+                f"strata {strata} have rows on only one side of the "
+                f"(1,1) vs (D={d},T={t}) propensity fit",
+                columns=tuple(f"stratum_{s}" for s in strata),
+            )
+    return counts[0] / np.maximum(counts[0] + counts[1:], 1)
 
 
 def estimate_ipw_did(
@@ -333,42 +333,52 @@ def estimate_ipw_did(
     applied on the treated-protected side instead: (1,1) strata whose rho
     exceeds the threshold in any pairwise fit are dropped from the treated
     mean, and comparison cells stay intact.
+
+    Only a table with an empty (cell, stratum) bin can separate. A table
+    with none, and no rho above the threshold (most bootstrap replicates),
+    takes weights n11 and the table's treated mean: its rho are Python
+    floats of its counts as Python ints, and it builds no rho arrays.
     """
     if not 0.0 < trim_threshold <= 1.0:
         raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
     n_by_cell = table.validate()
-    above = _propensities(table) > trim_threshold
     counts, sums = table.counts, table.sums
-    n11 = counts[0]
-
-    if trim_treated:
-        treated_kept = ~above.any(axis=0)
-        trimmed = (int(n11[~treated_kept].sum()), 0, 0, 0)
-        if trimmed[0] == n_by_cell[0]:
-            raise TrimExhaustionError(
-                f"all {n_by_cell[0]} treated-protected observations exceeded "
-                f"the trim threshold {trim_threshold}"
-            )
-        weights = n11
-        treated_mean = float(sums[0, treated_kept].sum()) / int(n11[treated_kept].sum())
-    else:
-        treated_mean = table.cell_sums[0] / n_by_cell[0]
-        trimmed_g = (counts[1:] * above).sum(axis=1)
-        exhausted = np.flatnonzero(trimmed_g == n_by_cell[1:])
-        if exhausted.size:
-            k = int(exhausted[0]) + 1
-            d, t = CELL_ORDER[k]
-            raise TrimExhaustionError(
-                f"all {n_by_cell[k]} observations of cell (D={d},T={t}) "
-                f"exceeded the trim threshold {trim_threshold}"
-            )
-        trimmed = (0, *trimmed_g.tolist())
-        weights = np.where(above, 0, n11)
+    strata = counts.shape[1]
+    flat = counts.ravel().tolist()
+    n11 = flat[:strata] * 3  # lined up with the comparison counts, flat[strata:]
+    weights, totals, trimmed = counts[0], n_by_cell[0], (0, 0, 0, 0)
+    treated_mean = table.cell_sums[0] / n_by_cell[0]
+    comparison = counts[1:]
+    if 0 in flat or max(map(truediv, n11, map(add, n11, flat[strata:]))) > trim_threshold:
+        above = _propensities(counts) > trim_threshold
+        comparison = np.maximum(comparison, 1)  # an empty bin's sum is 0, and so its mean
+        if trim_treated:
+            treated_kept = ~above.any(axis=0)
+            trimmed = (int(counts[0, ~treated_kept].sum()), 0, 0, 0)
+            if trimmed[0] == n_by_cell[0]:
+                raise TrimExhaustionError(
+                    f"all {n_by_cell[0]} treated-protected observations exceeded "
+                    f"the trim threshold {trim_threshold}"
+                )
+            treated_mean = float(sums[0, treated_kept].sum()) / (n_by_cell[0] - trimmed[0])
+        else:
+            trimmed_g = (counts[1:] * above).sum(axis=1)
+            exhausted = np.flatnonzero(trimmed_g == n_by_cell[1:])
+            if exhausted.size:
+                k = int(exhausted[0]) + 1
+                d, t = CELL_ORDER[k]
+                raise TrimExhaustionError(
+                    f"all {n_by_cell[k]} observations of cell (D={d},T={t}) "
+                    f"exceeded the trim threshold {trim_threshold}"
+                )
+            trimmed = (0, *trimmed_g.tolist())
+            weights = np.where(above, 0, weights)
+            totals = weights.sum(axis=-1)
     # a 1-D dot per comparison cell, (1, strata) @ (strata, 1): a row sum
     # would add in another order and move last digits of the outputs
-    stratum_means = sums[1:] / np.maximum(counts[1:], 1)
+    stratum_means = sums[1:] / comparison
     dots = np.matmul(weights[..., None, :], stratum_means[:, :, None])[:, 0, 0]
-    means = (dots / weights.sum(axis=-1)).tolist()
+    means = (dots / totals).tolist()
 
     return EffectEstimate(
         method="ipw",

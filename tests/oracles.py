@@ -3,8 +3,12 @@
 Everything here is written in the most transparent way available — explicit
 enumeration, grid/golden-section searches, textbook matrix formulas — and
 shares no code with the package under test. Slow is fine; obviously correct
-is the point. Two parts reuse the package on purpose:
+is the point. Three parts reuse the package on purpose:
 
+* ``estimate_ipw_did`` (with ``_propensities``) is the package's own
+  array IPW estimator before its decisions moved to the table's counts as
+  Python ints, kept unchanged as the bit-for-bit reference for that move;
+  it reads the package's ``CellTable``.
 * ``row_level_bootstrap`` reuses its sample type, estimators and errors:
   what it checks is the resampling, not the estimators.
   ``row_level_ols_did`` reuses its sample type and ``fit_ols``: what it
@@ -25,6 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from seasondid.did import (
+    CELL_ORDER,
+    COMPARISON_CELLS,
+    CellTable,
     CovariateSpec,
     DidSample,
     EffectEstimate,
@@ -39,6 +46,7 @@ from seasondid.errors import (
     EmptyOverlapError,
     GlmError,
     InfeasibleSampleError,
+    SeparationError,
     TrimExhaustionError,
 )
 from seasondid.glm import INTERCEPT_NAME, DesignMatrix, fit_ols
@@ -233,6 +241,89 @@ def validate_cells(n_by_cell, min_cell: int = 1):
                 f"cell has {count} observations, need at least {min_cell}",
             )
     return n_by_cell
+
+
+# ---------------------------------------------------------------------------
+# the array IPW estimator that the package replaced, kept unchanged: every
+# decision an array operation over the whole (comparison cell, stratum) grid
+
+
+def _propensities(table: CellTable) -> np.ndarray:
+    """rho per (comparison cell, stratum), comparison cells in
+    ``COMPARISON_CELLS`` order; the first pair with a one-sided stratum
+    raises."""
+    n11, n_g = table.counts[0], table.counts[1:]
+    one_sided = (n11 == 0) != (n_g == 0)
+    if one_sided.any():
+        k = int(one_sided.any(axis=1).argmax())
+        d, t = COMPARISON_CELLS[k]
+        strata = np.flatnonzero(one_sided[k])
+        raise SeparationError(
+            f"strata {strata.tolist()} have rows on only one side of the "
+            f"(1,1) vs (D={d},T={t}) propensity fit",
+            columns=tuple(f"stratum_{s}" for s in strata),
+        )
+    return n11 / np.maximum(n11 + n_g, 1)
+
+
+def estimate_ipw_did(
+    table: CellTable,
+    trim_threshold: float = 0.95,
+    trim_treated: bool = False,
+) -> EffectEstimate:
+    """IPW DiD point estimate; standard errors come from ``bootstrap_se``.
+
+    Comparison cell g's mean is the mean of its stratum means weighted by
+    n11_s, with weight 0 for the strata whose rho exceeds ``trim_threshold``
+    (their rows count as trimmed). With ``trim_treated`` the trimming is
+    applied on the treated-protected side instead: (1,1) strata whose rho
+    exceeds the threshold in any pairwise fit are dropped from the treated
+    mean, and comparison cells stay intact.
+    """
+    if not 0.0 < trim_threshold <= 1.0:
+        raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
+    n_by_cell = table.validate()
+    above = _propensities(table) > trim_threshold
+    counts, sums = table.counts, table.sums
+    n11 = counts[0]
+
+    if trim_treated:
+        treated_kept = ~above.any(axis=0)
+        trimmed = (int(n11[~treated_kept].sum()), 0, 0, 0)
+        if trimmed[0] == n_by_cell[0]:
+            raise TrimExhaustionError(
+                f"all {n_by_cell[0]} treated-protected observations exceeded "
+                f"the trim threshold {trim_threshold}"
+            )
+        weights = n11
+        treated_mean = float(sums[0, treated_kept].sum()) / int(n11[treated_kept].sum())
+    else:
+        treated_mean = table.cell_sums[0] / n_by_cell[0]
+        trimmed_g = (counts[1:] * above).sum(axis=1)
+        exhausted = np.flatnonzero(trimmed_g == n_by_cell[1:])
+        if exhausted.size:
+            k = int(exhausted[0]) + 1
+            d, t = CELL_ORDER[k]
+            raise TrimExhaustionError(
+                f"all {n_by_cell[k]} observations of cell (D={d},T={t}) "
+                f"exceeded the trim threshold {trim_threshold}"
+            )
+        trimmed = (0, *trimmed_g.tolist())
+        weights = np.where(above, 0, n11)
+    # a 1-D dot per comparison cell, (1, strata) @ (strata, 1): a row sum
+    # would add in another order and move last digits of the outputs
+    stratum_means = sums[1:] / np.maximum(counts[1:], 1)
+    dots = np.matmul(weights[..., None, :], stratum_means[:, :, None])[:, 0, 0]
+    means = (dots / weights.sum(axis=-1)).tolist()
+
+    return EffectEstimate(
+        method="ipw",
+        atet=treated_mean - means[0] - (means[1] - means[2]),
+        se=math.nan,
+        p_value=math.nan,
+        n_by_cell=n_by_cell,
+        n_trimmed_by_cell=trimmed,
+    )
 
 
 def row_level_bootstrap(sample, estimator, reps: int, seed: int) -> tuple:

@@ -257,6 +257,33 @@ class TestRun:
         assert [(r[4], r[13]) for r in rows] == [("ipw", "0"), ("ipw", "0")]
         assert abs(float(rows[0][5]) - 18.0) < 3.0
 
+    def test_trim_treated_trims_the_treated_side_at_any_worker_count(self, tmp_path):
+        # a tenth of the weeks missing leaves some seasons with more treated-
+        # protected rows than a comparison cell has: shares above 0.55 there
+        sim_cfg = tmp_path / "sim.cfg"
+        sim_cfg.write_text(SIM_CFG + "missing_week_prob = 0.1\n")
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(sim_cfg), "--out", str(data),
+                     "--seed", "5"]) == EXIT_OK
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            RUN_CFG.replace("level,volatility", "level").format(
+                prices=data / "prices.csv", calendar=data / "calendar.csv", out=out)
+            + "trim = 0.55\ntrim_treated = yes\n"
+        )
+        effects = []
+        for workers in ("1", "2"):
+            assert main(["run", "--config", str(cfg), "--workers", workers]) == EXIT_OK
+            effects.append((out / "effects.csv").read_bytes())
+            header, rows = read_csv(out / "effects.csv")
+            ipw = [dict(zip(header, row)) for row in rows if row[4] == "ipw"]
+            assert ipw and any(int(row["trimmed"]) > 0 for row in ipw), rows
+            assert all(int(row["trimmed"]) < int(row["n11"]) for row in ipw)
+        assert effects[0] == effects[1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["trim_treated"] is True
+
     def test_infeasible_tasks_are_reported_not_failed(self, workspace):
         cfg, out = write_run_cfg(workspace, extra="min_cell = 500\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_OK

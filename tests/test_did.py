@@ -55,6 +55,7 @@ from helpers import (
 )
 from oracles import (
     cell_mask,
+    estimate_ipw_did as array_ipw_did,
     did_from_cell_means,
     normal_equations_ols,
     row_level_bootstrap,
@@ -975,6 +976,67 @@ class TestCellTotals:
             assert table.n_by_cell == tuple(table.counts.sum(axis=1))
             assert table.cell_sums == tuple(table.sums.sum(axis=1).tolist())
             assert all(type(n) is int for n in table.n_by_cell)
+
+    def test_a_sample_of_no_rows_tabulates_float_sums(self):
+        # np.bincount of no rows returns integers whatever its weights
+        table = DidSample([], [], [], []).cell_table()
+        assert table.sums.dtype == np.float64 and table.sums.shape == (4, 1)
+        assert table.cell_sums == (0.0, 0.0, 0.0, 0.0)
+        assert all(type(total) is float for total in table.cell_sums)
+        assert table.n_by_cell == (0, 0, 0, 0)
+
+
+# trim thresholds in (0, 1], with shares a small table makes exactly
+EXACT_SHARES = st.sampled_from([0.5, 0.75, 1.0, 2 / 3, 1 / 3, 0.25])
+
+
+class TestArrayIpwOracle:
+    """``estimate_ipw_did`` decides separation and trimming from the
+    table's counts as Python ints and skips the trim arrays when no rho is
+    above the threshold; ``oracles.estimate_ipw_did`` is the array
+    estimator it replaced. Both must agree bit for bit, errors included."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        wide_stratum_sizes() | stratum_sizes(treated_max=120),
+        st.integers(0, 2**32 - 1),
+        EXACT_SHARES | st.floats(0.0, 1.0, exclude_min=True),
+        st.booleans(),
+    )
+    def test_matches_the_array_estimator_bit_for_bit(self, sizes, seed, threshold, trim_treated):
+        cells = sample_from_sizes(sizes)
+        y = np.random.default_rng(seed).normal(100.0, 10.0, cells.n_obs)
+        table = DidSample(y, cells.d, cells.t, cells.stratum).cell_table()
+        ours = outcome_of(estimate_ipw_did, table, threshold, trim_treated)
+        reference = outcome_of(array_ipw_did, table, threshold, trim_treated)
+        event(f"reference: {type(reference).__name__}")
+        if isinstance(reference, Exception):
+            assert type(ours) is type(reference), (ours, reference)
+            assert str(ours) == str(reference)
+            assert getattr(ours, "columns", None) == getattr(reference, "columns", None)
+            return
+        assert not isinstance(ours, Exception), ours
+        event(f"trimmed: {reference.n_trimmed > 0}")
+        event(f"an empty stratum: {not table.counts.any(axis=0).all()}")
+        assert float.hex(ours.atet) == float.hex(reference.atet)
+        assert ours.n_by_cell == reference.n_by_cell
+        assert ours.n_trimmed_by_cell == reference.n_trimmed_by_cell
+        assert all(type(n) is int for n in ours.n_trimmed_by_cell)
+
+    @pytest.mark.parametrize("trim_treated", [False, True])
+    @pytest.mark.parametrize("threshold", [0.5, 0.75, 1.0])
+    def test_a_share_equal_to_the_threshold_is_kept(self, threshold, trim_treated):
+        # every share is 1/2 but stratum 1's against (0,1), 3/4: a share
+        # equal to the threshold is kept, and only one above it is trimmed
+        table = sample_from_sizes([[2, 2, 2, 2], [3, 3, 1, 3]]).cell_table()
+        ours = estimate_ipw_did(table, threshold, trim_treated)
+        reference = array_ipw_did(table, threshold, trim_treated)
+        assert float.hex(ours.atet) == float.hex(reference.atet)
+        assert ours.n_trimmed_by_cell == reference.n_trimmed_by_cell
+        expected = {0.5: (0, 0, 1, 0), 0.75: (0, 0, 0, 0), 1.0: (0, 0, 0, 0)}[threshold]
+        if trim_treated and expected != (0, 0, 0, 0):
+            expected = (3, 0, 0, 0)
+        assert ours.n_trimmed_by_cell == expected
 
 
 class TestValidate:

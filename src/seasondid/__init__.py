@@ -77,7 +77,7 @@ from .panel import (
     label_week,
     season_start_week,
 )
-from .pipeline import TaskResult, prepare_outcome_rows, run_task, task_seed
+from .pipeline import TaskGroup, TaskResult, prepare_outcome_rows, run_task, task_seed
 from .simgen import SimConfig, build_calendar, generate_panel, true_effect
 from .transforms import (
     compute_volatility,

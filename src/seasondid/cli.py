@@ -51,7 +51,7 @@ from .ingest import (
     write_prices,
 )
 from .panel import Outcome, label_panel
-from .pipeline import outcome_rows, prepare_outcome_rows, run_task, task_seed
+from .pipeline import TaskGroup, outcome_rows, prepare_outcome_rows, run_task, task_seed
 from .simgen import generate_panel, true_effect
 
 EXIT_OK = 0
@@ -149,13 +149,11 @@ def _task_columns(task: EstimationTask) -> tuple[str, str, str, str]:
     return treated.product, treated.quality.value, task.control.country, task.outcome.value
 
 
-def _effect_rows(
-    task: EstimationTask, store: PanelStore, calendar: ProtectionCalendar, config: RunConfig
-) -> list[tuple]:
-    """``effects.csv`` rows of one task: one per requested method."""
+def _effect_rows(task: EstimationTask, group: TaskGroup, config: RunConfig) -> list[tuple]:
+    """``effects.csv`` rows of one task of ``group``: one per requested method."""
     if task.bootstrap_reps > 0:
         task = dataclasses.replace(task, seed=task_seed(config.seed or 0, task.key()))
-    result = run_task(task, store, calendar, methods=config.methods)
+    result = run_task(task, group.store, group.calendar, methods=config.methods, group=group)
     return [
         (
             *_task_columns(task),
@@ -172,12 +170,11 @@ def _effect_rows(
     ]
 
 
-def _placebo_rows(
-    task: EstimationTask, store: PanelStore, calendar: ProtectionCalendar, config: RunConfig
-) -> list[tuple]:
-    """The ``pretrends.csv`` row of one task."""
+def _placebo_rows(task: EstimationTask, group: TaskGroup, config: RunConfig) -> list[tuple]:
+    """The ``pretrends.csv`` row of one task of ``group``."""
     seed = task_seed(config.seed or 0, task.key() + "|pretrend")
-    treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
+    calendar = group.calendar
+    treated_rows, control_rows = prepare_outcome_rows(task, group.store, calendar, group)
     result = pretrend_placebo(task, treated_rows, control_rows, calendar, config.reps, seed)
     estimate = result.estimate
     return [
@@ -204,11 +201,12 @@ def _start_batch(*state) -> None:
     _batch = state
 
 
-def _run_one(task: EstimationTask) -> tuple[str, str, list[tuple]]:
-    """Run the batch's job on one task; returns (key, status, table rows)."""
-    job, store, calendar, config = _batch
+def _run_one(task: EstimationTask, group: TaskGroup) -> tuple[str, str, list[tuple]]:
+    """Run the batch's job on one task of ``group``; returns (key, status,
+    table rows)."""
+    job, _, _, config = _batch
     try:
-        rows = job(task, store, calendar, config)
+        rows = job(task, group, config)
     except InfeasibleSampleError as exc:
         return task.key(), f"infeasible: {exc.reason}", []
     except SeasonDidError as exc:
@@ -217,21 +215,24 @@ def _run_one(task: EstimationTask) -> tuple[str, str, list[tuple]]:
 
 
 def _run_group(tasks: list[EstimationTask]) -> list[tuple[str, str, list[tuple]]]:
-    """``_run_one`` on each task of a group, in order.
+    """``_run_one`` on each task of a group, in order, all of them on one
+    ``TaskGroup``, which lives as long as this call.
 
     Top-level function so process pools can pickle it.
     """
-    return [_run_one(task) for task in tasks]
+    _, store, calendar, _ = _batch
+    group = TaskGroup(tasks, store, calendar)
+    return [_run_one(task, group) for task in tasks]
 
 
 def _task_groups(tasks: list[EstimationTask], workers: int) -> list[list[EstimationTask]]:
     """Cut key-ordered ``tasks`` into contiguous groups that share
     ``task.treated``, none longer than ceil(tasks / workers).
 
-    The tasks of a group share the pipeline's memo entries for their
-    treated series (and their controls' entries across outcomes), so a
-    group runs in one process; the cap keeps one treated series with many
-    controls spread over every worker.
+    A group runs in one process as one ``pipeline.TaskGroup``, which reads,
+    labels and transforms its treated market and all its control markets
+    once; the cap keeps one treated series with many controls spread over
+    every worker.
     """
     cap = -(-len(tasks) // workers)
     groups: list[list[EstimationTask]] = []

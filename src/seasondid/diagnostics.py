@@ -17,9 +17,11 @@ containing the protection start; Boundary weeks are skipped, not counted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -92,11 +94,12 @@ class HeterogeneityResult:
     r_squared: float
 
 
-def offset_weeks(window: ProtectionWindow, year: int, count: int) -> list[IsoWeek]:
+@functools.lru_cache(maxsize=None)
+def offset_weeks(window: ProtectionWindow, year: int, count: int) -> tuple[IsoWeek, ...]:
     """The ``count`` whole non-Boundary weeks before the year's protection
     start, nearest first (offset -1, -2, ...). Boundary weeks are skipped.
     Returns fewer than ``count`` weeks if the walk runs into the previous
-    protection phase."""
+    protection phase. Each (window, year, count) is walked once."""
     collected: list[IsoWeek] = []
     week = window.start_week(year).prev()
     for _ in range(_MAX_OFFSET_WALK):
@@ -108,7 +111,7 @@ def offset_weeks(window: ProtectionWindow, year: int, count: int) -> list[IsoWee
             if len(collected) == count:
                 break
         week = week.prev()
-    return collected
+    return tuple(collected)
 
 
 def _runs(values: np.ndarray, starts: list[int]) -> list[np.ndarray]:
@@ -126,7 +129,7 @@ def _values_by_week(rows: PanelRows) -> dict[int, np.ndarray]:
 def _pool_seasons(
     treated_index: dict[int, np.ndarray],
     control_index: dict[int, np.ndarray],
-    contrasts: list[tuple[list[IsoWeek], list[IsoWeek]]],
+    contrasts: list[tuple[Sequence[IsoWeek], Sequence[IsoWeek]]],
 ) -> tuple[DidSample, int]:
     """Pool (post weeks, pre weeks) contrasts, one per season, into a 2x2
     sample with no covariates. A season enters only if both series are
@@ -137,7 +140,7 @@ def _pool_seasons(
     t: list[int] = []
     seasons_used = 0
     for post_weeks, pre_weeks in contrasts:
-        ordinals = [w.ordinal for w in post_weeks + pre_weeks]
+        ordinals = [w.ordinal for w in (*post_weeks, *pre_weeks)]
         if not all(w in treated_index and w in control_index for w in ordinals):
             continue
         for weeks, pseudo in ((post_weeks, 1), (pre_weeks, 0)):
@@ -224,7 +227,7 @@ def rolling_biweekly_effects(
     treated_index = _values_by_week(treated_rows)
     control_index = _values_by_week(control_rows)
     years = sorted({*treated_rows.season.tolist(), *control_rows.season.tolist()})
-    season_pre: dict[int, list[IsoWeek]] = {}
+    season_pre: dict[int, tuple[IsoWeek, ...]] = {}
     season_biweeks: dict[int, list[list[IsoWeek]]] = {}
     for year in years:
         pre = offset_weeks(window, year, 2)

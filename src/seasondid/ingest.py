@@ -121,17 +121,17 @@ class PanelStore:
             np.concatenate([prices for _, prices in columns] + [_NO_ROWS[1]]),
         )
 
-    def rows_matching(self, key: SeriesKey) -> PanelRows:
-        """The rows of ``key``'s market, series in ``series()`` order;
-        ``key.region=None`` pools every region."""
-        return self.rows(self._market_series(key))
+    def rows_matching(self, *keys: SeriesKey) -> PanelRows:
+        """The rows of each key's market in turn, a market's series in
+        ``series()`` order; ``key.region=None`` pools every region."""
+        return self.rows([series for key in keys for series in self.market_series(key)])
 
     def has_rows(self, key: SeriesKey) -> bool:
         """Whether ``rows_matching`` would return any row, read off the
         index without building them."""
-        return any(self._columns[series][0].size for series in self._market_series(key))
+        return any(self._columns[series][0].size for series in self.market_series(key))
 
-    def _market_series(self, key: SeriesKey) -> list[SeriesKey]:
+    def market_series(self, key: SeriesKey) -> list[SeriesKey]:
         """The series of ``key``'s (product, quality, country) market, of
         its region unless that is None."""
         market = self._by_market.get((key.product, key.quality, key.country), ())

@@ -5,13 +5,12 @@ timeline: their phase labels and seasons come from the treated product's
 window, since the policy whose effect is estimated is the treated market's.
 
 Rows travel as ``PanelRows`` arrays from the store to ``build_sample``.
-A batch is many tasks over few series. ``prepare_outcome_rows`` takes a
-series' labelled and outcome rows from two memos keyed by store, calendar,
-``SeriesKey`` and window product (and outcome), each bounded at ``_MEMO_SIZE``
-entries and returning read-only arrays no task can change; a call that
-raises leaves nothing behind. Tasks run in key order, in contiguous groups
-that share a treated series (``cli._task_groups``), each group in one
-process, so each series is labelled and transformed once per group.
+A batch is many tasks over few markets, so tasks are prepared in a
+``TaskGroup``: tasks that share a treated market (``cli._task_groups`` cuts
+a key-ordered batch into them). A group reads, labels and transforms the
+rows of all its markets as one block and slices each task's rows out of
+it; the block lives as long as the group. ``prepare_outcome_rows`` and
+``run_task`` on a task alone prepare it as a group of one.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .calendar import ProtectionCalendar
 from .did import (
@@ -32,42 +33,26 @@ from .did import (
 )
 from .errors import ConfigError
 from .ingest import PanelStore
-from .panel import Outcome, PanelRows, SeriesKey, apply_boundary_exclusion, label_panel
+from .panel import (
+    Outcome,
+    PanelRows,
+    SeriesKey,
+    apply_boundary_exclusion,
+    check_labelled_year,
+    label_panel,
+)
 from .transforms import (
     compute_volatility,
     restrict_to_production_weeks,
     standardize_prices,
 )
-
-# Holds the rows of one (product, quality)'s treated series and its control
-# series across the tasks that share them. Unbounded, a batch keeps every
-# series' rows to its end: peak RSS of a 54,000-row, 320-task run went from
-# 71 to 102 MiB.
-_MEMO_SIZE = 8
+from .weeks import IsoWeek
 
 
 def task_seed(master_seed: int, key: str) -> int:
     """Stable per-task seed: independent of task order and worker count."""
     digest = hashlib.sha256(f"{master_seed}:{key}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1  # keep it positive
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _labeled_rows(
-    store: PanelStore, calendar: ProtectionCalendar, key: SeriesKey, window_product: str
-) -> PanelRows:
-    return label_panel(store.rows_matching(key), calendar, window_product=window_product)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _outcome_rows(
-    store: PanelStore,
-    calendar: ProtectionCalendar,
-    key: SeriesKey,
-    window_product: str,
-    outcome: Outcome,
-) -> PanelRows:
-    return outcome_rows(_labeled_rows(store, calendar, key, window_product), outcome)
 
 
 def outcome_rows(labeled: PanelRows, outcome: Outcome) -> PanelRows:
@@ -78,26 +63,107 @@ def outcome_rows(labeled: PanelRows, outcome: Outcome) -> PanelRows:
     return compute_volatility(labeled)
 
 
+class TaskGroup:
+    """Tasks that share a treated market, prepared as one block.
+
+    The block holds the rows of the treated market and then of each distinct
+    control market, in task order. On first use it is read from ``store``
+    in one ``rows_matching`` call, labelled on the treated product's window
+    in one ``label_panel`` call, and put on an outcome's scale in one
+    ``outcome_rows`` call per outcome. Series codes run market by market and
+    both transforms keep series order, so each market's rows are a
+    contiguous slice of every block. A market with weeks in a year that
+    ``check_labelled_year`` refuses stays out of the labelled block, so its
+    error is raised by its own tasks alone.
+    """
+
+    def __init__(
+        self, tasks: list[EstimationTask], store: PanelStore, calendar: ProtectionCalendar
+    ):
+        treated = tasks[0].treated
+        if any(task.treated != treated for task in tasks):
+            raise ValueError("the tasks of a group share one treated market")
+        self.store, self.calendar, self.window_product = store, calendar, treated.product
+        self._market = {key: i for i, key in enumerate(
+            dict.fromkeys([treated, *(task.control for task in tasks)])
+        )}
+        # series codes of market i: codes[i] .. codes[i + 1] - 1
+        self._codes = np.cumsum([0] + [len(store.market_series(key)) for key in self._market])
+        self._refused: dict[SeriesKey, str] = {}  # market -> its year error
+        self._raw: PanelRows | None = None
+        self._labeled: PanelRows | None = None
+        self._outcomes: dict[Outcome, list[PanelRows]] = {}  # each market's rows
+
+    def task_rows(self, task: EstimationTask) -> tuple[PanelRows, PanelRows]:
+        """Transformed (treated, control) outcome rows of one of the tasks,
+        or its error: no price data for either side, checked before anything
+        is read, then a calendar miss, then a refused year of the treated
+        and then of the control market, then no overlap."""
+        sides = (("treated", task.treated), ("control", task.control))
+        for side, key in sides:
+            if not self.store.has_rows(key):
+                raise ConfigError(f"no price data for {side} series {key}")
+        self.calendar.window_for(self.window_product)
+        if self._raw is None:
+            self._read()
+        for _, key in sides:
+            if key in self._refused:
+                raise ConfigError(self._refused[key])
+        markets = self._outcome_block(task.outcome)
+        treated = markets[self._market[task.treated]]
+        return treated, restrict_to_production_weeks(markets[self._market[task.control]], treated)
+
+    def _read(self) -> None:
+        raw = self.store.rows_matching(*self._market)
+        if _year_error(raw.week):
+            edges = raw.series.searchsorted(self._codes).tolist()
+            keep = np.ones(len(raw), dtype=bool)
+            for key, lo, hi in zip(self._market, edges, edges[1:]):
+                error = _year_error(raw.week[lo:hi])
+                if error:
+                    self._refused[key] = error
+                    keep[lo:hi] = False
+            raw = raw.take(keep)
+        self._raw = raw
+
+    def _outcome_block(self, outcome: Outcome) -> list[PanelRows]:
+        if outcome not in self._outcomes:
+            if self._labeled is None:
+                self._labeled = label_panel(
+                    self._raw, self.calendar, window_product=self.window_product
+                )
+            rows = outcome_rows(self._labeled, outcome)
+            edges = rows.series.searchsorted(self._codes).tolist()
+            self._outcomes[outcome] = [rows.take(slice(*ends)) for ends in zip(edges, edges[1:])]
+        return self._outcomes[outcome]
+
+
+def _year_error(weeks: np.ndarray) -> str | None:
+    """What ``label_panel``'s year check says of these week ordinals: the
+    error for the earliest and then the latest week's year, or None."""
+    try:
+        for week in (weeks.min(), weeks.max()) if weeks.size else ():
+            check_labelled_year(IsoWeek.from_ordinal(int(week)).year)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def prepare_outcome_rows(
     task: EstimationTask,
     store: PanelStore,
     calendar: ProtectionCalendar,
+    group: TaskGroup | None = None,
 ) -> tuple[PanelRows, PanelRows]:
-    """Transformed (treated, control) outcome rows for one task.
+    """Transformed (treated, control) outcome rows for one task, from its
+    ``group`` (built on ``store`` and ``calendar``) or a group of its own.
 
     Pipeline order: label phases/seasons, transform to the outcome scale,
     drop Boundary weeks, then restrict control rows to treated production
     weeks. Standardization therefore sees every observed week of a season.
     Both series must have price data before either is labelled.
     """
-    for side, key in (("treated", task.treated), ("control", task.control)):
-        if not store.has_rows(key):
-            raise ConfigError(f"no price data for {side} series {key}")
-
-    window_product = task.treated.product
-    treated_rows = _outcome_rows(store, calendar, task.treated, window_product, task.outcome)
-    control_rows = _outcome_rows(store, calendar, task.control, window_product, task.outcome)
-    return treated_rows, restrict_to_production_weeks(control_rows, treated_rows)
+    return (group or TaskGroup([task], store, calendar)).task_rows(task)
 
 
 @dataclass(frozen=True)
@@ -111,8 +177,10 @@ def run_task(
     store: PanelStore,
     calendar: ProtectionCalendar,
     methods: tuple[str, ...] = ("ipw",),
+    group: TaskGroup | None = None,
 ) -> TaskResult:
-    """Estimate one task with the requested methods.
+    """Estimate one task with the requested methods, on rows from its
+    ``group`` or a group of its own (see ``prepare_outcome_rows``).
 
     The IPW estimate carries bootstrap inference (requires ``task.seed``);
     the OLS estimate carries classical standard errors and reps=0.
@@ -122,7 +190,7 @@ def run_task(
         raise ConfigError(f"unknown methods {unknown}; expected subset of {METHODS}")
     if "ipw" in methods and task.bootstrap_reps > 0 and task.seed is None:
         raise ConfigError("a seed is required for bootstrap inference")
-    treated_rows, control_rows = prepare_outcome_rows(task, store, calendar)
+    treated_rows, control_rows = prepare_outcome_rows(task, store, calendar, group)
     sample = build_sample(task, treated_rows, control_rows)
     ipw = functools.partial(
         estimate_ipw_did, trim_threshold=task.trim_threshold, trim_treated=task.trim_treated

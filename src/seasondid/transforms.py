@@ -60,10 +60,12 @@ def restrict_to_production_weeks(control: PanelRows, treated: PanelRows) -> Pane
 
     Each side is the rows of one market (``PanelStore.rows_matching``), and
     both markets have the same quality, as ``EstimationTask`` requires, so a
-    control row survives iff the treated rows observe its ISO week: one
-    ``isin`` over week ordinals.
+    control row survives iff the treated rows observe its ISO week: a binary
+    search of each control week ordinal in the sorted treated ones, which
+    end in a sentinel past every week so that each search lands on an entry.
     """
-    kept = control.take(np.isin(control.week, treated.week))
+    weeks = np.concatenate((np.sort(treated.week), [np.iinfo(np.int64).max]))
+    kept = control.take(weeks[weeks.searchsorted(control.week)] == control.week)
     if len(control) and not len(kept):
         raise EmptyOverlapError(
             "no control observation falls in a treated production week "

@@ -50,7 +50,14 @@ from seasondid.errors import (
     TrimExhaustionError,
 )
 from seasondid.glm import INTERCEPT_NAME, DesignMatrix, fit_ols
-from seasondid.panel import PhaseLabel, PriceObservation, SeriesKey, assign_season_week, label_week
+from seasondid.panel import (
+    PhaseLabel,
+    PriceObservation,
+    SeriesKey,
+    assign_season_week,
+    check_labelled_year,
+    label_week,
+)
 from seasondid.weeks import IsoWeek
 
 
@@ -427,7 +434,16 @@ def rows_matching(observations, product, quality, country, region=None):
 
 
 def label_panel(observations, calendar, window_product=None):
-    """Phase and season of every row, each worked out on its own."""
+    """Phase and season of every row, each worked out on its own. First, per
+    window product in row order: its calendar entry, then the year of its
+    earliest and of its latest row must be one ``check_labelled_year``
+    accepts."""
+    for product in dict.fromkeys(window_product or obs.product for obs in observations):
+        calendar.window_for(product)
+        years = sorted(obs.week.year for obs in observations
+                       if (window_product or obs.product) == product)
+        check_labelled_year(years[0])
+        check_labelled_year(years[-1])
     labeled = []
     for obs in observations:
         product = window_product if window_product is not None else obs.product
@@ -573,7 +589,8 @@ def _pool_seasons(treated_index, control_index, contrasts):
     values, d, t = [], [], []
     seasons_used = 0
     for post_weeks, pre_weeks in contrasts:
-        if not all(w in treated_index and w in control_index for w in post_weeks + pre_weeks):
+        if not all(w in treated_index and w in control_index
+                   for w in (*post_weeks, *pre_weeks)):
             continue
         for weeks, pseudo in ((post_weeks, 1), (pre_weeks, 0)):
             for week in weeks:

@@ -36,6 +36,8 @@ import seasondid.pipeline as pipeline
 from seasondid import panel
 from seasondid.cli import EXIT_OK, main
 from seasondid.config import RunConfig, expand_tasks
+from seasondid.ingest import read_prices, write_calendar, write_prices
+from seasondid.simgen import SimConfig, generate_panel
 
 from test_cli import RUN_CFG, SIM_CFG
 from test_cli import workspace  # noqa: F401  (fixture: simulated data, reps 25, two tasks)
@@ -117,8 +119,9 @@ def test_traced_replicate_failures_match_the_returned_estimates(spans, tmp_path,
 
 def oracle_row_counts(run_cfg) -> tuple[int, int]:
     """Rows the row-level oracle labels and transforms for the batch, once
-    per series spec and window product (and outcome), as the pipeline's
-    memos do: (labelled rows, transformed rows)."""
+    per series spec and window product (and outcome), as a task group does
+    for its markets when, as here, every task of a treated market is in one
+    group: (labelled rows, transformed rows)."""
     config = RunConfig.from_file(run_cfg)
     with open(config.prices, newline="") as handle:
         observations = [
@@ -140,6 +143,51 @@ def oracle_row_counts(run_cfg) -> tuple[int, int]:
                          else oracles.compute_volatility)
             transformed.setdefault(key + (task.outcome,), transform(labeled[key]))
     return sum(map(len, labeled.values())), sum(map(len, transformed.values()))
+
+
+def test_labelling_and_transforms_run_inside_the_prepare_calls(spans, tmp_path):
+    # Two products, each with two control countries: two task groups of four.
+    observations, windows = [], {}
+    for product in ("beet", "kale"):
+        for country in ("AT", "DE"):
+            config = SimConfig(n_seasons=3, weeks_per_season=20, protected_start=5,
+                               protected_end=14, seed=len(observations), product=product,
+                               control_country=country)
+            treated, control, calendar = generate_panel(config)
+            observations += control + (treated if country == "AT" else [])
+        window = calendar.window_for(product)
+        windows[product] = (str(window.start), str(window.end))
+    write_prices(tmp_path / "prices.csv", observations)
+    write_calendar(tmp_path / "calendar.csv", windows)
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(RUN_CFG.format(prices=tmp_path / "prices.csv",
+                                      calendar=tmp_path / "calendar.csv", out=tmp_path / "out"))
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert main(["run", "--config", str(run_cfg), "--workers", "1"]) == EXIT_OK
+    finally:
+        tracer.restore()
+
+    by_id = {span.id: span for span in tracer.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    inner = [s for s in tracer.spans if s.layer in ("panel", "transforms")]
+    assert {s.name for s in inner} >= {"panel.label_panel", "transforms.standardize_prices",
+                                       "transforms.compute_volatility"}
+    for span in inner:
+        assert "pipeline.prepare_outcome_rows" in ancestors(span), span.name
+    config = RunConfig.from_file(run_cfg)
+    tasks = sorted(expand_tasks(config, store=read_prices(config.prices)[0]),
+                   key=lambda t: t.key())
+    groups = cli._task_groups(tasks, 1)
+    assert (len(tasks), len(groups)) == (8, 2)
+    metrics = spans.layer_metrics(tracer.spans, 1.0, spans.task_seconds(tracer.spans))
+    assert metrics["ingest.rows_matching_calls"] == len(groups)
 
 
 @pytest.mark.parametrize("command", ["run", "pretrend"])

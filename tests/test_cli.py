@@ -23,7 +23,11 @@ from seasondid.cli import (
     _task_groups,
     main,
 )
-from seasondid.pipeline import task_seed
+from seasondid.calendar import ProtectionCalendar
+from seasondid.config import RunConfig, expand_tasks
+from seasondid.errors import SeasonDidError
+from seasondid.ingest import read_prices
+from seasondid.pipeline import prepare_outcome_rows, task_seed
 
 SIM_CFG = """\
 n_seasons = 3
@@ -283,6 +287,48 @@ class TestRun:
         assert effects[0] == effects[1]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["trim_treated"] is True
+
+    def test_failures_stay_per_task_inside_one_group(self, workspace):
+        # One treated market with an estimable control (DE), one without price
+        # data (AT) and one whose weeks all fall years later (FR), and a
+        # product (okra) that has no calendar entry. ISO years 28 apart have
+        # the same weeks.
+        tmp_path, data, _, _ = workspace
+        lines = (data / "prices.csv").read_text().splitlines()
+        header, rows = lines[0], [line.split(",") for line in lines[1:]]
+        extra = [[*r[:4], str(int(r[4]) + 28), *r[5:]] for r in rows if r[0] == "DE"]
+        extra = [["FR", *r[1:]] for r in extra] + [[r[0], "okra", *r[2:]] for r in rows]
+        (data / "prices.csv").write_text(
+            "\n".join([header] + [",".join(r) for r in rows + extra]) + "\n"
+        )
+        cfg, out = write_run_cfg(workspace, extra="".join(
+            f"task = {spec}\n" for spec in (
+                "simulated-vegetable:conventional:DE", "simulated-vegetable:conventional:AT",
+                "simulated-vegetable:conventional:FR", "okra:conventional:DE",
+            )
+        ))
+        config = RunConfig.from_file(cfg)
+        store, _ = read_prices(config.prices)
+        calendar = ProtectionCalendar.from_csv(config.calendar)
+        expected = {}
+        for task in expand_tasks(config, store=store):
+            try:
+                prepare_outcome_rows(task, store, calendar)  # a group of one
+                expected[task.key()] = "ok"
+            except SeasonDidError as exc:
+                expected[task.key()] = f"failed: {type(exc).__name__}: {exc}"
+        kinds = {status if status == "ok" else status.split(": ")[1] for status in expected.values()}
+        assert kinds == {"ok", "ConfigError", "CalendarMissError", "EmptyOverlapError"}
+        outputs = []
+        for workers in ("1", "2", "3"):
+            assert main(["run", "--config", str(cfg), "--workers", workers]) == EXIT_TASK_FAILURE
+            manifest = (out / "manifest.json").read_bytes()
+            statuses = json.loads(manifest)["tasks"]
+            assert {s["task"]: s["status"] for s in statuses} == expected
+            # the manifest's config echoes the worker count; the rest is equal
+            manifest = manifest.replace(f'"workers": {workers}'.encode(), b'"workers": 0')
+            outputs.append(((out / "effects.csv").read_bytes(), manifest))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_infeasible_tasks_are_reported_not_failed(self, workspace):
         cfg, out = write_run_cfg(workspace, extra="min_cell = 500\n")

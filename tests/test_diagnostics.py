@@ -93,7 +93,7 @@ class TestOffsetWeeks:
         # the 2016 window starts in W19; W18..W15 are the four nearest
         # fully-unprotected weeks
         offsets = offset_weeks(self.MAY_AUG, 2016, 4)
-        assert offsets == [week(2016, 18), week(2016, 17), week(2016, 16), week(2016, 15)]
+        assert offsets == (week(2016, 18), week(2016, 17), week(2016, 16), week(2016, 15))
 
     def test_boundary_weeks_are_skipped_not_counted(self):
         # walking into the previous season: the 2016 end-boundary week (W35)

@@ -323,6 +323,19 @@ class TestPanelStore:
         assert len(store.rows_matching(SeriesKey("leek", Quality.CONVENTIONAL, "CH"))) == 0
         assert len(store.rows_matching(SeriesKey("leek", Quality.ORGANIC, "CH"))) == 1
 
+    def test_several_keys_give_each_market_in_turn(self):
+        store = self.build()
+        keys = [
+            SeriesKey("tomato", Quality.CONVENTIONAL, "CH", "geneva"),
+            SeriesKey("leek", Quality.ORGANIC, "CH"),
+            SeriesKey("okra", Quality.ORGANIC, "CH"),
+            SeriesKey("tomato", Quality.CONVENTIONAL, "CH"),
+        ]
+        block = store.rows_matching(*keys)
+        assert records(block) == [r for key in keys for r in records(store.rows_matching(key))]
+        assert [len(store.market_series(key)) for key in keys] == [1, 1, 0, 2]
+        assert len(store.rows_matching()) == 0
+
     @pytest.mark.parametrize("empty_series", [False, True])
     def test_has_rows_answers_as_rows_matching_does(self, empty_series):
         store = self.build()

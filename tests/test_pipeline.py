@@ -33,7 +33,7 @@ from seasondid.errors import (
     SeparationError,
 )
 from seasondid.ingest import write_calendar, write_prices
-from seasondid.pipeline import prepare_outcome_rows
+from seasondid.pipeline import TaskGroup, prepare_outcome_rows
 from seasondid.simgen import SimConfig, generate_panel
 
 from helpers import oracle_records, price_row, records, window
@@ -53,8 +53,8 @@ def outcome_of(fn, *args):
         return type(exc), str(exc)
 
 
-def columnar_rows(task, store, observations, calendar):
-    return tuple(map(records, prepare_outcome_rows(task, store, calendar)))
+def columnar_rows(task, store, observations, calendar, group=None):
+    return tuple(map(records, prepare_outcome_rows(task, store, calendar, group)))
 
 
 def oracle_rows(task, store, observations, calendar):
@@ -132,17 +132,146 @@ def random_panel(layout, n_weeks, missing, seed):
 class TestSharedRowsEqualPerTaskRows:
     @settings(max_examples=60, deadline=None)
     @given(panels(), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
-    def test_shuffled_tasks_on_two_stores(self, panel, random, seed):
+    def test_shuffled_groups_on_two_stores(self, panel, random, seed):
         calendar, layout, n_weeks, missing, tasks = panel
         # Two stores with the same series and different prices, one after the
         # other in this process: neither may get the other's rows.
         panels_ = [random_panel(layout, n_weeks, missing, seed + i) for i in range(2)]
         for store, observations in panels_:
-            order = tasks * 2  # repeats hit the memo
+            groups = {}
+            for task in tasks:
+                groups.setdefault(task.treated, []).append(task)
+            order = list(groups.values())
             random.shuffle(order)
-            for task in order:
-                args = (task, store, observations, calendar)
-                assert outcome_of(columnar_rows, *args) == outcome_of(oracle_rows, *args)
+            for group_tasks in order:
+                group = TaskGroup(group_tasks, store, calendar)
+                runs = group_tasks * 2  # repeats read the group's blocks again
+                random.shuffle(runs)
+                for task in runs:
+                    args = (task, store, observations, calendar)
+                    got = outcome_of(columnar_rows, *args, group)
+                    assert got == outcome_of(oracle_rows, *args)
+
+
+# ---------------------------------------------------------------------------
+# one task group as one block
+
+
+CONTROL_COUNTRIES = ("AT", "DE", "FR", "IT")
+# Where a market's weeks start, and at most how many there are: with the
+# treated market, after its last week, or with a first or a last week in a
+# year whose weeks cannot be labelled (dates end in ISO week 9999-W52).
+STARTS = {
+    "overlap": (FIRST_WEEK, 130),
+    "disjoint": (FIRST_WEEK.offset(200), 130),
+    "year 2": (IsoWeek(2, 30), 130),
+    "year 9999": (IsoWeek(9998, 30), 60),
+}
+
+
+@st.composite
+def task_groups(draw):
+    """(calendar, markets, n_weeks, missing share, tasks) of one task group.
+
+    The tasks share a CH treated market, whose product may have no calendar
+    entry (okra), and pair it with 1-6 control markets in both outcomes.
+    ``markets`` maps each (product, country) with data to its regions and
+    where its weeks start; a control may name a region or market without
+    data."""
+    calendar = ProtectionCalendar({
+        product: ProtectionWindow(MonthDay(draw(st.integers(3, 5)), draw(st.integers(1, 28))),
+                                  MonthDay(draw(st.integers(7, 9)), draw(st.integers(1, 28))))
+        for product in PRODUCTS
+    })
+    products = PRODUCTS + ("okra",)
+    treated = SeriesKey(draw(st.sampled_from(products)), Quality.CONVENTIONAL, "CH",
+                        draw(st.sampled_from((None, None, "north"))))
+    controls = draw(st.lists(
+        st.builds(SeriesKey, st.sampled_from(products), st.just(Quality.CONVENTIONAL),
+                  st.sampled_from(CONTROL_COUNTRIES), st.sampled_from((None,) + REGIONS)),
+        min_size=1, max_size=6, unique=True,
+    ))
+    markets = {}
+    for key in [treated, *controls]:
+        # the treated market has data, mostly in labelled years
+        if (key.product, key.country) not in markets and (
+            key is treated or draw(st.integers(0, 5)) > 0
+        ):
+            regions = draw(st.sampled_from([(None,), REGIONS]))
+            starts = ["overlap"] * (6 if key is treated else 3) + list(STARTS)
+            markets[key.product, key.country] = regions, draw(st.sampled_from(starts))
+    n_weeks = draw(st.integers(60, 130))
+    missing = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    tasks = [
+        EstimationTask(treated=treated, control=control, outcome=outcome, bootstrap_reps=0)
+        for control in controls
+        for outcome in Outcome
+    ]
+    return calendar, markets, n_weeks, missing, draw(st.permutations(tasks))
+
+
+def group_panel(markets, n_weeks, missing, seed):
+    """(store, observations) of the markets: rows in random order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for (product, country), (regions, start) in sorted(markets.items()):
+        first, most = STARTS[start]
+        for region in regions:
+            rows += [
+                price_row(product, country, first.offset(i), float(rng.uniform(20.0, 200.0)),
+                          region=region)
+                for i in range(min(n_weeks, most))
+                if rng.random() >= missing
+            ]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return PanelStore(rows), rows
+
+
+def columns(rows) -> tuple:
+    """Each row's series and the bytes of its week, value, phase and season."""
+    return (
+        [rows.keys[code] for code in rows.series.tolist()],
+        *(getattr(rows, name).tobytes() for name in ("week", "value", "phase", "season")),
+    )
+
+
+def oracle_columns(rows) -> tuple:
+    """``columns`` of the row-level oracle's outcome rows."""
+    return (
+        [row.series for row in rows],
+        np.array([row.week.ordinal for row in rows], dtype=np.int64).tobytes(),
+        np.array([row.value for row in rows], dtype=float).tobytes(),
+        np.array([row.phase.code for row in rows], dtype=np.int8).tobytes(),
+        np.array([row.season.index for row in rows], dtype=np.int64).tobytes(),
+    )
+
+
+class TestGroupBlocksEqualTheRowLevelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(task_groups(), st.integers(0, 2**32 - 1))
+    def test_every_task_of_a_group(self, group_, seed):
+        calendar, markets, n_weeks, missing, tasks = group_
+        store, observations = group_panel(markets, n_weeks, missing, seed)
+        group = TaskGroup(tasks, store, calendar)
+        for task in tasks:
+            got = outcome_of(
+                lambda: tuple(map(columns, prepare_outcome_rows(task, store, calendar, group)))
+            )
+            want = outcome_of(
+                lambda: tuple(map(oracle_columns,
+                                  oracles.prepare_outcome_rows(task, observations, calendar)))
+            )
+            assert got == want, task
+
+    def test_a_group_needs_one_treated_market(self):
+        tasks = [
+            EstimationTask(treated=SeriesKey(product, Quality.CONVENTIONAL, "CH"),
+                           control=SeriesKey(product, Quality.CONVENTIONAL, "DE"),
+                           outcome=Outcome.LEVEL, bootstrap_reps=0)
+            for product in PRODUCTS
+        ]
+        with pytest.raises(ValueError, match="share one treated market"):
+            TaskGroup(tasks, PanelStore(), ProtectionCalendar({}))
 
 
 def same_sample(got, want) -> bool:
@@ -176,7 +305,7 @@ class TestSamplesEqualTheRowLevelOracle:
 # reuse in a batch and failures per task
 
 
-def test_cli_run_labels_each_series_once_per_window_product(tmp_path, monkeypatch):
+def test_cli_run_labels_each_row_once_on_the_one_window(tmp_path, monkeypatch):
     treated = []
     controls = []
     for country in ("AT", "DE", "FR"):
@@ -196,18 +325,21 @@ def test_cli_run_labels_each_series_once_per_window_product(tmp_path, monkeypatc
         "reps = 0\n"
         f"output_dir = {tmp_path / 'out'}\n"
     )
-    calls = []
+    labelled = []
     label_panel = pipeline.label_panel
 
-    def counting_label_panel(rows, calendar, window_product=None):
-        calls.append((rows.keys[rows.series[0]].country, window_product))
+    def recording_label_panel(rows, calendar, window_product=None):
+        labelled.extend((rows.keys[code].country, week, window_product)
+                        for code, week in zip(rows.series.tolist(), rows.week.tolist()))
         return label_panel(rows, calendar, window_product=window_product)
 
-    monkeypatch.setattr(pipeline, "label_panel", counting_label_panel)
+    monkeypatch.setattr(pipeline, "label_panel", recording_label_panel)
     assert main(["run", "--config", str(tmp_path / "run.cfg"), "--workers", "1"]) == EXIT_OK
-    # 3 controls x 2 outcomes = 6 tasks over 4 series, all on the one window.
-    product = config.product
-    assert sorted(calls) == [(c, product) for c in ("AT", "CH", "DE", "FR")]
+    # 3 controls x 2 outcomes = 6 tasks: every row of CH, AT, DE and FR is
+    # labelled exactly once, on the treated product's window.
+    rows = [(obs.country, obs.week.ordinal, config.product) for obs in treated + controls]
+    assert {country for country, _, _ in rows} == {"CH", "AT", "DE", "FR"}
+    assert sorted(labelled) == sorted(rows)
 
 
 class TestFailuresStayPerTask:

@@ -8,15 +8,17 @@ every week is assigned to a season so that adjacent protected phases never
 share a season.
 """
 
+import numpy as np
+
 from seasondid import (
     IsoWeek,
     MonthDay,
     PhaseLabel,
     ProtectionCalendar,
     ProtectionWindow,
-    assign_season_week,
     label_week,
     offset_weeks,
+    week_seasons,
 )
 
 # A tomato window: protection runs from May 10 through August 31, every year.
@@ -34,9 +36,10 @@ for label, count in counts.items():
 
 # Seasons split the year at the midpoint of the unprotected gap, so the weeks
 # trailing one protected phase and the weeks leading into the next end up in
-# different seasons.
-for week in (IsoWeek(2016, 2), IsoWeek(2016, 30), IsoWeek(2016, 52)):
-    season = assign_season_week(window, week)
+# different seasons. The rule works on arrays of ISO-week ordinals.
+weeks = [IsoWeek(2016, 2), IsoWeek(2016, 30), IsoWeek(2016, 52)]
+seasons = week_seasons(window, np.array([week.ordinal for week in weeks]))
+for week, season in zip(weeks, seasons.tolist()):
     print(f"{week} -> season {season} ({label_week(window, week).value})")
 
 # The pre-trend diagnostic works on the whole weeks just before protection

@@ -72,10 +72,11 @@ from .panel import (
     Quality,
     SeriesKey,
     apply_boundary_exclusion,
-    assign_season_week,
     label_panel,
     label_week,
     season_start_week,
+    week_phases,
+    week_seasons,
 )
 from .pipeline import TaskGroup, TaskResult, prepare_outcome_rows, run_task, task_seed
 from .simgen import SimConfig, build_calendar, generate_panel, true_effect

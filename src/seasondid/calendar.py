@@ -75,8 +75,10 @@ class ProtectionWindow:
         )
 
     def start_week(self, year: int) -> IsoWeek:
-        """ISO week containing the window start in ``year``."""
-        return IsoWeek.from_date(self.start.date_in(year))
+        """ISO week of the window's first day in ``year``: a 02-29 start
+        opens on 03-01 of a common year."""
+        day = self.start.date_in(year)
+        return IsoWeek.from_date(day if self.contains(day) else day + dt.timedelta(days=1))
 
     def end_week(self, year: int) -> IsoWeek:
         """ISO week containing the window end in ``year``."""

@@ -113,6 +113,8 @@ class TaskSpec:
 
 
 def _parse_text(text: str, key: str) -> str:
+    if not text:
+        raise ConfigError(f"config key {key!r} is empty")
     return text
 
 

@@ -12,7 +12,7 @@
   comparison-country dummies derived from the rows, pooled and per quality.
 
 Offsets are counted in whole non-Boundary weeks walking back from the week
-containing the protection start; Boundary weeks are skipped, not counted.
+of the window's first day; Boundary weeks are skipped, not counted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .ingest import (
     read_attributes,
     read_table,
 )
-from .panel import PHASES, Outcome, PanelRows, PhaseLabel, Quality, label_week
+from .panel import PHASES, Outcome, PanelRows, PhaseLabel, Quality, week_phases
 from .weeks import IsoWeek
 
 _MAX_OFFSET_WALK = 120
@@ -100,18 +100,14 @@ def offset_weeks(window: ProtectionWindow, year: int, count: int) -> tuple[IsoWe
     start, nearest first (offset -1, -2, ...). Boundary weeks are skipped.
     Returns fewer than ``count`` weeks if the walk runs into the previous
     protection phase. Each (window, year, count) is walked once."""
-    collected: list[IsoWeek] = []
-    week = window.start_week(year).prev()
-    for _ in range(_MAX_OFFSET_WALK):
-        label = label_week(window, week)
-        if label is PhaseLabel.PROTECTED:
-            break
-        if label is PhaseLabel.UNPROTECTED:
-            collected.append(week)
-            if len(collected) == count:
-                break
-        week = week.prev()
-    return tuple(collected)
+    if count < 0:
+        raise ValueError(f"offset count must be >= 0, got {count}")
+    start = window.start_week(year).ordinal
+    weeks = np.arange(start - 1, start - 1 - _MAX_OFFSET_WALK, -1)
+    phases = week_phases(window, weeks)
+    before = np.logical_and.accumulate(phases != PhaseLabel.PROTECTED.code)
+    picked = weeks[before & (phases == PhaseLabel.UNPROTECTED.code)][:count]
+    return tuple(IsoWeek.from_ordinal(week) for week in picked.tolist())
 
 
 def _runs(values: np.ndarray, starts: list[int]) -> list[np.ndarray]:
@@ -196,15 +192,10 @@ def pretrend_placebo(
 
 
 def _protected_weeks(window: ProtectionWindow, year: int) -> list[IsoWeek]:
-    start = window.start_week(year)
-    end = window.end_week(year)
-    weeks = []
-    week = start
-    while not end < week:
-        if label_week(window, week) is PhaseLabel.PROTECTED:
-            weeks.append(week)
-        week = week.next()
-    return weeks
+    """The Protected weeks from the year's start week to its end week."""
+    weeks = np.arange(window.start_week(year).ordinal, window.end_week(year).ordinal + 1)
+    protected = weeks[week_phases(window, weeks) == PhaseLabel.PROTECTED.code]
+    return [IsoWeek.from_ordinal(week) for week in protected.tolist()]
 
 
 def rolling_biweekly_effects(

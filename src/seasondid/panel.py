@@ -143,13 +143,8 @@ class PanelRows:
 
 @functools.lru_cache(maxsize=None)
 def label_week(window: ProtectionWindow, week: IsoWeek) -> PhaseLabel:
-    """Phase of ``week`` under ``window``, by checking all seven days."""
-    inside = [window.contains(day) for day in week.days()]
-    if all(inside):
-        return PhaseLabel.PROTECTED
-    if not any(inside):
-        return PhaseLabel.UNPROTECTED
-    return PhaseLabel.BOUNDARY
+    """Phase of ``week`` under ``window``: ``week_phases`` of one week."""
+    return PHASES[week_phases(window, np.array([week.ordinal]))[0]]
 
 
 def check_labelled_year(year: int, what: str = "year") -> None:
@@ -160,6 +155,15 @@ def check_labelled_year(year: int, what: str = "year") -> None:
         raise ConfigError(
             f"{what} {year} is outside 3..9998, the years whose weeks can be labelled"
         )
+
+
+def labelled_years(weeks: np.ndarray) -> tuple[int, int]:
+    """Years of the earliest and the latest of ``weeks`` (ISO-week ordinals),
+    checked by ``check_labelled_year`` in that order."""
+    years = tuple(IsoWeek.from_ordinal(int(week)).year for week in (weeks.min(), weeks.max()))
+    for year in years:
+        check_labelled_year(year)
+    return years
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,15 +179,6 @@ def season_start_week(window: ProtectionWindow, year: int) -> IsoWeek:
     return prev_end.offset(1 + (gap - 1) // 2)
 
 
-def assign_season_week(window: ProtectionWindow, week: IsoWeek) -> int:
-    """Season index owning ``week``. Seasons tile the week axis with no gaps,
-    so exactly one candidate year matches."""
-    for candidate in (week.year + 1, week.year, week.year - 1):
-        if not week < season_start_week(window, candidate):
-            return candidate
-    raise AssertionError(f"no season found for {week}")  # pragma: no cover
-
-
 def label_panel(
     rows: PanelRows, calendar: ProtectionCalendar, window_product: str | None = None
 ) -> PanelRows:
@@ -191,13 +186,9 @@ def label_panel(
 
     ``window_product`` labels every row against that product's window
     regardless of the row's own product. This is how control-country series
-    are placed on the treated product's protection timeline. Phase and
-    season are worked out once per distinct (window product, week), then
-    spread to the rows: the phase by day arithmetic over the week's seven
-    days (``_week_phases``, the rule of ``label_week``), the season as the
-    last one whose ``season_start_week`` is not after the week, which is
-    what ``assign_season_week`` returns. Weeks of a year that
-    ``check_labelled_year`` refuses are a ConfigError.
+    are placed on the treated product's protection timeline. Phase
+    (``week_phases``) and season (``week_seasons``) are worked out once per
+    distinct (window product, week), then spread to the rows.
     """
     groups: dict[str, list[int]] = {}
     for code in dict.fromkeys(rows.series.tolist()):  # products in row order
@@ -209,21 +200,16 @@ def label_panel(
         window = calendar.window_for(product)
         mask = np.isin(rows.series, group) if len(groups) > 1 else slice(None)
         weeks, inverse = np.unique(rows.week[mask], return_inverse=True)
-        phase[mask] = _week_phases(window, weeks)[inverse]
-        first, last = (IsoWeek.from_ordinal(week) for week in weeks[[0, -1]].tolist())
-        check_labelled_year(first.year)
-        check_labelled_year(last.year)
-        years = range(first.year - 1, last.year + 2)
-        starts = [season_start_week(window, year).ordinal for year in years]
-        season[mask] = years[0] - 1 + np.searchsorted(starts, weeks, side="right")[inverse]
+        phase[mask] = week_phases(window, weeks)[inverse]
+        season[mask] = week_seasons(window, weeks)[inverse]
     return PanelRows(rows.keys, rows.series, rows.week, rows.value, phase, season)
 
 
-def _week_phases(window: ProtectionWindow, weeks: np.ndarray) -> np.ndarray:
-    """Phase code of each ISO-week ordinal in ``weeks``: ``label_week``'s
-    rule, with each of the seven days tested as ``window.contains`` does,
-    month * 100 + day against the window's ends (so a 02-29 end takes in
-    02-28 of a common year, and a 02-29 start leaves it out)."""
+def week_phases(window: ProtectionWindow, weeks: np.ndarray) -> np.ndarray:
+    """Phase code of each ISO-week ordinal in ``weeks``, with each of the
+    seven days tested as ``window.contains`` does, month * 100 + day against
+    the window's ends (so a 02-29 end takes in 02-28 of a common year, and a
+    02-29 start leaves it out)."""
     # week w runs from day ordinal 7w + 1 (Monday) to 7w + 7
     days = (7 * weeks[:, None] + np.arange(1, 8) - _EPOCH_ORDINAL).astype("M8[D]")
     months = days.astype("M8[M]")
@@ -234,6 +220,16 @@ def _week_phases(window: ProtectionWindow, weeks: np.ndarray) -> np.ndarray:
     codes[inside == 7] = PhaseLabel.PROTECTED.code
     codes[inside == 0] = PhaseLabel.UNPROTECTED.code
     return codes
+
+
+def week_seasons(window: ProtectionWindow, weeks: np.ndarray) -> np.ndarray:
+    """Season index of each ISO-week ordinal in ``weeks`` (not empty): the
+    last season whose ``season_start_week`` is not after the week. Weeks of
+    a year that ``check_labelled_year`` refuses are a ConfigError."""
+    first, last = labelled_years(weeks)
+    years = range(first - 1, last + 2)
+    starts = [season_start_week(window, year).ordinal for year in years]
+    return years[0] - 1 + np.searchsorted(starts, weeks, side="right")
 
 
 def apply_boundary_exclusion(panel: PanelRows) -> PanelRows:

@@ -38,15 +38,14 @@ from .panel import (
     PanelRows,
     SeriesKey,
     apply_boundary_exclusion,
-    check_labelled_year,
     label_panel,
+    labelled_years,
 )
 from .transforms import (
     compute_volatility,
     restrict_to_production_weeks,
     standardize_prices,
 )
-from .weeks import IsoWeek
 
 
 def task_seed(master_seed: int, key: str) -> int:
@@ -73,7 +72,7 @@ class TaskGroup:
     ``outcome_rows`` call per outcome. Series codes run market by market and
     both transforms keep series order, so each market's rows are a
     contiguous slice of every block. A market with weeks in a year that
-    ``check_labelled_year`` refuses stays out of the labelled block, so its
+    ``labelled_years`` refuses stays out of the labelled block, so its
     error is raised by its own tasks alone.
     """
 
@@ -139,11 +138,10 @@ class TaskGroup:
 
 
 def _year_error(weeks: np.ndarray) -> str | None:
-    """What ``label_panel``'s year check says of these week ordinals: the
-    error for the earliest and then the latest week's year, or None."""
+    """What ``labelled_years`` says of these week ordinals, or None."""
     try:
-        for week in (weeks.min(), weeks.max()) if weeks.size else ():
-            check_labelled_year(IsoWeek.from_ordinal(int(week)).year)
+        if weeks.size:
+            labelled_years(weeks)
     except ConfigError as exc:
         return str(exc)
     return None

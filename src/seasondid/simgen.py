@@ -32,8 +32,8 @@ import numpy as np
 
 from .calendar import MonthDay, ProtectionCalendar, ProtectionWindow
 from .errors import ConfigError
-from .panel import PhaseLabel, PriceObservation, Quality, assign_season_week, label_week
-from .panel import check_labelled_year
+from .panel import PhaseLabel, PriceObservation, Quality, check_labelled_year, week_phases
+from .panel import week_seasons
 from .weeks import IsoWeek
 
 _SHOCK_STREAM = 0
@@ -115,11 +115,10 @@ class SimConfig:
 class _SeasonProfile:
     year: int
     weeks: tuple[IsoWeek, ...]
-    labels: tuple[PhaseLabel, ...]
+    protected: np.ndarray       # mask of the protected weeks
     treated_index: np.ndarray   # noise-free treated index, effect not applied
     control_index: np.ndarray   # noise-free control index
     effect_increment: float     # index increment on protected weeks
-    n_protected: int
     bias: float                 # standardized-scale DiD bias from divergence/shocks
 
 
@@ -153,17 +152,15 @@ def _season_profiles(cfg: SimConfig) -> list[_SeasonProfile]:
         weeks = tuple(
             IsoWeek(year, cfg.season_start_week + j) for j in range(cfg.weeks_per_season)
         )
-        if (
-            assign_season_week(window, weeks[0]) != year
-            or assign_season_week(window, weeks[-1]) != year
-        ):
+        ordinals = np.array([week.ordinal for week in weeks])
+        if (week_seasons(window, ordinals) != year).any():
             raise ConfigError(
                 f"production weeks of year {year} spill outside season {year}; "
                 "move the protection window closer to the middle of the season block"
             )
-        labels = tuple(label_week(window, w) for w in weeks)
-        protected = np.array([lab is PhaseLabel.PROTECTED for lab in labels])
-        unprotected = np.array([lab is PhaseLabel.UNPROTECTED for lab in labels])
+        phases = week_phases(window, ordinals)
+        protected = phases == PhaseLabel.PROTECTED.code
+        unprotected = phases == PhaseLabel.UNPROTECTED.code
         if not protected.any() or not unprotected.any():
             raise ConfigError(
                 f"season {year} lacks a protected or an unprotected phase after labeling"
@@ -202,11 +199,10 @@ def _season_profiles(cfg: SimConfig) -> list[_SeasonProfile]:
             _SeasonProfile(
                 year=year,
                 weeks=weeks,
-                labels=labels,
+                protected=protected,
                 treated_index=treated_index,
                 control_index=control_index,
                 effect_increment=increment,
-                n_protected=m,
                 bias=treated_gap - control_gap,
             )
         )
@@ -221,7 +217,7 @@ def true_effect(cfg: SimConfig) -> float:
     weighted by each season's protected-week count.
     """
     profiles = _season_profiles(cfg)
-    weights = np.array([p.n_protected for p in profiles], dtype=float)
+    weights = np.array([p.protected.sum() for p in profiles], dtype=float)
     biases = np.array([p.bias for p in profiles])
     return cfg.true_atet + float(weights @ biases / weights.sum())
 
@@ -239,10 +235,9 @@ def generate_panel(
     treated: list[PriceObservation] = []
     control: list[PriceObservation] = []
     for index, profile in enumerate(_season_profiles(cfg)):
-        protected = np.array([lab is PhaseLabel.PROTECTED for lab in profile.labels])
         specs = (
             (_TREATED_STREAM, cfg.treated_country, cfg.base_price_treated,
-             profile.treated_index + profile.effect_increment * protected, treated),
+             profile.treated_index + profile.effect_increment * profile.protected, treated),
             (_CONTROL_STREAM, cfg.control_country, cfg.base_price_control,
              profile.control_index, control),
         )

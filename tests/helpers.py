@@ -3,7 +3,10 @@
 
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
+from hypothesis import strategies as st
 
 from seasondid import (
     PHASES,
@@ -18,6 +21,12 @@ from seasondid import (
     ProtectionWindow,
     Quality,
     SeriesKey,
+)
+
+
+# month-days anywhere in the year, 02-29 included, for drawing windows
+month_days = st.dates(dt.date(2000, 1, 1), dt.date(2000, 12, 31)).map(
+    lambda day: MonthDay(day.month, day.day)
 )
 
 

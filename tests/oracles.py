@@ -14,11 +14,15 @@ is the point. Three parts reuse the package on purpose:
   ``row_level_ols_did`` reuses its sample type and ``fit_ols``: what it
   checks is the reduction of the OLS DiD to the (cell, stratum) bins.
 * the row-level data preparation at the end (one object per row, from
-  ``rows_matching`` to ``describe_distribution``) reuses its scalar week
-  rules (``label_week``, ``assign_season_week``, ``offset_weeks``), its row
-  and sample types, its estimators and its bootstrap: what it checks is the
-  array bookkeeping of the package's columnar pipeline, which must give the
-  same samples bit for bit.
+  ``rows_matching`` to ``describe_distribution``) reuses its row and sample
+  types, its year check, its estimators and its bootstrap: what it checks
+  is the array bookkeeping of the package's columnar pipeline, which must
+  give the same samples bit for bit. Its week rules are the scalar ones here
+  (``label_week``, ``assign_season_week``, ``offset_weeks``,
+  ``protected_weeks``), walked one ``IsoWeek`` at a time; they share with
+  the package only ``ProtectionWindow`` (its ``contains`` and its start
+  and end weeks), the walk limit and ``season_start_week``, which
+  ``midpoint_week_by_enumeration`` checks.
 """
 
 from __future__ import annotations
@@ -39,7 +43,12 @@ from seasondid.did import (
     cell_means_did,
     two_sided_normal_p,
 )
-from seasondid.diagnostics import BiweekEffect, PhaseSummary, PlaceboResult, offset_weeks
+from seasondid.diagnostics import (
+    _MAX_OFFSET_WALK,
+    BiweekEffect,
+    PhaseSummary,
+    PlaceboResult,
+)
 from seasondid.errors import (
     BootstrapDegenerateError,
     ConfigError,
@@ -54,9 +63,8 @@ from seasondid.panel import (
     PhaseLabel,
     PriceObservation,
     SeriesKey,
-    assign_season_week,
     check_labelled_year,
-    label_week,
+    season_start_week,
 )
 from seasondid.weeks import IsoWeek
 
@@ -383,6 +391,59 @@ def row_level_bootstrap(sample, estimator, reps: int, seed: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# week rules, one week at a time
+
+
+def label_week(window, week) -> PhaseLabel:
+    """Phase of ``week`` from its seven days, each tested by ``window.contains``."""
+    inside = [window.contains(day) for day in week.days()]
+    if all(inside):
+        return PhaseLabel.PROTECTED
+    if not any(inside):
+        return PhaseLabel.UNPROTECTED
+    return PhaseLabel.BOUNDARY
+
+
+def assign_season_week(window, week) -> int:
+    """Season owning ``week``: of the candidate years y + 1, y and y - 1, the
+    first whose ``season_start_week`` is not after it."""
+    for candidate in (week.year + 1, week.year, week.year - 1):
+        if not week < season_start_week(window, candidate):
+            return candidate
+    raise AssertionError(f"no season found for {week}")
+
+
+def offset_weeks(window, year, count) -> tuple:
+    """Walk back from the year's start week one week at a time, for at most
+    ``_MAX_OFFSET_WALK`` weeks: stop at a Protected week, skip a Boundary
+    week, collect an Unprotected one until ``count`` are collected."""
+    collected = []
+    week = window.start_week(year)
+    for _ in range(_MAX_OFFSET_WALK):
+        if len(collected) == count:
+            break
+        week = week.prev()
+        label = label_week(window, week)
+        if label is PhaseLabel.PROTECTED:
+            break
+        if label is PhaseLabel.UNPROTECTED:
+            collected.append(week)
+    return tuple(collected)
+
+
+def protected_weeks(window, year) -> list:
+    """The Protected weeks from the year's start week to its end week, walked
+    forward one week at a time."""
+    protected = []
+    week = window.start_week(year)
+    while not window.end_week(year) < week:
+        if label_week(window, week) is PhaseLabel.PROTECTED:
+            protected.append(week)
+        week = week.next()
+    return protected
+
+
+# ---------------------------------------------------------------------------
 # row-level data preparation: the pipeline one row object at a time
 
 
@@ -643,12 +704,7 @@ def rolling_biweekly_effects(task, treated_rows, control_rows, calendar, reps, s
         pre = offset_weeks(window, year, 2)
         if len(pre) < 2:
             continue
-        protected = []
-        week = window.start_week(year)
-        while not window.end_week(year) < week:
-            if label_week(window, week) is PhaseLabel.PROTECTED:
-                protected.append(week)
-            week = week.next()
+        protected = protected_weeks(window, year)
         season_pre[year] = pre
         season_biweeks[year] = [protected[i : i + 2] for i in range(0, len(protected), 2)]
     n_biweeks = max((len(chunks) for chunks in season_biweeks.values()), default=0)

@@ -4,11 +4,14 @@ import csv
 import datetime as dt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from seasondid import IsoWeek, MonthDay, ProtectionCalendar, ProtectionWindow
+from seasondid import IsoWeek, MonthDay, PhaseLabel, ProtectionCalendar, ProtectionWindow
 from seasondid.errors import CalendarError, CalendarMissError
 
-from helpers import window
+import oracles
+from helpers import month_days, window
 
 
 class TestMonthDay:
@@ -63,6 +66,27 @@ class TestProtectionWindow:
             assert end_week.monday() <= dt.date(year, 8, 31) <= end_week.sunday()
         assert win.start_week(2016) == IsoWeek(2016, 19)
         assert win.end_week(2016) == IsoWeek(2016, 35)
+
+    @pytest.mark.parametrize("year", [2010, 2021, 2027, 2038])
+    def test_a_leap_day_start_opens_on_march_1_of_a_common_year(self, year):
+        # Feb 28 is a Sunday in these years: its week lies wholly outside a
+        # window whose first day is Mar 1, the Monday after
+        win = window("02-29", "06-30")
+        assert dt.date(year, 2, 28).isoweekday() == 7
+        assert win.start_week(year) == IsoWeek.from_date(dt.date(year, 3, 1))
+        assert win.start_week(2020) == IsoWeek.from_date(dt.date(2020, 2, 29))
+        assert win.end_week(year) == IsoWeek.from_date(dt.date(year, 6, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(month_days, month_days, st.integers(1995, 2030))
+@example(MonthDay(2, 29), MonthDay(6, 30), 2021)  # Feb 28 2021 is a Sunday
+@example(MonthDay(1, 10), MonthDay(2, 29), 2021)
+def test_start_and_end_weeks_hold_a_day_of_the_window(start, end, year):
+    assume(start < end)
+    win = ProtectionWindow(start, end)
+    for edge in (win.start_week(year), win.end_week(year)):
+        assert oracles.label_week(win, edge) is not PhaseLabel.UNPROTECTED
 
 
 class TestCalendarFile:

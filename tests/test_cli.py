@@ -187,6 +187,16 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["product", "treated_country", "control_country"])
+    def test_an_empty_name_is_refused_before_anything_is_written(self, tmp_path, capsys, key):
+        # an empty name would write a prices.csv that ingest refuses
+        sim_cfg = tmp_path / "sim.cfg"
+        sim_cfg.write_text(SIM_CFG + f"{key} =\n")
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", str(sim_cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config key '{key}' is empty" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_estimates_land_near_the_injected_effect(self, workspace):
@@ -338,6 +348,13 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         for status in manifest["tasks"]:
             assert status["status"].startswith("infeasible: small_cell")
+
+    def test_an_empty_treated_country_is_refused_before_ingest(self, workspace, capsys):
+        cfg, out = write_run_cfg(
+            workspace, extra="treated_country =\ntask = simulated-vegetable:conventional:DE\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config key 'treated_country' is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unestimable_task_fails_the_run(self, workspace):
         cfg, out = write_run_cfg(

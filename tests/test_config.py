@@ -130,6 +130,7 @@ class TestRunConfig:
             (MINIMAL + "attributes = a.csv\n", r"unknown config keys: \['attributes'\]"),
             (MINIMAL + "outcomes = levels\n", "invalid outcomes"),
             (MINIMAL + "outcomes = ,\n", "empty"),
+            (MINIMAL + "treated_country =\n", "config key 'treated_country' is empty"),
             (MINIMAL + "methods = gmm\n", "subset of ipw,ols"),
             (MINIMAL + "covariates = none_at_all\n", "invalid covariates"),
             (MINIMAL + "covariates = seasonal_plus_biweekly_fe\n", "invalid covariates"),
@@ -275,6 +276,9 @@ class TestSimConfigFile:
             ("midweek_boundaries = perhaps\n", "expects a boolean"),
             ("common_trend = 1, fast\n", "comma-separated numbers"),
             ("weeks_per_season = 3\n", "weeks_per_season"),
+            ("product =\n", "config key 'product' is empty"),
+            ("treated_country =\n", "config key 'treated_country' is empty"),
+            ("control_country =  \n", "config key 'control_country' is empty"),
         ],
     )
     def test_invalid_files(self, tmp_path, text, needle):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,6 +22,7 @@ from seasondid import (
     PanelStore,
     PhaseLabel,
     ProtectionCalendar,
+    ProtectionWindow,
     Quality,
     SeriesKey,
     SimConfig,
@@ -40,9 +41,8 @@ from seasondid import (
 from seasondid import diagnostics
 from seasondid.errors import ConfigError, InfeasibleSampleError, IngestError, SeasonDidError
 from seasondid.ingest import ATTRIBUTE_HEADER, EFFECTS_COLUMNS
-from seasondid.panel import label_week
 
-from helpers import basic_task, panel_rows, price_row, week, weeks_of, window
+from helpers import basic_task, month_days, panel_rows, price_row, week, weeks_of, window
 from oracles import did_from_cell_means, normal_equations_ols
 
 
@@ -102,7 +102,7 @@ class TestOffsetWeeks:
         assert week(2016, 35) not in offsets
         assert week(2016, 36) in offsets
         for wk in offsets:
-            assert label_week(self.MAY_AUG, wk) is PhaseLabel.UNPROTECTED
+            assert oracles.label_week(self.MAY_AUG, wk) is PhaseLabel.UNPROTECTED
 
     def test_walk_stops_at_the_previous_protection_phase(self):
         offsets = offset_weeks(self.MAY_AUG, 2017, 200)
@@ -110,12 +110,35 @@ class TestOffsetWeeks:
         # the furthest week collected is the first non-boundary week after
         # the previous protected phase
         assert offsets[-1] == week(2016, 36)
-        assert label_week(self.MAY_AUG, offsets[-1].prev()) is not PhaseLabel.UNPROTECTED
+        before = oracles.label_week(self.MAY_AUG, offsets[-1].prev())
+        assert before is not PhaseLabel.UNPROTECTED
 
     def test_offsets_are_nearest_first_and_distinct(self):
         offsets = offset_weeks(self.MAY_AUG, 2016, 6)
         assert len(set(offsets)) == 6
         assert all(b < a for a, b in zip(offsets, offsets[1:]))
+
+    def test_a_zero_count_is_empty_and_a_negative_one_refused(self):
+        assert offset_weeks(self.MAY_AUG, 2016, 0) == ()
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            offset_weeks(self.MAY_AUG, 2016, -1)
+
+    def test_a_leap_day_start_counts_back_from_march_1(self):
+        # in 2021 the week of Sunday Feb 28 is the unprotected week right
+        # before a window whose first day is Monday Mar 1
+        offsets = offset_weeks(window("02-29", "06-30"), 2021, 4)
+        assert offsets == (week(2021, 8), week(2021, 7), week(2021, 6), week(2021, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(month_days, month_days, st.integers(1995, 2030), st.integers(0, 8))
+def test_the_array_walks_match_the_week_by_week_walks(start, end, year, count):
+    # windows anywhere in the year, from one day long (no protected week,
+    # so the offset walk runs to its limit) to nearly all of it
+    assume(start < end)
+    win = ProtectionWindow(start, end)
+    assert offset_weeks(win, year, count) == oracles.offset_weeks(win, year, count)
+    assert diagnostics._protected_weeks(win, year) == oracles.protected_weeks(win, year)
 
 
 class TestPretrendPlacebo:

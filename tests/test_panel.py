@@ -1,28 +1,27 @@
 """Phase labeling and season assignment."""
 
-import datetime as dt
-
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seasondid import (
     IsoWeek,
-    MonthDay,
     ProtectionWindow,
     PhaseLabel,
     ProtectionCalendar,
     apply_boundary_exclusion,
-    assign_season_week,
     label_panel,
     label_week,
     season_start_week,
     week_range,
+    week_seasons,
     weeks_between,
 )
 from seasondid.errors import CalendarMissError, ConfigError
 
-from helpers import panel_rows, phases_of, price_row, week, weeks_of, window
+import oracles
+from helpers import month_days, panel_rows, phases_of, price_row, week, weeks_of, window
 from oracles import midpoint_week_by_enumeration
 
 MAY_AUG = window("05-10", "08-31")
@@ -82,10 +81,14 @@ class TestSeasonStart:
             assert label_week(MAY_AUG, start) is not PhaseLabel.PROTECTED
 
 
+def seasons_of(window_, weeks) -> list[int]:
+    return week_seasons(window_, np.array([w.ordinal for w in weeks])).tolist()
+
+
 class TestAssignSeason:
     def test_seasons_tile_the_week_axis(self):
         weeks = week_range(week(2014, 30), week(2018, 30))
-        seasons = [assign_season_week(MAY_AUG, w) for w in weeks]
+        seasons = seasons_of(MAY_AUG, weeks)
         assert seasons == sorted(seasons)
         for previous, current, current_week in zip(seasons, seasons[1:], weeks[1:]):
             assert current - previous in (0, 1)
@@ -93,17 +96,15 @@ class TestAssignSeason:
                 assert season_start_week(MAY_AUG, current) == current_week
 
     def test_each_week_within_its_season_bounds(self):
-        for wk in week_range(week(2015, 1), week(2017, 52)):
-            season = assign_season_week(MAY_AUG, wk)
+        weeks = week_range(week(2015, 1), week(2017, 52))
+        for wk, season in zip(weeks, seasons_of(MAY_AUG, weeks)):
             assert not wk < season_start_week(MAY_AUG, season)
             assert wk < season_start_week(MAY_AUG, season + 1)
 
     def test_protected_weeks_belong_to_their_calendar_year_season(self):
         for year in (2015, 2016, 2017, 2020):
-            for wk in week_range(
-                MAY_AUG.start_week(year).next(), MAY_AUG.end_week(year).prev()
-            ):
-                assert assign_season_week(MAY_AUG, wk) == year
+            weeks = week_range(MAY_AUG.start_week(year).next(), MAY_AUG.end_week(year).prev())
+            assert set(seasons_of(MAY_AUG, weeks)) == {year}
 
 
 class TestLabelPanel:
@@ -180,11 +181,6 @@ class TestLabelPanel:
         assert weeks_of(again) == weeks_of(kept) and again.value.tolist() == kept.value.tolist()
 
 
-month_days = st.dates(dt.date(2000, 1, 1), dt.date(2000, 12, 31)).map(
-    lambda day: MonthDay(day.month, day.day)
-)
-
-
 class TestLeapDayWindows:
     """A window that starts or ends on 02-29 is tested day by day as
     ``ProtectionWindow.contains`` tests it: in a common year no day is
@@ -216,7 +212,7 @@ class TestLeapDayWindows:
     def test_every_week_follows_the_scalar_rule(self, year):
         weeks = week_range(week(year, 1), week(year, 1).offset(IsoWeek.weeks_in_year(year) - 1))
         for window_ in (self.LATE, self.EARLY):
-            assert self.labels(window_, weeks) == [label_week(window_, w) for w in weeks]
+            assert self.labels(window_, weeks) == [oracles.label_week(window_, w) for w in weeks]
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,8 +226,8 @@ def test_label_panel_applies_the_scalar_rules_to_every_row(start, end, year, n_w
              if i not in gaps]
     rows = panel_rows([price_row("okra", "CH", w, 1.0) for w in weeks])
     labeled = label_panel(rows, ProtectionCalendar({"okra": window_}))
-    assert phases_of(labeled) == [label_week(window_, w) for w in weeks]
-    assert labeled.season.tolist() == [assign_season_week(window_, w) for w in weeks]
+    assert phases_of(labeled) == [oracles.label_week(window_, w) for w in weeks]
+    assert labeled.season.tolist() == [oracles.assign_season_week(window_, w) for w in weeks]
 
 
 def test_price_observations_must_be_positive_and_finite():

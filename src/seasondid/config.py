@@ -239,6 +239,10 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.min_cell < 1:
             raise ConfigError(f"min_cell must be >= 1, got {self.min_cell}")
+        for spec in () if self.tasks == "all" else self.tasks:
+            if spec.control.country == self.treated_country:
+                raise ConfigError(f"task {str(spec)!r} has its control in the treated country "
+                                  f"{self.treated_country}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown or not self.methods:
             raise ConfigError(

@@ -167,9 +167,10 @@ def pretrend_placebo(
 
     Within each season, offsets {-2, -1} act as pseudo-post and {-4, -3} as
     pre. Seasons missing any of the four offset weeks in either series are
-    dropped; with no usable season the sample is infeasible. No covariates;
-    the point estimate is the exact 2x2 cell-means DiD and inference is the
-    same stratified bootstrap as the main estimator.
+    dropped; with no usable season the sample is infeasible, and each cell
+    needs ``task.min_cell`` rows, as in ``build_sample``. No covariates or
+    trimming; the point estimate is the exact 2x2 cell-means DiD and
+    inference is the same stratified bootstrap as the main estimator.
     """
     window = calendar.window_for(task.treated.product)
     treated_index = _values_by_week(treated_rows)
@@ -186,6 +187,7 @@ def pretrend_placebo(
             "pretrend_no_complete_season",
             "no season has both series observed at all four pre-protection offsets",
         )
+    sample.cell_table().validate(task.min_cell)
     return PlaceboResult(
         estimate=bootstrap_se(sample, cell_means_did, reps, seed), seasons_used=seasons_used
     )

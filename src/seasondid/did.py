@@ -96,7 +96,8 @@ class CovariateSpec(str, enum.Enum):
 @dataclass(frozen=True)
 class EstimationTask:
     """One treated-versus-control estimation request; each side is the
-    ``SeriesKey`` of one market, and both share a quality."""
+    ``SeriesKey`` of one market, both share a quality, and the control is
+    in another country."""
 
     treated: SeriesKey
     control: SeriesKey
@@ -117,6 +118,11 @@ class EstimationTask:
         if self.treated.quality is not self.control.quality:
             raise ConfigError(
                 f"treated and control series must share a quality: "
+                f"{self.treated} vs {self.control}"
+            )
+        if self.treated.country == self.control.country:
+            raise ConfigError(
+                f"the control series must be in another country than the treated one: "
                 f"{self.treated} vs {self.control}"
             )
 

@@ -10,15 +10,16 @@ positive decimal using ``.`` as the separator. Validation failures carry
 ``skip_bad_rows`` offending rows are dropped and counted instead. Duplicate
 (country, product, quality, region, year, iso_week) keys name both lines.
 Kept rows go into per-series arrays of ISO-week ordinals and prices, the
-columns of a ``PanelStore``.
+columns of a ``PanelStore``, the one gate for what a store may hold.
 
 A price file is first read as columns, 32 KiB of whole lines at a time:
 each chunk is split once as plain text, and each distinct series or week
 text is parsed once. That path takes a file only if it is ASCII, holds no
 ``"``, has the exact header, ``\\n`` or ``\\r\\n`` line ends, no blank line
-and seven fields on every line, and passes every row check. Anything else,
-any problem included, sends the whole file to the row reader, which alone
-reports problems; the columnar path is tested against it.
+and seven fields on every line, holds decimal prices and valid weeks only,
+and makes a store that ``PanelStore`` accepts. Anything else, any problem
+included, sends the whole file to the row reader, which alone reports
+problems; the columnar path is tested against it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import ConfigError, IngestError, utf8_text
-from .panel import PanelRows, PriceObservation, Quality, SeriesKey, check_labelled_year
+from .panel import PanelRows, PriceObservation, Quality, SeriesKey
+from .panel import check_labelled_year, labelled_years
 from .weeks import IsoWeek
 
 PRICE_HEADER = ("country", "product", "quality", "region", "year", "iso_week", "price")
@@ -68,19 +70,20 @@ class IngestReport:
 class PanelStore:
     """Price series as (week ordinal, price) arrays sorted by week, listed in
     (product, quality, country, region) order and indexed by (product,
-    quality, country) market. A series observed twice in one week is
-    refused."""
+    quality, country) market. ``_index``, which builds every store, is the
+    one gate for what a store may hold: over all rows at once it refuses a
+    repeated (series, week), then a price that is not positive and finite
+    (each the first in store order), then a week in a year that
+    ``labelled_years`` refuses."""
 
     def __init__(self, observations: Iterable[PriceObservation] = ()):
-        columns: dict[SeriesKey, dict[int, float]] = {}  # price by week ordinal
+        columns: dict[SeriesKey, tuple[list[int], list[float]]] = {}
         for obs in observations:
-            key = SeriesKey(obs.product, obs.quality, obs.country, obs.region)
-            by_week = columns.setdefault(key, {})
-            if obs.week.ordinal in by_week:
-                raise ConfigError(_duplicate(key, obs.week.ordinal))
-            by_week[obs.week.ordinal] = obs.price
-        self._index({key: (list(by_week), list(by_week.values()))
-                     for key, by_week in columns.items()})
+            weeks, prices = columns.setdefault(
+                SeriesKey(obs.product, obs.quality, obs.country, obs.region), ([], []))
+            weeks.append(obs.week.ordinal)
+            prices.append(obs.price)
+        self._index(columns)
 
     @classmethod
     def from_columns(cls, columns: _Columns) -> "PanelStore":
@@ -99,6 +102,18 @@ class PanelStore:
             self._columns,
             key=lambda k: (k.product, k.quality.value, k.country, k.region or ""),
         )
+        rows = self.rows()
+        week, price, code = rows.week, rows.value, rows.series
+        repeats = np.flatnonzero((week[1:] == week[:-1]) & (code[1:] == code[:-1]))
+        if repeats.size:
+            raise ConfigError(_duplicate(rows.keys[code[repeats[0]]], int(week[repeats[0]])))
+        bad = np.flatnonzero(~((price > 0) & (price < math.inf)))
+        if bad.size:
+            at = bad[0]
+            raise ConfigError(f"price must be a positive finite number, got {float(price[at])!r} "
+                              f"for {_series_week(rows.keys[code[at]], int(week[at]))}")
+        if len(rows):
+            labelled_years(week)
         self._by_market: dict[tuple[str, Quality, str], list[SeriesKey]] = {}
         for key in self._series:
             self._by_market.setdefault((key.product, key.quality, key.country), []).append(key)
@@ -174,8 +189,9 @@ def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelSto
 def _read_price_columns(handle) -> tuple[PanelStore, IngestReport] | None:
     """The store and report of a file on which every row check passes, read
     a chunk of whole lines at a time; None at the first line that a plain
-    split might read unlike ``csv.reader`` or that a row check might refuse,
-    which leaves the file to the row reader."""
+    split might read unlike ``csv.reader`` or whose cells might not parse,
+    or when ``PanelStore`` refuses the rows, which leaves the file to the
+    row reader."""
     if handle.readline() not in _HEADER_LINES:
         return None
     series: dict[SeriesKey, int] = {}  # series id by key, in first-seen order
@@ -190,16 +206,16 @@ def _read_price_columns(handle) -> tuple[PanelStore, IngestReport] | None:
     ids, weeks, prices = (
         (np.concatenate(c) for c in zip(*chunks)) if chunks else (_NO_ROWS[0], *_NO_ROWS)
     )
-    if not (prices > 0).all() or not np.isfinite(prices).all():
-        return None
-    order = np.lexsort((weeks, ids))
-    ids, weeks, prices = ids[order], weeks[order], prices[order]
-    if ((ids[1:] == ids[:-1]) & (weeks[1:] == weeks[:-1])).any():
-        return None  # a duplicate observation
+    del chunks  # as large as the columns: free it before the store copies them
+    order = np.argsort(ids, kind="stable")
+    weeks, prices = weeks[order], prices[order]
     bounds = np.cumsum(np.bincount(ids, minlength=len(series)))[:-1]
     columns = dict(zip(series, zip(np.split(weeks, bounds), np.split(prices, bounds))))
-    report = IngestReport(ids.size, ids.size, 0, _kept_by_country(columns))
-    return PanelStore.from_columns(columns), report
+    try:
+        store = PanelStore.from_columns(columns)
+    except ConfigError:  # a repeated week or a zero or overflowing price
+        return None
+    return store, IngestReport(ids.size, ids.size, 0, _kept_by_country(columns))
 
 
 def _price_chunk(
@@ -312,9 +328,13 @@ def _parse_price_row(
 
 
 def _duplicate(key: SeriesKey, week: int) -> str:
+    return f"duplicate observation for {_series_week(key, week)}"
+
+
+def _series_week(key: SeriesKey, week: int) -> str:
     return (
-        f"duplicate observation for {key.product}/{key.quality}/{key.country}/"
-        f"{key.region or '-'} {IsoWeek.from_ordinal(week)}"
+        f"{key.product}/{key.quality}/{key.country}/{key.region or '-'} "
+        f"{IsoWeek.from_ordinal(week)}"
     )
 
 

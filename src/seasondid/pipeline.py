@@ -36,10 +36,8 @@ from .ingest import PanelStore
 from .panel import (
     Outcome,
     PanelRows,
-    SeriesKey,
     apply_boundary_exclusion,
     label_panel,
-    labelled_years,
 )
 from .transforms import (
     compute_volatility,
@@ -71,9 +69,9 @@ class TaskGroup:
     in one ``label_panel`` call, and put on an outcome's scale in one
     ``outcome_rows`` call per outcome. Series codes run market by market and
     both transforms keep series order, so each market's rows are a
-    contiguous slice of every block. A market with weeks in a year that
-    ``labelled_years`` refuses stays out of the labelled block, so its
-    error is raised by its own tasks alone.
+    contiguous slice of every block. A store holds no week that cannot be
+    labelled, so only a calendar miss, checked first, keeps a block from
+    being labelled, and it fails every task of the group.
     """
 
     def __init__(
@@ -88,63 +86,30 @@ class TaskGroup:
         )}
         # series codes of market i: codes[i] .. codes[i + 1] - 1
         self._codes = np.cumsum([0] + [len(store.market_series(key)) for key in self._market])
-        self._refused: dict[SeriesKey, str] = {}  # market -> its year error
-        self._raw: PanelRows | None = None
         self._labeled: PanelRows | None = None
         self._outcomes: dict[Outcome, list[PanelRows]] = {}  # each market's rows
 
     def task_rows(self, task: EstimationTask) -> tuple[PanelRows, PanelRows]:
         """Transformed (treated, control) outcome rows of one of the tasks,
         or its error: no price data for either side, checked before anything
-        is read, then a calendar miss, then a refused year of the treated
-        and then of the control market, then no overlap."""
-        sides = (("treated", task.treated), ("control", task.control))
-        for side, key in sides:
+        is read, then a calendar miss, then no overlap."""
+        for side, key in (("treated", task.treated), ("control", task.control)):
             if not self.store.has_rows(key):
                 raise ConfigError(f"no price data for {side} series {key}")
         self.calendar.window_for(self.window_product)
-        if self._raw is None:
-            self._read()
-        for _, key in sides:
-            if key in self._refused:
-                raise ConfigError(self._refused[key])
         markets = self._outcome_block(task.outcome)
         treated = markets[self._market[task.treated]]
         return treated, restrict_to_production_weeks(markets[self._market[task.control]], treated)
 
-    def _read(self) -> None:
-        raw = self.store.rows_matching(*self._market)
-        if _year_error(raw.week):
-            edges = raw.series.searchsorted(self._codes).tolist()
-            keep = np.ones(len(raw), dtype=bool)
-            for key, lo, hi in zip(self._market, edges, edges[1:]):
-                error = _year_error(raw.week[lo:hi])
-                if error:
-                    self._refused[key] = error
-                    keep[lo:hi] = False
-            raw = raw.take(keep)
-        self._raw = raw
-
     def _outcome_block(self, outcome: Outcome) -> list[PanelRows]:
         if outcome not in self._outcomes:
             if self._labeled is None:
-                self._labeled = label_panel(
-                    self._raw, self.calendar, window_product=self.window_product
-                )
+                self._labeled = label_panel(self.store.rows_matching(*self._market),
+                                            self.calendar, window_product=self.window_product)
             rows = outcome_rows(self._labeled, outcome)
             edges = rows.series.searchsorted(self._codes).tolist()
             self._outcomes[outcome] = [rows.take(slice(*ends)) for ends in zip(edges, edges[1:])]
         return self._outcomes[outcome]
-
-
-def _year_error(weeks: np.ndarray) -> str | None:
-    """What ``labelled_years`` says of these week ordinals, or None."""
-    try:
-        if weeks.size:
-            labelled_years(weeks)
-    except ConfigError as exc:
-        return str(exc)
-    return None
 
 
 def prepare_outcome_rows(

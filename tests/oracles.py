@@ -14,12 +14,13 @@ is the point. Three parts reuse the package on purpose:
   ``row_level_ols_did`` reuses its sample type and ``fit_ols``: what it
   checks is the reduction of the OLS DiD to the (cell, stratum) bins.
 * the row-level data preparation at the end (one object per row, from
-  ``rows_matching`` to ``describe_distribution``) reuses its row and sample
-  types, its year check, its estimators and its bootstrap: what it checks
-  is the array bookkeeping of the package's columnar pipeline, which must
-  give the same samples bit for bit. Its week rules are the scalar ones here
-  (``label_week``, ``assign_season_week``, ``offset_weeks``,
-  ``protected_weeks``), walked one ``IsoWeek`` at a time; they share with
+  ``store_refusal`` and ``rows_matching`` to ``describe_distribution``)
+  reuses its row and sample types, its year check, its estimators and its
+  bootstrap: what it checks is the array bookkeeping of the package's
+  columnar pipeline, which must give the same samples bit for bit. Its
+  week rules are the scalar ones here (``label_week``,
+  ``assign_season_week``, ``offset_weeks``, ``protected_weeks``), walked
+  one ``IsoWeek`` at a time; they share with
   the package only ``ProtectionWindow`` (its ``contains`` and its start
   and end weeks), the walk limit and ``season_start_week``, which
   ``midpoint_week_by_enumeration`` checks.
@@ -477,6 +478,53 @@ def series_of(obs: PriceObservation) -> SeriesKey:
     return SeriesKey(obs.product, obs.quality, obs.country, obs.region)
 
 
+def store_order(key: SeriesKey) -> tuple:
+    return (key.product, key.quality.value, key.country, key.region or "")
+
+
+def columns_of(observations):
+    """{series: (week ordinals, prices)} of observations, in row order."""
+    columns: dict[SeriesKey, tuple[list[int], list[float]]] = {}
+    for obs in observations:
+        weeks, prices = columns.setdefault(series_of(obs), ([], []))
+        weeks.append(obs.week.ordinal)
+        prices.append(obs.price)
+    return columns
+
+
+def store_refusal(columns):
+    """The error text of a ``PanelStore`` of {series: (week ordinals,
+    prices)}, or None, walked row by row over its series in store order,
+    each sorted by week (stably): the first week seen twice in a series,
+    then the first price that is not positive and finite, then the year of
+    the earliest and of the latest week."""
+    series = [
+        (key, sorted(zip(columns[key][0], columns[key][1]), key=lambda row: row[0]))
+        for key in sorted(columns, key=store_order)
+    ]
+
+    def where(key, week):
+        region = key.region or "-"
+        return f"{key.product}/{key.quality}/{key.country}/{region} {IsoWeek.from_ordinal(week)}"
+
+    for key, rows in series:
+        for (week, _), (next_week, _) in zip(rows, rows[1:]):
+            if week == next_week:
+                return f"duplicate observation for {where(key, week)}"
+    for key, rows in series:
+        for week, price in rows:
+            if not (price > 0 and math.isfinite(price)):
+                return (f"price must be a positive finite number, got {float(price)!r} "
+                        f"for {where(key, week)}")
+    weeks = [week for _, rows in series for week, _ in rows]
+    try:
+        for week in (min(weeks), max(weeks)) if weeks else ():
+            check_labelled_year(IsoWeek.from_ordinal(week).year)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def rows_matching(observations, product, quality, country, region=None):
     """The observations of a (product, quality, country) market: series in
     (product, quality, country, region) order, each sorted by week (stably)."""
@@ -488,8 +536,7 @@ def rows_matching(observations, product, quality, country, region=None):
         if region is None or key.region == region:
             by_series.setdefault(key, []).append(obs)
     rows = []
-    for key in sorted(by_series, key=lambda k: (k.product, k.quality.value, k.country,
-                                                k.region or "")):
+    for key in sorted(by_series, key=store_order):
         rows.extend(sorted(by_series[key], key=lambda o: o.week))
     return rows
 
@@ -676,7 +723,7 @@ def _seasons(treated_rows, control_rows):
 
 def pretrend_placebo(task, treated_rows, control_rows, calendar, reps, seed):
     """Offsets {-2, -1} against {-4, -3}, pooled over the seasons observed at
-    all four in both series."""
+    all four in both series; every cell needs ``task.min_cell`` rows."""
     window = calendar.window_for(task.treated.product)
     contrasts = []
     for year in _seasons(treated_rows, control_rows):
@@ -691,6 +738,7 @@ def pretrend_placebo(task, treated_rows, control_rows, calendar, reps, seed):
             "pretrend_no_complete_season",
             "no season has both series observed at all four pre-protection offsets",
         )
+    validate_cells(sample.cell_table().n_by_cell, task.min_cell)
     return PlaceboResult(
         estimate=bootstrap_se(sample, cell_means_did, reps, seed), seasons_used=seasons_used
     )

@@ -356,6 +356,18 @@ class TestRun:
         assert "config key 'treated_country' is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "pretrend"])
+    def test_a_control_in_the_treated_country_is_refused_before_ingest(
+        self, workspace, capsys, command
+    ):
+        _, data, _, _ = workspace
+        cfg, out = write_run_cfg(workspace, extra="task = simulated-vegetable:conventional:CH\n")
+        (data / "prices.csv").unlink()  # never read
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert ("task 'simulated-vegetable:conventional:CH:simulated-vegetable' has its "
+                "control in the treated country CH") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unestimable_task_fails_the_run(self, workspace):
         cfg, out = write_run_cfg(
             workspace, extra="task = simulated-vegetable:conventional:XX\n")
@@ -431,6 +443,15 @@ class TestPretrend:
         assert level[12] == "25"
         manifest = json.loads((out / "pretrend_manifest.json").read_text())
         assert all(s["status"] == "ok" for s in manifest["tasks"])
+
+    def test_min_cell_applies_to_the_placebo_cells(self, workspace):
+        # three seasons of two pseudo-post and two pre weeks: six rows a cell
+        for min_cell, status in ((6, "ok"), (7, "infeasible: small_cell(D=1,T=1)")):
+            cfg, out = write_run_cfg(workspace, extra=f"min_cell = {min_cell}\n",
+                                     out_name=f"out_{min_cell}")
+            assert main(["pretrend", "--config", str(cfg)]) == EXIT_OK
+            manifest = json.loads((out / "pretrend_manifest.json").read_text())
+            assert [s["status"] for s in manifest["tasks"]] == [status] * 2
 
     def test_pretrend_requires_replicates(self, workspace, capsys):
         _, _, run_cfg, _ = workspace

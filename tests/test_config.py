@@ -155,6 +155,14 @@ class TestRunConfig:
                 "'task' lists 'tomato:organic:DE:tomato' more than once",
             ),
             ("prices = p.csv\ncalendar = c.csv\n", "seed is mandatory"),
+            (
+                MINIMAL + "task = tomato:organic:DE\ntask = tomato:organic:CH\n",
+                "task 'tomato:organic:CH:tomato' has its control in the treated country CH",
+            ),
+            (
+                MINIMAL + "treated_country = DE\ntask = tomato:organic:DE:leek:north\n",
+                "task 'tomato:organic:DE:leek:north' has its control in the treated country DE",
+            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, needle):

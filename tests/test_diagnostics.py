@@ -399,6 +399,24 @@ class TestDiagnosticsEqualTheRowLevelOracle:
             got = describe_distribution(side, outcome)
             assert got == oracles.describe_distribution(oracle_side, outcome)
 
+    @pytest.mark.parametrize("min_cell", [6, 7, 12])
+    def test_the_placebo_reads_min_cell(self, min_cell):
+        cfg = self.CONFIGS["plain"]
+        treated, control, calendar = generate_panel(cfg)
+        observations = treated + control
+        task = basic_task(product=cfg.product, control_country=cfg.control_country,
+                          min_cell=min_cell)
+        rows = prepare_outcome_rows(task, PanelStore(observations), calendar)
+        oracle_rows = oracles.prepare_outcome_rows(task, observations, calendar)
+        got = self.outcome_of(pretrend_placebo, task, *rows, calendar, 30, 7)
+        assert got == self.outcome_of(oracles.pretrend_placebo, task, *oracle_rows, calendar,
+                                      30, 7)
+        # three seasons of two pseudo-post and two pre weeks: six rows a cell
+        if min_cell > 6:
+            assert got[1].startswith("small_cell(D=1,T=1)")
+        else:
+            assert got.estimate.n_by_cell == (6, 6, 6, 6)
+
     @pytest.mark.parametrize("outcome", list(Outcome))
     def test_a_side_that_pools_regions(self, outcome):
         # three control regions, each missing its own weeks, pooled into one

@@ -1206,3 +1206,9 @@ class TestBuildSample:
                 control=SeriesKey("tomato", Quality.ORGANIC, "DE"),
                 outcome=Outcome.LEVEL,
             )
+        # a control in the treated country, of any product or region
+        for control in (SeriesKey("tomato", Quality.CONVENTIONAL, "CH"),
+                        SeriesKey("leek", Quality.CONVENTIONAL, "CH", "north")):
+            with pytest.raises(ConfigError, match="control series must be in another country"):
+                EstimationTask(treated=SeriesKey("tomato", Quality.CONVENTIONAL, "CH"),
+                               control=control, outcome=Outcome.LEVEL)

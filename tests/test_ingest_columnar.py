@@ -4,19 +4,22 @@
 whole lines a chunk at a time and falls back to ``ingest._read_price_rows``
 on any irregularity. Every file here is read both ways: the stores
 (columns, dtypes and series order), the reports and every ``IngestError``
-text must be the same.
+text must be the same. The columnar reader leaves repeated weeks and zero
+or overflowing prices to ``PanelStore``'s gate, tested here too.
 """
 
 import csv
+import math
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seasondid import ingest, read_prices
+import oracles
+from seasondid import IsoWeek, PanelStore, PriceObservation, Quality, SeriesKey, ingest, read_prices
 from seasondid.cli import EXIT_CONFIG, main
-from seasondid.errors import IngestError
+from seasondid.errors import ConfigError, IngestError
 from seasondid.ingest import PRICE_HEADER
 
 HEADER_LINE = ",".join(PRICE_HEADER)
@@ -218,3 +221,92 @@ class TestRouting:
         calendar = tmp_path / "calendar.csv"
         calendar.write_text("tomato,05-10,08-31\n")
         assert main(["ingest", "--prices", str(path), "--calendar", str(calendar)]) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# the store's gate
+
+GATE_KEYS = [SeriesKey(product, quality, country, region)
+             for product in ("tomato", "leek") for quality in Quality
+             for country in ("CH", "DE") for region in (None, "north")]
+GATE_FIRST_WEEK = IsoWeek(2016, 1).ordinal
+BAD_PRICES = (0.0, -1.5, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def gated_columns(draw):
+    """{series: (week ordinals, prices)} of 1-4 series with weeks in any
+    order, and 0-2 faults: a repeated week, a price that is not positive
+    and finite, or a week of year 2 or 9999."""
+    keys = draw(st.lists(st.sampled_from(GATE_KEYS), min_size=1, max_size=4, unique=True))
+    prices = st.floats(0.5, 500.0)
+    columns = {}
+    for key in keys:
+        weeks = draw(st.lists(st.integers(GATE_FIRST_WEEK, GATE_FIRST_WEEK + 60),
+                              max_size=8, unique=True))
+        columns[key] = (weeks, draw(st.lists(prices, min_size=len(weeks),
+                                             max_size=len(weeks))))
+    for _ in range(draw(st.integers(0, 2))):
+        weeks, values = columns[draw(st.sampled_from(keys))]
+        fault = draw(st.sampled_from(["repeat", "price", "year"]))
+        at = draw(st.integers(0, len(weeks) - 1)) if weeks else None
+        if fault == "repeat" and weeks:
+            weeks.insert(draw(st.integers(0, len(weeks))), weeks[at])
+            values.append(draw(prices))
+        elif fault == "price" and weeks:
+            values[at] = draw(st.sampled_from(BAD_PRICES))
+        elif fault == "year":
+            weeks.append(IsoWeek(draw(st.sampled_from([2, 9999])),
+                                 draw(st.integers(1, 52))).ordinal)
+            values.append(draw(prices))
+    return columns
+
+
+def gate_outcome(build, *args):
+    """The store's (series, weeks and prices of each), or its ConfigError text."""
+    try:
+        store = build(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return [(key, *(column.tolist() for column in store._columns[key]))
+            for key in store.series()]
+
+
+class TestStoreGate:
+    @settings(max_examples=200, deadline=None)
+    @given(gated_columns(), st.randoms(use_true_random=False))
+    def test_a_store_is_refused_by_name_or_holds_sorted_series(self, tmp_path_factory,
+                                                               columns, random):
+        refusal = oracles.store_refusal(columns)
+        got = gate_outcome(PanelStore.from_columns, columns)
+        if refusal is not None:
+            assert got == refusal
+        else:
+            assert [key for key, *_ in got] == sorted(columns, key=oracles.store_order)
+            for key, weeks, prices in got:
+                rows = sorted(zip(*columns[key]), key=lambda row: row[0])
+                assert weeks == [week for week, _ in rows]
+                assert prices == [price for _, price in rows]
+                assert all(a < b for a, b in zip(weeks, weeks[1:]))
+        lines = [
+            f"{key.country},{key.product},{key.quality},{key.region or ''},"
+            f"{IsoWeek.from_ordinal(week).year},{IsoWeek.from_ordinal(week).week},{price!r}"
+            for key, (weeks, prices) in columns.items() for week, price in zip(weeks, prices)
+        ]
+        random.shuffle(lines)
+        if all(price > 0 and math.isfinite(price) for _, prices in columns.values()
+               for price in prices):
+            observations = [
+                PriceObservation(key.product, key.quality, key.country, key.region,
+                                 IsoWeek.from_ordinal(week), price)
+                for key, (weeks, prices) in columns.items()
+                for week, price in zip(weeks, prices)
+            ]
+            random.shuffle(observations)
+            # a series that no observation names is no series of this store
+            kept = [item for item in got if item[1]] if refusal is None else got
+            assert gate_outcome(PanelStore, observations) == kept
+        path = write(tmp_path_factory.mktemp("gate") / "prices.csv", lines,
+                     ["\n"] * (len(lines) + 1))
+        assert (columnar(path) is None) == (refusal is not None)
+        assert_same_as_row_reader(path, refusal)

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from seasondid import (
     IsoWeek,
+    PanelRows,
     ProtectionWindow,
     PhaseLabel,
     ProtectionCalendar,
+    Quality,
+    SeriesKey,
     apply_boundary_exclusion,
     label_panel,
     label_week,
@@ -159,12 +162,16 @@ class TestLabelPanel:
 
     @pytest.mark.parametrize("year", [2, 9999])
     def test_years_that_cannot_be_labelled_are_refused(self, tomato_calendar, year):
-        # a store built in code is not checked by ingest; season starts of
-        # years 0 or 10000 have no date
-        rows = panel_rows([price_row("tomato", "CH", IsoWeek(year, 20), 5.0)])
+        # rows built directly: a PanelStore refuses these weeks itself;
+        # season starts of years 0 or 10000 have no date
+        def one_row(wk):
+            key = SeriesKey("tomato", Quality.CONVENTIONAL, "CH")
+            return PanelRows((key,), np.zeros(1, dtype=np.int64), np.array([wk.ordinal]),
+                             np.array([5.0]))
+
         with pytest.raises(ConfigError, match=f"year {year} is outside 3..9998"):
-            label_panel(rows, tomato_calendar)
-        edge = panel_rows([price_row("tomato", "CH", IsoWeek(3 if year == 2 else 9998, 20), 5.0)])
+            label_panel(one_row(IsoWeek(year, 20)), tomato_calendar)
+        edge = one_row(IsoWeek(3 if year == 2 else 9998, 20))
         assert len(label_panel(edge, tomato_calendar)) == 1
 
     def test_boundary_exclusion_drops_only_boundary_rows(self, tomato_calendar):

@@ -85,6 +85,6 @@ from .transforms import (
     restrict_to_production_weeks,
     standardize_prices,
 )
-from .weeks import IsoWeek, week_range, weeks_between
+from .weeks import IsoWeek
 
 __version__ = "0.1.0"

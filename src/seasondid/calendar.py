@@ -94,9 +94,6 @@ class ProtectionCalendar:
     def __contains__(self, product: str) -> bool:
         return product in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def products(self) -> list[str]:
         return sorted(self._entries)
 

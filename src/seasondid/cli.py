@@ -244,14 +244,19 @@ def _task_groups(tasks: list[EstimationTask], workers: int) -> list[list[Estimat
     return groups
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig.from_file(args.config).override(
+def _run_config(args: argparse.Namespace, bootstraps) -> RunConfig:
+    """The config of a ``run`` or ``pretrend``, refused before any input is
+    read if ``bootstraps(config)`` holds and it sets no seed."""
+    config = RunConfig.from_file(args.config).override(
         seed=args.seed,
         trim=args.trim,
         reps=args.reps,
         workers=args.workers,
         skip_bad_rows=args.skip_bad_rows or None,
     )
+    if bootstraps(config) and config.seed is None:
+        raise ConfigError("a seed is mandatory for any run involving the bootstrap")
+    return config
 
 
 def _run_batch(
@@ -308,14 +313,15 @@ def _run_batch(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _run_config(args)
+    # of the methods only ipw bootstraps
+    config = _run_config(args, lambda c: "ipw" in c.methods and c.reps > 0)
     return _run_batch(
         config, "run", _effect_rows, EFFECTS_COLUMNS, "effects.csv", "manifest.json"
     )
 
 
 def _cmd_pretrend(args: argparse.Namespace) -> int:
-    config = _run_config(args)
+    config = _run_config(args, lambda c: c.reps > 0)
     if config.reps < 2:
         raise ConfigError("pretrend needs reps >= 2 for bootstrap inference")
     return _run_batch(

@@ -231,8 +231,6 @@ class RunConfig:
         if not 0.0 < self.trim <= 1.0:
             raise ConfigError(f"trim must be in (0, 1], got {self.trim}")
         check_reps(self.reps)
-        if self.reps > 0 and self.seed is None:
-            raise ConfigError("a seed is mandatory for any run involving the bootstrap")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.workers < 1:

@@ -372,7 +372,8 @@ def heterogeneity_regression(rows: list[EffectAttributeRow]) -> list[Heterogenei
                 columns.append(
                     (attribute, np.array([float(getattr(a, attribute)) for a in records]))
                 )
-            fit = fit_ols(DesignMatrix.from_columns(columns), y)
+            names, values = zip(*columns)
+            fit = fit_ols(DesignMatrix(np.column_stack(values), names), y)
             residuals = y - fit.fitted
             centered = y - y.mean()
             tss = float(centered @ centered)

@@ -3,9 +3,9 @@
 Small by design. Both fitters share the same front door: a named-column
 design matrix, degenerate-column pruning with a report of what was dropped,
 and loud, typed failures (rank deficiency, separation, non-convergence)
-instead of silently unstable output. ``fit_ols`` is the one OLS path: the
-heterogeneity regression fits its rows, and the OLS DiD its (cell, stratum)
-bins, each standing for the rows it counts.
+instead of silently unstable output. ``fit_ols`` is the one OLS path, and
+every fit weighs its rows: the OLS DiD's (cell, stratum) bins by the rows
+each counts, the heterogeneity regression's rows by 1.
 
 Conventions:
 
@@ -54,15 +54,6 @@ class DesignMatrix:
             )
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate column names in {self.names}")
-
-    @classmethod
-    def from_columns(cls, columns: list[tuple[str, np.ndarray]]) -> "DesignMatrix":
-        names = tuple(name for name, _ in columns)
-        if columns:
-            values = np.column_stack([np.asarray(col, dtype=float) for _, col in columns])
-        else:
-            values = np.empty((0, 0))
-        return cls(values, names)
 
 
 @dataclass(frozen=True)
@@ -258,29 +249,26 @@ def fit_ols(
     """Least squares via one QR, with classical standard errors.
 
     ``se_j = sqrt(sigma2 * [(X'X)^-1]_jj)`` where ``sigma2 = (within_ss +
-    RSS) / (n - k)`` and ``n`` counts observations. Without ``counts`` each
-    row is one observation. With ``counts``, row b stands for ``counts[b]``
-    observations whose design is that row and whose mean outcome is
-    ``y[b]``, and ``within_ss`` is the sum of squares of the observations
-    about their row means: the design is pruned on the rows as given (a
-    column is constant or a duplicate over them exactly when it is over the
-    observations), each row is weighted by ``sqrt(counts[b])``, and the fit,
-    the rank checks (``max(n, k)`` in the tolerance) and the degrees of
-    freedom are those of the observations. ``fitted`` holds the rows'
-    fitted values.
+    RSS) / (n - k)`` and ``n`` counts observations. Row b stands for
+    ``counts[b]`` observations (one each when ``counts`` is None) whose
+    design is that row and whose mean outcome is ``y[b]``, and ``within_ss``
+    is the sum of squares of the observations about their row means: the
+    design is pruned on the rows as given (a column is constant or a
+    duplicate over them exactly when it is over the observations), each row
+    is weighted by ``sqrt(counts[b])``, and the fit, the rank checks
+    (``max(n, k)`` in the tolerance) and the degrees of freedom are those of
+    the observations. ``fitted`` holds the rows' fitted values.
     """
     y = np.asarray(y, dtype=float)
     pruned, dropped = prune_design(design)
     values, names = pruned.values, pruned.names
     if y.shape[0] != values.shape[0]:
         raise ValueError(f"y has {y.shape[0]} rows, design has {values.shape[0]}")
-    n, weighted, target = values.shape[0], values, y
-    if counts is not None:
-        counts = np.asarray(counts)
-        if counts.shape != y.shape or not (counts > 0).all():
-            raise ValueError(f"counts must be {y.shape[0]} positive row counts, got {counts!r}")
-        weight = np.sqrt(counts)
-        n, weighted, target = int(counts.sum()), values * weight[:, None], weight * y
+    counts = np.ones(y.shape) if counts is None else np.asarray(counts)
+    if counts.shape != y.shape or not (counts > 0).all():
+        raise ValueError(f"counts must be {y.shape[0]} positive row counts, got {counts!r}")
+    weight = np.sqrt(counts)
+    n, weighted, target = int(counts.sum()), values * weight[:, None], weight * y
     _check_columns(n, names)
     q, r = np.linalg.qr(weighted)
     _check_rank(weighted, r, n, names)

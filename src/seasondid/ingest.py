@@ -195,11 +195,9 @@ def _read_price_columns(handle) -> tuple[PanelStore, IngestReport] | None:
     if handle.readline() not in _HEADER_LINES:
         return None
     series: dict[SeriesKey, int] = {}  # series id by key, in first-seen order
-    key_ids: dict[tuple[str, ...], int] = {}
-    week_ids: dict[tuple[str, ...], int] = {}
     chunks = []
     while lines := handle.readlines(_CHUNK_CHARS):
-        chunk = _price_chunk(lines, series, key_ids, week_ids)
+        chunk = _price_chunk(lines, series)
         if chunk is None:
             return None
         chunks.append(chunk)
@@ -219,15 +217,11 @@ def _read_price_columns(handle) -> tuple[PanelStore, IngestReport] | None:
 
 
 def _price_chunk(
-    lines: list[str],
-    series: dict[SeriesKey, int],
-    key_ids: dict[tuple[str, ...], int],
-    week_ids: dict[tuple[str, ...], int],
+    lines: list[str], series: dict[SeriesKey, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The series ids, week ordinals and prices of whole lines split as
     plain text, or None where that split or a row check might fail; new
-    series get the next id, and ``key_ids`` and ``week_ids`` remember the
-    parse of each cell text seen."""
+    series get the next id. Each distinct cell text is parsed once."""
     text = "".join(lines)
     if not text.isascii() or '"' in text or len(text) > csv.field_size_limit():
         return None
@@ -244,6 +238,8 @@ def _price_chunk(
     country, product, quality, region, year, week, price = (
         cells[i : n * 7 : 7] for i in range(7)
     )
+    key_ids: dict[tuple[str, ...], int] = {}
+    week_ids: dict[tuple[str, ...], int | str] = {}
     for raw in dict.fromkeys(zip(country, product, quality, region)):
         key = _series_key(*raw)
         if isinstance(key, str):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .calendar import ProtectionCalendar, ProtectionWindow
 from .errors import ConfigError
-from .weeks import IsoWeek, weeks_between
+from .weeks import IsoWeek
 
 
 class Quality(str, enum.Enum):
@@ -157,13 +157,21 @@ def check_labelled_year(year: int, what: str = "year") -> None:
         )
 
 
+# the ordinal of every ISO week that dates can hold: 0001-W01 .. 9999-W52
+_ISO_ORDINALS = range(IsoWeek(1, 1).ordinal, IsoWeek(9999, 52).ordinal + 1)
+
+
 def labelled_years(weeks: np.ndarray) -> tuple[int, int]:
     """Years of the earliest and the latest of ``weeks`` (ISO-week ordinals),
-    checked by ``check_labelled_year`` in that order."""
-    years = tuple(IsoWeek.from_ordinal(int(week)).year for week in (weeks.min(), weeks.max()))
-    for year in years:
-        check_labelled_year(year)
-    return years
+    in that order each an ISO week and of a year that ``check_labelled_year``
+    accepts."""
+    years = []
+    for week in (int(weeks.min()), int(weeks.max())):
+        if week not in _ISO_ORDINALS:
+            raise ConfigError(f"week ordinal {week} is no ISO week of the years 1..9999")
+        years.append(IsoWeek.from_ordinal(week).year)
+        check_labelled_year(years[-1])
+    return tuple(years)
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,12 +179,10 @@ def season_start_week(window: ProtectionWindow, year: int) -> IsoWeek:
     """First week of season ``year``: the midpoint of the gap between the
     year ``year - 1`` and year ``year`` windows (rounded toward the earlier
     period), or the window-start week itself if the gap is empty."""
-    prev_end = window.end_week(year - 1)
-    start = window.start_week(year)
-    gap = weeks_between(prev_end, start) - 1
-    if gap <= 0:
-        return start
-    return prev_end.offset(1 + (gap - 1) // 2)
+    prev_end = window.end_week(year - 1).ordinal
+    start = window.start_week(year).ordinal
+    gap = start - prev_end - 1
+    return IsoWeek.from_ordinal(start if gap <= 0 else prev_end + 1 + (gap - 1) // 2)
 
 
 def label_panel(

@@ -1,8 +1,10 @@
-"""ISO-8601 week arithmetic.
+"""ISO-8601 weeks: parsing, dates and ordinals.
 
 All panel observations are keyed by ISO year/week pairs. Weeks are
 materialized through :func:`datetime.date.fromisocalendar`, so 53-week years
-are handled by the standard library rather than by hand-rolled rules.
+are handled by the standard library rather than by hand-rolled rules. Week
+arithmetic is integer arithmetic on ``IsoWeek.ordinal``, which numbers
+consecutive weeks consecutively across year ends.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import functools
 from dataclasses import dataclass
 
 from .errors import ConfigError
-
-_ONE_WEEK = dt.timedelta(days=7)
 
 
 @functools.total_ordering
@@ -60,28 +60,3 @@ class IsoWeek:
 
     def sunday(self) -> dt.date:
         return dt.date.fromisocalendar(self.year, self.week, 7)
-
-    def days(self) -> tuple[dt.date, ...]:
-        first = self.monday()
-        return tuple(first + dt.timedelta(days=i) for i in range(7))
-
-    def offset(self, n: int) -> "IsoWeek":
-        return IsoWeek.from_date(self.monday() + n * _ONE_WEEK)
-
-    def next(self) -> "IsoWeek":
-        return self.offset(1)
-
-    def prev(self) -> "IsoWeek":
-        return self.offset(-1)
-
-
-def weeks_between(start: IsoWeek, end: IsoWeek) -> int:
-    """Signed number of weeks from ``start`` to ``end`` (0 when equal)."""
-    return (end.monday() - start.monday()).days // 7
-
-
-def week_range(first: IsoWeek, last: IsoWeek) -> list[IsoWeek]:
-    """All weeks from ``first`` through ``last``, inclusive."""
-    if last < first:
-        raise ConfigError(f"week range runs backwards: {first} > {last}")
-    return [first.offset(i) for i in range(weeks_between(first, last) + 1)]

@@ -34,6 +34,16 @@ def week(year: int, number: int) -> IsoWeek:
     return IsoWeek(year, number)
 
 
+def shift(wk: IsoWeek, n: int) -> IsoWeek:
+    """The week ``n`` weeks after ``wk`` (before it when ``n`` is negative)."""
+    return IsoWeek.from_ordinal(wk.ordinal + n)
+
+
+def week_range(first: IsoWeek, last: IsoWeek) -> list[IsoWeek]:
+    """The weeks from ``first`` through ``last``; none when ``last`` is earlier."""
+    return [IsoWeek.from_ordinal(o) for o in range(first.ordinal, last.ordinal + 1)]
+
+
 def window(start: str, end: str) -> ProtectionWindow:
     return ProtectionWindow(MonthDay.parse(start), MonthDay.parse(end))
 

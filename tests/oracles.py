@@ -28,6 +28,7 @@ is the point. Three parts reuse the package on purpose:
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import dataclass
 
@@ -226,7 +227,8 @@ def row_level_ols_did(sample):
         (f"stratum_{s}", (sample.stratum == s).astype(float))
         for s in range(1, int(sample.stratum.max()) + 1)
     ]
-    fit = fit_ols(DesignMatrix.from_columns(columns), sample.y)
+    names, values = zip(*columns)
+    fit = fit_ols(DesignMatrix(np.column_stack(values), names), sample.y)
     atet = fit.coefficient("d_t")
     se = fit.standard_error("d_t")
     return EffectEstimate(
@@ -397,7 +399,7 @@ def row_level_bootstrap(sample, estimator, reps: int, seed: int) -> tuple:
 
 def label_week(window, week) -> PhaseLabel:
     """Phase of ``week`` from its seven days, each tested by ``window.contains``."""
-    inside = [window.contains(day) for day in week.days()]
+    inside = [window.contains(week.monday() + dt.timedelta(days=i)) for i in range(7)]
     if all(inside):
         return PhaseLabel.PROTECTED
     if not any(inside):
@@ -423,7 +425,7 @@ def offset_weeks(window, year, count) -> tuple:
     for _ in range(_MAX_OFFSET_WALK):
         if len(collected) == count:
             break
-        week = week.prev()
+        week = IsoWeek.from_ordinal(week.ordinal - 1)
         label = label_week(window, week)
         if label is PhaseLabel.PROTECTED:
             break
@@ -440,7 +442,7 @@ def protected_weeks(window, year) -> list:
     while not window.end_week(year) < week:
         if label_week(window, week) is PhaseLabel.PROTECTED:
             protected.append(week)
-        week = week.next()
+        week = IsoWeek.from_ordinal(week.ordinal + 1)
     return protected
 
 

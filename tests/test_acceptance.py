@@ -22,6 +22,7 @@ from helpers import (
     panel_rows,
     phases_of,
     random_cell_sample,
+    shift,
     stratified_sample,
     weeks_of,
 )
@@ -257,7 +258,7 @@ def test_06_transform_invariants(report):
     vol = compute_volatility(labeled)
     no_spans = all(
         phase is not PhaseLabel.BOUNDARY
-        and phase_of[(vol.keys[code], wk.prev())] is phase
+        and phase_of[(vol.keys[code], shift(wk, -1))] is phase
         for code, wk, phase in zip(vol.series, weeks_of(vol), phases_of(vol))
     )
 

@@ -97,6 +97,16 @@ def write_run_cfg(workspace_paths, extra="", name="alt.cfg", out_name="alt_out")
     return cfg, out
 
 
+def seedless_cfg(workspace_paths, extra=""):
+    """A config of the workspace's files that sets no seed."""
+    tmp_path, data, _, _ = workspace_paths
+    out = tmp_path / "seedless_out"
+    cfg = tmp_path / "seedless.cfg"
+    cfg.write_text(f"prices = {data / 'prices.csv'}\ncalendar = {data / 'calendar.csv'}\n"
+                   f"output_dir = {out}\n{extra}")
+    return cfg, out
+
+
 def test_a_run_leaves_numpy_ma_and_numpy_random_unloaded(workspace):
     # numpy 2 imports numpy.ma on the first plain np.unique (np.quantile and
     # np.union1d make one), about 10 ms in each process, pool workers included,
@@ -263,6 +273,37 @@ class TestRun:
         assert main(["run", "--config", str(run_cfg), "--reps", reps]) == EXIT_CONFIG
         assert "reps must be 0 or between 2 and 2**32" in capsys.readouterr().err
         assert not (out / "effects.csv").exists()
+
+    def test_an_ols_only_run_needs_no_seed(self, workspace):
+        cfg, out = seedless_cfg(workspace, "methods = ols\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        _, rows = read_csv(out / "effects.csv")
+        assert [(r[4], r[13], r[14]) for r in rows] == [("ols", "0", "0")] * 2
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+    @pytest.mark.parametrize(
+        "command,extra,flags",
+        [
+            ("run", "", []),  # ipw, 200 replicates by default
+            ("run", "methods = ols,ipw\n", []),
+            ("run", "reps = 0\n", ["--reps", "100"]),
+            ("pretrend", "methods = ols\n", []),  # the placebo bootstraps anyway
+        ],
+    )
+    def test_a_bootstrap_without_a_seed_stops_before_ingest(
+        self, workspace, monkeypatch, capsys, command, extra, flags
+    ):
+        import seasondid.cli as cli
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("read_prices was called")
+
+        monkeypatch.setattr(cli, "read_prices", no_ingest)
+        cfg, out = seedless_cfg(workspace, extra)
+        assert main([command, "--config", str(cfg), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "a seed is mandatory for any run involving the bootstrap" in err
+        assert not out.exists()
 
     def test_zero_reps_runs_ipw_without_a_bootstrap(self, workspace):
         _, _, run_cfg, out = workspace
@@ -484,6 +525,11 @@ class TestDescribe:
         assert treated_gap > 10.0
         assert abs(control_gap) < 3.0
         assert all(int(r[7]) == 3 for r in rows)  # one unit per season
+
+    def test_a_config_without_a_seed_is_described(self, workspace):
+        cfg, out = seedless_cfg(workspace)
+        assert main(["describe", "--config", str(cfg)]) == EXIT_OK
+        assert len(read_csv(out / "descriptives.csv")[1]) == 8
 
     def test_estimation_flags_are_rejected(self, workspace, capsys):
         _, _, run_cfg, _ = workspace

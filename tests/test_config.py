@@ -154,7 +154,6 @@ class TestRunConfig:
                 MINIMAL + "task = tomato:organic:DE\ntask = tomato : organic : DE : tomato\n",
                 "'task' lists 'tomato:organic:DE:tomato' more than once",
             ),
-            ("prices = p.csv\ncalendar = c.csv\n", "seed is mandatory"),
             (
                 MINIMAL + "task = tomato:organic:DE\ntask = tomato:organic:CH\n",
                 "task 'tomato:organic:CH:tomato' has its control in the treated country CH",
@@ -173,6 +172,13 @@ class TestRunConfig:
         config = config_from(tmp_path, "prices = p.csv\ncalendar = c.csv\nreps = 0\n")
         assert config.seed is None
 
+    def test_the_seed_is_left_to_the_commands_that_bootstrap(self, tmp_path):
+        # ``describe`` reads this config too; ``run`` and ``pretrend`` refuse
+        # a bootstrap without a seed themselves (see test_cli)
+        config = config_from(tmp_path, "prices = p.csv\ncalendar = c.csv\n")
+        assert (config.reps, config.seed) == (200, None)
+        assert config.override(reps=100).seed is None
+
     def test_override_revalidates(self, tmp_path):
         config = config_from(tmp_path, MINIMAL)
         updated = config.override(seed=9, trim=0.99, reps=10, workers=2,
@@ -183,9 +189,6 @@ class TestRunConfig:
         assert config.seed == 7  # original untouched
         with pytest.raises(ConfigError):
             config.override(trim=1.5)
-        no_seed = config_from(tmp_path, "prices = p.csv\ncalendar = c.csv\nreps = 0\n")
-        with pytest.raises(ConfigError, match="seed is mandatory"):
-            no_seed.override(reps=100)
 
     def test_manifest_echoes_every_setting(self, tmp_path):
         config = config_from(tmp_path, MINIMAL + "task = tomato:organic:DE\n")

@@ -42,7 +42,9 @@ from seasondid import diagnostics
 from seasondid.errors import ConfigError, InfeasibleSampleError, IngestError, SeasonDidError
 from seasondid.ingest import ATTRIBUTE_HEADER, EFFECTS_COLUMNS
 
-from helpers import basic_task, month_days, panel_rows, price_row, week, weeks_of, window
+from helpers import (
+    basic_task, month_days, panel_rows, price_row, shift, week, weeks_of, window,
+)
 from oracles import did_from_cell_means, normal_equations_ols
 
 
@@ -110,7 +112,7 @@ class TestOffsetWeeks:
         # the furthest week collected is the first non-boundary week after
         # the previous protected phase
         assert offsets[-1] == week(2016, 36)
-        before = oracles.label_week(self.MAY_AUG, offsets[-1].prev())
+        before = oracles.label_week(self.MAY_AUG, shift(offsets[-1], -1))
         assert before is not PhaseLabel.UNPROTECTED
 
     def test_offsets_are_nearest_first_and_distinct(self):

@@ -27,7 +27,8 @@ from oracles import (
 
 
 def design(*columns):
-    return DesignMatrix.from_columns(list(columns))
+    names, values = zip(*columns)
+    return DesignMatrix(np.column_stack(values), names)
 
 
 def random_logit_data(rng, n=80, k=2):

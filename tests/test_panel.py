@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from seasondid import (
     IsoWeek,
     PanelRows,
+    PanelStore,
     ProtectionWindow,
     PhaseLabel,
     ProtectionCalendar,
@@ -17,14 +18,14 @@ from seasondid import (
     label_panel,
     label_week,
     season_start_week,
-    week_range,
     week_seasons,
-    weeks_between,
 )
 from seasondid.errors import CalendarMissError, ConfigError
 
 import oracles
-from helpers import month_days, panel_rows, phases_of, price_row, week, weeks_of, window
+from helpers import (
+    month_days, panel_rows, phases_of, price_row, shift, week, week_range, weeks_of, window,
+)
 from oracles import midpoint_week_by_enumeration
 
 MAY_AUG = window("05-10", "08-31")
@@ -58,6 +59,8 @@ class TestSeasonStart:
         # The midpoint week at index (35 - 1) // 2 = 17 is 2017-W01.
         assert MAY_AUG.end_week(2016) == week(2016, 35)
         assert MAY_AUG.start_week(2017) == week(2017, 19)
+        assert week(2017, 19).ordinal - week(2016, 35).ordinal == 36
+        assert len(week_range(week(2016, 35), week(2017, 19))[1:-1]) == 35
         assert season_start_week(MAY_AUG, 2017) == week(2017, 1)
 
     @pytest.mark.parametrize(
@@ -77,6 +80,16 @@ class TestSeasonStart:
         if len(gap_weeks) % 2 == 0:
             # ties round toward the earlier period: the earlier central week
             assert expected == gap_weeks[len(gap_weeks) // 2 - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(month_days, month_days, st.integers(1995, 2030))
+    def test_any_window_matches_the_gap_enumeration_oracle(self, start, end, year):
+        # windows anywhere in the year, 02-29 starts and ends included
+        assume(start < end)
+        win = ProtectionWindow(start, end)
+        gap_weeks = week_range(win.end_week(year - 1), win.start_week(year))[1:-1]
+        expected = midpoint_week_by_enumeration(gap_weeks) if gap_weeks else win.start_week(year)
+        assert season_start_week(win, year) == expected
 
     def test_season_start_is_never_protected(self):
         for year in range(2014, 2022):
@@ -106,7 +119,8 @@ class TestAssignSeason:
 
     def test_protected_weeks_belong_to_their_calendar_year_season(self):
         for year in (2015, 2016, 2017, 2020):
-            weeks = week_range(MAY_AUG.start_week(year).next(), MAY_AUG.end_week(year).prev())
+            first, last = MAY_AUG.start_week(year), MAY_AUG.end_week(year)
+            weeks = week_range(shift(first, 1), shift(last, -1))
             assert set(seasons_of(MAY_AUG, weeks)) == {year}
 
 
@@ -174,6 +188,19 @@ class TestLabelPanel:
         edge = one_row(IsoWeek(3 if year == 2 else 9998, 20))
         assert len(label_panel(edge, tomato_calendar)) == 1
 
+    @pytest.mark.parametrize("ordinal", [-5, 0, 10**9])
+    def test_ordinals_outside_the_labelled_years_are_refused(self, tomato_calendar, ordinal):
+        # 0 is 0001-W01, an ISO week of a year too early; -5 and 10**9 are
+        # no ISO week at all
+        key = SeriesKey("tomato", Quality.CONVENTIONAL, "CH")
+        needle = "year 1 is outside 3..9998" if ordinal == 0 else f"week ordinal {ordinal} is no"
+        with pytest.raises(ConfigError, match=needle):
+            PanelStore.from_columns({key: ([ordinal, 1000], [1.0, 1.0])})
+        rows = PanelRows((key,), np.zeros(1, dtype=np.int64), np.array([ordinal]),
+                         np.array([5.0]))
+        with pytest.raises(ConfigError, match=needle):
+            label_panel(rows, tomato_calendar)
+
     def test_boundary_exclusion_drops_only_boundary_rows(self, tomato_calendar):
         rows = [
             price_row("tomato", "CH", week(2016, 19), 230.0),  # boundary
@@ -217,7 +244,7 @@ class TestLeapDayWindows:
 
     @pytest.mark.parametrize("year", [2019, 2020, 2021, 2022, 2023, 2024])
     def test_every_week_follows_the_scalar_rule(self, year):
-        weeks = week_range(week(year, 1), week(year, 1).offset(IsoWeek.weeks_in_year(year) - 1))
+        weeks = week_range(week(year, 1), week(year, IsoWeek.weeks_in_year(year)))
         for window_ in (self.LATE, self.EARLY):
             assert self.labels(window_, weeks) == [oracles.label_week(window_, w) for w in weeks]
 
@@ -229,7 +256,7 @@ def test_label_panel_applies_the_scalar_rules_to_every_row(start, end, year, n_w
     # windows anywhere in the year, from one day long to nearly all of it
     assume(start < end)
     window_ = ProtectionWindow(start, end)
-    weeks = [w for i, w in enumerate(week_range(week(year, 1), week(year, 1).offset(n_weeks)))
+    weeks = [w for i, w in enumerate(week_range(week(year, 1), shift(week(year, 1), n_weeks)))
              if i not in gaps]
     rows = panel_rows([price_row("okra", "CH", w, 1.0) for w in weeks])
     labeled = label_panel(rows, ProtectionCalendar({"okra": window_}))
@@ -246,9 +273,3 @@ def test_price_observations_must_be_positive_and_finite():
         price_row("tomato", "CH", week(2016, 25), float("nan"))
     with pytest.raises(ConfigError):
         price_row("tomato", "CH", week(2016, 25), float("inf"))
-
-
-def test_weeks_between_used_by_seasons_is_consistent():
-    # the gap arithmetic behind the midpoint rule
-    assert weeks_between(week(2016, 35), week(2017, 19)) == 36
-    assert len(week_range(week(2016, 35), week(2017, 19))[1:-1]) == 35

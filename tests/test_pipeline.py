@@ -36,7 +36,7 @@ from seasondid.ingest import write_calendar, write_prices
 from seasondid.pipeline import TaskGroup, prepare_outcome_rows
 from seasondid.simgen import SimConfig, generate_panel
 
-from helpers import oracle_records, price_row, records, window
+from helpers import oracle_records, price_row, records, shift, window
 
 PRODUCTS = ("tomato", "leek")
 COUNTRIES = ("CH", "DE", "FR")
@@ -123,7 +123,7 @@ def random_panel(layout, n_weeks, missing, seed):
             for i in range(n_weeks):
                 if rng.random() >= missing:
                     price = float(rng.uniform(20.0, 200.0))
-                    rows.append(price_row(product, country, FIRST_WEEK.offset(i), price,
+                    rows.append(price_row(product, country, shift(FIRST_WEEK, i), price,
                                           region=region))
     rows = [rows[i] for i in rng.permutation(len(rows))]
     return PanelStore(rows), rows
@@ -165,7 +165,7 @@ CONTROL_COUNTRIES = ("AT", "DE", "FR", "IT")
 UNLABELLED = ("year 2", "year 9999")
 STARTS = {
     "overlap": (FIRST_WEEK, 130),
-    "disjoint": (FIRST_WEEK.offset(200), 130),
+    "disjoint": (shift(FIRST_WEEK, 200), 130),
     "year 2": (IsoWeek(2, 30), 130),
     "year 9999": (IsoWeek(9998, 30), 60),
 }
@@ -220,7 +220,7 @@ def group_panel(markets, n_weeks, missing, seed):
         first, most = STARTS[start]
         for region in regions:
             rows += [
-                price_row(product, country, first.offset(i), float(rng.uniform(20.0, 200.0)),
+                price_row(product, country, shift(first, i), float(rng.uniform(20.0, 200.0)),
                           region=region)
                 for i in range(min(n_weeks, most))
                 if rng.random() >= missing
@@ -359,8 +359,8 @@ class TestFailuresStayPerTask:
     @staticmethod
     def panel(overlap=True):
         """(store, observations)"""
-        weeks = [FIRST_WEEK.offset(i) for i in range(60)]
-        control_weeks = weeks if overlap else [FIRST_WEEK.offset(60 + i) for i in range(60)]
+        weeks = [shift(FIRST_WEEK, i) for i in range(60)]
+        control_weeks = weeks if overlap else [shift(FIRST_WEEK, 60 + i) for i in range(60)]
         rows = [price_row("tomato", "CH", w, 100.0 + i) for i, w in enumerate(weeks)]
         rows += [price_row("tomato", "DE", w, 80.0 + i % 7) for i, w in enumerate(control_weeks)]
         rows += [price_row("okra", "CH", w, 90.0 + i % 5) for i, w in enumerate(weeks)]

@@ -43,7 +43,7 @@ from .ingest import (
     read_attributes,
     read_table,
 )
-from .panel import PHASES, Outcome, PanelRows, PhaseLabel, Quality, week_phases
+from .panel import PHASES, Outcome, PanelRows, PhaseLabel, Quality, cut_runs, week_phases
 from .weeks import IsoWeek
 
 _MAX_OFFSET_WALK = 120
@@ -110,27 +110,16 @@ def offset_weeks(window: ProtectionWindow, year: int, count: int) -> tuple[IsoWe
     return tuple(IsoWeek.from_ordinal(week) for week in picked.tolist())
 
 
-def _runs(values: np.ndarray, starts: list[int]) -> list[np.ndarray]:
-    """``values`` cut at ``starts`` (ascending, the first 0) into views."""
-    return [values[a:b] for a, b in zip(starts, starts[1:] + [values.size])]
-
-
-def _values_by_week(rows: PanelRows) -> dict[int, np.ndarray]:
-    """Each week ordinal's outcome values, in row order."""
-    order = np.argsort(rows.week, kind="stable")
-    weeks, starts = np.unique(rows.week[order], return_index=True)
-    return dict(zip(weeks.tolist(), _runs(rows.value[order], starts.tolist())))
-
-
 def _pool_seasons(
-    treated_index: dict[int, np.ndarray],
-    control_index: dict[int, np.ndarray],
+    treated_rows: PanelRows,
+    control_rows: PanelRows,
     contrasts: list[tuple[Sequence[IsoWeek], Sequence[IsoWeek]]],
 ) -> tuple[DidSample, int]:
     """Pool (post weeks, pre weeks) contrasts, one per season, into a 2x2
     sample with no covariates. A season enters only if both series are
     observed at every one of its weeks. Returns the sample and the number of
     seasons used."""
+    treated_index, control_index = treated_rows.values_by_week, control_rows.values_by_week
     values: list[np.ndarray] = [np.empty(0)]  # no season: an empty sample
     d: list[int] = []
     t: list[int] = []
@@ -173,15 +162,13 @@ def pretrend_placebo(
     inference is the same stratified bootstrap as the main estimator.
     """
     window = calendar.window_for(task.treated.product)
-    treated_index = _values_by_week(treated_rows)
-    control_index = _values_by_week(control_rows)
     years = sorted({*treated_rows.season.tolist(), *control_rows.season.tolist()})
     contrasts = []
     for year in years:
         offsets = offset_weeks(window, year, 4)
         if len(offsets) == 4:
             contrasts.append((offsets[:2], offsets[2:]))
-    sample, seasons_used = _pool_seasons(treated_index, control_index, contrasts)
+    sample, seasons_used = _pool_seasons(treated_rows, control_rows, contrasts)
     if seasons_used == 0:
         raise InfeasibleSampleError(
             "pretrend_no_complete_season",
@@ -217,8 +204,6 @@ def rolling_biweekly_effects(
     reported as infeasible markers rather than dropped silently.
     """
     window = calendar.window_for(task.treated.product)
-    treated_index = _values_by_week(treated_rows)
-    control_index = _values_by_week(control_rows)
     years = sorted({*treated_rows.season.tolist(), *control_rows.season.tolist()})
     season_pre: dict[int, tuple[IsoWeek, ...]] = {}
     season_biweeks: dict[int, list[list[IsoWeek]]] = {}
@@ -243,7 +228,7 @@ def rolling_biweekly_effects(
             for year, chunks in season_biweeks.items()
             if len(chunks) >= b
         ]
-        sample, seasons_used = _pool_seasons(treated_index, control_index, contrasts)
+        sample, seasons_used = _pool_seasons(treated_rows, control_rows, contrasts)
         if seasons_used == 0:
             results.append(
                 BiweekEffect(
@@ -279,7 +264,7 @@ def describe_distribution(rows: PanelRows, outcome: Outcome) -> list[PhaseSummar
     order = np.lexsort((rows.phase, rows.season, rows.series))
     unit = np.stack([rows.series, rows.season, rows.phase])[:, order]
     starts = [0, *(np.flatnonzero((unit[:, 1:] != unit[:, :-1]).any(axis=0)) + 1).tolist()]
-    for first, values in zip(starts, _runs(rows.value[order], starts)):
+    for first, values in zip(starts, cut_runs(rows.value[order], starts)):
         if values.size:
             series, _, phase = unit[:, first].tolist()
             group = (rows.keys[series].country, PHASES[phase])

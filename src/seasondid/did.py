@@ -35,13 +35,18 @@ uint64 arrays for the whole block, so ``numpy.random`` is imported only to
 redraw the rare replicate that numpy would reject. The block's tables are
 counted from the drawn rows by one pair of ``bincount`` calls, and their
 per-cell sums by one reduction; a replicate keeps the sample's cell sizes.
+A replicate's ``CellTable`` holds only what the estimators read (views of
+the block's arrays, those sizes and its cell sums), and the estimator runs
+once on it. An ``EffectEstimate`` is a named tuple, cheap to build once per
+replicate; ``bootstrap_se`` adds the inference to the point with ``_replace``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 from operator import add, truediv
 from typing import Callable, NamedTuple
 
@@ -229,9 +234,9 @@ class CellTable(NamedTuple):
         return n_by_cell
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
-    """A point estimate with inference and sample bookkeeping.
+class EffectEstimate(NamedTuple):
+    """A point estimate with inference and sample bookkeeping: a named
+    tuple, cheap to build once per replicate, given inference by ``_replace``.
 
     ``method`` is "ipw", "ols" or "means". Cell tuples follow the order
     (1,1), (1,0), (0,1), (0,0). ``p_value`` always refers the statistic
@@ -283,17 +288,14 @@ def quantile(values: np.ndarray, q: float) -> float:
 
 
 def cell_means_did(table: CellTable) -> EffectEstimate:
-    """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00), pooling strata."""
-    n_by_cell = table.validate()
-    n11, n10, n01, n00 = n_by_cell
+    """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00), pooling strata.
+    Only a table with an empty cell runs ``table.validate()``, which raises."""
+    n_by_cell = n11, n10, n01, n00 = table.n_by_cell
+    if not (n11 and n10 and n01 and n00):
+        table.validate()
     s11, s10, s01, s00 = table.cell_sums
-    return EffectEstimate(
-        method="means",
-        atet=s11 / n11 - s10 / n10 - (s01 / n01 - s00 / n00),
-        se=math.nan,
-        p_value=math.nan,
-        n_by_cell=n_by_cell,
-    )
+    atet = s11 / n11 - s10 / n10 - (s01 / n01 - s00 / n00)
+    return EffectEstimate("means", atet, math.nan, math.nan, n_by_cell)
 
 
 def propensity_report(table: CellTable) -> dict[tuple[int, int], np.ndarray]:
@@ -385,15 +387,8 @@ def estimate_ipw_did(
     stratum_means = sums[1:] / comparison
     dots = np.matmul(weights[..., None, :], stratum_means[:, :, None])[:, 0, 0]
     means = (dots / totals).tolist()
-
-    return EffectEstimate(
-        method="ipw",
-        atet=treated_mean - means[0] - (means[1] - means[2]),
-        se=math.nan,
-        p_value=math.nan,
-        n_by_cell=n_by_cell,
-        n_trimmed_by_cell=trimmed,
-    )
+    atet = treated_mean - means[0] - (means[1] - means[2])
+    return EffectEstimate("ipw", atet, math.nan, math.nan, n_by_cell, trimmed)
 
 
 def estimate_ols_did(sample: DidSample) -> EffectEstimate:
@@ -422,13 +417,7 @@ def estimate_ols_did(sample: DidSample) -> EffectEstimate:
         DesignMatrix(values, names), mean[bins], counts[bins], within_ss=float(within @ within)
     )
     atet, se = fit.coefficient("d_t"), fit.standard_error("d_t")
-    return EffectEstimate(
-        method="ols",
-        atet=atet,
-        se=se,
-        p_value=two_sided_normal_p(atet, se),
-        n_by_cell=n_by_cell,
-    )
+    return EffectEstimate("ols", atet, se, two_sided_normal_p(atet, se), n_by_cell)
 
 
 def _hash_chain(const: int, mult: int, rows: int) -> np.ndarray:
@@ -631,6 +620,7 @@ def bootstrap_se(
     width = 4 * strata
     block = max(1, BLOCK_ROWS // max(code.size, 1))
     estimates = []
+    append = estimates.append
     failures = 0
     for first in range(0, reps, block):
         count = min(block, reps - first)
@@ -641,11 +631,10 @@ def bootstrap_se(
         sums = np.bincount(tagged.ravel(), weights=y[rows].ravel(), minlength=count * width)
         sums = sums.reshape(count, 4, strata)
         # each last-axis row adds up as its own table's sums.sum(axis=1) would
-        cell_sums = sums.sum(axis=2).tolist()
-        for replicate_counts, replicate_sums, totals in zip(counts, sums, cell_sums):
-            replicate = CellTable(replicate_counts, replicate_sums, table.n_by_cell, tuple(totals))
+        cell_sums = map(tuple, sums.sum(axis=2).tolist())
+        for replicate in map(CellTable, counts, sums, repeat(table.n_by_cell, count), cell_sums):
             try:
-                estimates.append(estimator(replicate).atet)
+                append(estimator(replicate).atet)
             except (GlmError, TrimExhaustionError, InfeasibleSampleError):
                 failures += 1
     if failures > 0.1 * reps:
@@ -656,8 +645,7 @@ def bootstrap_se(
     draws = np.asarray(estimates)
     se = float(draws.std(ddof=1))
     point = estimate.atet
-    return replace(
-        estimate,
+    return estimate._replace(
         se=se,
         p_value=two_sided_normal_p(point, se),
         ci_normal=(point - Z_975 * se, point + Z_975 * se),

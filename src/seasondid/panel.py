@@ -24,7 +24,7 @@ import datetime as dt
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -118,6 +118,8 @@ class PanelRows:
     (``IsoWeek.ordinal``) and ``value`` the price or, once transformed, the
     outcome. Labelled rows also carry ``phase`` codes (indices into
     ``PHASES``) and ``season`` indices of the window they were labelled on.
+    The week indexes ``sorted_weeks`` and ``values_by_week`` are built on
+    first use and kept, their arrays read-only, for every user of the rows.
     """
 
     keys: tuple[SeriesKey, ...]
@@ -137,8 +139,31 @@ class PanelRows:
 
     def take(self, rows) -> "PanelRows":
         """The rows that a boolean mask or an index array picks, in its order."""
-        arrays = vars(self).items()
+        # the fields, not vars(self): the week indexes are kept there too
+        arrays = ((f.name, getattr(self, f.name)) for f in fields(self))
         return replace(self, **{k: a[rows] for k, a in arrays if isinstance(a, np.ndarray)})
+
+    @functools.cached_property
+    def sorted_weeks(self) -> np.ndarray:
+        """The week ordinals in order, then a sentinel past every week, so
+        that a binary search of any week lands on an entry."""
+        weeks = np.concatenate((np.sort(self.week), [np.iinfo(np.int64).max]))
+        weeks.flags.writeable = False
+        return weeks
+
+    @functools.cached_property
+    def values_by_week(self) -> dict[int, np.ndarray]:
+        """Each week ordinal's values, in row order, as slices of one array."""
+        order = np.argsort(self.week, kind="stable")
+        weeks, starts = np.unique(self.week[order], return_index=True)
+        values = self.value[order]
+        values.flags.writeable = False
+        return dict(zip(weeks.tolist(), cut_runs(values, starts.tolist())))
+
+
+def cut_runs(values: np.ndarray, starts: list[int]) -> list[np.ndarray]:
+    """``values`` cut at ``starts`` (ascending, the first 0) into views."""
+    return [values[a:b] for a, b in zip(starts, starts[1:] + [values.size])]
 
 
 @functools.lru_cache(maxsize=None)

@@ -61,10 +61,10 @@ def restrict_to_production_weeks(control: PanelRows, treated: PanelRows) -> Pane
     Each side is the rows of one market (``PanelStore.rows_matching``), and
     both markets have the same quality, as ``EstimationTask`` requires, so a
     control row survives iff the treated rows observe its ISO week: a binary
-    search of each control week ordinal in the sorted treated ones, which
-    end in a sentinel past every week so that each search lands on an entry.
+    search of each control week ordinal in ``treated.sorted_weeks``, sorted
+    once for all the tasks that share these treated rows.
     """
-    weeks = np.concatenate((np.sort(treated.week), [np.iinfo(np.int64).max]))
+    weeks = treated.sorted_weeks
     kept = control.take(weeks[weeks.searchsorted(control.week)] == control.week)
     if len(control) and not len(kept):
         raise EmptyOverlapError(

@@ -3,12 +3,16 @@
 Everything here is written in the most transparent way available — explicit
 enumeration, grid/golden-section searches, textbook matrix formulas — and
 shares no code with the package under test. Slow is fine; obviously correct
-is the point. Three parts reuse the package on purpose:
+is the point. Four parts reuse the package on purpose:
 
 * ``estimate_ipw_did`` (with ``_propensities``) is the package's own
   array IPW estimator before its decisions moved to the table's counts as
   Python ints, kept unchanged as the bit-for-bit reference for that move;
   it reads the package's ``CellTable``.
+* ``cell_means_did`` is the package's own cell-means estimator before it
+  checked the cell sizes inline, kept unchanged: it runs
+  ``CellTable.validate`` on every table and builds its ``EffectEstimate``
+  by keyword. The row-level placebo and biweekly effects below use it.
 * ``row_level_bootstrap`` reuses its sample type, estimators and errors:
   what it checks is the resampling, not the estimators.
   ``row_level_ols_did`` reuses its sample type and ``fit_ols``: what it
@@ -42,7 +46,6 @@ from seasondid.did import (
     DidSample,
     EffectEstimate,
     bootstrap_se,
-    cell_means_did,
     two_sided_normal_p,
 )
 from seasondid.diagnostics import (
@@ -259,6 +262,20 @@ def validate_cells(n_by_cell, min_cell: int = 1):
                 f"cell has {count} observations, need at least {min_cell}",
             )
     return n_by_cell
+
+
+def cell_means_did(table: CellTable) -> EffectEstimate:
+    """Plain 2x2 cell-means DiD: (Y11 - Y10) - (Y01 - Y00), pooling strata."""
+    n_by_cell = table.validate()
+    n11, n10, n01, n00 = n_by_cell
+    s11, s10, s01, s00 = table.cell_sums
+    return EffectEstimate(
+        method="means",
+        atet=s11 / n11 - s10 / n10 - (s01 / n01 - s00 / n00),
+        se=math.nan,
+        p_value=math.nan,
+        n_by_cell=n_by_cell,
+    )
 
 
 # ---------------------------------------------------------------------------

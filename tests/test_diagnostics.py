@@ -435,7 +435,7 @@ class TestDiagnosticsEqualTheRowLevelOracle:
         assert task.control.region is None
         rows = prepare_outcome_rows(task, PanelStore(observations), calendar)
         oracle_rows = oracles.prepare_outcome_rows(task, observations, calendar)
-        by_week = diagnostics._values_by_week(rows[1])
+        by_week = rows[1].values_by_week
         assert max(values.size for values in by_week.values()) == 3
         assert min(values.size for values in by_week.values()) == 1
         for fn, oracle_fn in ((pretrend_placebo, oracles.pretrend_placebo),
@@ -445,7 +445,7 @@ class TestDiagnosticsEqualTheRowLevelOracle:
 
     def test_values_by_week_of_no_rows(self):
         empty = np.empty(0, dtype=np.int64)
-        assert diagnostics._values_by_week(PanelRows((), empty, empty, np.empty(0))) == {}
+        assert PanelRows((), empty, empty, np.empty(0)).values_by_week == {}
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_describe_of_a_whole_store(self, name):

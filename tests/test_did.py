@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from seasondid import (
     CovariateSpec,
     DidSample,
+    EffectEstimate,
     EstimationTask,
     Outcome,
     ProtectionCalendar,
@@ -55,6 +56,7 @@ from helpers import (
 )
 from oracles import (
     cell_mask,
+    cell_means_did as validating_cell_means_did,
     estimate_ipw_did as array_ipw_did,
     did_from_cell_means,
     normal_equations_ols,
@@ -937,7 +939,9 @@ class TestBootstrapOracle:
             estimator = failing_first()
             if failing == 2:  # 2 of 20 is 10%, still allowed
                 result = bootstrap(sample, estimator, 20, 7)
-                failures = result[-1] if isinstance(result, tuple) else result.bootstrap_failures
+                # the oracle returns a plain tuple, and an EffectEstimate is a tuple too
+                ours = isinstance(result, EffectEstimate)
+                failures = result.bootstrap_failures if ours else result[-1]
                 assert failures == 2
             else:
                 with pytest.raises(BootstrapDegenerateError, match="3 of 20"):
@@ -984,6 +988,63 @@ class TestCellTotals:
         assert table.cell_sums == (0.0, 0.0, 0.0, 0.0)
         assert all(type(total) is float for total in table.cell_sums)
         assert table.n_by_cell == (0, 0, 0, 0)
+
+
+class TestCellMeansOracle:
+    """``cell_means_did`` checks the four cell sizes inline and runs
+    ``validate`` only for a table with an empty cell;
+    ``oracles.cell_means_did`` is the estimator that validated every table.
+    Both must agree bit for bit, errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_stratum_sizes(), st.just(set()) | st.sets(st.sampled_from(range(4))),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_validating_estimator_bit_for_bit(self, sizes, empty, seed):
+        # the cells in ``empty`` lose every row, in any position and number;
+        # half the draws empty none, so that most tables reach the arithmetic
+        sizes = [[0 if k in empty else n for k, n in enumerate(cells)] for cells in sizes]
+        cells = sample_from_sizes(sizes)
+        # means in different binades, so that each subtraction rounds
+        y = np.random.default_rng(seed).lognormal(3.0, 2.0, cells.n_obs)
+        table = DidSample(y, cells.d, cells.t, cells.stratum).cell_table()
+        ours = outcome_of(cell_means_did, table)
+        reference = outcome_of(validating_cell_means_did, table)
+        event(f"reference: {type(reference).__name__}")
+        if isinstance(reference, Exception):
+            assert type(ours) is InfeasibleSampleError, ours
+            assert (ours.reason, str(ours)) == (reference.reason, str(reference))
+            return
+        assert type(ours) is EffectEstimate, ours
+        assert float.hex(ours.atet) == float.hex(reference.atet)
+        assert (ours.method, ours.n_by_cell) == (reference.method, reference.n_by_cell)
+        assert math.isnan(ours.se) and math.isnan(ours.p_value)
+        assert ours[5:] == reference[5:]
+
+
+class TestEffectEstimateRecord:
+    FIELDS = (
+        "method", "atet", "se", "p_value", "n_by_cell", "n_trimmed_by_cell", "ci_normal",
+        "ci_percentile", "bootstrap_reps", "bootstrap_failures", "seed",
+    )
+
+    def test_fields_defaults_and_n_trimmed(self):
+        assert EffectEstimate._fields == self.FIELDS
+        estimate = EffectEstimate("means", 1.5, 0.25, 0.5, (4, 5, 6, 7))
+        assert tuple(estimate) == ("means", 1.5, 0.25, 0.5, (4, 5, 6, 7), (0, 0, 0, 0),
+                                   None, None, None, None, None)
+        assert estimate.n_trimmed == 0
+        trimmed = EffectEstimate("ipw", 1.5, 0.25, 0.5, (4, 5, 6, 7), (0, 1, 0, 2))
+        assert trimmed.n_trimmed == 3
+
+    def test_is_read_only_and_replace_keeps_the_other_fields(self):
+        estimate = EffectEstimate("ipw", 1.5, 0.25, 0.5, (4, 5, 6, 7), (0, 1, 0, 2))
+        for name in ("atet", "n_trimmed", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(estimate, name, 2.0)
+        merged = estimate._replace(se=0.75, bootstrap_reps=20, seed=9)
+        changed = {"se": 0.75, "bootstrap_reps": 20, "seed": 9}
+        assert merged._asdict() == {**estimate._asdict(), **changed}
+        assert estimate.se == 0.25 and estimate.seed is None
 
 
 # trim thresholds in (0, 1], with shares a small table makes exactly

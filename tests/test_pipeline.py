@@ -399,6 +399,28 @@ class TestFailuresStayPerTask:
             assert str(raised.value) == str(expected.value)
 
 
+def test_the_tasks_of_a_group_share_their_treated_rows_per_outcome():
+    # one PanelRows per outcome, so its week indexes (sorted_weeks for the
+    # restriction, values_by_week for the placebo) are built once per group
+    weeks = [shift(FIRST_WEEK, i) for i in range(60)]
+    store = PanelStore([price_row("tomato", country, w, 100.0 + i % (3 + k))
+                        for k, country in enumerate(COUNTRIES) for i, w in enumerate(weeks)])
+    calendar = ProtectionCalendar({"tomato": window("05-10", "08-31")})
+    tasks = [
+        EstimationTask(treated=SeriesKey("tomato", Quality.CONVENTIONAL, "CH"),
+                       control=SeriesKey("tomato", Quality.CONVENTIONAL, country),
+                       outcome=outcome, bootstrap_reps=0)
+        for outcome in Outcome
+        for country in COUNTRIES[1:]
+    ]
+    group = TaskGroup(tasks, store, calendar)
+    treated = {}
+    for task in tasks:
+        rows = group.task_rows(task)[0]
+        assert treated.setdefault(task.outcome, rows) is rows, task
+    assert treated[Outcome.LEVEL] is not treated[Outcome.VOLATILITY]
+
+
 def test_missing_seed_is_reported_before_estimation():
     # The control series lacks a whole season, so the IPW propensities
     # separate; a bootstrap task without a seed must name the seed, not that.

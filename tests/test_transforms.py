@@ -232,3 +232,25 @@ def test_restriction_matches_the_row_level_oracle(sides):
         assert str(kept) == str(exc)
         return
     assert kept == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(task_sides(), st.data())
+def test_week_indexes_are_built_once_and_left_out_of_take(sides, data):
+    _, rows, _, _ = sides
+    weeks, by_week = rows.sorted_weeks, rows.values_by_week
+    assert weeks.tolist() == sorted(rows.week.tolist()) + [np.iinfo(np.int64).max]
+    expected = {}
+    for w, value in zip(rows.week.tolist(), rows.value.tolist()):
+        expected.setdefault(w, []).append(value)
+    assert {w: values.tolist() for w, values in by_week.items()} == expected
+    # built once, shared read-only
+    assert rows.sorted_weeks is weeks and rows.values_by_week is by_week
+    assert not weeks.flags.writeable
+    assert not any(values.flags.writeable for values in by_week.values())
+    # a taken subset has its own rows and indexes
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))),
+                    dtype=bool)
+    kept = rows.take(mask)
+    assert kept.week.tolist() == rows.week[mask].tolist()
+    assert kept.sorted_weeks.tolist() == sorted(kept.week.tolist()) + [np.iinfo(np.int64).max]

@@ -34,7 +34,7 @@ from .diagnostics import (
     join_effect_attributes,
     pretrend_placebo,
 )
-from .did import METHODS, EstimationTask, two_sided_normal_p
+from .did import METHODS, EstimationTask, check_bootstrap_reps, two_sided_normal_p
 from .errors import (
     CalendarError,
     CalendarMissError,
@@ -245,8 +245,9 @@ def _task_groups(tasks: list[EstimationTask], workers: int) -> list[list[Estimat
 
 
 def _run_config(args: argparse.Namespace, bootstraps) -> RunConfig:
-    """The config of a ``run`` or ``pretrend``, refused before any input is
-    read if ``bootstraps(config)`` holds and it sets no seed."""
+    """The config of a ``run`` or ``pretrend``, validated once with its
+    flags applied, and refused before any input is read if a setting is out
+    of range, or if ``bootstraps(config)`` holds and it sets no seed."""
     config = RunConfig.from_file(args.config).override(
         seed=args.seed,
         trim=args.trim,
@@ -254,6 +255,7 @@ def _run_config(args: argparse.Namespace, bootstraps) -> RunConfig:
         workers=args.workers,
         skip_bad_rows=args.skip_bad_rows or None,
     )
+    config.validate()
     if bootstraps(config) and config.seed is None:
         raise ConfigError("a seed is mandatory for any run involving the bootstrap")
     return config
@@ -322,8 +324,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_pretrend(args: argparse.Namespace) -> int:
     config = _run_config(args, lambda c: c.reps > 0)
-    if config.reps < 2:
-        raise ConfigError("pretrend needs reps >= 2 for bootstrap inference")
+    check_bootstrap_reps(config.reps)  # the placebo always bootstraps
     return _run_batch(
         config, "pretrend", _placebo_rows, PRETREND_COLUMNS, "pretrends.csv",
         "pretrend_manifest.json",
@@ -331,6 +332,7 @@ def _cmd_pretrend(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
+    # no validate(): describe reads only the inputs, which the parsers check
     config = RunConfig.from_file(args.config).override(
         skip_bad_rows=args.skip_bad_rows or None
     )

@@ -15,7 +15,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .did import METHODS, CovariateSpec, EstimationTask, check_reps
+from .did import CovariateSpec, EstimationTask, check_control_country, check_methods
+from .did import check_min_cell, check_reps, check_seed, check_trim
 from .errors import ConfigError, utf8_text
 from .panel import Outcome, Quality, SeriesKey
 from .simgen import SimConfig
@@ -124,23 +125,21 @@ def _parse_path(text: str, key: str) -> Path:
     return Path(text)
 
 
+def _parse_list(text: str, key: str) -> tuple[str, ...]:
+    """Comma-separated entries, lowercased, none of them twice."""
+    items = tuple(part.strip().lower() for part in text.split(",") if part.strip())
+    _reject_repeats(items, key)
+    return items
+
+
 def _parse_outcomes(text: str, key: str) -> tuple[Outcome, ...]:
     try:
-        outcomes = tuple(
-            Outcome(part.strip().lower()) for part in text.split(",") if part.strip()
-        )
+        outcomes = tuple(map(Outcome, _parse_list(text, key)))
     except ValueError:
         raise ConfigError(f"invalid {key} {text!r}") from None
     if not outcomes:
         raise ConfigError(f"config key {key!r} is empty")
-    _reject_repeats(outcomes, key)
     return outcomes
-
-
-def _parse_methods(text: str, key: str) -> tuple[str, ...]:
-    methods = tuple(part.strip().lower() for part in text.split(",") if part.strip())
-    _reject_repeats(methods, key)
-    return methods
 
 
 def _parse_covariates(text: str, key: str) -> CovariateSpec:
@@ -158,9 +157,15 @@ def _parse_all(text: str, key: str) -> str:
     return "all"
 
 
-def _setting(parse: Callable[[str, str], object], default=MISSING):
-    """A field set by the config key of its name, whose text ``parse`` reads."""
-    return field(default=default, metadata={"parse": parse})
+def _check_workers(workers: int) -> None:
+    if not workers >= 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
+def _setting(parse: Callable[[str, str], object], default=MISSING, check=None):
+    """A field set by the config key of its name, whose text ``parse`` reads
+    and whose value ``check``, if given, refuses out of its range."""
+    return field(default=default, metadata={"parse": parse, "check": check})
 
 
 def _parse_fields(values: dict[str, list[str]], parsers: dict[str, Callable], what: str) -> dict:
@@ -197,14 +202,15 @@ class RunConfig:
     calendar: Path = _setting(_parse_path)
     treated_country: str = _setting(_parse_text, "CH")
     outcomes: tuple[Outcome, ...] = _setting(_parse_outcomes, (Outcome.LEVEL, Outcome.VOLATILITY))
-    methods: tuple[str, ...] = _setting(_parse_methods, ("ipw",))
+    methods: tuple[str, ...] = _setting(_parse_list, ("ipw",), check_methods)
     covariates: CovariateSpec = _setting(_parse_covariates, CovariateSpec.SEASONAL)
-    trim: float = _setting(_parse_float, 0.95)
+    trim: float = _setting(_parse_float, 0.95, check_trim)
     trim_treated: bool = _setting(_parse_bool, False)
-    reps: int = _setting(_parse_int, 200)
-    seed: int | None = _setting(_parse_int, None)
-    min_cell: int = _setting(_parse_int, 4)
-    workers: int = _setting(_parse_int, 1)
+    reps: int = _setting(_parse_int, 200, check_reps)
+    # unset, the seed is left to the commands that bootstrap
+    seed: int | None = _setting(_parse_int, None, lambda seed: seed is None or check_seed(seed))
+    min_cell: int = _setting(_parse_int, 4, check_min_cell)
+    workers: int = _setting(_parse_int, 1, _check_workers)
     output_dir: Path = _setting(_parse_path, Path("."))
     # ``tasks = all``, or the ``task`` lines, the one key that may repeat
     tasks: str | tuple[TaskSpec, ...] = _setting(_parse_all, "all")
@@ -212,6 +218,9 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """The config a file sets. Only its text is checked here: unknown,
+        repeated and malformed keys, bad task lines and a missing ``prices``
+        or ``calendar`` are refused; the range rules wait for ``validate``."""
         values = _config_values(path)
         task_lines = values.pop("task", [])
         settings = fields(cls)
@@ -223,35 +232,23 @@ class RunConfig:
                 raise ConfigError("give either 'tasks = all' or explicit 'task' lines, not both")
             parsed["tasks"] = tuple(TaskSpec.parse(line) for line in task_lines)
             _reject_repeats(parsed["tasks"], "task")
-        config = cls(**parsed)
-        config.validate()
-        return config
+        return cls(**parsed)
 
     def validate(self) -> None:
-        if not 0.0 < self.trim <= 1.0:
-            raise ConfigError(f"trim must be in (0, 1], got {self.trim}")
-        check_reps(self.reps)
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.min_cell < 1:
-            raise ConfigError(f"min_cell must be >= 1, got {self.min_cell}")
+        """Refuse a setting out of its range, by its field's check, then a
+        task line whose control is in the treated country. The commands that
+        estimate call this once, before they read any input."""
+        for setting in fields(self):
+            if setting.metadata["check"]:
+                setting.metadata["check"](getattr(self, setting.name))
         for spec in () if self.tasks == "all" else self.tasks:
-            if spec.control.country == self.treated_country:
-                raise ConfigError(f"task {str(spec)!r} has its control in the treated country "
-                                  f"{self.treated_country}")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown or not self.methods:
-            raise ConfigError(
-                f"methods must be a subset of {','.join(METHODS)}; got {self.methods!r}"
-            )
+            treated = SeriesKey(spec.product, spec.control.quality, self.treated_country)
+            check_control_country(treated, spec.control)
 
     def override(self, **settings) -> "RunConfig":
-        """Apply command-line overrides, where not ``None``, and re-validate."""
-        updated = replace(self, **{k: v for k, v in settings.items() if v is not None})
-        updated.validate()
-        return updated
+        """Apply command-line overrides, where not ``None``; like
+        ``from_file``, this leaves the range rules to ``validate``."""
+        return replace(self, **{k: v for k, v in settings.items() if v is not None})
 
     def manifest_dict(self) -> dict:
         """Every effective setting, defaults included, as JSON-ready values."""

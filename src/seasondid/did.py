@@ -84,13 +84,45 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
+# Each setting's range rule is one function, this and the ones below, called
+# by the config, the CLI and the library alike: one refusal text per rule.
+def check_trim(trim: float) -> None:
+    if not 0.0 < trim <= 1.0:
+        raise ConfigError(f"trim must be in (0, 1], got {trim}")
+
+
+def check_bootstrap_reps(reps: int) -> None:
+    """A standard deviation needs 2 replicates; a replicate's number fits a uint32."""
+    if not 2 <= reps <= 2**32:
+        raise ConfigError(f"a bootstrap needs reps between 2 and 2**32, got {reps}")
+
+
 def check_reps(reps: int) -> None:
-    """Bootstrap replicates are 0 (no bootstrap) or what ``bootstrap_se``
-    accepts, so a run refuses any other count before it reads its data."""
-    if reps != 0 and not 2 <= reps <= 2**32:
-        raise ConfigError(
-            f"reps must be 0 or between 2 and 2**32 (a bootstrap needs reps >= 2), got {reps}"
-        )
+    """0 runs no bootstrap."""
+    if reps != 0:
+        check_bootstrap_reps(reps)
+
+
+def check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_min_cell(min_cell: int) -> None:
+    if not min_cell >= 1:
+        raise ConfigError(f"min_cell must be >= 1, got {min_cell}")
+
+
+def check_control_country(treated: SeriesKey, control: SeriesKey) -> None:
+    if treated.country == control.country:
+        raise ConfigError(f"the control series {control} must be in another country than "
+                          f"the treated series {treated}")
+
+
+def check_methods(methods: tuple[str, ...]) -> None:
+    if not methods or not set(methods) <= set(METHODS):
+        raise ConfigError(f"methods must be a non-empty subset of {','.join(METHODS)}, "
+                          f"got {methods!r}")
 
 
 class CovariateSpec(str, enum.Enum):
@@ -115,21 +147,15 @@ class EstimationTask:
     trim_treated: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.trim_threshold <= 1.0:
-            raise ConfigError(f"trim threshold must be in (0, 1], got {self.trim_threshold}")
+        check_trim(self.trim_threshold)
         check_reps(self.bootstrap_reps)
-        if self.min_cell < 1:
-            raise ConfigError(f"min_cell must be >= 1, got {self.min_cell}")
+        check_min_cell(self.min_cell)
         if self.treated.quality is not self.control.quality:
             raise ConfigError(
                 f"treated and control series must share a quality: "
                 f"{self.treated} vs {self.control}"
             )
-        if self.treated.country == self.control.country:
-            raise ConfigError(
-                f"the control series must be in another country than the treated one: "
-                f"{self.treated} vs {self.control}"
-            )
+        check_control_country(self.treated, self.control)
 
     def key(self) -> str:
         """Stable identifier used for ordering and per-task seeding."""
@@ -347,8 +373,7 @@ def estimate_ipw_did(
     takes weights n11 and the table's treated mean: its rho are Python
     floats of its counts as Python ints, and it builds no rho arrays.
     """
-    if not 0.0 < trim_threshold <= 1.0:
-        raise ConfigError(f"trim threshold must be in (0, 1], got {trim_threshold}")
+    check_trim(trim_threshold)
     n_by_cell = table.validate()
     counts, sums = table.counts, table.sums
     strata = counts.shape[1]
@@ -598,16 +623,12 @@ def bootstrap_se(
     Returns the full-sample estimate with the replicate standard deviation
     (ddof=1) as its se, the two-sided normal p-value, both normal and
     percentile 95% confidence intervals, and the replicate bookkeeping.
-    A seed that is not a non-negative integer, or more than 2**32
-    replicates (r must fit one uint32 word), raise :class:`ConfigError`
-    before any estimate.
+    ``reps`` outside 2 .. 2**32 (``check_bootstrap_reps``) and a seed that
+    is not a non-negative integer (``check_seed``; ``None`` too) raise
+    :class:`ConfigError` before any estimate.
     """
-    if reps < 2:
-        raise ConfigError(f"bootstrap needs at least 2 replicates, got {reps}")
-    if reps > 2**32:
-        raise ConfigError(f"bootstrap allows at most 2**32 replicates, got {reps}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"bootstrap seed must be a non-negative integer, got {seed!r}")
+    check_bootstrap_reps(reps)
+    check_seed(seed)
     table = sample.cell_table()
     estimate = estimator(table)
     strata = table.counts.shape[1]

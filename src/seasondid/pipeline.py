@@ -23,11 +23,11 @@ import numpy as np
 
 from .calendar import ProtectionCalendar
 from .did import (
-    METHODS,
     EffectEstimate,
     EstimationTask,
     bootstrap_se,
     build_sample,
+    check_methods,
     estimate_ipw_did,
     estimate_ols_did,
 )
@@ -148,11 +148,7 @@ def run_task(
     The IPW estimate carries bootstrap inference (requires ``task.seed``);
     the OLS estimate carries classical standard errors and reps=0.
     """
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ConfigError(f"unknown methods {unknown}; expected subset of {METHODS}")
-    if "ipw" in methods and task.bootstrap_reps > 0 and task.seed is None:
-        raise ConfigError("a seed is required for bootstrap inference")
+    check_methods(methods)
     treated_rows, control_rows = prepare_outcome_rows(task, store, calendar, group)
     sample = build_sample(task, treated_rows, control_rows)
     ipw = functools.partial(

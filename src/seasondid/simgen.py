@@ -26,14 +26,16 @@ with noise or missing weeks it is the population target of the estimator.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .calendar import MonthDay, ProtectionCalendar, ProtectionWindow
+from .did import check_control_country, check_seed
 from .errors import ConfigError
-from .panel import PhaseLabel, PriceObservation, Quality, check_labelled_year, week_phases
-from .panel import week_seasons
+from .panel import PhaseLabel, PriceObservation, Quality, SeriesKey, check_labelled_year
+from .panel import week_phases, week_seasons
 from .weeks import IsoWeek
 
 _SHOCK_STREAM = 0
@@ -95,6 +97,10 @@ class SimConfig:
                 f"common_trend has {len(self.common_trend)} entries, "
                 f"expected {self.weeks_per_season}"
             )
+        floats = {f.name: getattr(self, f.name) for f in fields(self) if type(f.default) is float}
+        for name, value in [*floats.items(), *(("common_trend", v) for v in self.common_trend)]:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("base_price_treated", "base_price_control"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -105,10 +111,9 @@ class SimConfig:
             raise ConfigError(
                 f"missing_week_prob must be in [0, 1), got {self.missing_week_prob}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.treated_country == self.control_country:
-            raise ConfigError("treated and control countries must differ")
+        check_seed(self.seed)
+        check_control_country(*(SeriesKey(self.product, self.quality, country)
+                                for country in (self.treated_country, self.control_country)))
 
 
 @dataclass(frozen=True)

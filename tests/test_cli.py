@@ -49,6 +49,19 @@ output_dir = {out}
 """
 
 
+# (config line, flags, refusal): each setting out of its range; only the
+# commands that estimate read these settings, and they check them all
+OUT_OF_RANGE = [
+    ("trim = 1.5\n", [], "trim must be in (0, 1], got 1.5"),
+    ("workers = 0\n", [], "workers must be >= 1, got 0"),
+    ("methods = none\n", [], "methods must be a non-empty subset of ipw,ols, got ('none',)"),
+    ("reps = 1\n", [], "a bootstrap needs reps between 2 and 2**32, got 1"),
+    ("seed = -1\n", [], "seed must be a non-negative integer, got -1"),
+    ("min_cell = 0\n", [], "min_cell must be >= 1, got 0"),
+    ("", ["--reps", str(2**32 + 1)], "a bootstrap needs reps between 2 and 2**32, got 4294967297"),
+]
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy 2 loads numpy.random on first use; a main process that never
     # bootstraps (or hands every task to workers) should not carry it
@@ -259,9 +272,10 @@ class TestRun:
         assert [r[14] for r in rows[0::2]] == [str(task_seed(9, key)) for key in keys]
         assert [(r[13], r[14]) for r in rows[1::2]] == [("0", "0"), ("0", "0")]
 
-    @pytest.mark.parametrize("reps", ["1", str(2**32 + 1)])
-    def test_reps_the_bootstrap_refuses_stop_the_run_before_ingest(
-        self, workspace, monkeypatch, capsys, reps
+    @pytest.mark.parametrize("command", ["run", "pretrend"])
+    @pytest.mark.parametrize("extra,flags,refusal", OUT_OF_RANGE)
+    def test_an_out_of_range_setting_stops_the_run_before_ingest(
+        self, workspace, monkeypatch, capsys, command, extra, flags, refusal
     ):
         import seasondid.cli as cli
 
@@ -269,10 +283,10 @@ class TestRun:
             raise AssertionError("read_prices was called")
 
         monkeypatch.setattr(cli, "read_prices", no_ingest)
-        _, _, run_cfg, out = workspace
-        assert main(["run", "--config", str(run_cfg), "--reps", reps]) == EXIT_CONFIG
-        assert "reps must be 0 or between 2 and 2**32" in capsys.readouterr().err
-        assert not (out / "effects.csv").exists()
+        cfg, out = seedless_cfg(workspace, extra)
+        assert main([command, "--config", str(cfg), *flags]) == EXIT_CONFIG
+        assert f"error: {refusal}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_an_ols_only_run_needs_no_seed(self, workspace):
         cfg, out = seedless_cfg(workspace, "methods = ols\n")
@@ -405,8 +419,9 @@ class TestRun:
         cfg, out = write_run_cfg(workspace, extra="task = simulated-vegetable:conventional:CH\n")
         (data / "prices.csv").unlink()  # never read
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
-        assert ("task 'simulated-vegetable:conventional:CH:simulated-vegetable' has its "
-                "control in the treated country CH") in capsys.readouterr().err
+        assert ("the control series simulated-vegetable[conventional]@CH must be in another "
+                "country than the treated series simulated-vegetable[conventional]@CH"
+                ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_unestimable_task_fails_the_run(self, workspace):
@@ -494,10 +509,12 @@ class TestPretrend:
             manifest = json.loads((out / "pretrend_manifest.json").read_text())
             assert [s["status"] for s in manifest["tasks"]] == [status] * 2
 
-    def test_pretrend_requires_replicates(self, workspace, capsys):
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_pretrend_requires_replicates(self, workspace, capsys, reps):
         _, _, run_cfg, _ = workspace
-        assert main(["pretrend", "--config", str(run_cfg), "--reps", "1"]) == EXIT_CONFIG
-        assert "reps >= 2" in capsys.readouterr().err
+        assert main(["pretrend", "--config", str(run_cfg), "--reps", reps]) == EXIT_CONFIG
+        assert (f"a bootstrap needs reps between 2 and 2**32, got {reps}"
+                in capsys.readouterr().err)
 
     def test_placebo_seed_differs_from_the_effect_seed(self, workspace):
         _, _, run_cfg, out = workspace
@@ -528,6 +545,12 @@ class TestDescribe:
 
     def test_a_config_without_a_seed_is_described(self, workspace):
         cfg, out = seedless_cfg(workspace)
+        assert main(["describe", "--config", str(cfg)]) == EXIT_OK
+        assert len(read_csv(out / "descriptives.csv")[1]) == 8
+
+    @pytest.mark.parametrize("extra", [extra for extra, flags, _ in OUT_OF_RANGE if not flags])
+    def test_settings_only_estimation_reads_are_not_checked(self, workspace, extra):
+        cfg, out = seedless_cfg(workspace, extra)
         assert main(["describe", "--config", str(cfg)]) == EXIT_OK
         assert len(read_csv(out / "descriptives.csv")[1]) == 8
 

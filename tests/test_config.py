@@ -1,6 +1,12 @@
 """Run/generator configuration parsing and task expansion."""
 
+import itertools
+import math
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seasondid import Outcome, PanelStore, Quality, SeriesKey
 from seasondid.config import (
@@ -10,10 +16,11 @@ from seasondid.config import (
     parse_config_text,
     sim_config_from_file,
 )
-from seasondid.did import CovariateSpec
-from seasondid.errors import ConfigError
+from seasondid.did import CovariateSpec, EstimationTask, bootstrap_se, estimate_ipw_did
+from seasondid.errors import ConfigError, SeasonDidError
+from seasondid.simgen import SimConfig
 
-from helpers import price_row, week
+from helpers import basic_task, no_covariate_sample, price_row, week
 
 MINIMAL = "prices = p.csv\ncalendar = c.csv\nseed = 7\n"
 
@@ -131,18 +138,10 @@ class TestRunConfig:
             (MINIMAL + "outcomes = levels\n", "invalid outcomes"),
             (MINIMAL + "outcomes = ,\n", "empty"),
             (MINIMAL + "treated_country =\n", "config key 'treated_country' is empty"),
-            (MINIMAL + "methods = gmm\n", "subset of ipw,ols"),
             (MINIMAL + "covariates = none_at_all\n", "invalid covariates"),
             (MINIMAL + "covariates = seasonal_plus_biweekly_fe\n", "invalid covariates"),
-            (MINIMAL + "trim = 0\n", "trim must be in"),
             (MINIMAL + "trim = nope\n", "expects a number"),
-            (MINIMAL + "reps = -1\n", "reps must be"),
-            (MINIMAL + "reps = 1\n", r"reps must be 0 or between 2 and 2\*\*32 .*, got 1"),
-            (MINIMAL + f"reps = {2**32 + 1}\n", r"reps must be 0 or between 2 and 2\*\*32"),
             (MINIMAL + "reps = many\n", "expects an integer"),
-            (MINIMAL + "workers = 0\n", "workers"),
-            (MINIMAL + "min_cell = 0\n", "min_cell"),
-            ("prices = p.csv\ncalendar = c.csv\nseed = -4\n", "non-negative"),
             (MINIMAL + "skip_bad_rows = maybe\n", "expects a boolean"),
             (MINIMAL + "trim = 0.9\ntrim = 0.95\n", "given 2 times"),
             (MINIMAL + "tasks = all\ntask = a:organic:DE\n", "not both"),
@@ -154,19 +153,41 @@ class TestRunConfig:
                 MINIMAL + "task = tomato:organic:DE\ntask = tomato : organic : DE : tomato\n",
                 "'task' lists 'tomato:organic:DE:tomato' more than once",
             ),
-            (
-                MINIMAL + "task = tomato:organic:DE\ntask = tomato:organic:CH\n",
-                "task 'tomato:organic:CH:tomato' has its control in the treated country CH",
-            ),
-            (
-                MINIMAL + "treated_country = DE\ntask = tomato:organic:DE:leek:north\n",
-                "task 'tomato:organic:DE:leek:north' has its control in the treated country DE",
-            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, needle):
         with pytest.raises(ConfigError, match=needle):
             config_from(tmp_path, text)
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            (MINIMAL + "methods = gmm\n",
+             r"methods must be a non-empty subset of ipw,ols, got \('gmm',\)"),
+            (MINIMAL + "trim = 0\n", r"trim must be in \(0, 1\], got 0.0"),
+            (MINIMAL + "reps = -1\n", r"a bootstrap needs reps between 2 and 2\*\*32, got -1"),
+            (MINIMAL + "reps = 1\n", r"a bootstrap needs reps between 2 and 2\*\*32, got 1"),
+            (MINIMAL + f"reps = {2**32 + 1}\n", r"reps between 2 and 2\*\*32, got 4294967297"),
+            (MINIMAL + "workers = 0\n", "workers must be >= 1, got 0"),
+            (MINIMAL + "min_cell = 0\n", "min_cell must be >= 1, got 0"),
+            ("prices = p.csv\ncalendar = c.csv\nseed = -4\n",
+             "seed must be a non-negative integer, got -4"),
+            (
+                MINIMAL + "task = tomato:organic:DE\ntask = tomato:organic:CH\n",
+                r"the control series tomato\[organic\]@CH must be in another country than "
+                r"the treated series tomato\[organic\]@CH",
+            ),
+            (
+                MINIMAL + "treated_country = DE\ntask = tomato:organic:DE:leek:north\n",
+                r"the control series leek\[organic\]@DE/north must be in another country "
+                r"than the treated series tomato\[organic\]@DE",
+            ),
+        ],
+    )
+    def test_out_of_range_settings_are_refused_by_validate(self, tmp_path, text, needle):
+        config = config_from(tmp_path, text)  # parsing leaves the ranges alone
+        with pytest.raises(ConfigError, match=needle):
+            config.validate()
 
     def test_reps_zero_needs_no_seed(self, tmp_path):
         config = config_from(tmp_path, "prices = p.csv\ncalendar = c.csv\nreps = 0\n")
@@ -179,7 +200,7 @@ class TestRunConfig:
         assert (config.reps, config.seed) == (200, None)
         assert config.override(reps=100).seed is None
 
-    def test_override_revalidates(self, tmp_path):
+    def test_override_applies_flags_that_validate_then_checks(self, tmp_path):
         config = config_from(tmp_path, MINIMAL)
         updated = config.override(seed=9, trim=0.99, reps=10, workers=2,
                                   skip_bad_rows=True)
@@ -187,8 +208,9 @@ class TestRunConfig:
             9, 0.99, 10, 2)
         assert updated.skip_bad_rows is True
         assert config.seed == 7  # original untouched
-        with pytest.raises(ConfigError):
-            config.override(trim=1.5)
+        updated.validate()
+        with pytest.raises(ConfigError, match=r"trim must be in \(0, 1\], got 1.5"):
+            config.override(trim=1.5).validate()
 
     def test_manifest_echoes_every_setting(self, tmp_path):
         config = config_from(tmp_path, MINIMAL + "task = tomato:organic:DE\n")
@@ -204,6 +226,99 @@ class TestRunConfig:
             "reps", "seed", "min_cell", "workers", "output_dir", "tasks",
             "skip_bad_rows",
         }
+
+
+class _Reached(Exception):
+    """Raised by an estimator that ``bootstrap_se`` reached past its checks."""
+
+
+def _reached(table):
+    raise _Reached
+
+
+def refusal(call, *args, **kwargs) -> str | None:
+    """The text of the ConfigError that ``call`` raises, or None when it gets
+    past its checks (whatever else it then raises)."""
+    try:
+        call(*args, **kwargs)
+    except ConfigError as exc:
+        return str(exc)
+    except (SeasonDidError, _Reached):
+        pass
+    return None
+
+
+def run_config_refusal(**settings) -> str | None:
+    config = RunConfig(prices=Path("p.csv"), calendar=Path("c.csv"), **settings)
+    return refusal(config.validate)
+
+
+# one row in each cell, so every estimate gets past the checks
+ONE_ROW_PER_CELL = no_covariate_sample([1.0, 2.0, 3.0, 5.0], [1, 1, 0, 0], [1, 0, 1, 0])
+NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 1, 2, 2**32, 2**32 + 1, -1, -2**32,
+                     True, False]),
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestOneTextPerRule:
+    """A setting out of its range is refused with one text by the config and
+    by every library entry point that checks it; a value one accepts, all do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(NUMBERS)
+    def test_trim(self, trim):
+        texts = {
+            run_config_refusal(trim=trim),
+            refusal(basic_task, trim_threshold=trim),
+            refusal(estimate_ipw_did, ONE_ROW_PER_CELL.cell_table(), trim),
+        }
+        assert len(texts) == 1
+        assert (texts == {None}) == (0 < trim <= 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(NUMBERS)
+    def test_reps(self, reps):
+        texts = {run_config_refusal(reps=reps), refusal(basic_task, bootstrap_reps=reps)}
+        bootstrap = refusal(bootstrap_se, ONE_ROW_PER_CELL, _reached, reps, 0)
+        if reps == 0:  # no bootstrap: a run takes it, a bootstrap does not
+            assert texts == {None} and bootstrap is not None
+        else:
+            assert texts == {bootstrap}
+            assert (bootstrap is None) == (2 <= reps <= 2**32)
+
+    @settings(max_examples=150, deadline=None)
+    @given(NUMBERS)
+    def test_min_cell(self, min_cell):
+        texts = {run_config_refusal(min_cell=min_cell), refusal(basic_task, min_cell=min_cell)}
+        assert len(texts) == 1
+        assert (texts == {None}) == (min_cell >= 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(NUMBERS)
+    def test_seed(self, seed):
+        texts = {
+            run_config_refusal(seed=seed),
+            refusal(bootstrap_se, ONE_ROW_PER_CELL, _reached, 2, seed),
+            refusal(SimConfig, seed=seed),
+        }
+        assert len(texts) == 1
+        valid = isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
+        assert (texts == {None}) == valid
+
+    @pytest.mark.parametrize(
+        "treated_country,country,control_product,region",
+        itertools.product(["CH", "DE"], ["CH", "DE"], ["tomato", "leek"], ["", "north"]),
+    )
+    def test_control_country(self, treated_country, country, control_product, region):
+        spec = TaskSpec.parse(f"tomato:organic:{country}:{control_product}:{region}")
+        task_line = run_config_refusal(treated_country=treated_country, tasks=(spec,))
+        treated = SeriesKey("tomato", Quality.ORGANIC, treated_country)
+        task = refusal(EstimationTask, treated, spec.control, Outcome.LEVEL)
+        assert task_line == task
+        assert (task is None) == (treated_country != country)
 
 
 class TestTaskSpec:

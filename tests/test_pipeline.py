@@ -435,7 +435,7 @@ def test_missing_seed_is_reported_before_estimation():
         bootstrap_reps=20,
         seed=None,
     )
-    with pytest.raises(ConfigError, match="a seed is required"):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got None"):
         pipeline.run_task(task, store, calendar)
     with pytest.raises(SeparationError):
         pipeline.run_task(replace(task, seed=1), store, calendar)

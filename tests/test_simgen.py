@@ -214,6 +214,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SimConfig(**overrides)
 
+    @pytest.mark.filterwarnings("error")  # refused before numpy computes with it
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "key",
+        ["base_price_treated", "base_price_control", "season_shock_sd", "noise_sd",
+         "true_atet", "missing_week_prob", "trend_divergence_per_week", "common_trend"],
+    )
+    def test_a_non_finite_number_is_refused_by_its_key(self, key, value):
+        # not later as a price row that no one wrote
+        if key == "common_trend":
+            overrides = {key: (1.0,) * 10 + (value,) + (2.0,) * 19}
+        else:
+            overrides = {key: value}
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number, got {value!r}$"):
+            SimConfig(**overrides)
+
     @pytest.mark.parametrize("first_year,n_seasons", [(2, 1), (9994, 6), (9999, 1)])
     def test_seasons_outside_the_labelled_years_are_rejected(self, first_year, n_seasons):
         # a week of year y is labelled from the windows of years y - 2 .. y + 1

@@ -4,22 +4,23 @@ The calendar file is delimited text with one row per product::
 
     product,start_md,end_md
 
-where ``start_md``/``end_md`` are ``MM-DD`` strings. An optional first line
-equal to the canonical header is skipped. Windows must not wrap the year end
-(``start_md < end_md``); wrapping windows are rejected at parse time.
+with exactly that header, where ``start_md``/``end_md`` are ``MM-DD``
+strings. Windows must not wrap the year end (``start_md < end_md``). The
+file is read by ``errors.read_table``: a bad row, a wrong field count or a
+repeated product is a problem at its ``file:line``, and any problem
+rejects the file.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CalendarError, CalendarMissError, utf8_text
+from .errors import CalendarError, CalendarMissError, read_table
 from .weeks import IsoWeek
 
-_HEADER = ("product", "start_md", "end_md")
+CALENDAR_HEADER = ("product", "start_md", "end_md")
 
 
 @dataclass(frozen=True, order=True)
@@ -107,42 +108,15 @@ class ProtectionCalendar:
     def from_csv(cls, path: str | Path) -> "ProtectionCalendar":
         """Parse a calendar file; errors carry 1-based line numbers."""
         path = Path(path)
-        entries: dict[str, ProtectionWindow] = {}
-        first_line: dict[str, int] = {}
-        problems: list[str] = []
-        with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, CalendarError):
-            reader = csv.reader(handle)
-            try:
-                rows = list(reader)
-            except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-                raise CalendarError(f"{path.name}:{reader.line_num}: {exc}") from None
-            for lineno, row in enumerate(rows, start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if lineno == 1 and tuple(cell.strip() for cell in row) == _HEADER:
-                    continue
-                if len(row) != 3:
-                    problems.append(f"{path.name}:{lineno}: expected 3 fields, got {len(row)}")
-                    continue
-                product = row[0].strip()
-                if not product:
-                    problems.append(f"{path.name}:{lineno}: empty product name")
-                    continue
-                if product in entries:
-                    problems.append(
-                        f"{path.name}:{lineno}: duplicate product {product!r} "
-                        f"(first seen on line {first_line[product]})"
-                    )
-                    continue
-                try:
-                    window = ProtectionWindow(MonthDay.parse(row[1]), MonthDay.parse(row[2]))
-                except CalendarError as exc:
-                    problems.append(f"{path.name}:{lineno}: {exc}")
-                    continue
-                entries[product] = window
-                first_line[product] = lineno
-        if problems:
-            raise CalendarError("invalid calendar file:\n" + "\n".join(problems))
+        entries, _ = read_table(path, CALENDAR_HEADER, _calendar_entry, CalendarError,
+                                key=lambda entry: f"product {entry[0]!r}")
         if not entries:
             raise CalendarError(f"calendar file {path.name} contains no entries")
-        return cls(entries)
+        return cls(dict(entries))
+
+
+def _calendar_entry(lineno: int, row: list[str]) -> tuple[str, ProtectionWindow]:
+    product = row[0].strip()
+    if not product:
+        raise CalendarError("empty product name")
+    return product, ProtectionWindow(MonthDay.parse(row[1]), MonthDay.parse(row[2]))

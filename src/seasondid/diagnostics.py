@@ -34,15 +34,9 @@ from .did import (
     cell_means_did,
     quantile,
 )
-from .errors import ConfigError, InfeasibleSampleError
+from .errors import ConfigError, InfeasibleSampleError, IngestError, read_table
 from .glm import DesignMatrix, FitResult, fit_ols
-from .ingest import (
-    ATTRIBUTE_HEADER,
-    EFFECTS_COLUMNS,
-    AttributeRecord,
-    read_attributes,
-    read_table,
-)
+from .ingest import ATTRIBUTE_HEADER, EFFECTS_COLUMNS, AttributeRecord, read_attributes
 from .panel import PHASES, Outcome, PanelRows, PhaseLabel, Quality, cut_runs, week_phases
 from .weeks import IsoWeek
 
@@ -293,13 +287,16 @@ def join_effect_attributes(
     """The ``method`` rows of an effects table, each joined with the row of
     an attributes file for its (product, quality, control country).
 
-    A bad effects row is an :class:`IngestError` at its ``file:line``; an
+    A bad or repeated attributes row, or a bad effects row, is an
+    :class:`IngestError` at its ``file:line`` (effects rows may repeat a
+    key: task lines may differ only in the control product or region); an
     effect without an attribute row, or no row of ``method``, is a
     :class:`ConfigError` that names what is missing."""
     by_key = {(a.product, a.quality, a.comparison): a for a in read_attributes(attributes)}
     missing: set[str] = set()
 
-    def join(record: dict[str, str]) -> EffectAttributeRow | None:
+    def join(lineno: int, row: list[str]) -> EffectAttributeRow | None:
+        record = dict(zip(EFFECTS_COLUMNS, (cell.strip() for cell in row)))
         if record["method"] != method:
             return None
         quality = Quality.parse(record["quality"])
@@ -313,7 +310,8 @@ def join_effect_attributes(
             return None
         return EffectAttributeRow(outcome, effect, by_key[key])
 
-    rows = [row for row in read_table(Path(effects), EFFECTS_COLUMNS, join) if row is not None]
+    joined, _ = read_table(Path(effects), EFFECTS_COLUMNS, join, IngestError)
+    rows = [row for row in joined if row is not None]
     if missing:
         raise ConfigError("no attribute row for estimated effects: " + ", ".join(sorted(missing)))
     if not rows:

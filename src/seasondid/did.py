@@ -91,25 +91,30 @@ def check_trim(trim: float) -> None:
         raise ConfigError(f"trim must be in (0, 1], got {trim}")
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_bootstrap_reps(reps: int) -> None:
     """A standard deviation needs 2 replicates; a replicate's number fits a uint32."""
-    if not 2 <= reps <= 2**32:
+    if not (_is_integer(reps) and 2 <= reps <= 2**32):
         raise ConfigError(f"a bootstrap needs reps between 2 and 2**32, got {reps}")
 
 
 def check_reps(reps: int) -> None:
     """0 runs no bootstrap."""
-    if reps != 0:
+    if not (_is_integer(reps) and reps == 0):
         check_bootstrap_reps(reps)
 
 
 def check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (_is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def check_min_cell(min_cell: int) -> None:
-    if not min_cell >= 1:
+    if not (_is_integer(min_cell) and min_cell >= 1):
         raise ConfigError(f"min_cell must be >= 1, got {min_cell}")
 
 

@@ -5,11 +5,12 @@ The price schema is one row per observation::
     country,product,quality,region,year,iso_week,price
 
 with exactly that header. ``region`` may be empty. ``price`` must be a
-positive decimal using ``.`` as the separator. Validation failures carry
-``file:line`` positions; by default any failure rejects the file, with
-``skip_bad_rows`` offending rows are dropped and counted instead. Duplicate
-(country, product, quality, region, year, iso_week) keys name both lines.
-Kept rows go into per-series arrays of ISO-week ordinals and prices, the
+positive decimal using ``.`` as the separator. Rows are read by
+``errors.read_table``, the reader of every input table (calendar,
+attributes and effects too): each problem carries its ``file:line``, a
+repeated (country, product, quality, region, year, iso_week) names both
+lines, and any problem rejects the file unless ``skip_bad_rows`` drops
+and counts the offending rows. Kept rows go into per-series arrays of ISO-week ordinals and prices, the
 columns of a ``PanelStore``, the one gate for what a store may hold.
 
 A price file is first read as columns, 32 KiB of whole lines at a time:
@@ -31,11 +32,12 @@ import re
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, utf8_text
+from .errors import ConfigError, IngestError, duplicate, read_table, utf8_text
+from .calendar import CALENDAR_HEADER
 from .panel import PanelRows, PriceObservation, Quality, SeriesKey
 from .panel import check_labelled_year, labelled_years
 from .weeks import IsoWeek
@@ -52,10 +54,8 @@ _PRICE_PATTERN = re.compile(rf"^{_DECIMAL}$")
 _PRICE_COLUMN = re.compile(rf"{_DECIMAL}(?:,{_DECIMAL})*", re.ASCII)
 _HEADER_LINES = tuple(",".join(PRICE_HEADER) + end for end in ("\n", "\r\n", ""))
 _CHUNK_CHARS = 32 * 1024
-_MAX_REPORTED = 50
 _NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))
 _Columns = dict[SeriesKey, tuple[Sequence[int] | np.ndarray, Sequence[float] | np.ndarray]]
-_Record = TypeVar("_Record")
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,8 @@ class PanelStore:
         week, price, code = rows.week, rows.value, rows.series
         repeats = np.flatnonzero((week[1:] == week[:-1]) & (code[1:] == code[:-1]))
         if repeats.size:
-            raise ConfigError(_duplicate(rows.keys[code[repeats[0]]], int(week[repeats[0]])))
+            key, at = rows.keys[code[repeats[0]]], int(week[repeats[0]])
+            raise ConfigError(duplicate(f"observation for {_series_week(key, at)}"))
         bad = np.flatnonzero(~((price > 0) & (price < math.inf)))
         if bad.size:
             at = bad[0]
@@ -157,25 +158,6 @@ class PanelStore:
 
     def products(self) -> list[str]:
         return sorted({key.product for key in self.series()})
-
-
-def _data_rows(path: Path, handle, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each non-blank row after a header that must
-    equal ``header``."""
-    reader = csv.reader(handle)
-    try:
-        first = next(reader, None)
-        if first is None:
-            raise IngestError(f"{path.name}: file is empty")
-        if tuple(cell.strip() for cell in first) != header:
-            raise IngestError(
-                f"{path.name}:1: expected header {','.join(header)!r}, got {','.join(first)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if row and (len(row) > 1 or row[0].strip()):
-                yield lineno, row
-    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise IngestError(f"{path.name}:{reader.line_num}: {exc}") from None
 
 
 def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelStore, IngestReport]:
@@ -262,31 +244,12 @@ def _price_chunk(
 def _read_price_rows(path: Path, skip_bad_rows: bool) -> tuple[PanelStore, IngestReport]:
     """``read_prices`` row by row: the reader that reports every problem."""
     columns: dict[SeriesKey, tuple[dict[int, int], list[float]]] = {}
-    problems: list[str] = []
-    rows_read = 0
-    with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, IngestError):
-        for lineno, row in _data_rows(path, handle, PRICE_HEADER):
-            rows_read += 1
-            problem = _parse_price_row(lineno, row, columns)
-            if problem is not None:
-                problems.append(f"{path.name}:{lineno}: {problem}")
-    if problems and not skip_bad_rows:
-        shown = problems[:_MAX_REPORTED]
-        if len(problems) > _MAX_REPORTED:
-            shown.append(f"... and {len(problems) - _MAX_REPORTED} more")
-        raise IngestError(
-            f"{len(problems)} invalid rows in {path.name}:\n" + "\n".join(shown)
-        )
-    report = IngestReport(
-        rows_read=rows_read,
-        rows_kept=rows_read - len(problems),
-        rows_skipped=len(problems),
-        kept_by_country=_kept_by_country(columns),
-        problems=tuple(problems),
-    )
+    kept, problems = read_table(path, PRICE_HEADER, functools.partial(_parse_price_row, columns),
+                                IngestError, skip_bad_rows=skip_bad_rows)
+    report = IngestReport(len(kept) + len(problems), len(kept), len(problems),
+                          _kept_by_country(columns), tuple(problems))
     return PanelStore.from_columns(
-        {key: (list(lines), prices) for key, (lines, prices) in columns.items()}
-    ), report
+        {key: (list(lines), prices) for key, (lines, prices) in columns.items()}), report
 
 
 def _kept_by_country(columns: _Columns) -> dict[str, int]:
@@ -297,34 +260,29 @@ def _kept_by_country(columns: _Columns) -> dict[str, int]:
 
 
 def _parse_price_row(
-    lineno: int, row: list[str], columns: dict[SeriesKey, tuple[dict[int, int], list[float]]]
-) -> str | None:
-    """Parse one data row; returns its first problem or adds the row to its
-    series' (line by week ordinal, prices) column."""
-    if len(row) != len(PRICE_HEADER):
-        return f"expected {len(PRICE_HEADER)} fields, got {len(row)}"
+    columns: dict[SeriesKey, tuple[dict[int, int], list[float]]], lineno: int, row: list[str]
+) -> None:
+    """Add one data row to its series' (line by week ordinal, prices)
+    column, or raise its first problem."""
     key = _series_key(row[0], row[1], row[2], row[3])
     if isinstance(key, str):
-        return key
+        raise IngestError(key)
     week = _week_ordinal(row[4], row[5])
     if isinstance(week, str):
-        return week
+        raise IngestError(week)
     price_text = row[6].strip()
     price = float(price_text) if _PRICE_PATTERN.match(price_text) else math.nan
     if not price > 0:
-        return f"price must be a positive decimal with '.' separator, got {price_text!r}"
+        raise IngestError(
+            f"price must be a positive decimal with '.' separator, got {price_text!r}")
     if math.isinf(price):
-        return f"price {price_text[:20]}... ({len(price_text)} characters) overflows a float"
+        raise IngestError(
+            f"price {price_text[:20]}... ({len(price_text)} characters) overflows a float")
     lines, prices = columns.setdefault(key, ({}, []))
     if week in lines:
-        return f"{_duplicate(key, week)} (first seen on line {lines[week]})"
+        raise IngestError(duplicate(f"observation for {_series_week(key, week)}", lines[week]))
     lines[week] = lineno
     prices.append(price)
-    return None
-
-
-def _duplicate(key: SeriesKey, week: int) -> str:
-    return f"duplicate observation for {_series_week(key, week)}"
 
 
 def _series_week(key: SeriesKey, week: int) -> str:
@@ -383,13 +341,10 @@ def write_prices(path: str | Path, observations: list[PriceObservation]) -> None
 
 def write_calendar(path: str | Path, entries: dict[str, tuple[str, str]]) -> None:
     """Write a calendar file from {product: (start_md, end_md)} strings."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(("product", "start_md", "end_md"))
-        for product in sorted(entries):
-            start_md, end_md = entries[product]
-            writer.writerow((product, start_md, end_md))
+        writer.writerow(CALENDAR_HEADER)
+        writer.writerows((product, *entries[product]) for product in sorted(entries))
 
 
 @dataclass(frozen=True)
@@ -409,39 +364,20 @@ class AttributeRecord:
 ATTRIBUTE_HEADER = tuple(field.name for field in fields(AttributeRecord))
 
 
-def read_table(
-    path: Path, header: tuple[str, ...], parse: Callable[[dict[str, str]], _Record]
-) -> list[_Record]:
-    """``parse`` of each data row of a file with exactly ``header``, given
-    the row's stripped cells by column. A row with the wrong field count, or
-    one that ``parse`` refuses with a ConfigError or ValueError, is a
-    problem; any problem is an IngestError listing each at its file:line."""
-    records: list[_Record] = []
-    problems: list[str] = []
-    with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, IngestError):
-        for lineno, row in _data_rows(path, handle, header):
-            try:
-                if len(row) != len(header):
-                    raise ConfigError(f"expected {len(header)} fields, got {len(row)}")
-                records.append(parse(dict(zip(header, (cell.strip() for cell in row)))))
-            except (ConfigError, ValueError) as exc:
-                problems.append(f"{path.name}:{lineno}: {exc}")
-    if problems:
-        raise IngestError(
-            f"{len(problems)} invalid rows in {path.name}:\n" + "\n".join(problems)
-        )
-    return records
-
-
 def read_attributes(path: str | Path) -> list[AttributeRecord]:
+    """The rows of an attributes file; a repeated (product, quality,
+    comparison) names both lines."""
     path = Path(path)
-    records = read_table(path, ATTRIBUTE_HEADER, _attribute_record)
+    records, _ = read_table(
+        path, ATTRIBUTE_HEADER, _attribute_record, IngestError,
+        key=lambda a: f"attribute row for {a.product}/{a.quality}/{a.comparison}")
     if not records:
         raise IngestError(f"{path.name}: no attribute rows")
     return records
 
 
-def _attribute_record(cells: dict[str, str]) -> AttributeRecord:
+def _attribute_record(lineno: int, row: list[str]) -> AttributeRecord:
+    cells = dict(zip(ATTRIBUTE_HEADER, (cell.strip() for cell in row)))
     quality = Quality.parse(cells["quality"])
     once = cells["harvested_once"]
     if once not in ("0", "1"):

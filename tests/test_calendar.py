@@ -13,6 +13,8 @@ from seasondid.errors import CalendarError, CalendarMissError
 import oracles
 from helpers import month_days, window
 
+HEADER = "product,start_md,end_md\n"
+
 
 class TestMonthDay:
     def test_parse_and_str_round_trip(self):
@@ -98,11 +100,14 @@ class TestCalendarFile:
         assert "tomato" in calendar and "carrot" not in calendar
         assert calendar.window_for("tomato") == window("05-10", "08-31")
 
-    def test_header_is_optional(self, tmp_path):
+    def test_a_calendar_without_its_header_is_refused(self, tmp_path):
         path = tmp_path / "calendar.csv"
         path.write_text("tomato,05-10,08-31\n")
-        calendar = ProtectionCalendar.from_csv(path)
-        assert calendar.window_for("tomato") == window("05-10", "08-31")
+        with pytest.raises(CalendarError) as excinfo:
+            ProtectionCalendar.from_csv(path)
+        assert str(excinfo.value) == (
+            "calendar.csv:1: expected header 'product,start_md,end_md', got 'tomato,05-10,08-31'"
+        )
 
     def test_problems_carry_line_numbers_and_accumulate(self, tmp_path):
         path = tmp_path / "calendar.csv"
@@ -122,33 +127,34 @@ class TestCalendarFile:
 
     def test_non_decimal_digits_are_a_row_problem(self, tmp_path):
         path = tmp_path / "cal.csv"
-        path.write_text("tomato,05-10,08-31\nleek,05-1²,11-15\n", encoding="utf-8")
+        path.write_text(HEADER + "tomato,05-10,08-31\nleek,05-1²,11-15\n", encoding="utf-8")
         with pytest.raises(CalendarError) as excinfo:
             ProtectionCalendar.from_csv(path)
-        assert "cal.csv:2: expected MM-DD, got '05-1²'" in str(excinfo.value)
+        assert "cal.csv:3: expected MM-DD, got '05-1²'" in str(excinfo.value)
 
     def test_a_file_that_is_not_utf8_is_a_calendar_error_naming_it(self, tmp_path):
         path = tmp_path / "cal.csv"
-        path.write_bytes("tomato,05-10,08-31\npomodoro_ü,05-10,08-31\n".encode("latin-1"))
+        text = HEADER + "tomato,05-10,08-31\npomodoro_ü,05-10,08-31\n"
+        path.write_bytes(text.encode("latin-1"))
         with pytest.raises(CalendarError, match=r"^cal\.csv: not UTF-8 text"):
             ProtectionCalendar.from_csv(path)
-        path.write_bytes("tomato,05-10,08-31\npomodoro_ü,05-10,08-31\n".encode("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
         assert "pomodoro_ü" in ProtectionCalendar.from_csv(path)
 
     def test_a_cell_beyond_the_csv_field_limit(self, tmp_path):
         path = tmp_path / "cal.csv"
         product = "p" * (csv.field_size_limit() + 1)
-        path.write_text(f"tomato,05-10,08-31\n{product},05-10,08-31\n")
-        with pytest.raises(CalendarError, match="cal.csv:2: field larger than field limit"):
+        path.write_text(f"{HEADER}tomato,05-10,08-31\n{product},05-10,08-31\n")
+        with pytest.raises(CalendarError, match="cal.csv:3: field larger than field limit"):
             ProtectionCalendar.from_csv(path)
 
     def test_duplicate_product_names_both_lines(self, tmp_path):
         path = tmp_path / "calendar.csv"
-        path.write_text("tomato,05-10,08-31\ntomato,06-01,09-30\n")
+        path.write_text(HEADER + "tomato,05-10,08-31\ntomato,06-01,09-30\n")
         with pytest.raises(CalendarError) as excinfo:
             ProtectionCalendar.from_csv(path)
         message = str(excinfo.value)
-        assert "calendar.csv:2" in message and "line 1" in message
+        assert "calendar.csv:3" in message and "line 2" in message
 
     def test_empty_calendar_is_rejected(self, tmp_path):
         path = tmp_path / "calendar.csv"

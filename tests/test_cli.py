@@ -658,6 +658,33 @@ class TestHeterogeneity:
         assert code == EXIT_CONFIG
         assert "veg3" in capsys.readouterr().err
 
+    def test_a_repeated_attribute_row_names_both_lines(self, tmp_path, capsys):
+        effects, attributes = self.effects_fixture(tmp_path)
+        lines = attributes.read_text().splitlines()
+        attributes.write_text("\n".join(lines + [lines[1]]) + "\n")
+        out = tmp_path / "h"
+        code = main(["heterogeneity", "--effects", str(effects),
+                     "--attributes", str(attributes), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert ("attributes.csv:22: duplicate attribute row for veg0/conventional/DE "
+                "(first seen on line 2)") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_region_specific_control_rows_of_one_key_are_all_regressed(self, tmp_path):
+        # two task lines that differ only in the control region write two
+        # rows with the same (product, quality, control country, outcome, method)
+        effects, attributes = self.effects_fixture(tmp_path)
+        lines = effects.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[5] = "13.0"
+        effects.write_text("\n".join(lines + [",".join(cells)]) + "\n")
+        out = tmp_path / "het"
+        code = main(["heterogeneity", "--effects", str(effects),
+                     "--attributes", str(attributes), "--out", str(out)])
+        assert code == EXIT_OK
+        _, rows = read_csv(out / "heterogeneity.csv")
+        assert {r[6] for r in rows if r[1] == "pooled"} == {"21"}
+
     def test_effects_header_is_checked(self, tmp_path, capsys):
         _, attributes = self.effects_fixture(tmp_path)
         effects = tmp_path / "bad_effects.csv"

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,8 @@ from seasondid.config import (
     parse_config_text,
     sim_config_from_file,
 )
-from seasondid.did import CovariateSpec, EstimationTask, bootstrap_se, estimate_ipw_did
+from seasondid.did import (
+    CovariateSpec, EstimationTask, bootstrap_se, cell_means_did, estimate_ipw_did)
 from seasondid.errors import ConfigError, SeasonDidError
 from seasondid.simgen import SimConfig
 
@@ -248,6 +251,10 @@ def refusal(call, *args, **kwargs) -> str | None:
     return None
 
 
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def run_config_refusal(**settings) -> str | None:
     config = RunConfig(prices=Path("p.csv"), calendar=Path("c.csv"), **settings)
     return refusal(config.validate)
@@ -283,18 +290,18 @@ class TestOneTextPerRule:
     def test_reps(self, reps):
         texts = {run_config_refusal(reps=reps), refusal(basic_task, bootstrap_reps=reps)}
         bootstrap = refusal(bootstrap_se, ONE_ROW_PER_CELL, _reached, reps, 0)
-        if reps == 0:  # no bootstrap: a run takes it, a bootstrap does not
+        if is_integer(reps) and reps == 0:  # no bootstrap: a run takes it, a bootstrap does not
             assert texts == {None} and bootstrap is not None
         else:
             assert texts == {bootstrap}
-            assert (bootstrap is None) == (2 <= reps <= 2**32)
+            assert (bootstrap is None) == (is_integer(reps) and 2 <= reps <= 2**32)
 
     @settings(max_examples=150, deadline=None)
     @given(NUMBERS)
     def test_min_cell(self, min_cell):
         texts = {run_config_refusal(min_cell=min_cell), refusal(basic_task, min_cell=min_cell)}
         assert len(texts) == 1
-        assert (texts == {None}) == (min_cell >= 1)
+        assert (texts == {None}) == (is_integer(min_cell) and min_cell >= 1)
 
     @settings(max_examples=150, deadline=None)
     @given(NUMBERS)
@@ -305,8 +312,27 @@ class TestOneTextPerRule:
             refusal(SimConfig, seed=seed),
         }
         assert len(texts) == 1
-        valid = isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
-        assert (texts == {None}) == valid
+        assert (texts == {None}) == (is_integer(seed) and seed >= 0)
+
+    @pytest.mark.parametrize("reps", [2.5, 3.0, np.float64(3), True, np.int64(3)])
+    def test_a_count_of_replicates_must_be_an_integer(self, reps):
+        # a float count used to pass every check and fail in the replicate loop
+        refused = None if isinstance(reps, np.integer) else (
+            f"a bootstrap needs reps between 2 and 2**32, got {reps}")
+        assert run_config_refusal(reps=reps) == refused
+        assert refusal(basic_task, bootstrap_reps=reps) == refused
+        if refused is None:
+            bootstrap_se(ONE_ROW_PER_CELL, cell_means_did, reps, 0)
+        else:
+            with pytest.raises(ConfigError, match=re.escape(refused)):
+                bootstrap_se(ONE_ROW_PER_CELL, cell_means_did, reps, 0)
+
+    @pytest.mark.parametrize("min_cell", [2.5, 2.0, True, np.int64(2)])
+    def test_a_minimum_cell_size_must_be_an_integer(self, min_cell):
+        refused = None if isinstance(min_cell, np.integer) else (
+            f"min_cell must be >= 1, got {min_cell}")
+        assert run_config_refusal(min_cell=min_cell) == refused
+        assert refusal(basic_task, min_cell=min_cell) == refused
 
     @pytest.mark.parametrize(
         "treated_country,country,control_product,region",

@@ -1,5 +1,7 @@
 """Price-panel, attribute, and calendar file I/O."""
 
+import csv
+
 import pytest
 
 from seasondid import (
@@ -12,8 +14,9 @@ from seasondid import (
     write_calendar,
     write_prices,
 )
-from seasondid.errors import ConfigError, IngestError
-from seasondid.ingest import ATTRIBUTE_HEADER, PRICE_HEADER
+from seasondid.diagnostics import join_effect_attributes
+from seasondid.errors import CalendarError, ConfigError, IngestError
+from seasondid.ingest import ATTRIBUTE_HEADER, EFFECTS_COLUMNS, PRICE_HEADER
 
 from helpers import price_row, records, week
 
@@ -425,3 +428,96 @@ class TestWriteCalendar:
         window = calendar.window_for("tomato")
         assert str(window.start) == "05-10"
         assert str(window.end) == "08-31"
+
+
+class TestOneReaderForEveryTable:
+    """Every input table is read by ``errors.read_table``, so each states a
+    problem of the file or of its rows with the same text."""
+
+    ATTRIBUTE_ROW = "tomato,conventional,DE,0,3,12.5,120"
+    # (file name, header, a good row, the i-th bad row and its problem, the
+    # duplicate text of the good row repeated (None: rows may repeat), error)
+    TABLES = {
+        "calendar": ("calendar.csv", ("product", "start_md", "end_md"), "tomato,05-10,08-31",
+                     lambda i: (f"crop{i},13-40,11-15", "invalid month-day 13-40"),
+                     "duplicate product 'tomato'", CalendarError),
+        "attributes": ("attributes.csv", ATTRIBUTE_HEADER, ATTRIBUTE_ROW,
+                       lambda i: (f"crop{i},conventional,DE,2,3,12.5,120",
+                                  "harvested_once must be 0 or 1, got '2'"),
+                       "duplicate attribute row for tomato/conventional/DE", IngestError),
+        # the quoted first cell sends the file to the row reader
+        "prices": ("prices.csv", PRICE_HEADER, '"CH",tomato,conventional,,2016,20,5.0',
+                   lambda i: (f"CH,crop{i},conventional,,2016,20,x{i}",
+                              f"price must be a positive decimal with '.' separator, "
+                              f"got 'x{i}'"),
+                   "duplicate observation for tomato/conventional/CH/- 2016-W20", IngestError),
+        "effects": ("effects.csv", EFFECTS_COLUMNS,
+                    "tomato,conventional,DE,level,ipw,1.5,1,0.5,10,10,10,10,0,25,100",
+                    lambda i: (f"crop{i},conventional,DE,level,ipw,x{i},1,0.5,10,10,10,10,0,25,1",
+                               f"could not convert string to float: 'x{i}'"),
+                    None, IngestError),
+    }
+
+    @pytest.fixture(params=sorted(TABLES))
+    def table(self, request, tmp_path):
+        name, header, good, bad, repeated, error = self.TABLES[request.param]
+        path = tmp_path / name
+        attributes = write_lines(tmp_path / "attrs.csv",
+                                 [",".join(ATTRIBUTE_HEADER), self.ATTRIBUTE_ROW])
+        read = {
+            "calendar": ProtectionCalendar.from_csv,
+            "attributes": read_attributes,
+            "prices": read_prices,
+            "effects": lambda p: join_effect_attributes(p, attributes, "ipw"),
+        }[request.param]
+
+        def read_back(lines=None, data=None):
+            """What reading these lines (or bytes) gives: its records, or the
+            text of its error."""
+            if data is None:
+                write_lines(path, lines)
+            else:
+                path.write_bytes(data)
+            try:
+                return read(path)
+            except error as exc:
+                return str(exc)
+
+        return name, [",".join(header), good], bad, repeated, read_back
+
+    def test_an_empty_file_and_a_wrong_header(self, table):
+        name, (header, good), _, _, read_back = table
+        assert read_back(data=b"") == f"{name}: file is empty"
+        assert read_back(["a,b", good]) == f"{name}:1: expected header {header!r}, got 'a,b'"
+
+    def test_a_wrong_field_count(self, table):
+        name, lines, *_, read_back = table
+        fields = len(lines[0].split(","))
+        assert read_back(lines + ["a,b"]) == (
+            f"1 invalid rows in {name}:\n{name}:3: expected {fields} fields, got 2")
+
+    def test_a_cell_over_the_csv_field_limit(self, table):
+        name, lines, *_, read_back = table
+        cell = "p" * (csv.field_size_limit() + 1)
+        assert read_back(lines + [cell + lines[1][lines[1].index(","):]]) == (
+            f"{name}:3: field larger than field limit ({csv.field_size_limit()})")
+
+    def test_bytes_that_are_not_utf8(self, table):
+        name, lines, *_, read_back = table
+        data = "\n".join(lines + ["Zürich" + lines[1][lines[1].index(","):]]).encode("latin-1")
+        assert read_back(data=data) == f"{name}: not UTF-8 text (invalid start byte 0xfc)"
+
+    def test_sixty_bad_rows_list_the_first_fifty(self, table):
+        name, lines, bad, _, read_back = table
+        rows, problems = zip(*map(bad, range(60)))
+        shown = [f"{name}:{line}: {problem}" for line, problem in enumerate(problems[:50], 3)]
+        assert read_back(lines + list(rows)).split("\n") == (
+            [f"60 invalid rows in {name}:"] + shown + ["... and 10 more"])
+
+    def test_a_repeated_key_names_both_lines(self, table):
+        name, lines, _, repeated, read_back = table
+        if repeated is None:  # effects rows may repeat their key
+            assert len(read_back(lines + [lines[1]])) == 2
+        else:
+            assert read_back(lines + [lines[1]]) == (
+                f"1 invalid rows in {name}:\n{name}:3: {repeated} (first seen on line 2)")

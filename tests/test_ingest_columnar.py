@@ -219,7 +219,7 @@ class TestRouting:
         with pytest.raises(IngestError, match="prices.csv:2: field larger than field limit"):
             read_prices(path)
         calendar = tmp_path / "calendar.csv"
-        calendar.write_text("tomato,05-10,08-31\n")
+        calendar.write_text("product,start_md,end_md\ntomato,05-10,08-31\n")
         assert main(["ingest", "--prices", str(path), "--calendar", str(calendar)]) == EXIT_CONFIG
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .calendar import ProtectionCalendar, ProtectionWindow
 from .did import (
+    METHODS,
     DidSample,
     EffectEstimate,
     EstimationTask,
@@ -287,8 +288,8 @@ def join_effect_attributes(
     """The ``method`` rows of an effects table, each joined with the row of
     an attributes file for its (product, quality, control country).
 
-    A bad or repeated attributes row, or a bad effects row, is an
-    :class:`IngestError` at its ``file:line`` (effects rows may repeat a
+    A bad or repeated attributes row, or a bad effects row of any method, is
+    an :class:`IngestError` at its ``file:line`` (effects rows may repeat a
     key: task lines may differ only in the control product or region); an
     effect without an attribute row, or no row of ``method``, is a
     :class:`ConfigError` that names what is missing."""
@@ -297,13 +298,15 @@ def join_effect_attributes(
 
     def join(lineno: int, row: list[str]) -> EffectAttributeRow | None:
         record = dict(zip(EFFECTS_COLUMNS, (cell.strip() for cell in row)))
-        if record["method"] != method:
-            return None
+        if record["method"] not in METHODS:
+            raise ConfigError(f"unknown method {record['method']!r}")
         quality = Quality.parse(record["quality"])
         outcome = Outcome(record["outcome"])
         effect = float(record["atet"])
         if not math.isfinite(effect):
             raise ConfigError(f"atet must be a finite number, got {effect!r}")
+        if record["method"] != method:
+            return None
         key = (record["product"], quality, record["control_country"])
         if key not in by_key:
             missing.add(f"{key[0]}/{quality}/{key[2]}")

@@ -23,7 +23,8 @@ built. Three estimators return an ``EffectEstimate``:
   dummies``, classical standard errors. The design is constant within a
   bin, so ``glm.fit_ols`` fits the bins, each standing for the rows it
   counts, with the rows' sum of squares about their bin means completing
-  the residual sum of squares, whose degrees of freedom count rows.
+  the residual sum of squares, whose degrees of freedom count rows. The
+  samples that share a bin design are fitted as one stack.
 
 ``bootstrap_se`` gives a table estimator its inference: it estimates the
 sample's table once, then resamples observations independently within each
@@ -57,11 +58,13 @@ from .errors import (
     GlmError,
     BootstrapDegenerateError,
     InfeasibleSampleError,
+    SeasonDidError,
     SeparationError,
     TrimExhaustionError,
+    unwrap,
 )
 # fit_logistic is not called here; perfbench/spans.py traces did.fit_logistic.
-from .glm import INTERCEPT_NAME, DesignMatrix, fit_logistic, fit_ols
+from .glm import INTERCEPT_NAME, DesignMatrix, FitResult, fit_logistic, fit_ols
 from .panel import Outcome, PanelRows, PhaseLabel, SeriesKey
 
 # z such that the standard normal leaves 2.5% in each tail
@@ -130,6 +133,11 @@ def check_methods(methods: tuple[str, ...]) -> None:
                           f"got {methods!r}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class CovariateSpec(str, enum.Enum):
     NONE = "none"
     SEASONAL = "seasonal_fe"
@@ -177,28 +185,28 @@ class EstimationTask:
         return "|".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DidSample:
     """Estimation-ready outcome panel for one task.
 
-    ``stratum`` is each row's code of the one categorical covariate: 0 is
-    the reference season, and every row is 0 without covariates. The rows
-    are copied, checked and tabulated once: ``code`` is each row's (cell,
-    stratum) code, ``cell * strata + stratum`` with cells in ``CELL_ORDER``,
-    and ``cell_table`` returns their ``CellTable``. Every one of these
-    arrays is read-only, so the table stays the table of the rows.
+    ``code`` is each row's (cell, stratum) code, ``cell * strata + stratum``
+    with cells in ``CELL_ORDER``; ``stratum`` codes the one categorical
+    covariate: 0 is the reference season, and every row is 0 without
+    covariates. ``DidSample(y, d, t, stratum)`` checks and copies the rows;
+    ``from_codes`` keeps the codes ``build_sample`` computed. The rows are
+    tabulated once, for ``cell_table``, and ``d``, ``t`` and ``stratum`` are
+    read from the codes. Every one of these arrays is read-only, so the
+    table stays the table of the rows.
     """
 
     y: np.ndarray
-    d: np.ndarray
-    t: np.ndarray
-    stratum: np.ndarray
-    code: np.ndarray = field(init=False, repr=False, compare=False)
-    _table: CellTable = field(init=False, repr=False, compare=False)
+    code: np.ndarray
+    strata: int
+    _table: CellTable = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        y = np.array(self.y, dtype=float)
-        d, t, stratum = np.asarray(self.d), np.asarray(self.t), np.asarray(self.stratum)
+    def __init__(self, y, d, t, stratum):
+        y = np.array(y, dtype=float)
+        d, t, stratum = np.asarray(d), np.asarray(t), np.asarray(stratum)
         n = y.shape[0]
         if d.shape[0] != n or t.shape[0] != n or stratum.shape[0] != n:
             raise ValueError("y, d, t and stratum must have the same number of rows")
@@ -210,19 +218,29 @@ class DidSample:
             raise ValueError("stratum codes must be integers")
         if n and codes.min() < 0:
             raise ValueError("stratum codes must be non-negative")
-        d, t = d.astype(np.int8), t.astype(np.int8)
         strata = int(codes.max(initial=0)) + 1
         # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell code 3 - 2d - t
-        code = (3 - 2 * d.astype(np.intp) - t) * strata + codes
+        self._tabulate(y, (3 - 2 * d.astype(np.intp) - t.astype(np.intp)) * strata + codes, strata)
+
+    @classmethod
+    def from_codes(cls, y: np.ndarray, code: np.ndarray, strata: int) -> DidSample:
+        """The sample of float ``y`` with codes below ``4 * strata``, not copied."""
+        sample = cls.__new__(cls)
+        sample._tabulate(y, code, strata)
+        return sample
+
+    def _tabulate(self, y: np.ndarray, code: np.ndarray, strata: int) -> None:
         counts = np.bincount(code, minlength=4 * strata).reshape(4, strata)
         # float with no rows too: bincount of no rows is ints, whatever the weights
         sums = np.bincount(code, weights=y, minlength=4 * strata).astype(float).reshape(4, strata)
-        for array in (y, d, t, codes, code, counts, sums):
-            array.flags.writeable = False
         totals = [tuple(array.sum(axis=1).tolist()) for array in (counts, sums)]
-        table = CellTable(counts, sums, *totals)
         # the dataclass is frozen, so the fields are set in the instance dict
-        vars(self).update(y=y, d=d, t=t, stratum=codes, code=code, _table=table)
+        vars(self).update(y=_read_only(y), code=_read_only(code), strata=strata,
+                          _table=CellTable(_read_only(counts), _read_only(sums), *totals))
+
+    d = property(lambda self: _read_only((self.code < 2 * self.strata).astype(np.int8)))
+    t = property(lambda self: _read_only((self.code // self.strata % 2 == 0).astype(np.int8)))
+    stratum = property(lambda self: _read_only(self.code % self.strata))
 
     @property
     def n_obs(self) -> int:
@@ -421,33 +439,54 @@ def estimate_ipw_did(
     return EffectEstimate("ipw", atet, math.nan, math.nan, n_by_cell, trimmed)
 
 
-def estimate_ols_did(sample: DidSample) -> EffectEstimate:
-    """DiD as the D:T interaction in an OLS regression with covariates.
+def estimate_ols_did(
+    samples: DidSample | list[DidSample],
+) -> EffectEstimate | list[EffectEstimate | SeasonDidError]:
+    """DiD as the D:T interaction in an OLS regression with covariates, of
+    one sample, which returns its estimate or raises, or of a list of
+    samples, each of which gets its estimate or its error, in order.
 
     The design (const, d, t, d_t, stratum dummies) is constant within each
-    (cell, stratum) bin, so ``fit_ols`` fits the occupied bins of the
+    (cell, stratum) bin, so ``fit_ols`` fits the occupied bins of a
     sample's table with their row counts and mean outcomes, and the rows'
     sum of squares about their bin means (each row's bin read from
     ``sample.code``): the fit of the rows, from a table of a few dozen bins.
+    The samples with the same strata and occupied bins share that design,
+    and are fitted as one stack by one ``fit_ols`` call.
     """
-    table = sample.cell_table()
-    n_by_cell = table.validate()
-    strata = table.counts.shape[1]
-    counts = table.counts.ravel()
-    mean = table.sums.ravel() / np.maximum(counts, 1)
-    within = sample.y - mean[sample.code]
-    bins = np.flatnonzero(counts)
-    cell, stratum = np.divmod(bins, strata)
-    # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): d = cell < 2, t = cell even
-    d, t = cell < 2, cell % 2 == 0
-    dummies = stratum[:, None] == np.arange(1, strata)
-    values = np.column_stack([np.ones(bins.size), d, t, d & t, dummies])
-    names = (INTERCEPT_NAME, "d", "t", "d_t", *(f"stratum_{s}" for s in range(1, strata)))
-    fit = fit_ols(
-        DesignMatrix(values, names), mean[bins], counts[bins], within_ss=float(within @ within)
-    )
-    atet, se = fit.coefficient("d_t"), fit.standard_error("d_t")
-    return EffectEstimate("ols", atet, se, two_sided_normal_p(atet, se), n_by_cell)
+    if isinstance(samples, DidSample):
+        return unwrap(estimate_ols_did([samples])[0])
+    outcomes: list = [None] * len(samples)
+    stacks: dict[tuple[int, bytes], list[int]] = {}
+    for i, sample in enumerate(samples):
+        try:
+            sample.cell_table().validate()
+        except InfeasibleSampleError as exc:
+            outcomes[i] = exc
+            continue
+        bins = np.flatnonzero(sample.cell_table().counts).tobytes()
+        stacks.setdefault((sample.strata, bins), []).append(i)
+    for (strata, bins), members in stacks.items():
+        bins = np.frombuffer(bins, dtype=np.intp)
+        cell, stratum = np.divmod(bins, strata)
+        # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): d = cell < 2, t = cell even
+        d, t = cell < 2, cell % 2 == 0
+        dummies = stratum[:, None] == np.arange(1, strata)
+        values = np.column_stack([np.ones(bins.size), d, t, d & t, dummies])
+        names = (INTERCEPT_NAME, "d", "t", "d_t", *(f"stratum_{s}" for s in range(1, strata)))
+        tables = [samples[i].cell_table() for i in members]
+        counts = np.array([table.counts.ravel() for table in tables])
+        mean = np.array([table.sums.ravel() for table in tables]) / np.maximum(counts, 1)
+        deviations = [samples[i].y - row[samples[i].code] for i, row in zip(members, mean)]
+        fits = fit_ols(DesignMatrix(values, names), mean[:, bins], counts[:, bins],
+                       [deviation @ deviation for deviation in deviations])
+        for i, table, fit in zip(members, tables, fits):
+            if isinstance(fit, FitResult):
+                atet, se = fit.coefficient("d_t"), fit.standard_error("d_t")
+                p_value = two_sided_normal_p(atet, se)
+                fit = EffectEstimate("ols", atet, se, p_value, table.n_by_cell)
+            outcomes[i] = fit
+    return outcomes
 
 
 def _hash_chain(const: int, mult: int, rows: int) -> np.ndarray:
@@ -687,26 +726,29 @@ def build_sample(
     treated_rows: PanelRows,
     control_rows: PanelRows,
 ) -> DidSample:
-    """Assemble the estimation sample for one task.
+    """Assemble the estimation sample for one task: treated rows first,
+    then control rows, each in their order.
 
     Expects fully transformed rows (standardized or volatility, Boundary
-    weeks excluded, control restricted to treated production weeks). Builds
-    D/T indicators and the stratum codes of the requested covariates (with
-    season fixed effects, seasons in order with the earliest as code 0),
-    validates that all four cells meet ``task.min_cell``, and returns the
-    sample: treated rows first, then control rows, each in their order.
+    weeks excluded, control restricted to treated production weeks). Each
+    row's (cell, stratum) code comes straight from its side, its phase and
+    the rank of its season among the sample's (with season fixed effects;
+    else stratum 0), and is tabulated once. Every cell must meet
+    ``task.min_cell``.
     """
     phase = np.concatenate([treated_rows.phase, control_rows.phase])
     if (phase == PhaseLabel.BOUNDARY.code).any():
         raise ValueError("sample construction received Boundary rows")
+    # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): cell 2 * control + unprotected
+    cell = (phase != PhaseLabel.PROTECTED.code).astype(np.intp)
+    cell[len(treated_rows):] += 2
     y = np.concatenate([treated_rows.value, control_rows.value])
-    d = np.repeat(np.array([1, 0], dtype=np.int8), (len(treated_rows), len(control_rows)))
-    t = (phase == PhaseLabel.PROTECTED.code).astype(np.int8)
-    if task.covariates is CovariateSpec.SEASONAL:
+    strata, stratum = 1, 0
+    if task.covariates is CovariateSpec.SEASONAL and y.size:
         seasons = np.concatenate([treated_rows.season, control_rows.season])
-        stratum = np.unique(seasons, return_inverse=True)[1]
-    else:
-        stratum = np.zeros(y.size, dtype=np.intp)
-    sample = DidSample(y=y, d=d, t=t, stratum=stratum)
+        seasons -= seasons.min()
+        rank = np.cumsum(np.bincount(seasons) > 0) - 1  # of each season in the sample
+        stratum, strata = rank[seasons], int(rank[-1]) + 1
+    sample = DidSample.from_codes(y, cell * strata + stratum, strata)
     sample.cell_table().validate(task.min_cell)
     return sample

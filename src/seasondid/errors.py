@@ -4,8 +4,9 @@ its input tables.
 Every error raised by the library derives from :class:`SeasonDidError` so
 batch drivers can distinguish pipeline failures from programming errors.
 Errors carry enough context (file positions, cell labels, column names) to be
-actionable without a debugger. ``read_table``, the reader of every input
-table (calendar, price rows, attributes, effects), gives each the same
+actionable without a debugger. ``unwrap`` raises an error that was kept
+as a task's outcome. ``read_table``, the reader of every input table
+(calendar, price rows, attributes, effects), gives each the same
 ``file:line`` problem texts, the ``duplicate`` key text among them.
 """
 
@@ -95,6 +96,13 @@ class TrimExhaustionError(SeasonDidError):
 
 class BootstrapDegenerateError(SeasonDidError):
     """Too many bootstrap replicates failed to produce an estimate."""
+
+
+def unwrap(outcome):
+    """``outcome``, or raised if it is an error kept to be raised later."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @contextlib.contextmanager

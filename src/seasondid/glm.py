@@ -26,6 +26,7 @@ from .errors import (
     DegenerateOutcomeError,
     RankError,
     SeparationError,
+    unwrap,
 )
 
 MAX_ITERATIONS = 100
@@ -244,48 +245,65 @@ def fit_ols(
     design: DesignMatrix,
     y: np.ndarray,
     counts: np.ndarray | None = None,
-    within_ss: float = 0.0,
-) -> FitResult:
-    """Least squares via one QR, with classical standard errors.
+    within_ss: float | np.ndarray = 0.0,
+) -> FitResult | list[FitResult | RankError]:
+    """Least squares via QR, with classical standard errors, of the tasks
+    that share ``design``: ``y`` and ``counts`` of shape (tasks, rows), with
+    one ``within_ss`` per task, give each task's fit or RankError in order;
+    shape (rows,) is one task, whose fit is returned or error raised.
 
     ``se_j = sqrt(sigma2 * [(X'X)^-1]_jj)`` where ``sigma2 = (within_ss +
     RSS) / (n - k)`` and ``n`` counts observations. Row b stands for
     ``counts[b]`` observations (one each when ``counts`` is None) whose
     design is that row and whose mean outcome is ``y[b]``, and ``within_ss``
     is the sum of squares of the observations about their row means: the
-    design is pruned on the rows as given (a column is constant or a
+    design is pruned once on the rows as given (a column is constant or a
     duplicate over them exactly when it is over the observations), each row
     is weighted by ``sqrt(counts[b])``, and the fit, the rank checks
     (``max(n, k)`` in the tolerance) and the degrees of freedom are those of
-    the observations. ``fitted`` holds the rows' fitted values.
+    the observations; ``fitted`` holds the rows' fitted values. A task is
+    checked alone and fitted as a slice of one stacked QR, solve, inverse
+    and matmul, each slice of which has the bits of the single-matrix call:
+    its result does not depend on the other tasks of its stack.
     """
     y = np.asarray(y, dtype=float)
     pruned, dropped = prune_design(design)
     values, names = pruned.values, pruned.names
-    if y.shape[0] != values.shape[0]:
-        raise ValueError(f"y has {y.shape[0]} rows, design has {values.shape[0]}")
+    if y.shape[-1] != values.shape[0]:
+        raise ValueError(f"y has {y.shape[-1]} rows, design has {values.shape[0]}")
     counts = np.ones(y.shape) if counts is None else np.asarray(counts)
-    if counts.shape != y.shape or not (counts > 0).all():
-        raise ValueError(f"counts must be {y.shape[0]} positive row counts, got {counts!r}")
-    weight = np.sqrt(counts)
-    n, weighted, target = int(counts.sum()), values * weight[:, None], weight * y
-    _check_columns(n, names)
+    if counts.shape != y.shape or not (np.isfinite(counts).all() and (counts > 0).all()
+                                       and (counts == np.round(counts)).all()):
+        raise ValueError(f"counts must be {y.shape[-1]} positive row counts, got {counts!r}")
+    counts = counts.reshape(-1, values.shape[0])
+    n, k, weight = counts.sum(axis=1), len(names), np.sqrt(counts)
+    weighted, target = values * weight[..., None], weight * y.reshape(counts.shape)
     q, r = np.linalg.qr(weighted)
-    _check_rank(weighted, r, n, names)
-    k = len(names)
-    if n <= k:
-        raise RankError(f"need more rows ({n}) than columns ({k}) for OLS", columns=names)
-    beta = np.linalg.solve(r, q.T @ target)
-    residuals = target - weighted @ beta
-    sigma2 = (within_ss + float(residuals @ residuals)) / (n - k)
-    r_inv = np.linalg.inv(r)
-    cov = sigma2 * (r_inv @ r_inv.T)
-    return FitResult(
-        coefficients=beta,
-        standard_errors=np.sqrt(np.diag(cov)),
-        fitted=values @ beta,
-        iterations=1,
-        column_names=names,
-        dropped_columns=dropped,
-        residual_df=n - k,
-    )
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    tol = np.maximum(n, k) * np.finfo(float).eps * diag.max(axis=1, initial=0.0)
+    # what _check_rank flags: a pivot at or below tol, or a column past the last row
+    suspect = (diag <= tol[:, None]).any(axis=1) | (diag.shape[1] < k)
+    fits: list = [None] * n.size
+    for i, rows in enumerate(map(int, n.tolist())):
+        try:
+            _check_columns(rows, names)
+            if suspect[i]:
+                _check_rank(weighted[i], r[i], rows, names)
+            if rows <= k:
+                raise RankError(f"need more rows ({rows}) than columns ({k}) for OLS",
+                                columns=names)
+        except RankError as exc:
+            fits[i] = exc
+    if fit := [i for i, result in enumerate(fits) if result is None]:
+        q, r, weighted, target = q[fit], r[fit], weighted[fit], target[fit]
+        beta = np.linalg.solve(r, np.matmul(q.mT, target[..., None]))[..., 0]
+        residuals = target - np.matmul(weighted, beta[..., None])[..., 0]
+        rss = np.matmul(residuals[:, None, :], residuals[..., None])[:, 0, 0]
+        within = np.broadcast_to(np.asarray(within_ss, dtype=float), n.shape)[fit]
+        r_inv = np.linalg.inv(r)
+        cov = ((within + rss) / (n[fit] - k))[:, None, None] * np.matmul(r_inv, r_inv.mT)
+        se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        fitted = np.matmul(values, beta[..., None])[..., 0]
+        for j, i in enumerate(fit):
+            fits[i] = FitResult(beta[j], se[j], fitted[j], 1, names, dropped, int(n[i]) - k)
+    return fits if y.ndim > 1 else unwrap(fits[0])

@@ -9,8 +9,12 @@ A batch is many tasks over few markets, so tasks are prepared in a
 ``TaskGroup``: tasks that share a treated market (``cli._task_groups`` cuts
 a key-ordered batch into them). A group reads, labels and transforms the
 rows of all its markets as one block and slices each task's rows out of
-it; the block lives as long as the group. ``prepare_outcome_rows`` and
-``run_task`` on a task alone prepare it as a group of one.
+it; the block lives as long as the group. It builds the samples of all its
+tasks of an outcome together, and fits their OLS DiDs as one
+``estimate_ols_did`` call, one stacked QR per bin design, keeping each
+task's sample and estimate, or its error, until ``run_task`` asks for it.
+``prepare_outcome_rows`` and ``run_task`` on a task alone prepare it as a
+group of one.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .calendar import ProtectionCalendar
 from .did import (
+    DidSample,
     EffectEstimate,
     EstimationTask,
     bootstrap_se,
@@ -31,7 +36,7 @@ from .did import (
     estimate_ipw_did,
     estimate_ols_did,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SeasonDidError, unwrap
 from .ingest import PanelStore
 from .panel import (
     Outcome,
@@ -60,6 +65,11 @@ def outcome_rows(labeled: PanelRows, outcome: Outcome) -> PanelRows:
     return compute_volatility(labeled)
 
 
+def _sample_key(task: EstimationTask) -> tuple:
+    """What a task's sample, and so its OLS estimate, depend on."""
+    return task.treated, task.control, task.outcome, task.covariates, task.min_cell
+
+
 class TaskGroup:
     """Tasks that share a treated market, prepared as one block.
 
@@ -72,6 +82,12 @@ class TaskGroup:
     contiguous slice of every block. A store holds no week that cannot be
     labelled, so only a calendar miss, checked first, keeps a block from
     being labelled, and it fails every task of the group.
+
+    The first of an outcome's tasks to ask for its sample has all of them
+    prepared (``prepare_outcome_rows``) and sampled (``build_sample``); the
+    first to ask for its OLS estimate, all their samples estimated by one
+    ``estimate_ols_did`` call. Each sample or estimate, or its error, is
+    kept for the task that asks, and raised there.
     """
 
     def __init__(
@@ -80,7 +96,8 @@ class TaskGroup:
         treated = tasks[0].treated
         if any(task.treated != treated for task in tasks):
             raise ValueError("the tasks of a group share one treated market")
-        self.store, self.calendar, self.window_product = store, calendar, treated.product
+        self.tasks, self.store, self.calendar = tasks, store, calendar
+        self.window_product = treated.product
         self._market = {key: i for i, key in enumerate(
             dict.fromkeys([treated, *(task.control for task in tasks)])
         )}
@@ -88,6 +105,8 @@ class TaskGroup:
         self._codes = np.cumsum([0] + [len(store.market_series(key)) for key in self._market])
         self._labeled: PanelRows | None = None
         self._outcomes: dict[Outcome, list[PanelRows]] = {}  # each market's rows
+        self._samples: dict[Outcome, dict[tuple, DidSample | SeasonDidError]] = {}
+        self._ols: dict[Outcome, dict[tuple, EffectEstimate | SeasonDidError]] = {}
 
     def task_rows(self, task: EstimationTask) -> tuple[PanelRows, PanelRows]:
         """Transformed (treated, control) outcome rows of one of the tasks,
@@ -100,6 +119,30 @@ class TaskGroup:
         markets = self._outcome_block(task.outcome)
         treated = markets[self._market[task.treated]]
         return treated, restrict_to_production_weeks(markets[self._market[task.control]], treated)
+
+    def sample(self, task: EstimationTask) -> DidSample:
+        """The sample of one of the tasks (whatever its trim, reps or seed)."""
+        return unwrap(self._samples_of(task.outcome)[_sample_key(task)])
+
+    def ols_estimate(self, task: EstimationTask) -> EffectEstimate:
+        """The OLS estimate of one of the tasks that has a sample."""
+        if task.outcome not in self._ols:
+            samples = self._samples_of(task.outcome)
+            keys = [key for key, sample in samples.items() if isinstance(sample, DidSample)]
+            estimates = estimate_ols_did([samples[key] for key in keys])
+            self._ols[task.outcome] = dict(zip(keys, estimates))
+        return unwrap(self._ols[task.outcome][_sample_key(task)])
+
+    def _samples_of(self, outcome: Outcome) -> dict[tuple, DidSample | SeasonDidError]:
+        if outcome not in self._samples:
+            samples = self._samples[outcome] = {}
+            for task in (task for task in self.tasks if task.outcome is outcome):
+                try:
+                    rows = prepare_outcome_rows(task, self.store, self.calendar, self)
+                    samples[_sample_key(task)] = build_sample(task, *rows)
+                except SeasonDidError as exc:  # raised when the task asks
+                    samples[_sample_key(task)] = exc
+        return self._samples[outcome]
 
     def _outcome_block(self, outcome: Outcome) -> list[PanelRows]:
         if outcome not in self._outcomes:
@@ -142,22 +185,23 @@ def run_task(
     methods: tuple[str, ...] = ("ipw",),
     group: TaskGroup | None = None,
 ) -> TaskResult:
-    """Estimate one task with the requested methods, on rows from its
-    ``group`` or a group of its own (see ``prepare_outcome_rows``).
+    """Estimate one task with the requested methods, on the sample and OLS
+    estimate its ``group``, or a group of its own, keeps for it, raising
+    the task's own error where its preparation, sample or fit failed.
 
     The IPW estimate carries bootstrap inference (requires ``task.seed``);
     the OLS estimate carries classical standard errors and reps=0.
     """
     check_methods(methods)
-    treated_rows, control_rows = prepare_outcome_rows(task, store, calendar, group)
-    sample = build_sample(task, treated_rows, control_rows)
+    group = group or TaskGroup([task], store, calendar)
+    sample = group.sample(task)
     ipw = functools.partial(
         estimate_ipw_did, trim_threshold=task.trim_threshold, trim_treated=task.trim_treated
     )
     estimates = []
     for method in methods:
         if method == "ols":
-            estimates.append(estimate_ols_did(sample))
+            estimates.append(group.ols_estimate(task))
         elif task.bootstrap_reps > 0:
             estimates.append(bootstrap_se(sample, ipw, task.bootstrap_reps, task.seed))
         else:

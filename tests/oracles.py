@@ -3,7 +3,7 @@
 Everything here is written in the most transparent way available — explicit
 enumeration, grid/golden-section searches, textbook matrix formulas — and
 shares no code with the package under test. Slow is fine; obviously correct
-is the point. Four parts reuse the package on purpose:
+is the point. Five parts reuse the package on purpose:
 
 * ``estimate_ipw_did`` (with ``_propensities``) is the package's own
   array IPW estimator before its decisions moved to the table's counts as
@@ -15,8 +15,14 @@ is the point. Four parts reuse the package on purpose:
   by keyword. The row-level placebo and biweekly effects below use it.
 * ``row_level_bootstrap`` reuses its sample type, estimators and errors:
   what it checks is the resampling, not the estimators.
-  ``row_level_ols_did`` reuses its sample type and ``fit_ols``: what it
-  checks is the reduction of the OLS DiD to the (cell, stratum) bins.
+  ``row_level_ols_did`` reuses its sample type and fits the rows with the
+  per-task ``fit_ols`` below: what it checks is the reduction of the OLS
+  DiD to the (cell, stratum) bins.
+* ``fit_ols`` and ``estimate_ols_did`` are the package's own per-task OLS
+  fit and OLS DiD before the fits of a task group were stacked, kept
+  unchanged as the bit-for-bit reference for every task of a stack. They
+  reuse its ``prune_design``, ``_check_columns``, ``_check_rank``,
+  ``FitResult``, errors and sample type: what they check is the stacking.
 * the row-level data preparation at the end (one object per row, from
   ``store_refusal`` and ``rows_matching`` to ``describe_distribution``)
   reuses its row and sample types, its year check, its estimators and its
@@ -60,10 +66,18 @@ from seasondid.errors import (
     EmptyOverlapError,
     GlmError,
     InfeasibleSampleError,
+    RankError,
     SeparationError,
     TrimExhaustionError,
 )
-from seasondid.glm import INTERCEPT_NAME, DesignMatrix, fit_ols
+from seasondid.glm import (
+    INTERCEPT_NAME,
+    DesignMatrix,
+    FitResult,
+    _check_columns,
+    _check_rank,
+    prune_design,
+)
 from seasondid.panel import (
     PhaseLabel,
     PriceObservation,
@@ -213,6 +227,86 @@ def midpoint_week_by_enumeration(gap_weeks: list) -> object:
     the earlier period."""
     assert gap_weeks, "enumeration oracle needs a non-empty gap"
     return gap_weeks[(len(gap_weeks) - 1) // 2]
+
+
+def fit_ols(
+    design: DesignMatrix,
+    y: np.ndarray,
+    counts: np.ndarray | None = None,
+    within_ss: float = 0.0,
+) -> FitResult:
+    """Least squares via one QR, with classical standard errors.
+
+    ``se_j = sqrt(sigma2 * [(X'X)^-1]_jj)`` where ``sigma2 = (within_ss +
+    RSS) / (n - k)`` and ``n`` counts observations. Row b stands for
+    ``counts[b]`` observations (one each when ``counts`` is None) whose
+    design is that row and whose mean outcome is ``y[b]``, and ``within_ss``
+    is the sum of squares of the observations about their row means: the
+    design is pruned on the rows as given (a column is constant or a
+    duplicate over them exactly when it is over the observations), each row
+    is weighted by ``sqrt(counts[b])``, and the fit, the rank checks
+    (``max(n, k)`` in the tolerance) and the degrees of freedom are those of
+    the observations. ``fitted`` holds the rows' fitted values.
+    """
+    y = np.asarray(y, dtype=float)
+    pruned, dropped = prune_design(design)
+    values, names = pruned.values, pruned.names
+    if y.shape[0] != values.shape[0]:
+        raise ValueError(f"y has {y.shape[0]} rows, design has {values.shape[0]}")
+    counts = np.ones(y.shape) if counts is None else np.asarray(counts)
+    if counts.shape != y.shape or not (counts > 0).all():
+        raise ValueError(f"counts must be {y.shape[0]} positive row counts, got {counts!r}")
+    weight = np.sqrt(counts)
+    n, weighted, target = int(counts.sum()), values * weight[:, None], weight * y
+    _check_columns(n, names)
+    q, r = np.linalg.qr(weighted)
+    _check_rank(weighted, r, n, names)
+    k = len(names)
+    if n <= k:
+        raise RankError(f"need more rows ({n}) than columns ({k}) for OLS", columns=names)
+    beta = np.linalg.solve(r, q.T @ target)
+    residuals = target - weighted @ beta
+    sigma2 = (within_ss + float(residuals @ residuals)) / (n - k)
+    r_inv = np.linalg.inv(r)
+    cov = sigma2 * (r_inv @ r_inv.T)
+    return FitResult(
+        coefficients=beta,
+        standard_errors=np.sqrt(np.diag(cov)),
+        fitted=values @ beta,
+        iterations=1,
+        column_names=names,
+        dropped_columns=dropped,
+        residual_df=n - k,
+    )
+
+
+def estimate_ols_did(sample: DidSample) -> EffectEstimate:
+    """DiD as the D:T interaction in an OLS regression with covariates.
+
+    The design (const, d, t, d_t, stratum dummies) is constant within each
+    (cell, stratum) bin, so ``fit_ols`` fits the occupied bins of the
+    sample's table with their row counts and mean outcomes, and the rows'
+    sum of squares about their bin means (each row's bin read from
+    ``sample.code``): the fit of the rows, from a table of a few dozen bins.
+    """
+    table = sample.cell_table()
+    n_by_cell = table.validate()
+    strata = table.counts.shape[1]
+    counts = table.counts.ravel()
+    mean = table.sums.ravel() / np.maximum(counts, 1)
+    within = sample.y - mean[sample.code]
+    bins = np.flatnonzero(counts)
+    cell, stratum = np.divmod(bins, strata)
+    # CELL_ORDER is (1,1), (1,0), (0,1), (0,0): d = cell < 2, t = cell even
+    d, t = cell < 2, cell % 2 == 0
+    dummies = stratum[:, None] == np.arange(1, strata)
+    values = np.column_stack([np.ones(bins.size), d, t, d & t, dummies])
+    names = (INTERCEPT_NAME, "d", "t", "d_t", *(f"stratum_{s}" for s in range(1, strata)))
+    fit = fit_ols(
+        DesignMatrix(values, names), mean[bins], counts[bins], within_ss=float(within @ within)
+    )
+    atet, se = fit.coefficient("d_t"), fit.standard_error("d_t")
+    return EffectEstimate("ols", atet, se, two_sided_normal_p(atet, se), n_by_cell)
 
 
 def row_level_ols_did(sample):

@@ -5,7 +5,8 @@ replicates as the estimator calls made inside each ``bootstrap_se`` call,
 less the first, which estimates the full sample, and failed replicates as
 those calls that raised. It counts labelled and transformed rows as the
 ``len()`` of what ``label_panel`` and the two transforms return, and OLS
-fits as the calls of ``did.fit_ols``, each pruning its design once. A
+fits as the calls of ``did.fit_ols``, each pruning its design once: one
+call per stack, the tasks of a (group, outcome) that share a bin design. A
 refactor that renames a traced attribute, changes how often an estimator
 is called or what those results count breaks the benchmark; these tests
 make it break the suite too. ``spans.py`` is loaded from its file and not
@@ -36,10 +37,9 @@ import seasondid.pipeline as pipeline
 from seasondid import panel
 from seasondid.cli import EXIT_OK, main
 from seasondid.config import RunConfig, expand_tasks
-from seasondid.ingest import read_prices, write_calendar, write_prices
-from seasondid.simgen import SimConfig, generate_panel
+from seasondid.ingest import read_prices
 
-from test_cli import RUN_CFG, SIM_CFG
+from test_cli import RUN_CFG, SIM_CFG, market_panel
 from test_cli import workspace  # noqa: F401  (fixture: simulated data, reps 25, two tasks)
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -147,21 +147,7 @@ def oracle_row_counts(run_cfg) -> tuple[int, int]:
 
 def test_labelling_and_transforms_run_inside_the_prepare_calls(spans, tmp_path):
     # Two products, each with two control countries: two task groups of four.
-    observations, windows = [], {}
-    for product in ("beet", "kale"):
-        for country in ("AT", "DE"):
-            config = SimConfig(n_seasons=3, weeks_per_season=20, protected_start=5,
-                               protected_end=14, seed=len(observations), product=product,
-                               control_country=country)
-            treated, control, calendar = generate_panel(config)
-            observations += control + (treated if country == "AT" else [])
-        window = calendar.window_for(product)
-        windows[product] = (str(window.start), str(window.end))
-    write_prices(tmp_path / "prices.csv", observations)
-    write_calendar(tmp_path / "calendar.csv", windows)
-    run_cfg = tmp_path / "run.cfg"
-    run_cfg.write_text(RUN_CFG.format(prices=tmp_path / "prices.csv",
-                                      calendar=tmp_path / "calendar.csv", out=tmp_path / "out"))
+    run_cfg = market_panel(tmp_path, ["beet", "kale"], ["AT", "DE"])
     tracer = spans.Tracer()
     try:
         spans.install(tracer)
@@ -207,20 +193,36 @@ def test_traced_row_counts_match_the_oracle(spans, workspace, command):  # noqa:
     )
 
 
-def test_traced_ols_fits_match_the_ols_rows(spans, workspace):  # noqa: F811
-    _, _, run_cfg, out = workspace
+def traced_ols_run(spans, run_cfg, out) -> tuple[int, dict]:
+    """(OLS rows, traced metrics) of a one-worker ``run`` with ``methods =
+    ipw,ols``."""
     run_cfg.write_text(run_cfg.read_text() + "methods = ipw,ols\n")
     tracer = spans.Tracer()
     try:
         spans.install(tracer)
-        assert main(["run", "--config", str(run_cfg)]) == EXIT_OK
+        assert main(["run", "--config", str(run_cfg), "--workers", "1"]) == EXIT_OK
     finally:
         tracer.restore()
     with (out / "effects.csv").open(newline="") as handle:
         ols_rows = sum(row["method"] == "ols" for row in csv.DictReader(handle))
-    metrics = spans.layer_metrics(tracer.spans, 1.0, spans.task_seconds(tracer.spans))
+    return ols_rows, spans.layer_metrics(tracer.spans, 1.0, spans.task_seconds(tracer.spans))
+
+
+def test_traced_ols_fits_match_the_ols_rows(spans, workspace, tmp_path):  # noqa: F811
+    # the workspace's two tasks, one per outcome, are two stacks
+    _, _, run_cfg, out = workspace
+    ols_rows, metrics = traced_ols_run(spans, run_cfg, out)
     assert ols_rows == 2
-    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == ols_rows
+    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == 2
+    # two groups of four tasks, two per outcome, whose samples all occupy
+    # every bin: one stack per (group, outcome), of two tasks each
+    panel = tmp_path / "panel"
+    panel.mkdir()
+    ols_rows, metrics = traced_ols_run(spans, market_panel(panel, ["beet", "kale"],
+                                                           ["AT", "DE"]), panel / "out")
+    assert ols_rows == 8
+    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == 4
+    assert metrics["pipeline.tasks"] == 8
 
 
 @pytest.mark.parametrize("command", ["run", "pretrend"])

@@ -26,8 +26,9 @@ from seasondid.cli import (
 from seasondid.calendar import ProtectionCalendar
 from seasondid.config import RunConfig, expand_tasks
 from seasondid.errors import SeasonDidError
-from seasondid.ingest import read_prices
+from seasondid.ingest import read_prices, write_calendar, write_prices
 from seasondid.pipeline import prepare_outcome_rows, task_seed
+from seasondid.simgen import SimConfig, generate_panel
 
 SIM_CFG = """\
 n_seasons = 3
@@ -108,6 +109,28 @@ def write_run_cfg(workspace_paths, extra="", name="alt.cfg", out_name="alt_out")
                        out=out) + extra
     )
     return cfg, out
+
+
+def market_panel(tmp_path, products, countries) -> Path:
+    """Simulated prices and calendar under ``tmp_path`` of each product's
+    treated market and one control market per country; returns a run config
+    of all their tasks."""
+    observations, windows = [], {}
+    for product in products:
+        for country in countries:
+            config = SimConfig(n_seasons=3, weeks_per_season=20, protected_start=5,
+                               protected_end=14, seed=len(observations), product=product,
+                               control_country=country)
+            treated, control, calendar = generate_panel(config)
+            observations += control + (treated if country == countries[0] else [])
+        window = calendar.window_for(product)
+        windows[product] = (str(window.start), str(window.end))
+    write_prices(tmp_path / "prices.csv", observations)
+    write_calendar(tmp_path / "calendar.csv", windows)
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(RUN_CFG.format(prices=tmp_path / "prices.csv",
+                                      calendar=tmp_path / "calendar.csv", out=tmp_path / "out"))
+    return run_cfg
 
 
 def seedless_cfg(workspace_paths, extra=""):
@@ -352,6 +375,28 @@ class TestRun:
         assert effects[0] == effects[1]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["trim_treated"] is True
+
+    def test_stacked_fits_do_not_depend_on_the_worker_count(self, tmp_path):
+        # one treated market with four controls: one group of eight tasks at
+        # one worker, two of four at two, so each outcome's OLS fits are
+        # stacked four, then two, at a time
+        run_cfg = market_panel(tmp_path, ["beet"], ["AT", "DE", "FR", "IT"])
+        run_cfg.write_text(run_cfg.read_text() + "methods = ipw,ols\n")
+        config = RunConfig.from_file(run_cfg)
+        tasks = sorted(expand_tasks(config, store=read_prices(config.prices)[0]),
+                       key=lambda t: t.key())
+        assert [len(group) for group in _task_groups(tasks, 1)] == [8]
+        assert [len(group) for group in _task_groups(tasks, 2)] == [4, 4]
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["run", "--config", str(run_cfg), "--workers", workers]) == EXIT_OK
+            manifest = (config.output_dir / "manifest.json").read_bytes()
+            # the manifest's config echoes the worker count; the rest is equal
+            manifest = manifest.replace(f'"workers": {workers}'.encode(), b'"workers": 0')
+            outputs.append(((config.output_dir / "effects.csv").read_bytes(), manifest))
+            _, rows = read_csv(config.output_dir / "effects.csv")
+            assert sorted(row[4] for row in rows) == ["ipw"] * 8 + ["ols"] * 8
+        assert outputs[0] == outputs[1]
 
     def test_failures_stay_per_task_inside_one_group(self, workspace):
         # One treated market with an estimable control (DE), one without price

@@ -569,6 +569,19 @@ class TestJoinEffectAttributes:
         assert "effects.csv:11: expected 15 fields, got 8" in message
 
 
+    def test_rows_of_other_methods_are_checked_before_they_are_left_out(self, tmp_path, rng):
+        joined(tmp_path, random_effects(rng, ["FR"], per_cell=2))
+        with (tmp_path / "effects.csv").open("a", newline="") as handle:
+            handle.write("tomato,premium,DE,levels,ols,steep,1,1,1,1,1,1,0,25,7\n")
+            handle.write("tomato,conventional,DE,level,IPW ,2.5,1,1,1,1,1,1,0,25,7\n")
+        with pytest.raises(IngestError) as excinfo:
+            join_effect_attributes(tmp_path / "effects.csv", tmp_path / "attributes.csv", "ipw")
+        message = str(excinfo.value)
+        assert message.startswith("2 invalid rows in effects.csv:")
+        assert "effects.csv:10: unknown quality 'premium'" in message
+        assert "effects.csv:11: unknown method 'IPW'" in message
+
+
 class TestHeterogeneityRegression:
     def test_single_quality_rows_match_the_oracle(self, tmp_path, rng):
         effects = random_effects(rng, ["FR", "DE", "IT"], per_cell=4,

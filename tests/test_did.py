@@ -59,6 +59,7 @@ from oracles import (
     cell_mask,
     cell_means_did as validating_cell_means_did,
     estimate_ipw_did as array_ipw_did,
+    estimate_ols_did as oracle_ols_did,
     did_from_cell_means,
     normal_equations_ols,
     row_level_bootstrap,
@@ -608,6 +609,66 @@ class TestOlsTable:
         tight[0][0] = 2  # one more row in the same six bins: n = k + 1
         assert_same_ols(shuffled_sample(tight, 5))
         assert estimate_ols_did(shuffled_sample(tight, 5)).se > 0.0
+
+
+@st.composite
+def ols_stacks(draw):
+    """Counts per (stratum, cell) of the samples of one ``estimate_ols_did``
+    call: one to twelve strata, one to three occupied-bin patterns, and one
+    to eight samples, each one of the patterns with its own counts. A
+    pattern is random, has a stratum confined to the (1,1) cell (a pruned
+    dummy) or stratum dummies that sum to t (collinear), or is tight: one
+    bin per stratum beyond a full stratum 0. Some samples have one row per
+    bin, so n <= k."""
+    strata = draw(st.integers(1, 12))
+    patterns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "confined", "sums_to_t", "tight"]))
+        occupied = [[draw(st.integers(0, 3)) > 0 for _ in range(4)] for _ in range(strata)]
+        if kind == "confined":
+            confined = draw(st.integers(0, strata - 1))
+            occupied = [[False, *row[1:]] for row in occupied]
+            occupied[confined] = [True, False, False, False]
+        elif kind == "sums_to_t":
+            # stratum 0 only in T=0 cells, the others only in T=1 cells
+            occupied = [[on and (k in (1, 3)) == (s == 0) for k, on in enumerate(row)]
+                        for s, row in enumerate(occupied)]
+        elif kind == "tight":
+            occupied = [[True] * 4] + [[k == draw(st.integers(0, 3)) for k in range(4)]
+                                       for _ in range(strata - 1)]
+        patterns.append(occupied)
+    stack = []
+    for _ in range(draw(st.integers(1, 8))):
+        occupied = draw(st.sampled_from(patterns))
+        count = st.just(1) if draw(st.booleans()) else st.integers(1, 9)
+        stack.append([[draw(count) if on else 0 for on in row] for row in occupied])
+    return stack
+
+
+class TestOlsStacks:
+    @settings(max_examples=300, deadline=None)
+    @given(ols_stacks(), st.integers(0, 2**32 - 1))
+    def test_each_sample_gets_its_per_task_bits(self, stack, seed):
+        samples = [shuffled_sample(sizes, seed + i) for i, sizes in enumerate(stack)]
+        designs = {
+            (sample.strata, np.flatnonzero(sample.cell_table().counts).tobytes())
+            for sample in samples if min(sample.cell_table().n_by_cell) > 0
+        }
+        with mock.patch.object(did, "fit_ols", wraps=did.fit_ols) as fit:
+            stacked = estimate_ols_did(samples)
+        assert fit.call_count == len(designs)
+        event(f"stacks: {len(designs)} for {len(samples)} samples")
+        for sample, got in zip(samples, stacked):
+            want = outcome_of(oracle_ols_did, sample)
+            event(f"outcome: {type(want).__name__}")
+            alone = outcome_of(estimate_ols_did, sample)
+            for outcome in (got, estimate_ols_did([sample])[0], alone):
+                assert type(outcome) is type(want), (outcome, want)
+                if isinstance(want, Exception):
+                    assert str(outcome) == str(want)
+                    assert getattr(outcome, "columns", None) == getattr(want, "columns", None)
+                else:
+                    assert repr(outcome) == repr(want)  # a float's repr is its bits
 
 
 class TestBootstrap:

@@ -16,6 +16,7 @@ from seasondid.errors import (
 )
 from seasondid.glm import logistic_log_likelihood, logistic_score
 
+import oracles
 from oracles import (
     central_difference_gradient,
     central_difference_hessian,
@@ -154,6 +155,18 @@ class TestOls:
             with pytest.raises(ValueError, match="positive row counts"):
                 fit_ols(DesignMatrix(groups, names), means, bad)
 
+    @pytest.mark.parametrize("bad", [[1.5, 1.5, 1.5, 1.6], [1, 2, np.inf, 1], [1, np.nan, 1, 1],
+                                     [1, 1, 1, 1e300 * 1e300]])
+    def test_counts_must_be_finite_positive_integers(self, bad):
+        # fractional counts would be truncated into n, and an infinite one
+        # escape as an OverflowError
+        values = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"counts must be 4 positive row counts"):
+            fit_ols(DesignMatrix(values, ("const", "x")), [1.0, 2.0, 3.0, 4.0], np.array(bad))
+        with pytest.raises(ValueError, match=r"counts must be 4 positive row counts"):
+            fit_ols(DesignMatrix(values, ("const", "x")), np.ones((2, 4)),
+                    np.array([[1, 1, 1, 1], bad]), [0.0, 0.0])
+
     def test_needs_more_rows_than_columns(self, rng):
         x = rng.normal(0.0, 1.0, (3, 3))
         with pytest.raises(RankError):
@@ -161,6 +174,68 @@ class TestOls:
                 design(("const", np.ones(3)), ("a", x[:, 0]), ("b", x[:, 1])),
                 np.zeros(3),
             )
+
+
+def fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except RankError as exc:
+        return exc
+
+
+def assert_same_fit(got, want):
+    """Bit-equal fits, or errors of one type, text and columns."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, RankError):
+        assert (str(got), got.columns) == (str(want), want.columns)
+        return
+    for name in ("coefficients", "standard_errors", "fitted"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("column_names", "dropped_columns", "residual_df", "iterations"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestStackedOls:
+    # three rows of (const, a, b, a_copy): a_copy is pruned, and each task
+    # has n = 3 = k, or n > k
+    VALUES = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    NAMES = ("const", "a", "b", "a_copy")
+
+    @pytest.mark.parametrize("rows", [3, 2])
+    def test_each_task_fits_or_fails_as_it_would_alone(self, rng, rows):
+        # with two rows, n = 2 < k is too few observations, and n = 4 leaves
+        # b no pivot; with three, n = 3 = k leaves no degree of freedom
+        design = DesignMatrix(self.VALUES[:rows], self.NAMES)
+        counts = np.array([[1, 1, 1], [2, 1, 3], [1, 1, 1], [4, 2, 2]])[:, :rows]
+        y = rng.normal(0.0, 1.0, counts.shape)
+        within = rng.uniform(0.0, 2.0, counts.shape[0])
+        fits = fit_ols(design, y, counts, within)
+        assert len(fits) == counts.shape[0]
+        kinds = set()
+        for task, fit in enumerate(fits):
+            args = (design, y[task], counts[task], float(within[task]))
+            want = fit_or_error(oracles.fit_ols, *args)
+            kinds.add(str(want).split(" (")[0] if isinstance(want, RankError) else "fit")
+            assert_same_fit(fit, want)
+            assert_same_fit(fit_or_error(fit_ols, *args), want)
+            assert_same_fit(fit_ols(design, y[task:task + 1], counts[task:task + 1],
+                                    within[task:task + 1])[0], want)
+        collinear = "design matrix is rank deficient; collinear columns: ['b']"
+        assert kinds == ({"fit", "need more rows"} if rows == 3 else {"more columns", collinear})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_random_stacks_give_the_per_task_bits(self, tasks, rows, columns, seed):
+        rng = np.random.default_rng(seed)
+        values = np.column_stack([np.ones(rows), rng.integers(0, 3, (rows, columns))])
+        design = DesignMatrix(values, ("const", *(f"x{j}" for j in range(columns))))
+        counts = rng.integers(1, 4, (tasks, rows))
+        y = rng.normal(50.0, 10.0, (tasks, rows))
+        within = rng.uniform(0.0, 5.0, tasks)
+        for task, fit in enumerate(fit_ols(design, y, counts, within)):
+            want = fit_or_error(oracles.fit_ols, design, y[task], counts[task],
+                                float(within[task]))
+            assert_same_fit(fit, want)
 
 
 class TestDesignHygiene:

@@ -1,12 +1,13 @@
 """prepare_outcome_rows and build_sample: the columnar pipeline gives the
 row-level oracle's rows and samples bit for bit, rows shared across tasks
-equal per-task rows, and failures stay per task."""
+equal per-task rows, a group's stacked estimates equal per-task ones, and
+failures stay per task."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -24,12 +25,13 @@ from seasondid import (
 )
 from seasondid import pipeline
 from seasondid.cli import EXIT_OK, main
-from seasondid.did import build_sample
+from seasondid.did import build_sample, estimate_ipw_did
 from seasondid.errors import (
     CalendarMissError,
     ConfigError,
     EmptyOverlapError,
     InfeasibleSampleError,
+    SeasonDidError,
     SeparationError,
 )
 from seasondid.ingest import write_calendar, write_prices
@@ -309,6 +311,45 @@ class TestSamplesEqualTheRowLevelOracle:
                 got = outcome_of(columnar_sample, *args)
                 want = outcome_of(oracle_sample, *args)
                 assert same_sample(got, want), (task, got, want)
+
+
+def oracle_estimates(task, observations, calendar):
+    """The OLS and IPW point estimates of one task, in that order, from the
+    row-level oracle's sample and the per-task OLS oracle."""
+    sample = oracle_sample(task, None, observations, calendar)
+    return (oracles.estimate_ols_did(sample),
+            estimate_ipw_did(sample.cell_table(), task.trim_threshold, task.trim_treated))
+
+
+def estimates_or_error(fn):
+    try:
+        return fn()
+    except SeasonDidError as exc:
+        return type(exc), str(exc)
+
+
+class TestGroupEstimatesEqualPerTaskEstimates:
+    @settings(max_examples=40, deadline=None)
+    @given(panels(), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1),
+           st.integers(1, 6))
+    def test_shuffled_runs_of_each_group(self, panel, random, seed, min_cell):
+        # each task gets the oracle's estimates bit for bit, or its error,
+        # whatever its group and the order the group's tasks run in
+        calendar, layout, n_weeks, missing, tasks = panel
+        store, observations = random_panel(layout, n_weeks, missing, seed)
+        groups = {}
+        for task in tasks:
+            groups.setdefault(task.treated, []).append(replace(task, min_cell=min_cell))
+        for group_tasks in groups.values():
+            group = TaskGroup(group_tasks, store, calendar)
+            runs = list(group_tasks)
+            random.shuffle(runs)
+            for task in runs:
+                got = estimates_or_error(lambda: pipeline.run_task(
+                    task, store, calendar, ("ols", "ipw"), group).estimates)
+                want = estimates_or_error(lambda: oracle_estimates(task, observations, calendar))
+                assert repr(got) == repr(want), task
+                event(f"outcome: {got[0].__name__ if isinstance(got[0], type) else 'estimates'}")
 
 
 # ---------------------------------------------------------------------------

@@ -259,12 +259,15 @@ def fit_ols(
     is the sum of squares of the observations about their row means: the
     design is pruned once on the rows as given (a column is constant or a
     duplicate over them exactly when it is over the observations), each row
-    is weighted by ``sqrt(counts[b])``, and the fit, the rank checks
-    (``max(n, k)`` in the tolerance) and the degrees of freedom are those of
-    the observations; ``fitted`` holds the rows' fitted values. A task is
-    checked alone and fitted as a slice of one stacked QR, solve, inverse
-    and matmul, each slice of which has the bits of the single-matrix call:
-    its result does not depend on the other tasks of its stack.
+    is weighted by ``sqrt(counts[b])``, and the fit, the rank checks and the
+    degrees of freedom are those of the observations; ``fitted`` holds the
+    rows' fitted values. A count must be an integer in [1, 2**53], exact in
+    float64. The rank tolerance ``max(n, k) * eps * max|diag|`` counts
+    observations, as a row-level fit would, so very large or unbalanced
+    counts can make a full-rank design look collinear. A task is checked
+    alone and fitted as a slice of one stacked QR, solve, inverse and
+    matmul, each slice of which has the bits of the single-matrix call: its
+    result does not depend on the other tasks of its stack.
     """
     y = np.asarray(y, dtype=float)
     pruned, dropped = prune_design(design)
@@ -272,7 +275,7 @@ def fit_ols(
     if y.shape[-1] != values.shape[0]:
         raise ValueError(f"y has {y.shape[-1]} rows, design has {values.shape[0]}")
     counts = np.ones(y.shape) if counts is None else np.asarray(counts)
-    if counts.shape != y.shape or not (np.isfinite(counts).all() and (counts > 0).all()
+    if counts.shape != y.shape or not ((counts > 0).all() and (counts <= 2**53).all()
                                        and (counts == np.round(counts)).all()):
         raise ValueError(f"counts must be {y.shape[-1]} positive row counts, got {counts!r}")
     counts = counts.reshape(-1, values.shape[0])

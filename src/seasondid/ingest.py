@@ -13,14 +13,18 @@ lines, and any problem rejects the file unless ``skip_bad_rows`` drops
 and counts the offending rows. Kept rows go into per-series arrays of ISO-week ordinals and prices, the
 columns of a ``PanelStore``, the one gate for what a store may hold.
 
-A price file is first read as columns, 32 KiB of whole lines at a time:
-each chunk is split once as plain text, and each distinct series or week
-text is parsed once. That path takes a file only if it is ASCII, holds no
-``"``, has the exact header, ``\\n`` or ``\\r\\n`` line ends, no blank line
-and seven fields on every line, holds decimal prices and valid weeks only,
-and makes a store that ``PanelStore`` accepts. Anything else, any problem
-included, sends the whole file to the row reader, which alone reports
-problems; the columnar path is tested against it.
+A price file is first read as columns, 64 KiB of whole lines at a time,
+as bytes: numpy finds every comma and line end, a run of lines whose
+series cells have the same bytes is parsed once, so is each distinct
+year and week text, and all prices of a chunk are parsed in one call.
+That path takes a file only if it is ASCII, holds no ``"`` or NUL byte,
+has the exact header, ``\\n`` or ``\\r\\n`` line ends, no blank line and
+seven fields on every line, no cell beyond ``csv.field_size_limit()``,
+year and week cells of 8 bytes or fewer with their comma, decimal prices
+and valid weeks only, and makes a store that ``PanelStore`` accepts.
+Anything else, any problem included, sends the whole file to the row
+reader, which alone reports problems; the columnar path is tested
+against it.
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ import functools
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, duplicate, read_table, utf8_text
+from .errors import ConfigError, IngestError, duplicate, read_table
 from .calendar import CALENDAR_HEADER
 from .panel import PanelRows, PriceObservation, Quality, SeriesKey
 from .panel import check_labelled_year, labelled_years
@@ -48,12 +51,14 @@ EFFECTS_COLUMNS = (
     "p", "n11", "n10", "n01", "n00", "trimmed", "reps", "seed",
 )
 
-_DECIMAL = r"\d+(?:\.\d+)?"
-_PRICE_PATTERN = re.compile(rf"^{_DECIMAL}$")
-# A column of price cells joined by commas, each one matching _PRICE_PATTERN.
-_PRICE_COLUMN = re.compile(rf"{_DECIMAL}(?:,{_DECIMAL})*", re.ASCII)
-_HEADER_LINES = tuple(",".join(PRICE_HEADER) + end for end in ("\n", "\r\n", ""))
-_CHUNK_CHARS = 32 * 1024
+_PRICE_PATTERN = re.compile(r"^\d+(?:\.\d+)?$")
+_HEADER_LINES = tuple((",".join(PRICE_HEADER) + end).encode() for end in ("\n", "\r\n", ""))
+_LINE_STOPS = np.frombuffer(b",,,,,,\n", dtype=np.uint8)  # the delimiters of one line
+_CHUNK_BYTES = 64 * 1024
+_GATHER = 64  # bytes of each line's key compared in place; a wider key starts its own run
+# row w keeps the first w bytes of _GATHER bytes read as little-endian words
+_MASKS = np.array([[(1 << 8 * min(8, max(0, w - j))) - 1 for j in range(0, _GATHER, 8)]
+                   for w in range(_GATHER + 1)], dtype=np.uint64)
 _NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))
 _Columns = dict[SeriesKey, tuple[Sequence[int] | np.ndarray, Sequence[float] | np.ndarray]]
 
@@ -163,30 +168,29 @@ class PanelStore:
 def read_prices(path: str | Path, skip_bad_rows: bool = False) -> tuple[PanelStore, IngestReport]:
     """Read and validate a price panel into per-series arrays."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle, utf8_text(path, IngestError):
+    with path.open("rb") as handle:
         columnar = _read_price_columns(handle)
     return columnar or _read_price_rows(path, skip_bad_rows)
 
 
-def _read_price_columns(handle) -> tuple[PanelStore, IngestReport] | None:
-    """The store and report of a file on which every row check passes, read
-    a chunk of whole lines at a time; None at the first line that a plain
-    split might read unlike ``csv.reader`` or whose cells might not parse,
-    or when ``PanelStore`` refuses the rows, which leaves the file to the
-    row reader."""
+def _read_price_columns(handle: BinaryIO) -> tuple[PanelStore, IngestReport] | None:
+    """The store and report of a binary file on which every row check
+    passes, read ``_CHUNK_BYTES`` at a time, each chunk cut after its last
+    ``\\n``; None at the first chunk that ``csv.reader`` might split unlike
+    its delimiters or whose cells might not parse, or when ``PanelStore``
+    refuses the rows, which leaves the file to the row reader."""
     if handle.readline() not in _HEADER_LINES:
         return None
     series: dict[SeriesKey, int] = {}  # series id by key, in first-seen order
-    chunks = []
-    while lines := handle.readlines(_CHUNK_CHARS):
-        chunk = _price_chunk(lines, series)
-        if chunk is None:
+    chunks, data = [], None
+    for data in _line_chunks(handle):
+        chunks.append(None if data is None else _price_chunk(data, series))
+        if chunks[-1] is None:
             return None
-        chunks.append(chunk)
     ids, weeks, prices = (
         (np.concatenate(c) for c in zip(*chunks)) if chunks else (_NO_ROWS[0], *_NO_ROWS)
     )
-    del chunks  # as large as the columns: free it before the store copies them
+    del chunks, data  # as large as the columns, and the last chunk: free them first
     order = np.argsort(ids, kind="stable")
     weeks, prices = weeks[order], prices[order]
     bounds = np.cumsum(np.bincount(ids, minlength=len(series)))[:-1]
@@ -198,47 +202,90 @@ def _read_price_columns(handle) -> tuple[PanelStore, IngestReport] | None:
     return store, IngestReport(ids.size, ids.size, 0, _kept_by_country(columns))
 
 
+def _line_chunks(handle: BinaryIO) -> Iterator[bytes | None]:
+    """The rest of ``handle`` in chunks of whole lines, each ended by
+    ``\\n``. A last line without one gets it, or is None if it ends in a
+    lone ``\\r``, which ``csv.reader`` reads as a line end."""
+    tail = b""
+    while block := handle.read(_CHUNK_BYTES):
+        block = tail + block
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield block[:cut]
+        tail = block[cut:]
+    if tail:
+        yield None if tail.endswith(b"\r") else tail + b"\n"
+
+
 def _price_chunk(
-    lines: list[str], series: dict[SeriesKey, int]
+    data: bytes, series: dict[SeriesKey, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The series ids, week ordinals and prices of whole lines split as
-    plain text, or None where that split or a row check might fail; new
-    series get the next id. Each distinct cell text is parsed once."""
-    text = "".join(lines)
-    if not text.isascii() or '"' in text or len(text) > csv.field_size_limit():
+    """The series ids, week ordinals and prices of whole lines, found from
+    the positions of their delimiters, or None where ``csv.reader`` might
+    split a line otherwise or a row check might fail; new series get the
+    next id. Each run of lines with equal key bytes and each distinct
+    (year, week) text is parsed once, and all prices in one call."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.min() == 0 or buf.max() > 127 or (buf == ord('"')).any():
+        return None  # cells are compared with zero bytes past their end: no cell holds one
+    stops = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if stops.size % len(PRICE_HEADER):
         return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):  # a lone \r ends a row too
-            return None
-        text = text.replace("\r\n", "\n")
-    if set(map(str.count, lines, repeat(","))) != {len(PRICE_HEADER) - 1}:
-        return None  # a blank line or a wrong field count
-    if not text.endswith("\n"):  # the last line of a file without a final newline
-        text += "\n"
-    n = len(lines)
-    cells = text.replace("\n", ",").split(",")
-    country, product, quality, region, year, week, price = (
-        cells[i : n * 7 : 7] for i in range(7)
-    )
-    key_ids: dict[tuple[str, ...], int] = {}
-    week_ids: dict[tuple[str, ...], int | str] = {}
-    for raw in dict.fromkeys(zip(country, product, quality, region)):
-        key = _series_key(*raw)
+    stops = stops.reshape(-1, len(PRICE_HEADER))
+    if not ((buf[stops] == _LINE_STOPS).all() and np.count_nonzero(buf == ord("\r"))
+            == np.count_nonzero(buf[stops[:, -1] - 1] == ord("\r"))):
+        return None  # a wrong field count, a blank line or a \r that ends no line
+    starts = np.concatenate(([0], stops.ravel()[:-1] + 1)).reshape(stops.shape)
+    span = stops[:, 5] - starts[:, 4]  # of the year and week cells and the comma between
+    if (stops - starts).max() > csv.field_size_limit() or span.max() > 8:
+        return None  # a price cell's width counts its line's \r
+    words = _words(buf)
+    key_width = stops[:, 3] - starts[:, 0]
+    count = (min(int(key_width.max()), _GATHER) + 7) // 8
+    keys = words[starts[:, :1] + 8 * np.arange(count)]
+    keys &= _MASKS[np.minimum(key_width, _GATHER), :count]
+    first = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+                           | (key_width > _GATHER))  # a key wider than the gather starts a run
+    run_ids = []
+    for start, stop in zip(starts[first, 0].tolist(), stops[first, 3].tolist()):
+        key = _series_key(*data[start:stop].decode().split(","))
         if isinstance(key, str):
             return None
-        key_ids[raw] = series.setdefault(key, len(series))
-    for raw in dict.fromkeys(zip(year, week)):
-        week_ids[raw] = _week_ordinal(*raw)
-        if isinstance(week_ids[raw], str):
-            return None
-    if not _PRICE_COLUMN.fullmatch(",".join(price)):
+        run_ids.append(series.setdefault(key, len(series)))
+    codes, code_at = np.unique(words[starts[:, 4]] & _MASKS[span, 0], return_inverse=True)
+    ordinals = [_code_week(code) for code in codes.tolist()]
+    if any(isinstance(ordinal, str) for ordinal in ordinals):
         return None
-    return (
-        np.fromiter(map(key_ids.__getitem__, zip(country, product, quality, region)),
-                    dtype=np.int64, count=n),
-        np.fromiter(map(week_ids.__getitem__, zip(year, week)), dtype=np.int64, count=n),
-        np.fromiter(map(float, price), dtype=float, count=n),
+    prices = _price_column(buf, starts[:, 0], stops[:, 5], stops[:, 6])
+    return None if prices is None else (
+        np.repeat(np.array(run_ids, dtype=np.int64), np.diff(first, append=len(stops))),
+        np.array(ordinals, dtype=np.int64)[code_at],
+        prices,
     )
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 of the 8 bytes from each position of
+    ``buf`` on, ``buf`` followed by ``_GATHER`` zero bytes."""
+    padded = np.concatenate((buf, np.zeros(_GATHER, dtype=np.uint8)))
+    return np.ndarray((buf.size + _GATHER - 7,), np.uint64, padded, 0, (1,))
+
+
+def _price_column(buf: np.ndarray, line: np.ndarray, comma: np.ndarray,
+                  end: np.ndarray) -> np.ndarray | None:
+    """The prices in the last cells of the lines from ``line``, each from
+    after its ``comma`` to its ``\\n`` at ``end``, parsed in one call; None
+    unless each cell matches ``_PRICE_PATTERN``."""
+    length = end - comma  # the cell, its line's \r if any, and the \n
+    text = buf[np.repeat(np.tile([False, True], end.size),
+                         np.stack((comma + 1 - line, length), axis=1).ravel())]
+    edges = np.concatenate((buf[comma + 1], buf[end - 1 - (buf[end - 1] == ord("\r"))]))
+    dot_cells = np.searchsorted(np.cumsum(length), np.flatnonzero(text == ord(".")), side="right")
+    if not ((edges - ord("0") < 10).all() and (np.diff(dot_cells) > 0).all() and (
+            (text - ord("0") < 10) | (text == ord(".")) | (text == ord("\r")) | (text == ord("\n"))
+    ).all()):
+        return None  # an empty cell has the comma or the line end as an edge
+    return np.fromstring(text, sep=" ")
 
 
 def _read_price_rows(path: Path, skip_bad_rows: bool) -> tuple[PanelStore, IngestReport]:
@@ -305,6 +352,13 @@ def _series_key(country: str, product: str, quality: str, region: str) -> Series
         return SeriesKey(product, Quality.parse(quality), country, region or None)
     except ConfigError as exc:
         return str(exc)
+
+
+@functools.lru_cache(maxsize=4096)
+def _code_week(code: int) -> int | str:
+    """``_week_ordinal`` of the text ``year,week`` packed in the bytes of
+    ``code``, zeros after it."""
+    return _week_ordinal(*code.to_bytes(8, "little").rstrip(b"\0").decode().split(","))
 
 
 @functools.lru_cache(maxsize=4096)

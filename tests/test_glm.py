@@ -1,6 +1,7 @@
 """Logistic and least-squares fitters against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ class TestOls:
         with pytest.raises(ValueError, match=r"counts must be 4 positive row counts"):
             fit_ols(DesignMatrix(values, ("const", "x")), np.ones((2, 4)),
                     np.array([[1, 1, 1, 1], bad]), [0.0, 0.0])
+
+    @pytest.mark.parametrize("huge", [2**60, 1e300])
+    def test_counts_beyond_exact_float_integers_are_refused(self, huge):
+        # 2**60 made the full-rank design (const, x) look collinear through
+        # the observation count in the rank tolerance, and 1e300 overflowed
+        # that tolerance with a RuntimeWarning
+        values = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"counts must be 4 positive row counts"):
+                fit_ols(DesignMatrix(values, ("const", "x")), [1.0, 2.0, 3.0, 4.0],
+                        np.array([huge, 1, 1, 1]))
 
     def test_needs_more_rows_than_columns(self, rng):
         x = rng.normal(0.0, 1.0, (3, 3))

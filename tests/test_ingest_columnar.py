@@ -1,17 +1,22 @@
 """The columnar price reader against the row reader it must agree with.
 
 ``read_prices`` first tries ``ingest._read_price_columns``, which reads
-whole lines a chunk at a time and falls back to ``ingest._read_price_rows``
-on any irregularity. Every file here is read both ways: the stores
-(columns, dtypes and series order), the reports and every ``IngestError``
-text must be the same. The columnar reader leaves repeated weeks and zero
-or overflowing prices to ``PanelStore``'s gate, tested here too.
+the file's bytes a chunk of whole lines at a time, finds the cells from
+the positions of the delimiters and parses a chunk's prices in one call,
+and falls back to ``ingest._read_price_rows`` on any irregularity. Every
+file here is read both ways: the stores (columns, dtypes and series
+order), the reports and every ``IngestError`` text must be the same. The
+columnar reader leaves repeated weeks and zero or overflowing prices to
+``PanelStore``'s gate, tested here too, and each price must have the bits
+``float`` gives its text.
 """
 
 import csv
 import math
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,7 +61,7 @@ def assert_same_as_row_reader(path, fault=None):
 def columnar(path):
     """The columnar reader's result, or None where it leaves the file to
     the row reader."""
-    with path.open(newline="") as handle:
+    with path.open("rb") as handle:
         return ingest._read_price_columns(handle)
 
 
@@ -113,6 +118,7 @@ def faults(data, rows, ends):
     cell = data.draw(st.integers(0, 6), label="cell")
     digit_cell = data.draw(st.sampled_from([4, 5, 6]), label="digit cell")
     digit = data.draw(st.sampled_from(["²", "٣"]), label="digit")
+    key_cell = data.draw(st.integers(0, 3), label="key cell")
     pad = data.draw(st.text(PADDING, min_size=1, max_size=2), label="padding")
     price = line.split(",")[6]
 
@@ -139,17 +145,22 @@ def faults(data, rows, ends):
     yield "duplicate", rows + [replace_cell(line, 6, price + "1")], ends + ["\n"]
     yield "padded duplicate", rows + [" " + line], ends + ["\n"]
     yield "lone \\r", rows, ends[:at + 1] + ["\r"] + ends[at + 2:]
+    text = line.split(",")[cell]
+    yield "\\r in a cell", *swap(replace_cell(line, cell, text[:1] + "\r" + text[1:]))
+    text = line.split(",")[key_cell]
+    nul = data.draw(st.integers(0, len(text)), label="NUL at")
+    yield "NUL in a key cell", *swap(replace_cell(line, key_cell, text[:nul] + "\0" + text[nul:]))
 
 
 class TestParity:
     @settings(max_examples=150, deadline=None)
-    @given(clean_files(), st.booleans(), st.sampled_from([1, 60, 300, ingest._CHUNK_CHARS]),
+    @given(clean_files(), st.booleans(), st.sampled_from([1, 60, 300, ingest._CHUNK_BYTES]),
            st.data())
     def test_every_file_reads_as_on_the_row_reader(self, tmp_path_factory, clean,
                                                    final_newline, chunk, data):
         rows, ends = clean
         path = tmp_path_factory.mktemp("parity") / "prices.csv"
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             write(path, rows, ends, final_newline)
             assert columnar(path) is not None
             assert_same_as_row_reader(path)
@@ -172,6 +183,39 @@ class TestRouting:
             path = write(tmp_path / "prices.csv", rows, ends)
             assert columnar(path) is None
             assert_same_as_row_reader(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_a_last_line_ending_in_a_lone_carriage_return(self, tmp_path, end):
+        # csv.reader ends that line at its \r: a \n added at the end of the
+        # file would make it a \r\n, which the columnar reader takes
+        rows = [f"CH,tomato,conventional,,2016,{week},4.0" for week in range(1, 40)]
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 100):
+            path = write(tmp_path / "prices.csv", rows, [end] * len(rows) + ["\r"])
+            assert columnar(path) is None
+            assert_same_as_row_reader(path)
+            path = write(tmp_path / "prices.csv", rows, [end] * len(rows) + ["\r\n"])
+            assert columnar(path) is not None
+
+    @pytest.mark.parametrize("line", ["CH,tomato,organic,\0,2016,2,5.0",
+                                      "DE,tomato,organic,,2016,1\0,5.0"])
+    def test_a_nul_byte_ending_a_cell(self, tmp_path, line):
+        # the columnar reader compares cells with zero bytes past their end
+        path = write(tmp_path / "prices.csv", ["CH,tomato,organic,,2016,1,4.0", line], ["\n"] * 3)
+        assert columnar(path) is None
+        assert_same_as_row_reader(path)
+
+    def test_keys_wider_than_the_gather_read_as_columns(self, tmp_path):
+        # two keys equal in their first _GATHER bytes are still two series
+        wide = "x" * ingest._GATHER
+        rows = [f"CH,{product},organic,north,2016,{week},{week}.5"
+                for product, weeks in ((wide + "a", (1, 2, 3)), (wide + "b", (1, 2, 3)),
+                                       ("leek", (1, 2)), (wide + "a", (4, 5)))
+                for week in weeks]
+        path = write(tmp_path / "prices.csv", rows, ["\n"] * (len(rows) + 1))
+        store, _ = columnar(path)
+        assert [(key.product, len(store._columns[key][0])) for key in store.series()] == [
+            ("leek", 2), (wide + "a", 5), (wide + "b", 3)]
+        assert_same_as_row_reader(path)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     def test_a_file_without_a_final_newline_is_read_once(self, tmp_path, end, no_row_reader):
@@ -202,9 +246,9 @@ class TestRouting:
                                        "CH,tomato,conventional,,2016,30,7.0 "])
     def test_a_fault_in_the_last_chunk_only(self, tmp_path, fault):
         rows = [f"{country},crop{product:02d},organic,north,2015,{week},{week}.25"
-                for country in COUNTRIES for product in range(12) for week in range(1, 54)]
+                for country in COUNTRIES for product in range(24) for week in range(1, 54)]
         path = write(tmp_path / "prices.csv", rows + [fault], ["\r\n"] * (len(rows) + 2))
-        assert path.stat().st_size > 2 * ingest._CHUNK_CHARS
+        assert path.stat().st_size > 2 * ingest._CHUNK_BYTES
         assert columnar(path) is None
         assert_same_as_row_reader(path)
         path = write(tmp_path / "prices.csv", rows, ["\r\n"] * (len(rows) + 1))
@@ -221,6 +265,55 @@ class TestRouting:
         calendar = tmp_path / "calendar.csv"
         calendar.write_text("product,start_md,end_md\ntomato,05-10,08-31\n")
         assert main(["ingest", "--prices", str(path), "--calendar", str(calendar)]) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# prices parsed in one call
+
+DIGITS = "0123456789"
+# halfway cases between two floats, long mantissas and a 73-byte cell
+HARD_PRICES = ("9007199254740993", "9007199254740995", "9007199254740993.00000000000000000001",
+               "1.00000000000000011102230246251565404236316680908203125",
+               "1.00000000000000011102230246251565404236316680908203126",
+               "123.45678901234567890123", "0.30000000000000004", "1." + "0" * 70 + "1")
+price_texts = st.one_of(
+    st.floats(1e-4, 1e16, exclude_max=True).map(repr),  # repr has no exponent in this range
+    st.tuples(st.text(DIGITS, min_size=1, max_size=30), st.text(DIGITS, max_size=30)).map(
+        lambda p: f"{p[0]}.{p[1]}" if p[1] else p[0]),
+    st.sampled_from(HARD_PRICES),
+).filter(lambda text: float(text) > 0)
+
+
+class TestPrices:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(price_texts, min_size=1, max_size=60))
+    def test_each_price_has_the_bits_of_float(self, tmp_path_factory, texts):
+        first = IsoWeek(2016, 1).ordinal
+        weeks = [IsoWeek.from_ordinal(first + i) for i in range(len(texts))]
+        lines = [f"CH,tomato,organic,,{week.year},{week.week},{text}"
+                 for week, text in zip(weeks, texts)]
+        path = write(tmp_path_factory.mktemp("bits") / "prices.csv", lines,
+                     ["\n"] * (len(lines) + 1))
+        with mock.patch.object(ingest, "_read_price_rows",
+                               side_effect=AssertionError("the row reader read the file")):
+            store, _ = read_prices(path)
+        assert store.rows().value.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+    def test_a_long_price_cell_is_read_in_the_memory_of_its_chunk(self, tmp_path):
+        # a gather of every row as wide as the widest cell would take about 240 MB
+        rows = [f"{country},crop{product:02d},organic,,2016,{week},{week}.25"
+                for country in COUNTRIES for product in range(10) for week in range(1, 51)]
+        rows.append("CH,tomato,organic,,2016,1,1." + "0" * 120000)
+        path = write(tmp_path / "prices.csv", rows, ["\n"] * (len(rows) + 1))
+        assert columnar(path) is not None
+        assert_same_as_row_reader(path)
+        tracemalloc.start()
+        try:
+            read_prices(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

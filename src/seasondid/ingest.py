@@ -55,7 +55,7 @@ _PRICE_PATTERN = re.compile(r"^\d+(?:\.\d+)?$")
 _HEADER_LINES = tuple((",".join(PRICE_HEADER) + end).encode() for end in ("\n", "\r\n", ""))
 _LINE_STOPS = np.frombuffer(b",,,,,,\n", dtype=np.uint8)  # the delimiters of one line
 _CHUNK_BYTES = 64 * 1024
-_GATHER = 64  # bytes of each line's key compared in place; a wider key starts its own run
+_GATHER = 64  # bytes of each line's key compared in place; a wider key starts a run
 # row w keeps the first w bytes of _GATHER bytes read as little-endian words
 _MASKS = np.array([[(1 << 8 * min(8, max(0, w - j))) - 1 for j in range(0, _GATHER, 8)]
                    for w in range(_GATHER + 1)], dtype=np.uint64)
@@ -179,7 +179,7 @@ def _read_price_columns(handle: BinaryIO) -> tuple[PanelStore, IngestReport] | N
     ``\\n``; None at the first chunk that ``csv.reader`` might split unlike
     its delimiters or whose cells might not parse, or when ``PanelStore``
     refuses the rows, which leaves the file to the row reader."""
-    if handle.readline() not in _HEADER_LINES:
+    if handle.readline(len(_HEADER_LINES[1])) not in _HEADER_LINES:  # the longest
         return None
     series: dict[SeriesKey, int] = {}  # series id by key, in first-seen order
     chunks, data = [], None
@@ -205,16 +205,21 @@ def _read_price_columns(handle: BinaryIO) -> tuple[PanelStore, IngestReport] | N
 def _line_chunks(handle: BinaryIO) -> Iterator[bytes | None]:
     """The rest of ``handle`` in chunks of whole lines, each ended by
     ``\\n``. A last line without one gets it, or is None if it ends in a
-    lone ``\\r``, which ``csv.reader`` reads as a line end."""
-    tail = b""
+    lone ``\\r``, which ``csv.reader`` reads as a line end; so is text
+    since the last ``\\n`` longer than any line a chunk may hold."""
+    longest = len(PRICE_HEADER) * (csv.field_size_limit() + 1)
+    tail: list[bytes] = []
     while block := handle.read(_CHUNK_BYTES):
-        block = tail + block
         cut = block.rfind(b"\n") + 1
         if cut:
-            yield block[:cut]
-        tail = block[cut:]
-    if tail:
-        yield None if tail.endswith(b"\r") else tail + b"\n"
+            yield b"".join((*tail, block[:cut]))
+            tail = []
+        tail.append(block[cut:])
+        if sum(map(len, tail)) > longest:
+            yield None
+            return
+    if rest := b"".join(tail):
+        yield None if rest.endswith(b"\r") else rest + b"\n"
 
 
 def _price_chunk(
@@ -244,7 +249,8 @@ def _price_chunk(
     count = (min(int(key_width.max()), _GATHER) + 7) // 8
     keys = words[starts[:, :1] + 8 * np.arange(count)]
     keys &= _MASKS[np.minimum(key_width, _GATHER), :count]
-    first = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    first = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)
+                                           | (key_width[1:] != key_width[:-1])))
                            | (key_width > _GATHER))  # a key wider than the gather starts a run
     run_ids = []
     for start, stop in zip(starts[first, 0].tolist(), stops[first, 3].tolist()):
@@ -253,7 +259,8 @@ def _price_chunk(
             return None
         run_ids.append(series.setdefault(key, len(series)))
     codes, code_at = np.unique(words[starts[:, 4]] & _MASKS[span, 0], return_inverse=True)
-    ordinals = [_code_week(code) for code in codes.tolist()]
+    ordinals = [_week_ordinal(*code.to_bytes(8, "little").rstrip(b"\0").decode().split(","))
+                for code in codes.tolist()]  # each code is its text, zero bytes after it
     if any(isinstance(ordinal, str) for ordinal in ordinals):
         return None
     prices = _price_column(buf, starts[:, 0], stops[:, 5], stops[:, 6])
@@ -268,7 +275,7 @@ def _words(buf: np.ndarray) -> np.ndarray:
     """The little-endian uint64 of the 8 bytes from each position of
     ``buf`` on, ``buf`` followed by ``_GATHER`` zero bytes."""
     padded = np.concatenate((buf, np.zeros(_GATHER, dtype=np.uint8)))
-    return np.ndarray((buf.size + _GATHER - 7,), np.uint64, padded, 0, (1,))
+    return np.ndarray((buf.size + _GATHER - 7,), np.dtype("<u8"), padded, 0, (1,))
 
 
 def _price_column(buf: np.ndarray, line: np.ndarray, comma: np.ndarray,
@@ -352,13 +359,6 @@ def _series_key(country: str, product: str, quality: str, region: str) -> Series
         return SeriesKey(product, Quality.parse(quality), country, region or None)
     except ConfigError as exc:
         return str(exc)
-
-
-@functools.lru_cache(maxsize=4096)
-def _code_week(code: int) -> int | str:
-    """``_week_ordinal`` of the text ``year,week`` packed in the bytes of
-    ``code``, zeros after it."""
-    return _week_ordinal(*code.to_bytes(8, "little").rstrip(b"\0").decode().split(","))
 
 
 @functools.lru_cache(maxsize=4096)

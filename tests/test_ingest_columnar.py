@@ -217,6 +217,32 @@ class TestRouting:
             ("leek", 2), (wide + "a", 5), (wide + "b", 3)]
         assert_same_as_row_reader(path)
 
+    def test_a_key_as_wide_as_the_gather_after_a_wider_one(self, tmp_path):
+        # the narrower key is the wider one's first _GATHER bytes
+        prefix = "CH,tomato,organic,"
+        region = "r" * (ingest._GATHER + 1 - len(prefix))
+        rows = [f"{prefix}{region},2016,1,4.0", f"{prefix}{region[:-1]},2016,1,5.0"]
+        path = write(tmp_path / "prices.csv", rows, ["\n"] * 3)
+        store, _ = columnar(path)
+        assert sorted(len(key.region) for key in store.series()) == [len(region) - 1, len(region)]
+        assert_same_as_row_reader(path)
+
+    @pytest.mark.parametrize("header_end", ["\n", "\r"])
+    def test_a_file_without_a_newline_is_left_after_its_longest_line(self, tmp_path, header_end):
+        # lone \r line ends: the columnar reader stops once the text read
+        # since the last \n is longer than any line it takes
+        rows = [f"CH,crop{product},organic,,2016,{week},4.0"
+                for product in range(10) for week in range(1, 53)]
+        path = write(tmp_path / "prices.csv", rows, [header_end] + ["\r"] * len(rows))
+        limit = csv.field_size_limit(100)
+        try:
+            with mock.patch.object(ingest, "_CHUNK_BYTES", 100), path.open("rb") as handle:
+                assert ingest._read_price_columns(handle) is None
+                assert handle.tell() < 1000 < path.stat().st_size
+            assert_same_as_row_reader(path)
+        finally:
+            csv.field_size_limit(limit)
+
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     def test_a_file_without_a_final_newline_is_read_once(self, tmp_path, end, no_row_reader):
         rows = ["CH,tomato,conventional,,2016,19,4.0", "DE,tomato,organic,,2016,20,5.5"]

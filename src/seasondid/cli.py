@@ -207,22 +207,32 @@ def _run_one(task: EstimationTask, group: TaskGroup) -> tuple[str, str, list[tup
     job, _, _, config = _batch
     try:
         rows = job(task, group, config)
-    except InfeasibleSampleError as exc:
-        return task.key(), f"infeasible: {exc.reason}", []
     except SeasonDidError as exc:
+        exc.__traceback__ = None  # its frames hold the group that keeps the error
+        if isinstance(exc, InfeasibleSampleError):
+            return task.key(), f"infeasible: {exc.reason}", []
         return task.key(), f"failed: {type(exc).__name__}: {exc}", []
     return task.key(), "ok", rows
 
 
-def _run_group(tasks: list[EstimationTask]) -> list[tuple[str, str, list[tuple]]]:
-    """``_run_one`` on each task of a group, in order, all of them on one
-    ``TaskGroup``, which lives as long as this call.
+def _run_groups(groups: list[list[EstimationTask]]) -> list[tuple[str, str, list[tuple]]]:
+    """``_run_one`` on each task of consecutive ``groups``, in order, one
+    ``TaskGroup`` unit at a time: in a ``run`` with ``ols`` a group fits its
+    OLS DiDs together with the groups it takes from those after it, whose
+    tasks then run on the groups taken; otherwise each group runs alone.
+    The unit lives until its last task ends.
 
     Top-level function so process pools can pickle it.
     """
-    _, store, calendar, _ = _batch
-    group = TaskGroup(tasks, store, calendar)
-    return [_run_one(task, group) for task in tasks]
+    job, store, calendar, config = _batch
+    queue = iter(groups)
+    following = queue if job is _effect_rows and "ols" in config.methods else ()
+    outcomes = []
+    for tasks in queue:
+        group = TaskGroup(tasks, store, calendar, following)
+        outcomes += [_run_one(task, group) for task in tasks]
+        outcomes += [_run_one(task, taken) for taken in group.taken for task in taken.tasks]
+    return outcomes
 
 
 def _task_groups(tasks: list[EstimationTask], workers: int) -> list[list[EstimationTask]]:
@@ -274,9 +284,11 @@ def _run_batch(
 
     The tasks run as ``_task_groups`` on min(``config.workers``, groups)
     processes: a pool whose initializer hands each worker the store,
-    calendar and config once, or this process alone. Either way the rows
-    come back in key order, so the outputs do not depend on the worker
-    count."""
+    calendar and config once, and which runs each group alone, or this
+    process alone, which runs the groups in units (``_run_groups``). Either
+    way the rows come back in key order, and a task's estimates do not
+    depend on the tasks beside it, so the outputs do not depend on the
+    worker count."""
     store, calendar = _load_inputs(config)
     tasks = sorted(expand_tasks(config, store=store), key=lambda t: t.key())
     groups = _task_groups(tasks, config.workers)
@@ -286,11 +298,11 @@ def _run_batch(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_start_batch, initargs=state
         ) as pool:
-            results = list(pool.map(_run_group, groups))
+            results = list(pool.map(_run_groups, ([tasks] for tasks in groups)))
     else:
         _start_batch(*state)
-        results = list(map(_run_group, groups))
-    outcomes = [outcome for group in results for outcome in group]
+        results = [_run_groups(groups)]
+    outcomes = [outcome for part in results for outcome in part]
 
     rows = [row for _, _, task_rows in outcomes for row in task_rows]
     statuses = [{"task": key, "status": status} for key, status, _ in outcomes]

@@ -24,7 +24,7 @@ import datetime as dt
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,10 +138,12 @@ class PanelRows:
         return self.week.size
 
     def take(self, rows) -> "PanelRows":
-        """The rows that a boolean mask or an index array picks, in its order."""
-        # the fields, not vars(self): the week indexes are kept there too
-        arrays = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return replace(self, **{k: a[rows] for k, a in arrays if isinstance(a, np.ndarray)})
+        """The rows that a boolean mask, an index array or a slice picks, in
+        its order; the week indexes are built again when asked for."""
+        phase, season = self.phase, self.season
+        return PanelRows(self.keys, self.series[rows], self.week[rows], self.value[rows],
+                         None if phase is None else phase[rows],
+                         None if season is None else season[rows])
 
     @functools.cached_property
     def sorted_weeks(self) -> np.ndarray:

@@ -9,12 +9,12 @@ A batch is many tasks over few markets, so tasks are prepared in a
 ``TaskGroup``: tasks that share a treated market (``cli._task_groups`` cuts
 a key-ordered batch into them). A group reads, labels and transforms the
 rows of all its markets as one block and slices each task's rows out of
-it; the block lives as long as the group. It builds the samples of all its
-tasks of an outcome together, and fits their OLS DiDs as one
-``estimate_ols_did`` call, one stacked QR per bin design, keeping each
-task's sample and estimate, or its error, until ``run_task`` asks for it.
-``prepare_outcome_rows`` and ``run_task`` on a task alone prepare it as a
-group of one.
+it. It builds the samples of all its tasks together and then drops the
+block. The OLS DiDs of a unit of consecutive groups, taken until their
+samples hold ``UNIT_ROWS`` rows, are fitted as one ``estimate_ols_did``
+call, one stacked QR per bin design. Each task's sample and estimate, or its error,
+is kept until ``run_task`` asks for it. ``prepare_outcome_rows`` and
+``run_task`` on a task alone prepare it as a group of one, a unit of one.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ def _sample_key(task: EstimationTask) -> tuple:
     return task.treated, task.control, task.outcome, task.covariates, task.min_cell
 
 
+# Sample rows at which a unit of task groups stops taking groups: a constant
+# with no setting, which bounds the samples alive at a time.
+UNIT_ROWS = 1 << 16
+
+
 class TaskGroup:
     """Tasks that share a treated market, prepared as one block.
 
@@ -83,16 +88,18 @@ class TaskGroup:
     labelled, so only a calendar miss, checked first, keeps a block from
     being labelled, and it fails every task of the group.
 
-    The first of an outcome's tasks to ask for its sample has all of them
-    prepared (``prepare_outcome_rows``) and sampled (``build_sample``); the
-    first to ask for its OLS estimate, all their samples estimated by one
-    ``estimate_ols_did`` call. Each sample or estimate, or its error, is
-    kept for the task that asks, and raised there.
+    The first task to ask for its sample has every task prepared
+    (``prepare_outcome_rows``) and sampled (``build_sample``), and the
+    blocks released. The first to ask for its OLS estimate fits the group's
+    unit: the group, then the groups of the task lists it takes from
+    ``following`` (an iterator the caller runs on; the groups go to
+    ``taken``) until the unit's samples hold ``UNIT_ROWS`` rows, all
+    estimated by one ``estimate_ols_did`` call. Each sample or estimate, or
+    its error, is kept for the task that asks, and raised there.
     """
 
-    def __init__(
-        self, tasks: list[EstimationTask], store: PanelStore, calendar: ProtectionCalendar
-    ):
+    def __init__(self, tasks: list[EstimationTask], store: PanelStore,
+                 calendar: ProtectionCalendar, following=()):
         treated = tasks[0].treated
         if any(task.treated != treated for task in tasks):
             raise ValueError("the tasks of a group share one treated market")
@@ -103,10 +110,12 @@ class TaskGroup:
         )}
         # series codes of market i: codes[i] .. codes[i + 1] - 1
         self._codes = np.cumsum([0] + [len(store.market_series(key)) for key in self._market])
+        self._following = iter(following)
+        self.taken: list[TaskGroup] = []
         self._labeled: PanelRows | None = None
         self._outcomes: dict[Outcome, list[PanelRows]] = {}  # each market's rows
-        self._samples: dict[Outcome, dict[tuple, DidSample | SeasonDidError]] = {}
-        self._ols: dict[Outcome, dict[tuple, EffectEstimate | SeasonDidError]] = {}
+        self._samples: dict[tuple, DidSample | SeasonDidError] | None = None
+        self._ols: dict[tuple, EffectEstimate | SeasonDidError] | None = None
 
     def task_rows(self, task: EstimationTask) -> tuple[PanelRows, PanelRows]:
         """Transformed (treated, control) outcome rows of one of the tasks,
@@ -122,27 +131,36 @@ class TaskGroup:
 
     def sample(self, task: EstimationTask) -> DidSample:
         """The sample of one of the tasks (whatever its trim, reps or seed)."""
-        return unwrap(self._samples_of(task.outcome)[_sample_key(task)])
+        return unwrap(self.samples()[_sample_key(task)])
+
+    def samples(self) -> dict[tuple, DidSample | SeasonDidError]:
+        """Each task's sample or error, by ``_sample_key``."""
+        if self._samples is None:
+            self._samples = {}
+            for task in self.tasks:
+                try:
+                    rows = prepare_outcome_rows(task, self.store, self.calendar, self)
+                    self._samples[_sample_key(task)] = build_sample(task, *rows)
+                except SeasonDidError as exc:  # raised when the task asks
+                    self._samples[_sample_key(task)] = exc
+            self._labeled, self._outcomes = None, {}
+        return self._samples
 
     def ols_estimate(self, task: EstimationTask) -> EffectEstimate:
         """The OLS estimate of one of the tasks that has a sample."""
-        if task.outcome not in self._ols:
-            samples = self._samples_of(task.outcome)
-            keys = [key for key, sample in samples.items() if isinstance(sample, DidSample)]
-            estimates = estimate_ols_did([samples[key] for key in keys])
-            self._ols[task.outcome] = dict(zip(keys, estimates))
-        return unwrap(self._ols[task.outcome][_sample_key(task)])
+        if self._ols is None:
+            self._fit_unit()
+        return unwrap(self._ols[_sample_key(task)])
 
-    def _samples_of(self, outcome: Outcome) -> dict[tuple, DidSample | SeasonDidError]:
-        if outcome not in self._samples:
-            samples = self._samples[outcome] = {}
-            for task in (task for task in self.tasks if task.outcome is outcome):
-                try:
-                    rows = prepare_outcome_rows(task, self.store, self.calendar, self)
-                    samples[_sample_key(task)] = build_sample(task, *rows)
-                except SeasonDidError as exc:  # raised when the task asks
-                    samples[_sample_key(task)] = exc
-        return self._samples[outcome]
+    def _fit_unit(self) -> None:
+        unit, rows = [self], sum(sample.y.size for sample in _fitted(self).values())
+        while rows < UNIT_ROWS and (tasks := next(self._following, None)) is not None:
+            unit.append(TaskGroup(tasks, self.store, self.calendar))
+            rows += sum(sample.y.size for sample in _fitted(unit[-1]).values())
+        self.taken = unit[1:]
+        estimates = iter(estimate_ols_did([s for group in unit for s in _fitted(group).values()]))
+        for group in unit:
+            group._ols = {key: next(estimates) for key in _fitted(group)}
 
     def _outcome_block(self, outcome: Outcome) -> list[PanelRows]:
         if outcome not in self._outcomes:
@@ -153,6 +171,11 @@ class TaskGroup:
             edges = rows.series.searchsorted(self._codes).tolist()
             self._outcomes[outcome] = [rows.take(slice(*ends)) for ends in zip(edges, edges[1:])]
         return self._outcomes[outcome]
+
+
+def _fitted(group: TaskGroup) -> dict[tuple, DidSample]:
+    """The samples of ``group``, without its tasks' errors, in task order."""
+    return {key: s for key, s in group.samples().items() if isinstance(s, DidSample)}
 
 
 def prepare_outcome_rows(

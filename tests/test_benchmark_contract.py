@@ -6,7 +6,7 @@ less the first, which estimates the full sample, and failed replicates as
 those calls that raised. It counts labelled and transformed rows as the
 ``len()`` of what ``label_panel`` and the two transforms return, and OLS
 fits as the calls of ``did.fit_ols``, each pruning its design once: one
-call per stack, the tasks of a (group, outcome) that share a bin design. A
+call per stack, the tasks of a unit of groups that share a bin design. A
 refactor that renames a traced attribute, changes how often an estimator
 is called or what those results count breaks the benchmark; these tests
 make it break the suite too. ``spans.py`` is loaded from its file and not
@@ -209,19 +209,19 @@ def traced_ols_run(spans, run_cfg, out) -> tuple[int, dict]:
 
 
 def test_traced_ols_fits_match_the_ols_rows(spans, workspace, tmp_path):  # noqa: F811
-    # the workspace's two tasks, one per outcome, are two stacks
+    # the workspace's two tasks, one per outcome, share a bin design: one stack
     _, _, run_cfg, out = workspace
     ols_rows, metrics = traced_ols_run(spans, run_cfg, out)
     assert ols_rows == 2
-    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == 2
+    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == 1
     # two groups of four tasks, two per outcome, whose samples all occupy
-    # every bin: one stack per (group, outcome), of two tasks each
+    # every bin: one unit, so one stack per bin design, of all eight tasks
     panel = tmp_path / "panel"
     panel.mkdir()
     ols_rows, metrics = traced_ols_run(spans, market_panel(panel, ["beet", "kale"],
                                                            ["AT", "DE"]), panel / "out")
     assert ols_rows == 8
-    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == 4
+    assert metrics["glm.fit_ols_calls"] == metrics["glm.prune_design_calls"] == 1
     assert metrics["pipeline.tasks"] == 8
 
 

@@ -1,17 +1,19 @@
 """Command-line interface: end-to-end flows, exit codes, determinism."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seasondid import EstimationTask, Outcome, Quality, SeriesKey
+from seasondid import EstimationTask, Outcome, Quality, SeriesKey, pipeline
 from seasondid.cli import (
     DESCRIBE_COLUMNS,
     EFFECTS_COLUMNS,
@@ -111,16 +113,16 @@ def write_run_cfg(workspace_paths, extra="", name="alt.cfg", out_name="alt_out")
     return cfg, out
 
 
-def market_panel(tmp_path, products, countries) -> Path:
+def market_panel(tmp_path, products, countries, **sim) -> Path:
     """Simulated prices and calendar under ``tmp_path`` of each product's
-    treated market and one control market per country; returns a run config
-    of all their tasks."""
+    treated market and one control market per country, with ``sim``'s
+    ``SimConfig`` settings; returns a run config of all their tasks."""
     observations, windows = [], {}
     for product in products:
         for country in countries:
             config = SimConfig(n_seasons=3, weeks_per_season=20, protected_start=5,
                                protected_end=14, seed=len(observations), product=product,
-                               control_country=country)
+                               control_country=country, **sim)
             treated, control, calendar = generate_panel(config)
             observations += control + (treated if country == countries[0] else [])
         window = calendar.window_for(product)
@@ -204,6 +206,81 @@ class TestTaskGroups:
         groups = _task_groups(tasks, 2)
         assert len(groups) >= 2
         assert all(len(group) <= 5 for group in groups)
+
+
+def unit_panel(tmp_path) -> Path:
+    """A run config, with ``ipw,ols``, of three task groups in key order:
+    beet, whose FR control has six weeks, too few for a sample; kale, which
+    has no calendar entry; and leek. Noise makes every task's estimates its own."""
+    run_cfg = market_panel(tmp_path, ["beet", "kale", "leek"], ["AT", "DE"], noise_sd=2.0)
+    prices = tmp_path / "prices.csv"
+    lines = prices.read_text().splitlines()
+    extra = [f"FR,{line[3:]}" for line in lines if line.startswith("DE,beet,")][:6]
+    prices.write_text("\n".join(lines + extra) + "\n")
+    calendar = tmp_path / "calendar.csv"
+    calendar.write_text("".join(line for line in calendar.read_text().splitlines(True)
+                                if not line.startswith("kale,")))
+    run_cfg.write_text(run_cfg.read_text() + "methods = ipw,ols\n")
+    return run_cfg
+
+
+class TestUnits:
+    """At one worker a ``run`` with ``ols`` fits the OLS DiDs of consecutive
+    task groups as one unit, taken until their samples hold a row budget
+    (``pipeline.UNIT_ROWS``)."""
+
+    def test_outputs_do_not_depend_on_the_units(self, tmp_path, monkeypatch):
+        run_cfg = unit_panel(tmp_path)
+        out = tmp_path / "out"
+        stacks = []
+        estimate_ols_did = pipeline.estimate_ols_did
+        monkeypatch.setattr(pipeline, "estimate_ols_did",
+                            lambda samples: stacks.append(len(samples)) or estimate_ols_did(samples))
+        outputs = []
+        # one group per unit, every group in one unit, and one group per pool item
+        for budget, workers in ((1, "1"), (2**40, "1"), (1, "2")):
+            monkeypatch.setattr(pipeline, "UNIT_ROWS", budget)
+            assert main(["run", "--config", str(run_cfg), "--workers", workers]) == (
+                EXIT_TASK_FAILURE)
+            manifest = (out / "manifest.json").read_bytes()
+            manifest = manifest.replace(f'"workers": {workers}'.encode(), b'"workers": 0')
+            outputs.append(((out / "effects.csv").read_bytes(), manifest))
+        assert outputs[0] == outputs[1] == outputs[2]
+        # beet's samples of AT and DE in both outcomes, then leek's
+        assert stacks == [4, 4, 8]  # pool workers append to their own copies
+        statuses = {s["task"]: s["status"] for s in json.loads(outputs[0][1])["tasks"]}
+        assert len(statuses) == 14
+        assert sorted(key for key, status in statuses.items() if status == "ok") == [
+            f"{product}|conventional|CH||{product}|{country}||{outcome}"
+            for product in ("beet", "leek") for country in ("AT", "DE")
+            for outcome in ("level", "volatility")
+        ]
+        assert sum(s.startswith("infeasible: ") for s in statuses.values()) == 2
+        assert sum(s.startswith("failed: CalendarMissError") for s in statuses.values()) == 4
+
+    def test_no_more_than_one_unit_of_samples_is_alive(self, tmp_path, monkeypatch):
+        # with a budget of one row each group is a unit; gc is off, so what
+        # is not freed at once is seen
+        run_cfg = unit_panel(tmp_path)
+        samples, alive = [], []
+        build_sample = pipeline.build_sample
+
+        def building(task, *rows):
+            sample = build_sample(task, *rows)
+            samples.append((task.treated.product, weakref.ref(sample)))
+            alive.append({product for product, ref in samples if ref() is not None})
+            return sample
+
+        monkeypatch.setattr(pipeline, "build_sample", building)
+        monkeypatch.setattr(pipeline, "UNIT_ROWS", 1)
+        gc.disable()
+        try:
+            assert main(["run", "--config", str(run_cfg), "--workers", "1"]) == (
+                EXIT_TASK_FAILURE)
+        finally:
+            gc.enable()
+        assert {product for product, _ in samples} == {"beet", "leek"}
+        assert all(len(products) == 1 for products in alive), alive
 
 
 class TestSimulate:

@@ -215,6 +215,33 @@ class TestLabelPanel:
         assert weeks_of(again) == weeks_of(kept) and again.value.tolist() == kept.value.tolist()
 
 
+class TestTake:
+    @pytest.mark.parametrize(
+        "pick", [np.array([2, 0, 2]), np.array([True, False, True, False]), slice(1, 3)]
+    )
+    def test_taken_rows_are_read_only_and_build_their_own_week_indexes(
+        self, tomato_calendar, pick
+    ):
+        rows = [price_row("tomato", country, week(2016, w), float(w))
+                for country, w in (("CH", 10), ("CH", 19), ("DE", 25), ("DE", 30))]
+        for panel in (panel_rows(rows), label_panel(panel_rows(rows), tomato_calendar)):
+            panel.sorted_weeks, panel.values_by_week  # noqa: B018  (build the indexes)
+            taken = panel.take(pick)
+            assert taken.keys is panel.keys
+            for name in ("series", "week", "value", "phase", "season"):
+                array = getattr(panel, name)
+                got = getattr(taken, name)
+                if array is None:
+                    assert got is None
+                    continue
+                assert got.tolist() == array[pick].tolist() and got.dtype == array.dtype
+                assert not got.flags.writeable
+            assert "sorted_weeks" not in vars(taken) and "values_by_week" not in vars(taken)
+            weeks = panel.week[pick]
+            assert taken.sorted_weeks.tolist() == sorted(weeks.tolist()) + [np.iinfo(np.int64).max]
+            assert set(taken.values_by_week) == set(weeks.tolist())
+
+
 class TestLeapDayWindows:
     """A window that starts or ends on 02-29 is tested day by day as
     ``ProtectionWindow.contains`` tests it: in a common year no day is

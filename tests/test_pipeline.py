@@ -3,6 +3,7 @@ row-level oracle's rows and samples bit for bit, rows shared across tasks
 equal per-task rows, a group's stacked estimates equal per-task ones, and
 failures stay per task."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -460,6 +461,44 @@ def test_the_tasks_of_a_group_share_their_treated_rows_per_outcome():
         rows = group.task_rows(task)[0]
         assert treated.setdefault(task.outcome, rows) is rows, task
     assert treated[Outcome.LEVEL] is not treated[Outcome.VOLATILITY]
+
+
+def test_a_group_releases_its_blocks_once_its_samples_are_built(monkeypatch):
+    # the labelled block and each outcome block, whose slices every task's
+    # rows are cut from, are gone once the group holds its samples
+    weeks = [shift(FIRST_WEEK, i) for i in range(60)]
+    store = PanelStore([price_row("tomato", country, w, 100.0 + i % (3 + k))
+                        for k, country in enumerate(COUNTRIES) for i, w in enumerate(weeks)])
+    calendar = ProtectionCalendar({"tomato": window("05-10", "08-31")})
+    tasks = [
+        EstimationTask(treated=SeriesKey("tomato", Quality.CONVENTIONAL, "CH"),
+                       control=SeriesKey("tomato", Quality.CONVENTIONAL, country),
+                       outcome=outcome, bootstrap_reps=0)
+        for outcome in Outcome
+        for country in COUNTRIES[1:]
+    ]
+    blocks, alive_while_building = [], []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            rows = fn(*args, **kwargs)
+            blocks.append(weakref.ref(rows.value))  # the slices are views of it
+            return rows
+        return call
+
+    def building(task, *rows):
+        alive_while_building.append(sum(ref() is not None for ref in blocks))
+        return build_sample(task, *rows)
+
+    monkeypatch.setattr(pipeline, "label_panel", recording(pipeline.label_panel))
+    monkeypatch.setattr(pipeline, "outcome_rows", recording(pipeline.outcome_rows))
+    monkeypatch.setattr(pipeline, "build_sample", building)
+    group = TaskGroup(tasks, store, calendar)
+    samples = group.samples()
+    assert len(blocks) == 3 and alive_while_building[-1] == 3
+    assert all(ref() is None for ref in blocks)
+    assert len(samples) == len(tasks)
+    assert all(group.sample(task) is sample for task, sample in zip(tasks, samples.values()))
 
 
 def test_missing_seed_is_reported_before_estimation():
